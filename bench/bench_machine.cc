@@ -12,8 +12,10 @@
 //     (size, ratio) shapes, plus the galloping-vs-SIMD ratio sweep that
 //     kGallopDispatchRatio (similarity/set_similarity.cc) is tuned from.
 //  3. Join wall/CPU — AllPairsJoin over the scaled Product input (the
-//     BENCH_exec.json workload at CROWDER_MACHINE_SCALE=25), with
-//     pair-verification counts.
+//     BENCH_exec.json workload at CROWDER_MACHINE_SCALE=25), with the
+//     join counters (postings scanned, candidates pruned, verifications).
+//     With CROWDER_MACHINE_CURVE set, the same serial join also runs at each
+//     listed scale: the scale curve of BENCH_machine.json.
 //  4. Cluster-route per-stage wall — the streaming cluster workflow's
 //     pair→HIT context assembly (cluster_index_wall_ms +
 //     cluster_context_wall_ms), the before/after axis of the inverted
@@ -30,10 +32,17 @@
 //                           contexts)
 //   CROWDER_MACHINE_REPS    repetitions of each throughput measurement
 //                           (default 3; the minimum is reported)
+//   CROWDER_MACHINE_CURVE   comma-separated Product scale factors for the
+//                           join scale curve (default empty = skipped; the
+//                           recorded curve is "25,50,100,200")
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 
@@ -264,6 +273,57 @@ similarity::JoinInput ScaledProductInput(double scale) {
   return input;
 }
 
+// One serial AllPairs join over scaled Product: its counters and wall time.
+struct JoinRun {
+  double scale = 0;
+  size_t records = 0;
+  size_t pairs = 0;
+  similarity::JoinStats stats;
+  double wall_ms = 0;
+  double cpu_ms = 0;
+};
+
+JoinRun RunJoin(double scale, double threshold) {
+  JoinRun run;
+  run.scale = scale;
+  const similarity::JoinInput input = ScaledProductInput(scale);
+  similarity::JoinOptions options;
+  options.threshold = threshold;
+  WallTimer timer;
+  const double cpu0 = CpuSeconds();
+  run.pairs = similarity::AllPairsJoin(input, options, &run.stats).ValueOrDie().size();
+  run.wall_ms = timer.ElapsedMillis();
+  run.cpu_ms = (CpuSeconds() - cpu0) * 1e3;
+  run.records = input.sets.size();
+  return run;
+}
+
+double VerificationsPerPair(const JoinRun& run) {
+  return run.pairs == 0 ? 0.0
+                        : static_cast<double>(run.stats.pair_verifications) /
+                              static_cast<double>(run.pairs);
+}
+
+void PrintJoinRun(const JoinRun& run) {
+  std::cout << WithThousands(run.records) << " records -> " << WithThousands(run.pairs)
+            << " pairs, " << WithThousands(run.stats.postings_scanned) << " postings scanned, "
+            << WithThousands(run.stats.candidates_pruned) << " pruned, "
+            << WithThousands(run.stats.pair_verifications) << " verifications ("
+            << FormatDouble(VerificationsPerPair(run), 0) << " per pair), wall "
+            << FormatDouble(run.wall_ms, 0) << " ms, cpu " << FormatDouble(run.cpu_ms, 0)
+            << " ms\n";
+}
+
+// Parses "25,50,100" into scale factors; empty or unset means no curve.
+std::vector<double> ParseScales(const char* text) {
+  std::vector<double> scales;
+  std::istringstream in(text == nullptr ? "" : text);
+  for (std::string item; std::getline(in, item, ',');) {
+    if (!item.empty()) scales.push_back(std::stod(item));
+  }
+  return scales;
+}
+
 int Main() {
   const double scale = EnvDouble("CROWDER_MACHINE_SCALE", 2.0);
   const uint64_t budget = EnvU64("CROWDER_MACHINE_BUDGET", 4096);
@@ -278,22 +338,16 @@ int Main() {
   size_t crossover = 0;
   const std::vector<SweepRow> sweep = RunCrossoverSweep(reps, &crossover);
 
-  // Section 3: the serial AllPairs join, wall and CPU.
-  const similarity::JoinInput join_input = ScaledProductInput(scale);
-  similarity::JoinOptions join_options;
-  join_options.threshold = threshold;
-  similarity::JoinStats join_stats;
-  WallTimer join_timer;
-  const double join_cpu0 = CpuSeconds();
-  const auto pairs =
-      similarity::AllPairsJoin(join_input, join_options, &join_stats).ValueOrDie();
-  const double join_wall_ms = join_timer.ElapsedMillis();
-  const double join_cpu_ms = (CpuSeconds() - join_cpu0) * 1e3;
-  std::cout << "\nserial AllPairs join: " << WithThousands(join_input.sets.size())
-            << " records -> " << WithThousands(pairs.size()) << " pairs, "
-            << WithThousands(join_stats.pair_verifications) << " verifications, wall "
-            << FormatDouble(join_wall_ms, 0) << " ms, cpu " << FormatDouble(join_cpu_ms, 0)
-            << " ms\n";
+  // Section 3: the serial AllPairs join, wall and CPU, then the scale curve.
+  const JoinRun join = RunJoin(scale, threshold);
+  std::cout << "\nserial AllPairs join: ";
+  PrintJoinRun(join);
+  std::vector<JoinRun> curve;
+  for (double curve_scale : ParseScales(std::getenv("CROWDER_MACHINE_CURVE"))) {
+    std::cout << "scale " << FormatDouble(curve_scale, 0) << ": ";
+    curve.push_back(RunJoin(curve_scale, threshold));
+    PrintJoinRun(curve.back());
+  }
 
   // Section 4: the streaming cluster route's context-assembly stage walls.
   data::ProductConfig product_config;
@@ -348,17 +402,35 @@ int Main() {
             << "  },\n"
             << "  \"scale_factor\": " << FormatDouble(scale, 1) << ",\n"
             << "  \"threshold\": " << FormatDouble(threshold, 2) << ",\n"
-            << "  \"join_records\": " << join_input.sets.size() << ",\n"
-            << "  \"join_pairs\": " << pairs.size() << ",\n"
-            << "  \"join_verifications\": " << join_stats.pair_verifications << ",\n"
-            << "  \"join_wall_ms\": " << FormatDouble(join_wall_ms, 0) << ",\n"
-            << "  \"join_cpu_ms\": " << FormatDouble(join_cpu_ms, 0) << ",\n"
+            << "  \"join_records\": " << join.records << ",\n"
+            << "  \"join_pairs\": " << join.pairs << ",\n"
+            << "  \"join_postings_scanned\": " << join.stats.postings_scanned << ",\n"
+            << "  \"join_candidates_pruned\": " << join.stats.candidates_pruned << ",\n"
+            << "  \"join_verifications\": " << join.stats.pair_verifications << ",\n"
+            << "  \"join_wall_ms\": " << FormatDouble(join.wall_ms, 0) << ",\n"
+            << "  \"join_cpu_ms\": " << FormatDouble(join.cpu_ms, 0) << ",\n"
             << "  \"cluster_workflow_wall_ms\": " << FormatDouble(cluster_wall_ms, 0) << ",\n"
             << "  \"cluster_index_wall_ms\": " << FormatDouble(stats.cluster_index_wall_ms, 1)
             << ",\n"
             << "  \"cluster_context_wall_ms\": "
-            << FormatDouble(stats.cluster_context_wall_ms, 1) << "\n"
-            << "}\n";
+            << FormatDouble(stats.cluster_context_wall_ms, 1) << (curve.empty() ? "" : ",")
+            << "\n";
+  if (!curve.empty()) {
+    std::cout << "  \"join_scale_curve\": [\n";
+    for (size_t i = 0; i < curve.size(); ++i) {
+      const JoinRun& run = curve[i];
+      std::cout << "    {\"scale_factor\": " << FormatDouble(run.scale, 0)
+                << ", \"records\": " << run.records << ", \"pairs\": " << run.pairs
+                << ", \"postings_scanned\": " << run.stats.postings_scanned
+                << ", \"candidates_pruned\": " << run.stats.candidates_pruned
+                << ", \"pair_verifications\": " << run.stats.pair_verifications
+                << ", \"verifications_per_pair\": " << FormatDouble(VerificationsPerPair(run), 0)
+                << ", \"serial_join_wall_ms\": " << FormatDouble(run.wall_ms, 0) << "}"
+                << (i + 1 < curve.size() ? "," : "") << "\n";
+    }
+    std::cout << "  ]\n";
+  }
+  std::cout << "}\n";
   return agree ? 0 : 1;
 }
 

@@ -20,7 +20,7 @@ size_t EntityClusters::num_duplicate_groups() const {
 Result<EntityClusters> ResolveEntities(uint32_t num_records,
                                        const std::vector<eval::RankedPair>& pairs,
                                        const ResolutionOptions& options) {
-  if (options.match_threshold < 0.0 || options.match_threshold > 1.0) {
+  if (!(options.match_threshold >= 0.0 && options.match_threshold <= 1.0)) {
     return Status::InvalidArgument("match_threshold must be in [0,1]");
   }
   for (const auto& p : pairs) {

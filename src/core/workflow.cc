@@ -146,7 +146,7 @@ Result<HybridWorkflow::MachineStreamStats> HybridWorkflow::MachinePassSharded(
 }
 
 Status ValidateWorkflowConfig(const WorkflowConfig& config) {
-  if (config.likelihood_threshold < 0.0 || config.likelihood_threshold > 1.0) {
+  if (!(config.likelihood_threshold >= 0.0 && config.likelihood_threshold <= 1.0)) {
     return Status::InvalidArgument("likelihood_threshold must be in [0,1]");
   }
   if (config.cluster_size < 2) {

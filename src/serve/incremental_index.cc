@@ -13,7 +13,7 @@ namespace serve {
 using similarity::internal::ComputePrefixBounds;
 
 Result<IncrementalIndex> IncrementalIndex::Create(const IncrementalIndexOptions& options) {
-  if (options.threshold <= 0.0 || options.threshold > 1.0) {
+  if (!(options.threshold > 0.0 && options.threshold <= 1.0)) {
     return Status::InvalidArgument("incremental index threshold must be in (0,1], got " +
                                    std::to_string(options.threshold));
   }

@@ -17,11 +17,11 @@ namespace serve {
 namespace {
 
 Status ValidateServiceConfig(const ServiceConfig& config) {
-  if (config.threshold <= 0.0 || config.threshold > 1.0) {
+  if (!(config.threshold > 0.0 && config.threshold <= 1.0)) {
     return Status::InvalidArgument("service threshold must be in (0,1], got " +
                                    std::to_string(config.threshold));
   }
-  if (config.match_threshold < 0.0 || config.match_threshold > 1.0) {
+  if (!(config.match_threshold >= 0.0 && config.match_threshold <= 1.0)) {
     return Status::InvalidArgument("match_threshold must be in [0,1], got " +
                                    std::to_string(config.match_threshold));
   }

@@ -83,6 +83,12 @@ class Cursor {
   size_t pos_ = 0;
 };
 
+// Encoded sizes the decoders bound their counts with before allocating: a
+// record entry is at least its fixed fields (id, position, owned flag,
+// source, token count), and a pair entry is exactly (a, b, score bits).
+constexpr size_t kMinRecordEntryBytes = 4 + 8 + 1 + 4 + 4;
+constexpr size_t kPairEntryBytes = 4 + 4 + 8;
+
 Status ExpectType(const Frame& frame, FrameType want, const char* name) {
   if (frame.type != want) {
     return Status::IOError(std::string("expected ") + name + " frame, got type " +
@@ -124,6 +130,9 @@ Result<JobSpec> DecodeJobSpec(const Frame& frame) {
   CROWDER_RETURN_NOT_OK(c.ReadU32(&spec.shard_index));
   CROWDER_RETURN_NOT_OK(c.ReadU32(&spec.num_shards));
   CROWDER_RETURN_NOT_OK(c.ReadU32(&measure));
+  if (measure > static_cast<uint32_t>(similarity::SetMeasure::kOverlapCoefficient)) {
+    return Status::IOError("shard spec has unknown set measure " + std::to_string(measure));
+  }
   spec.measure = static_cast<similarity::SetMeasure>(measure);
   CROWDER_RETURN_NOT_OK(c.ReadF64(&spec.threshold));
   CROWDER_RETURN_NOT_OK(c.ReadU8(&has_sources));
@@ -166,6 +175,9 @@ Result<std::vector<RecordEntry>> DecodeRecordBatch(const Frame& frame) {
   Cursor c(frame.payload);
   uint32_t count = 0;
   CROWDER_RETURN_NOT_OK(c.ReadU32(&count));
+  if (count > c.remaining() / kMinRecordEntryBytes) {
+    return Status::IOError("shard record batch count overruns payload");
+  }
   std::vector<RecordEntry> out;
   out.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -179,6 +191,9 @@ Result<std::vector<RecordEntry>> DecodeRecordBatch(const Frame& frame) {
     CROWDER_RETURN_NOT_OK(c.ReadU32(&source));
     e.source = static_cast<int32_t>(source);
     CROWDER_RETURN_NOT_OK(c.ReadU32(&num_tokens));
+    if (num_tokens > c.remaining() / 4) {
+      return Status::IOError("shard record token count overruns payload");
+    }
     e.tokens.resize(num_tokens);
     for (uint32_t t = 0; t < num_tokens; ++t) {
       uint32_t tok = 0;
@@ -214,7 +229,9 @@ Result<std::vector<similarity::ScoredPair>> DecodePairBatch(const Frame& frame) 
   Cursor c(frame.payload);
   uint64_t count = 0;
   CROWDER_RETURN_NOT_OK(c.ReadU64(&count));
-  if (count * 16 > c.remaining()) return Status::IOError("shard pair batch count overruns payload");
+  if (count > c.remaining() / kPairEntryBytes) {
+    return Status::IOError("shard pair batch count overruns payload");
+  }
   std::vector<similarity::ScoredPair> out;
   out.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
@@ -271,6 +288,9 @@ Result<WorkerError> DecodeWorkerError(const Frame& frame) {
   WorkerError error;
   uint32_t code = 0, len = 0;
   CROWDER_RETURN_NOT_OK(c.ReadU32(&code));
+  if (code == 0 || code > static_cast<uint32_t>(StatusCode::kDataLoss)) {
+    return Status::IOError("shard worker error has unknown status code " + std::to_string(code));
+  }
   error.code = static_cast<StatusCode>(code);
   CROWDER_RETURN_NOT_OK(c.ReadU32(&len));
   CROWDER_RETURN_NOT_OK(c.ReadBytes(len, &error.message));

@@ -126,7 +126,9 @@ Frame EncodePairBatch(const std::vector<similarity::ScoredPair>& pairs, size_t b
 Frame EncodeWorkerDone(const WorkerStats& stats);
 Frame EncodeWorkerError(const WorkerError& error);
 
-// ---- Decoders (validate lengths; reject trailing bytes). ----
+// ---- Decoders (validate lengths; bound every count by the payload bytes
+// left before allocating; reject unknown measures and status codes, and
+// trailing bytes). ----
 
 Result<JobSpec> DecodeJobSpec(const Frame& frame);
 Result<std::vector<RecordEntry>> DecodeRecordBatch(const Frame& frame);

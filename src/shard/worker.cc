@@ -31,22 +31,26 @@ Status ShardWorkerJob::Feed(const Frame& frame) {
       if (have_spec_) return Status::IOError("duplicate kJobSpec frame");
       CROWDER_ASSIGN_OR_RETURN(spec_, DecodeJobSpec(frame));
       have_spec_ = true;
-      global_ids_.reserve(spec_.num_records);
-      positions_.reserve(spec_.num_records);
-      owned_.reserve(spec_.num_records);
-      input_.sets.reserve(spec_.num_records);
       return Status::OK();
     }
     case FrameType::kRecordBatch: {
       if (!have_spec_) return Status::IOError("kRecordBatch before kJobSpec");
       CROWDER_ASSIGN_OR_RETURN(auto entries, DecodeRecordBatch(frame));
+      if (entries.size() > spec_.num_records - global_ids_.size()) {
+        return Status::IOError("shard spec promised " + std::to_string(spec_.num_records) +
+                               " records, received more");
+      }
       for (auto& e : entries) {
         if (!positions_.empty() && e.position <= positions_.back()) {
           return Status::IOError("shard spec records out of position order");
         }
+        // Replicas come first: the worker probes one owned band at the end.
+        if (!e.owned && num_replicas_ != global_ids_.size()) {
+          return Status::IOError("shard spec replica record after an owned record");
+        }
+        if (!e.owned) ++num_replicas_;
         global_ids_.push_back(e.global_id);
         positions_.push_back(e.position);
-        owned_.push_back(e.owned ? 1 : 0);
         input_.sets.push_back(std::move(e.tokens));
         if (spec_.has_sources) input_.sources.push_back(e.source);
       }
@@ -90,48 +94,24 @@ Result<std::vector<Frame>> ShardWorkerJob::ExecuteOrError(size_t pairs_per_frame
 
   WorkerStats stats;
   std::vector<similarity::ScoredPair> out;
-  const uint32_t n = static_cast<uint32_t>(input_.sets.size());
-  if (n > 0) {
-    // The AllPairs loop of similarity_join.cc with the owned-probe
-    // restriction. The plan re-ranks tokens by LOCAL frequency — a
+  if (!input_.sets.empty()) {
+    // The one prefix-index kernel of the single-process joins, probing only
+    // the owned band. The plan re-ranks tokens by LOCAL frequency — a
     // different bijection than the global join's, which changes candidate
     // generation but never the verified overlap, sizes, or score (the
     // order-symmetric lemma of join_internal.h holds under any one total
-    // token order).
-    const similarity::internal::JoinPlan plan =
-        similarity::internal::BuildJoinPlan(input_, options);
-    std::vector<std::vector<uint32_t>> postings(plan.num_ranks);
-    std::vector<uint32_t> candidates;
-    std::vector<char> seen(n, 0);
-    for (uint32_t rec : plan.by_size) {
-      const similarity::TokenSpan tokens = plan.ranked(rec);
-      if (tokens.empty()) continue;
-      const size_t prefix_len = plan.prefix_len[rec];
-      if (owned_[rec]) {
-        const size_t min_partner = plan.min_partner[rec];
-        candidates.clear();
-        for (size_t p = 0; p < prefix_len; ++p) {
-          for (uint32_t other : postings[tokens[p]]) {
-            if (seen[other]) continue;
-            seen[other] = 1;
-            candidates.push_back(other);
-          }
-        }
-        for (uint32_t other : candidates) {
-          seen[other] = 0;
-          if (plan.ranked_size(other) < min_partner) continue;
-          if (!similarity::internal::Admissible(input_, rec, other)) continue;
-          ++stats.pair_verifications;
-          double sim;
-          if (similarity::internal::VerifyPair(options.measure, options.threshold, tokens,
-                                               plan.ranked(other), &sim)) {
-            const uint32_t ga = global_ids_[rec];
-            const uint32_t gb = global_ids_[other];
-            out.push_back({std::min(ga, gb), std::max(ga, gb), sim});
-          }
-        }
-      }
-      for (size_t p = 0; p < prefix_len; ++p) postings[tokens[p]].push_back(rec);
+    // token order). Local positions are arrival order, so the owned band is
+    // [num_replicas, n).
+    const similarity::internal::JoinPlan plan = similarity::internal::BuildJoinPlan(input_);
+    const similarity::internal::PrefixIndex index(input_, options, plan);
+    similarity::JoinStats join_stats;
+    index.Probe(num_replicas_, plan.by_size.size(), &out, &join_stats);
+    stats.pair_verifications = join_stats.pair_verifications;
+    for (similarity::ScoredPair& pair : out) {
+      const uint32_t ga = global_ids_[pair.a];
+      const uint32_t gb = global_ids_[pair.b];
+      pair.a = std::min(ga, gb);
+      pair.b = std::max(ga, gb);
     }
   }
   // Canonical output order: global (a, b) ascending, so every kPairBatch
@@ -143,10 +123,8 @@ Result<std::vector<Frame>> ShardWorkerJob::ExecuteOrError(size_t pairs_per_frame
   rusage ru_end{};
   getrusage(RUSAGE_SELF, &ru_end);
   stats.num_pairs = out.size();
-  for (uint8_t o : owned_) {
-    if (o) ++stats.owned_records;
-  }
-  stats.replica_records = owned_.size() - stats.owned_records;
+  stats.replica_records = num_replicas_;
+  stats.owned_records = global_ids_.size() - num_replicas_;
   stats.wall_ms = std::chrono::duration<double, std::milli>(wall_end - wall_begin).count();
   stats.cpu_ms = RusageCpuMs(ru_end) - RusageCpuMs(ru_begin);
   stats.max_rss_kb = static_cast<uint64_t>(ru_end.ru_maxrss);

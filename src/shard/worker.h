@@ -2,12 +2,13 @@
 // prefix-filtering join over its slice, and produces the shard's owned
 // pair list plus run statistics.
 //
-// The join is the single-process AllPairs algorithm with one restriction:
-// only OWNED records probe the inverted index; replicas are indexed but
-// never probe. Records arrive in ascending global by_size-position order,
-// so the local processing order is the global order restricted to the
-// slice — the record that probes for a pair locally is exactly the record
-// that probes for it in the single-process join. Combined with
+// The join is the single-process kernel (similarity::internal::PrefixIndex)
+// with one restriction: only the OWNED band probes; replicas, which arrive
+// before every owned record, are indexed but never probe. Records arrive in
+// ascending global by_size-position order, so the local processing order
+// is the global order restricted to the slice — the record that probes for
+// a pair locally is exactly the record that probes for it in the
+// single-process join. Combined with
 // internal::VerifyPair being a pure function of (sizes, overlap) — and a
 // token-rank bijection preserving both — every emitted score is bitwise
 // the single-process score, and the emitted pair set is exactly the pairs
@@ -53,7 +54,8 @@ class ShardWorkerJob {
   bool sealed_ = false;
   std::vector<uint32_t> global_ids_;
   std::vector<uint64_t> positions_;
-  std::vector<uint8_t> owned_;
+  /// Replica records received; they precede every owned record.
+  size_t num_replicas_ = 0;
   similarity::JoinInput input_;
 };
 

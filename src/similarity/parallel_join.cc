@@ -12,8 +12,6 @@ namespace similarity {
 
 namespace {
 
-using internal::Admissible;
-
 struct ExecKnobs {
   std::unique_ptr<exec::ThreadPool> pool;  // null when running serial
   size_t chunk_size = 256;
@@ -31,84 +29,26 @@ ExecKnobs ResolveKnobs(const ParallelJoinOptions& exec_options) {
   return knobs;
 }
 
-// Probes the records at positions [probe_begin, probe_end) of plan.by_size
-// against `global_postings` (records strictly before every probe position,
-// accepted unconditionally) and `local_postings` (records in the probe
-// range, accepted only when earlier than the probing position). Both
-// postings lists are ascending by position, read-only, and shared across
-// workers. Appends qualifying pairs to per-chunk shards in chunk order.
-std::vector<ScoredPair> ProbeRange(
-    const JoinInput& input, const JoinOptions& options, const internal::JoinPlan& plan,
-    const std::vector<std::vector<uint32_t>>& global_postings,
-    const std::vector<std::vector<uint32_t>>& local_postings,
-    size_t probe_begin, size_t probe_end, const ExecKnobs& knobs, JoinStats* stats) {
-  const size_t n = input.sets.size();
-  const double t = options.threshold;
-  const size_t num_probes = probe_end - probe_begin;
-  const size_t num_chunks =
-      num_probes == 0 ? 0 : (num_probes - 1) / knobs.chunk_size + 1;
+// Probes positions [begin, end) in chunks on the knobs' pool (on the caller
+// alone without one) and concatenates the per-chunk pairs in chunk order.
+// Each chunk keeps its own counters (a chunk is owned by one worker at a
+// time, so no atomics), summed after the barrier.
+std::vector<ScoredPair> ProbeChunks(const internal::PrefixIndex& index, size_t begin,
+                                    size_t end, const ExecKnobs& knobs, JoinStats* stats) {
+  const size_t num_chunks = begin == end ? 0 : (end - begin - 1) / knobs.chunk_size + 1;
   std::vector<std::vector<ScoredPair>> shards(num_chunks);
-  // Per-chunk verification counts; each chunk is owned by exactly one worker
-  // at a time, so plain uint64_t slots need no atomics — summed after the
-  // barrier below.
-  std::vector<uint64_t> chunk_verifications(num_chunks, 0);
-
-  exec::ParallelForChunks(
-      knobs.pool.get(), probe_begin, probe_end, knobs.chunk_size,
-      [&](size_t chunk, size_t chunk_begin, size_t chunk_end) {
-        std::vector<ScoredPair>* shard = &shards[chunk];
-        uint64_t verifications = 0;
-        // Per-thread scratch, reused across chunks (and joins) instead of
-        // being reallocated-and-zeroed per chunk — with small chunks on
-        // large inputs the per-chunk memset would dominate. Invariant:
-        // every entry of seen is 0 between probes, because each probe
-        // resets exactly the entries it set (the serial join's own
-        // O(candidates) cleanup); resize only ever appends zeros, so
-        // growing for a bigger join preserves it.
-        thread_local std::vector<char> seen;
-        thread_local std::vector<uint32_t> candidates;
-        if (seen.size() < n) seen.resize(n, 0);
-        for (size_t pos = chunk_begin; pos < chunk_end; ++pos) {
-          const uint32_t rec = plan.by_size[pos];
-          const TokenSpan tokens = plan.ranked(rec);
-          if (tokens.empty()) continue;
-          const size_t prefix_len = plan.prefix_len[rec];
-          const size_t min_partner = plan.min_partner[rec];
-
-          candidates.clear();
-          for (size_t p = 0; p < prefix_len; ++p) {
-            for (uint32_t q : global_postings[tokens[p]]) {
-              const uint32_t other = plan.by_size[q];
-              if (seen[other]) continue;
-              seen[other] = 1;
-              candidates.push_back(other);
-            }
-            for (uint32_t q : local_postings[tokens[p]]) {
-              if (static_cast<size_t>(q) >= pos) break;  // ascending positions
-              const uint32_t other = plan.by_size[q];
-              if (seen[other]) continue;
-              seen[other] = 1;
-              candidates.push_back(other);
-            }
-          }
-          for (uint32_t other : candidates) {
-            seen[other] = 0;
-            if (plan.ranked_size(other) < min_partner) continue;
-            if (!Admissible(input, rec, other)) continue;
-            ++verifications;
-            double sim;
-            // Same arena-span verify as the serial join — bitwise the same
-            // score as scoring the original sets (internal::VerifyPair).
-            if (internal::VerifyPair(options.measure, t, tokens, plan.ranked(other), &sim)) {
-              shard->push_back({std::min(rec, other), std::max(rec, other), sim});
-            }
-          }
-        }
-        chunk_verifications[chunk] = verifications;
-      });
-
+  std::vector<JoinStats> chunk_stats(num_chunks);
+  exec::ParallelForChunks(knobs.pool.get(), begin, end, knobs.chunk_size,
+                          [&](size_t chunk, size_t chunk_begin, size_t chunk_end) {
+                            index.Probe(chunk_begin, chunk_end, &shards[chunk],
+                                        &chunk_stats[chunk]);
+                          });
   if (stats != nullptr) {
-    for (uint64_t v : chunk_verifications) stats->pair_verifications += v;
+    for (const JoinStats& c : chunk_stats) {
+      stats->pair_verifications += c.pair_verifications;
+      stats->postings_scanned += c.postings_scanned;
+      stats->candidates_pruned += c.candidates_pruned;
+    }
   }
   size_t total = 0;
   for (const auto& shard : shards) total += shard.size();
@@ -118,20 +58,6 @@ std::vector<ScoredPair> ProbeRange(
     out.insert(out.end(), shard.begin(), shard.end());
   }
   return out;
-}
-
-// Appends the prefixes of records at positions [pos_begin, pos_end) to
-// `postings`, keyed by token rank, storing positions (ascending because
-// positions are visited in order).
-void IndexRange(const internal::JoinPlan& plan, size_t pos_begin, size_t pos_end,
-                std::vector<std::vector<uint32_t>>* postings) {
-  for (size_t pos = pos_begin; pos < pos_end; ++pos) {
-    const uint32_t rec = plan.by_size[pos];
-    const TokenSpan tokens = plan.ranked(rec);
-    for (size_t p = 0; p < plan.prefix_len[rec]; ++p) {
-      (*postings)[tokens[p]].push_back(static_cast<uint32_t>(pos));
-    }
-  }
 }
 
 }  // namespace
@@ -145,19 +71,10 @@ Result<std::vector<ScoredPair>> ParallelAllPairsJoin(const JoinInput& input,
   // as in the serial join, so defer to the same exhaustive reference.
   if (options.threshold <= 0.0) return NaiveJoin(input, options, stats);
 
-  const internal::JoinPlan plan = internal::BuildJoinPlan(input, options);
-  ExecKnobs knobs = ResolveKnobs(exec_options);
-
-  // Full prefix index, then one parallel probe pass over every position with
-  // the "earlier position only" filter (local_base 0 makes every posting
-  // position-filtered).
-  std::vector<std::vector<uint32_t>> local_postings(plan.num_ranks);
-  IndexRange(plan, 0, plan.by_size.size(), &local_postings);
-  const std::vector<std::vector<uint32_t>> global_postings(plan.num_ranks);
-
-  std::vector<ScoredPair> out =
-      ProbeRange(input, options, plan, global_postings, local_postings, 0,
-                 plan.by_size.size(), knobs, stats);
+  const internal::JoinPlan plan = internal::BuildJoinPlan(input);
+  const internal::PrefixIndex index(input, options, plan);
+  const ExecKnobs knobs = ResolveKnobs(exec_options);
+  std::vector<ScoredPair> out = ProbeChunks(index, 0, plan.by_size.size(), knobs, stats);
   SortPairs(&out);
   return out;
 }
@@ -185,37 +102,17 @@ Status BlockedAllPairsJoinStream(const JoinInput& input, const JoinOptions& opti
     return Status::OK();
   }
 
-  const internal::JoinPlan plan = internal::BuildJoinPlan(input, options);
-  ExecKnobs knobs = ResolveKnobs(exec_options);
+  // The whole index is built up front; each block probes only earlier
+  // positions, so blocks see exactly the partners the one-pass join does.
+  const internal::JoinPlan plan = internal::BuildJoinPlan(input);
+  const internal::PrefixIndex index(input, options, plan);
+  const ExecKnobs knobs = ResolveKnobs(exec_options);
   const size_t n = plan.by_size.size();
-
-  // Records at positions before the current block, fully indexed; grows as
-  // blocks complete. Within a block, a block-local index (position-filtered)
-  // covers intra-block pairs — together they cover exactly the "earlier
-  // position" partners the serial join pairs each probe with.
-  std::vector<std::vector<uint32_t>> global_postings(plan.num_ranks);
-  // Reused across blocks; only the lists a block touched are cleared after
-  // it (O(block prefix tokens), not O(num_ranks) per block).
-  std::vector<std::vector<uint32_t>> local_postings(plan.num_ranks);
-
   for (size_t block_begin = 0; block_begin < n; block_begin += knobs.block_records) {
     const size_t block_end = std::min(n, block_begin + knobs.block_records);
-    IndexRange(plan, block_begin, block_end, &local_postings);
-
-    std::vector<ScoredPair> block_pairs =
-        ProbeRange(input, options, plan, global_postings, local_postings,
-                   block_begin, block_end, knobs, stats);
+    std::vector<ScoredPair> block_pairs = ProbeChunks(index, block_begin, block_end, knobs, stats);
     SortPairs(&block_pairs);
     CROWDER_RETURN_NOT_OK(sink(std::move(block_pairs)));
-
-    IndexRange(plan, block_begin, block_end, &global_postings);
-    for (size_t pos = block_begin; pos < block_end; ++pos) {
-      const uint32_t rec = plan.by_size[pos];
-      const TokenSpan tokens = plan.ranked(rec);
-      for (size_t p = 0; p < plan.prefix_len[rec]; ++p) {
-        local_postings[tokens[p]].clear();
-      }
-    }
   }
   return Status::OK();
 }

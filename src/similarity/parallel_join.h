@@ -4,15 +4,16 @@
 // AllPairsJoin (and hence NaiveJoin) at any thread count, chunk size, and
 // block size; the join-equivalence property test sweeps this contract.
 //
-// How parallelism preserves the serial semantics: the serial join processes
-// records in size order, probing an index of earlier records. Here the full
-// prefix index is built once up front (token rank -> positions in the same
-// size order, ascending), workers probe disjoint position ranges against it
-// read-only, and each probe only accepts partners at *earlier* positions —
-// exactly the pairs the serial interleaved build would have found. Scores
-// come from the same SetSimilarity call, per-chunk outputs are concatenated
-// in chunk order, and the final SortPairs canonicalizes: determinism by
-// construction, not by locking.
+// How parallelism preserves the serial semantics: every variant builds the
+// one prefix index of internal::PrefixIndex (join_internal.h) up front —
+// token rank -> by_size positions, ascending — and probes position ranges
+// against it read-only, each probe accepting partners only at *earlier*
+// positions. Which pairs a position finds, and its counters, therefore do
+// not depend on how positions are split into chunks, blocks or threads.
+// Scores come from the same internal::VerifyPair call, per-chunk outputs are
+// concatenated in chunk order, and the final SortPairs canonicalizes:
+// determinism by construction, not by locking. The serial AllPairsJoin is
+// ParallelAllPairsJoin on one thread.
 #ifndef CROWDER_SIMILARITY_PARALLEL_JOIN_H_
 #define CROWDER_SIMILARITY_PARALLEL_JOIN_H_
 

@@ -1,11 +1,11 @@
 #include "similarity/similarity_join.h"
 
 #include <algorithm>
-#include <cmath>
+#include <limits>
 #include <numeric>
 
-#include "common/logging.h"
 #include "similarity/join_internal.h"
+#include "similarity/parallel_join.h"
 
 namespace crowder {
 namespace similarity {
@@ -17,7 +17,7 @@ void SortPairs(std::vector<ScoredPair>* pairs) {
 }
 
 Status ValidateJoin(const JoinInput& input, const JoinOptions& options) {
-  if (options.threshold < 0.0 || options.threshold > 1.0) {
+  if (!(options.threshold >= 0.0 && options.threshold <= 1.0)) {
     return Status::InvalidArgument("join threshold must be in [0,1], got " +
                                    std::to_string(options.threshold));
   }
@@ -80,14 +80,13 @@ PrefixBounds ComputePrefixBounds(SetMeasure measure, double threshold, size_t si
   return bounds;
 }
 
-JoinPlan BuildJoinPlan(const JoinInput& input, const JoinOptions& options) {
-  const double t = options.threshold;
+JoinPlan BuildJoinPlan(const JoinInput& input) {
   const uint32_t n = static_cast<uint32_t>(input.sets.size());
   JoinPlan plan;
 
-  // 1. Compute per-token frequency within this input, then re-express each
-  //    set with tokens ordered rarest-first (ties by id). Rare-first prefixes
-  //    produce the fewest candidates.
+  // 1. Compute per-token frequency within this input; rank tokens
+  //    rarest-first (ties by id). Rare-first prefixes produce the fewest
+  //    candidates.
   text::TokenId max_token = 0;
   for (const auto& set : input.sets) {
     for (text::TokenId tok : set) max_token = std::max(max_token, tok);
@@ -106,102 +105,184 @@ JoinPlan BuildJoinPlan(const JoinInput& input, const JoinOptions& options) {
   for (uint32_t pos = 0; pos < order.size(); ++pos) rank[order[pos]] = pos;
   plan.num_ranks = order.size();
 
-  // One flat arena for every record's ranked list: sizes are known up front,
-  // so prefix-sum the offsets, fill each span, and sort it in place.
-  plan.token_offset.resize(n + 1, 0);
-  for (uint32_t i = 0; i < n; ++i) {
-    plan.token_offset[i + 1] = plan.token_offset[i] + input.sets[i].size();
-  }
-  plan.arena.resize(plan.token_offset[n]);
-  for (uint32_t i = 0; i < n; ++i) {
-    uint32_t* span = plan.arena.data() + plan.token_offset[i];
-    size_t k = 0;
-    for (text::TokenId tok : input.sets[i]) span[k++] = rank[tok];
-    std::sort(span, span + k);
-  }
-
   // 2. Process records in non-decreasing size order so that indexed partners
   //    are never larger than the probing record.
   plan.by_size.resize(n);
   std::iota(plan.by_size.begin(), plan.by_size.end(), 0);
   std::stable_sort(plan.by_size.begin(), plan.by_size.end(), [&](uint32_t x, uint32_t y) {
-    return plan.ranked_size(x) < plan.ranked_size(y);
+    return input.sets[x].size() < input.sets[y].size();
   });
 
-  // 3. Per-record bounds, shared with the incremental index (see
-  //    ComputePrefixBounds for the lemma).
-  plan.prefix_len.resize(n, 0);
-  plan.min_partner.resize(n, 1);
-  for (uint32_t i = 0; i < n; ++i) {
-    const PrefixBounds bounds = ComputePrefixBounds(options.measure, t, plan.ranked_size(i));
-    plan.min_partner[i] = bounds.min_partner;
-    plan.prefix_len[i] = bounds.prefix_len;
+  // 3. One flat arena in position order: sizes are known up front, so
+  //    prefix-sum the offsets, fill each span, and sort it in place.
+  plan.token_offset.resize(n + 1, 0);
+  for (uint32_t p = 0; p < n; ++p) {
+    plan.token_offset[p + 1] = plan.token_offset[p] + input.sets[plan.by_size[p]].size();
+  }
+  plan.arena.resize(plan.token_offset[n]);
+  for (uint32_t p = 0; p < n; ++p) {
+    uint32_t* span = plan.arena.data() + plan.token_offset[p];
+    size_t k = 0;
+    for (text::TokenId tok : input.sets[plan.by_size[p]]) span[k++] = rank[tok];
+    std::sort(span, span + k);
   }
   return plan;
+}
+
+namespace {
+
+// Marks a candidate of the current probe that can no longer qualify (pruned
+// or same-source); real counts never reach it (they are at most |x|).
+constexpr uint32_t kDropped = std::numeric_limits<uint32_t>::max();
+
+// Tokens a record of `size` tokens indexes: enough for every partner that
+// is no smaller than the record itself (see PrefixIndex).
+size_t IndexPrefixLength(SetMeasure measure, double threshold, size_t size) {
+  if (size == 0) return 0;
+  return size - std::min(size, RequiredOverlapExact(measure, size, size, threshold)) + 1;
+}
+
+}  // namespace
+
+PrefixIndex::PrefixIndex(const JoinInput& input, const JoinOptions& options,
+                         const JoinPlan& plan)
+    : input_(input), options_(options), plan_(plan) {
+  const size_t n = plan.by_size.size();
+  // Sizes are non-decreasing along the positions, so the prefix length is
+  // recomputed only when the size changes.
+  const auto for_each_posting = [&](const auto& visit) {
+    size_t size = 0;
+    size_t len = 0;
+    for (size_t p = 0; p < n; ++p) {
+      if (plan.size_at(p) != size) {
+        size = plan.size_at(p);
+        len = IndexPrefixLength(options.measure, options.threshold, size);
+      }
+      const TokenSpan tokens = plan.ranked_at(p);
+      for (size_t k = 0; k < len; ++k) visit(tokens[k], p, k);
+    }
+  };
+  // Counting-sort the postings into CSR form: count each rank's run,
+  // prefix-sum the counts into run starts, then place each posting at its
+  // run's next free slot, walking positions in ascending order.
+  start_.assign(plan.num_ranks + 1, 0);
+  for_each_posting([&](uint32_t rank, size_t, size_t) { ++start_[rank + 1]; });
+  for (size_t r = 0; r < plan.num_ranks; ++r) start_[r + 1] += start_[r];
+  postings_.resize(start_[plan.num_ranks]);
+  for_each_posting([&](uint32_t rank, size_t p, size_t k) {
+    postings_[start_[rank]++] = {static_cast<uint32_t>(p), static_cast<uint32_t>(k)};
+  });
+  // Each start_[r] has advanced to its run's end, which is run r + 1's start.
+  for (size_t r = plan.num_ranks; r > 0; --r) start_[r] = start_[r - 1];
+  start_[0] = 0;
+}
+
+void PrefixIndex::Probe(size_t begin, size_t end, std::vector<ScoredPair>* out,
+                        JoinStats* stats) const {
+  const SetMeasure measure = options_.measure;
+  const double t = options_.threshold;
+  // Per-thread scratch, reused across calls (and joins) instead of being
+  // reallocated and zeroed per call — with small chunks on large inputs
+  // the memset would dominate. count[q] is the overlap found so far with
+  // the candidate at position q (0 = not a candidate yet, kDropped = out).
+  // Invariant: every entry is 0 between probes, because each probe resets
+  // exactly the entries it set; resize only ever appends zeros.
+  thread_local std::vector<uint32_t> count;
+  thread_local std::vector<uint32_t> candidates;
+  // required[s]: RequiredOverlapExact(|x|, s) for the partner sizes s the
+  // current probe size admits.
+  thread_local std::vector<size_t> required;
+  if (count.size() < plan_.by_size.size()) count.resize(plan_.by_size.size(), 0);
+
+  uint64_t scanned = 0;
+  uint64_t pruned = 0;
+  uint64_t verifications = 0;
+  size_t size = 0;      // probe size the bounds below were computed for
+  size_t lo = 0;        // first position whose size reaches min_partner
+  PrefixBounds bounds;
+  for (size_t p = begin; p < end; ++p) {
+    const TokenSpan x = plan_.ranked_at(p);
+    if (x.empty()) continue;  // never pairs at a positive threshold
+    if (x.size() != size) {
+      // Sizes only grow along the positions, and so do the partner bounds:
+      // lo moves forward by binary search over [lo, p).
+      size = x.size();
+      bounds = ComputePrefixBounds(measure, t, size);
+      required.resize(size + 1);
+      for (size_t s = bounds.min_partner; s <= size; ++s) {
+        required[s] = RequiredOverlapExact(measure, size, s, t);
+      }
+      size_t hi = p;
+      while (lo < hi) {
+        const size_t mid = lo + (hi - lo) / 2;
+        if (plan_.size_at(mid) < bounds.min_partner) {
+          lo = mid + 1;
+        } else {
+          hi = mid;
+        }
+      }
+    }
+    const uint32_t rec = plan_.by_size[p];
+
+    candidates.clear();
+    for (size_t i = 0; i < bounds.prefix_len; ++i) {
+      const Posting* it = postings_.data() + start_[x[i]];
+      const Posting* stop = postings_.data() + start_[x[i] + 1];
+      if (it != stop && it->position < lo) {
+        it = std::partition_point(it, stop, [lo](const Posting& q) { return q.position < lo; });
+      }
+      const size_t x_rest = size - i - 1;
+      for (; it != stop && it->position < p; ++it) {
+        ++scanned;
+        uint32_t& c = count[it->position];
+        if (c == kDropped) continue;
+        if (c == 0) {
+          candidates.push_back(it->position);
+          if (!Admissible(input_, rec, plan_.by_size[it->position])) {
+            c = kDropped;
+            continue;
+          }
+        }
+        const size_t y_size = plan_.size_at(it->position);
+        const size_t y_rest = y_size - it->offset - 1;
+        if (c + 1 + std::min(x_rest, y_rest) < required[y_size]) {
+          c = kDropped;
+          ++pruned;
+          continue;
+        }
+        ++c;
+      }
+    }
+    for (uint32_t q : candidates) {
+      const bool live = count[q] != kDropped;
+      count[q] = 0;
+      if (!live) continue;
+      ++verifications;
+      double sim;
+      // Verification runs over the arena's ranked spans, not the original
+      // sets — same overlap, same sizes, bitwise the same score (see
+      // VerifyPair), but cache-dense and free to exit early.
+      const TokenSpan y = plan_.ranked_at(q);
+      if (VerifyPairRequired(measure, required[y.size()], x, y, &sim)) {
+        const uint32_t other = plan_.by_size[q];
+        out->push_back({std::min(rec, other), std::max(rec, other), sim});
+      }
+    }
+  }
+  if (stats != nullptr) {
+    stats->postings_scanned += scanned;
+    stats->candidates_pruned += pruned;
+    stats->pair_verifications += verifications;
+  }
 }
 
 }  // namespace internal
 
 Result<std::vector<ScoredPair>> AllPairsJoin(const JoinInput& input, const JoinOptions& options,
                                              JoinStats* stats) {
-  CROWDER_RETURN_NOT_OK(ValidateJoin(input, options));
-  const double t = options.threshold;
-  const uint32_t n = static_cast<uint32_t>(input.sets.size());
-
-  // A zero threshold admits every pair; prefix filtering degenerates, so
-  // fall through to the exhaustive join.
-  if (t <= 0.0) return NaiveJoin(input, options, stats);
-
-  const internal::JoinPlan plan = internal::BuildJoinPlan(input, options);
-
-  // Inverted index: token rank -> records that indexed it so far. Built
-  // incrementally — a record indexes its prefix right after probing, so the
-  // index only ever contains records earlier in by_size order.
-  std::vector<std::vector<uint32_t>> postings(plan.num_ranks);
-
-  std::vector<ScoredPair> out;
-  std::vector<uint32_t> candidates;
-  std::vector<char> seen(n, 0);
-  uint64_t verifications = 0;
-
-  for (uint32_t rec : plan.by_size) {
-    const TokenSpan tokens = plan.ranked(rec);
-    if (tokens.empty()) continue;
-    const size_t prefix_len = plan.prefix_len[rec];
-    const size_t min_partner = plan.min_partner[rec];
-
-    candidates.clear();
-    for (size_t p = 0; p < prefix_len; ++p) {
-      for (uint32_t other : postings[tokens[p]]) {
-        if (seen[other]) continue;
-        seen[other] = 1;
-        candidates.push_back(other);
-      }
-    }
-    for (uint32_t other : candidates) {
-      seen[other] = 0;
-      if (plan.ranked_size(other) < min_partner) continue;
-      if (!Admissible(input, rec, other)) continue;
-      ++verifications;
-      double sim;
-      // Verification runs over the arena's ranked spans, not the original
-      // sets — same overlap, same sizes, bitwise the same score (see
-      // internal::VerifyPair), but cache-dense and free to exit early.
-      if (internal::VerifyPair(options.measure, t, tokens, plan.ranked(other), &sim)) {
-        const uint32_t a = std::min(rec, other);
-        const uint32_t b = std::max(rec, other);
-        out.push_back({a, b, sim});
-      }
-    }
-    // Index the same prefix we probe with. (This is at least as long as the
-    // tight "mid-prefix", so no pair can be missed.)
-    for (size_t p = 0; p < prefix_len; ++p) {
-      postings[tokens[p]].push_back(rec);
-    }
-  }
-  if (stats != nullptr) stats->pair_verifications += verifications;
-  SortPairs(&out);
-  return out;
+  ParallelJoinOptions serial;
+  serial.num_threads = 1;
+  return ParallelAllPairsJoin(input, options, serial, stats);
 }
 
 }  // namespace similarity

@@ -49,10 +49,26 @@ struct JoinOptions {
 /// additive — never part of the result or the byte-identity contract). The
 /// join benches report pair_verifications/s so kernel-level regressions show
 /// up without an end-to-end run.
+///
+/// At a positive threshold the prefix-filtering joins (serial, parallel and
+/// blocked) count the same values at any thread count, chunk size and block
+/// size, and every run satisfies
+///   emitted pairs <= pair_verifications, and
+///   pair_verifications + candidates_pruned <= postings_scanned
+/// (each candidate is reached through at least one scanned posting, and is
+/// either pruned, rejected as same-source, or verified — at most once).
 struct JoinStats {
   /// Candidate pairs that reached the verify step (an intersection was
   /// computed, fully or until the threshold-aware early exit).
   uint64_t pair_verifications = 0;
+  /// Index postings read by the probes (prefix-filtering joins only).
+  uint64_t postings_scanned = 0;
+  /// Distinct candidates dropped before verification because their size or
+  /// positional overlap bound cannot reach the required overlap
+  /// (prefix-filtering joins only). Partners below the minimum size are
+  /// skipped as whole runs of postings and never scanned, so they are not
+  /// counted here.
+  uint64_t candidates_pruned = 0;
 };
 
 /// \brief Reference implementation: compares every admissible pair.
@@ -64,14 +80,15 @@ Result<std::vector<ScoredPair>> NaiveJoin(const JoinInput& input, const JoinOpti
                                           JoinStats* stats = nullptr);
 
 /// \brief AllPairs-style prefix-filtering join with an inverted index over
-/// rare-token prefixes and a size filter. Produces exactly the same pairs as
-/// NaiveJoin (property-tested), typically orders of magnitude faster at
-/// realistic thresholds.
+/// rare-token prefixes, a size filter and PPJoin's positional filter (see
+/// internal::PrefixIndex). Produces exactly the same pairs as NaiveJoin
+/// (property-tested), typically orders of magnitude faster at realistic
+/// thresholds. This is ParallelAllPairsJoin (parallel_join.h) on one thread.
 Result<std::vector<ScoredPair>> AllPairsJoin(const JoinInput& input, const JoinOptions& options,
                                              JoinStats* stats = nullptr);
 
 /// \brief Validates a JoinInput/JoinOptions combination (threshold in [0,1],
-/// source labels consistent). Shared by both join implementations.
+/// NaN rejected; source labels consistent). Shared by every join.
 Status ValidateJoin(const JoinInput& input, const JoinOptions& options);
 
 }  // namespace similarity

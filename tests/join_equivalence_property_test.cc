@@ -16,11 +16,20 @@
 // Unlike the curated cases in similarity_join_test.cc, every dimension here
 // is drawn at random from a master seed: input size, vocabulary size, token
 // distribution, record length (including empty sets), self- vs cross-source
-// joins, all four set measures, and thresholds across [0, 1]. This is the
-// sweep that caught NaiveJoin emitting empty-empty pairs at positive
-// thresholds (fixed; see CHANGES.md).
+// joins, all four set measures, and thresholds across [0, 1]. A second
+// sweep draws the shapes the prefix filters are most sensitive to: records
+// of up to ~320 tokens (prefix and posting offsets past 255), one record
+// far larger than all the others, and three or more source labels including
+// negative and extreme values. This is the sweep that caught NaiveJoin
+// emitting empty-empty pairs at positive thresholds (fixed; see CHANGES.md).
+//
+// The prefix-filtering joins also report the same JoinStats counters at
+// every thread count, chunk size and block size, and obey the counter laws
+// of similarity_join.h; a crafted input pins the exact count the positional
+// filter must prune.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -34,21 +43,30 @@ namespace crowder {
 namespace similarity {
 namespace {
 
+// Source labels a case draws from: the first num_labels entries. Two labels
+// give the classic two-source join; more mix negative and extreme values.
+constexpr int kLabels[] = {0, 1, -1, INT_MAX, INT_MIN, 1000003, -42};
+
 struct RandomCase {
   uint64_t seed = 0;
   size_t n = 0;
   uint32_t vocab = 0;
   size_t max_len = 0;
   bool allow_empty_sets = false;
-  bool two_sources = false;
+  /// 0 = self-join; otherwise records draw labels from kLabels[0, num_labels).
+  uint32_t num_labels = 0;
+  /// Tokens beyond the vocabulary carried by one outlier record, which also
+  /// holds the whole vocabulary (0 = no outlier).
+  size_t outlier_extra = 0;
   SetMeasure measure = SetMeasure::kJaccard;
   double threshold = 0.0;
 
   std::string Describe() const {
     std::ostringstream os;
     os << "seed=" << seed << " n=" << n << " vocab=" << vocab << " max_len=" << max_len
-       << " empty=" << allow_empty_sets << " two_sources=" << two_sources
-       << " measure=" << static_cast<int>(measure) << " threshold=" << threshold;
+       << " empty=" << allow_empty_sets << " labels=" << num_labels
+       << " outlier_extra=" << outlier_extra << " measure=" << static_cast<int>(measure)
+       << " threshold=" << threshold;
     return os.str();
   }
 };
@@ -64,9 +82,29 @@ RandomCase DrawCase(Rng* rng) {
   c.vocab = 4 + static_cast<uint32_t>(rng->Uniform(120));
   c.max_len = 1 + rng->Uniform(12);
   c.allow_empty_sets = rng->Uniform(4) == 0;
-  c.two_sources = rng->Uniform(2) == 0;
+  c.num_labels = rng->Uniform(2) == 0 ? 2 : 0;
   c.measure = kMeasures[rng->Uniform(4)];
   c.threshold = kThresholds[rng->Uniform(sizeof(kThresholds) / sizeof(kThresholds[0]))];
+  return c;
+}
+
+// A base draw reshaped into one of the shapes the prefix filters are most
+// sensitive to: long records, one outlier record, or many source labels.
+RandomCase DrawWideCase(Rng* rng) {
+  RandomCase c = DrawCase(rng);
+  switch (rng->Uniform(3)) {
+    case 0:  // long records: prefix and posting offsets pass 255
+      c.n = 8 + rng->Uniform(40);
+      c.vocab = 300 + static_cast<uint32_t>(rng->Uniform(300));
+      c.max_len = 256 + rng->Uniform(64);
+      break;
+    case 1:  // one record far larger than every other
+      c.outlier_extra = 200 + rng->Uniform(800);
+      break;
+    default:  // three or more labels, negative and extreme ones included
+      c.num_labels = 3 + static_cast<uint32_t>(rng->Uniform(5));
+      break;
+  }
   return c;
 }
 
@@ -79,11 +117,24 @@ JoinInput GenerateInput(const RandomCase& c) {
     const size_t min_len = c.allow_empty_sets ? 0 : 1;
     const size_t len = min_len + rng.Uniform(c.max_len + 1 - min_len);
     for (size_t t = 0; t < len; ++t) {
-      // Zipf-ish token frequencies, as in real text.
-      tokens.push_back(static_cast<text::TokenId>(rng.Zipf(c.vocab, 0.9)));
+      // Zipf-ish token frequencies, as in real text. Long records are mostly
+      // the run 0, 1, 2, ... with one token in eight drawn at random, so
+      // they keep hundreds of distinct tokens and still pair with each
+      // other.
+      if (c.max_len > 128) {
+        const uint64_t token = rng.Uniform(8) == 0 ? rng.Uniform(c.vocab) : t;
+        tokens.push_back(static_cast<text::TokenId>(token));
+      } else {
+        tokens.push_back(static_cast<text::TokenId>(rng.Zipf(c.vocab, 0.9)));
+      }
     }
     input.sets.push_back(MakeTokenSet(std::move(tokens)));
-    if (c.two_sources) input.sources.push_back(static_cast<int>(rng.Uniform(2)));
+    if (c.num_labels > 0) input.sources.push_back(kLabels[rng.Uniform(c.num_labels)]);
+  }
+  if (c.outlier_extra > 0) {
+    std::vector<text::TokenId> tokens(c.vocab + c.outlier_extra);
+    for (size_t t = 0; t < tokens.size(); ++t) tokens[t] = static_cast<text::TokenId>(t);
+    input.sets[rng.Uniform(c.n)] = std::move(tokens);
   }
   return input;
 }
@@ -112,65 +163,188 @@ Result<std::vector<ScoredPair>> BlockingVerify(const JoinInput& input,
   return VerifyCandidates(input, candidates, options);
 }
 
+// The counter laws of JoinStats (similarity_join.h).
+void ExpectCounterLaws(const JoinStats& stats, size_t emitted, const std::string& context) {
+  EXPECT_LE(emitted, stats.pair_verifications) << context;
+  EXPECT_LE(stats.pair_verifications + stats.candidates_pruned, stats.postings_scanned)
+      << context;
+}
+
+void ExpectSameCounters(const JoinStats& expected, const JoinStats& actual,
+                        const std::string& what, const std::string& context) {
+  EXPECT_EQ(expected.pair_verifications, actual.pair_verifications) << what << "; " << context;
+  EXPECT_EQ(expected.postings_scanned, actual.postings_scanned) << what << "; " << context;
+  EXPECT_EQ(expected.candidates_pruned, actual.candidates_pruned) << what << "; " << context;
+}
+
+// One sweep case: every join agrees with NaiveJoin, and at a positive
+// threshold the prefix-filtering joins count the same counters, which obey
+// the laws. Returns whether the blocking leg ran. Case `i` picks the
+// parallel knobs: thread counts the contract pins (1 = serial engine path,
+// 2/4 = typical, 7 = odd and oversubscribed on small machines) crossed with
+// chunk/block sizes from degenerate to larger-than-input.
+bool CheckCase(const RandomCase& c, int i) {
+  static const uint32_t kThreads[] = {1, 2, 4, 7};
+  static const uint32_t kChunks[] = {1, 3, 16, 1024};
+  static const uint32_t kBlocks[] = {1, 5, 32, 4096};
+  const std::string context = "case " + std::to_string(i) + ": " + c.Describe();
+  const JoinInput input = GenerateInput(c);
+  JoinOptions options;
+  options.measure = c.measure;
+  options.threshold = c.threshold;
+
+  JoinStats serial_stats;
+  auto naive = NaiveJoin(input, options);
+  auto all_pairs = AllPairsJoin(input, options, &serial_stats);
+  EXPECT_TRUE(naive.ok()) << context;
+  EXPECT_TRUE(all_pairs.ok()) << context;
+  if (!naive.ok() || !all_pairs.ok()) return false;
+  ExpectSamePairs(*naive, *all_pairs, /*compare_scores=*/true, "AllPairsJoin", context);
+
+  ParallelJoinOptions exec_options;
+  exec_options.num_threads = kThreads[i % 4];
+  exec_options.chunk_size = kChunks[(i / 4) % 4];
+  exec_options.block_records = kBlocks[(i / 16) % 4];
+  const std::string par_context = context + " threads=" +
+                                  std::to_string(exec_options.num_threads) +
+                                  " chunk=" + std::to_string(exec_options.chunk_size) +
+                                  " block=" + std::to_string(exec_options.block_records);
+  JoinStats parallel_stats;
+  JoinStats blocked_stats;
+  auto parallel = ParallelAllPairsJoin(input, options, exec_options, &parallel_stats);
+  auto blocked_join = BlockedAllPairsJoin(input, options, exec_options, &blocked_stats);
+  EXPECT_TRUE(parallel.ok()) << par_context;
+  EXPECT_TRUE(blocked_join.ok()) << par_context;
+  if (!parallel.ok() || !blocked_join.ok()) return false;
+  ExpectSamePairs(*naive, *parallel, /*compare_scores=*/true, "ParallelAllPairsJoin",
+                  par_context);
+  ExpectSamePairs(*naive, *blocked_join, /*compare_scores=*/true, "BlockedAllPairsJoin",
+                  par_context);
+
+  // Blocking is exact only at positive thresholds (a qualifying pair must
+  // share a token); at threshold 0 disjoint pairs qualify without sharing
+  // any block, so the equivalence deliberately excludes it — as do the
+  // counter laws, which hold for prefix filtering only.
+  if (c.threshold <= 0.0) return false;
+  ExpectCounterLaws(serial_stats, all_pairs->size(), context);
+  ExpectSameCounters(serial_stats, parallel_stats, "ParallelAllPairsJoin", par_context);
+  ExpectSameCounters(serial_stats, blocked_stats, "BlockedAllPairsJoin", par_context);
+  auto blocked = BlockingVerify(input, options);
+  EXPECT_TRUE(blocked.ok()) << context;
+  if (!blocked.ok()) return false;
+  ExpectSamePairs(*naive, *blocked, /*compare_scores=*/true, "BlockingVerify", context);
+  return true;
+}
+
 TEST(JoinEquivalenceProperty, RandomSweep) {
   // One master seed fans out into every random decision, so a failure
   // reproduces from the per-case seed printed in its context string.
   Rng master(20260730);
   constexpr int kCases = 250;
-  // The parallel dimension rotates per case: thread counts the issue pins
-  // (1 = serial engine path, 2/4 = typical, 7 = odd and oversubscribed on
-  // small machines) crossed with chunk/block sizes from degenerate to
-  // larger-than-input.
-  static const uint32_t kThreads[] = {1, 2, 4, 7};
-  static const uint32_t kChunks[] = {1, 3, 16, 1024};
-  static const uint32_t kBlocks[] = {1, 5, 32, 4096};
   int blocking_checked = 0;
   for (int i = 0; i < kCases; ++i) {
-    const RandomCase c = DrawCase(&master);
-    const std::string context = "case " + std::to_string(i) + ": " + c.Describe();
-    const JoinInput input = GenerateInput(c);
-    JoinOptions options;
-    options.measure = c.measure;
-    options.threshold = c.threshold;
-
-    auto naive = NaiveJoin(input, options);
-    auto all_pairs = AllPairsJoin(input, options);
-    ASSERT_TRUE(naive.ok()) << context;
-    ASSERT_TRUE(all_pairs.ok()) << context;
-    ASSERT_NO_FATAL_FAILURE(
-        ExpectSamePairs(*naive, *all_pairs, /*compare_scores=*/true, "AllPairsJoin", context));
-
-    ParallelJoinOptions exec_options;
-    exec_options.num_threads = kThreads[i % 4];
-    exec_options.chunk_size = kChunks[(i / 4) % 4];
-    exec_options.block_records = kBlocks[(i / 16) % 4];
-    const std::string par_context = context + " threads=" +
-                                    std::to_string(exec_options.num_threads) +
-                                    " chunk=" + std::to_string(exec_options.chunk_size) +
-                                    " block=" + std::to_string(exec_options.block_records);
-    auto parallel = ParallelAllPairsJoin(input, options, exec_options);
-    auto blocked_join = BlockedAllPairsJoin(input, options, exec_options);
-    ASSERT_TRUE(parallel.ok()) << par_context;
-    ASSERT_TRUE(blocked_join.ok()) << par_context;
-    ASSERT_NO_FATAL_FAILURE(ExpectSamePairs(*naive, *parallel, /*compare_scores=*/true,
-                                            "ParallelAllPairsJoin", par_context));
-    ASSERT_NO_FATAL_FAILURE(ExpectSamePairs(*naive, *blocked_join, /*compare_scores=*/true,
-                                            "BlockedAllPairsJoin", par_context));
-
-    // Blocking is exact only at positive thresholds (a qualifying pair must
-    // share a token); at threshold 0 disjoint pairs qualify without sharing
-    // any block, so the equivalence deliberately excludes it.
-    if (c.threshold > 0.0) {
-      auto blocked = BlockingVerify(input, options);
-      ASSERT_TRUE(blocked.ok()) << context;
-      ASSERT_NO_FATAL_FAILURE(
-          ExpectSamePairs(*naive, *blocked, /*compare_scores=*/true, "BlockingVerify", context));
-      ++blocking_checked;
-    }
+    if (CheckCase(DrawCase(&master), i)) ++blocking_checked;
+    if (HasFailure()) return;
   }
   // The threshold grid draws 0.0 one time in thirteen; the blocking leg of
   // the property must still see substantial coverage.
   EXPECT_GT(blocking_checked, kCases / 2);
+}
+
+TEST(JoinEquivalenceProperty, WideShapesSweep) {
+  // Long records, one outlier record, and many source labels — the shapes
+  // the indexing-prefix and positional filters are most sensitive to.
+  Rng master(20261017);
+  constexpr int kCases = 120;
+  size_t long_pairs = 0;  // emitted pairs of two records past 255 tokens
+  for (int i = 0; i < kCases; ++i) {
+    const RandomCase c = DrawWideCase(&master);
+    CheckCase(c, i);
+    if (HasFailure()) return;
+    if (c.max_len < 256 || c.threshold <= 0.0) continue;
+    const JoinInput input = GenerateInput(c);
+    const auto pairs = AllPairsJoin(input, {c.measure, c.threshold});
+    ASSERT_TRUE(pairs.ok());
+    for (const ScoredPair& p : *pairs) {
+      if (input.sets[p.a].size() > 255 && input.sets[p.b].size() > 255) ++long_pairs;
+    }
+  }
+  // The long shape must actually pair long records, or offsets past 255
+  // would only ever be pruned, never verified.
+  EXPECT_GT(long_pairs, 0u);
+}
+
+TEST(JoinEquivalenceProperty, CountersAgreeAcrossThreadsChunksAndBlocks) {
+  // The counters of a position's probe do not depend on how positions are
+  // split, so every variant and knob reports the serial join's values.
+  Rng master(31337);
+  for (uint32_t labels : {0u, 2u, 5u}) {
+    RandomCase c = DrawCase(&master);
+    c.n = 300;
+    c.num_labels = labels;
+    c.threshold = 0.3;
+    const JoinInput input = GenerateInput(c);
+    JoinOptions options;
+    options.measure = c.measure;
+    options.threshold = c.threshold;
+    JoinStats serial;
+    const auto pairs = AllPairsJoin(input, options, &serial);
+    ASSERT_TRUE(pairs.ok());
+    ExpectCounterLaws(serial, pairs->size(), c.Describe());
+    EXPECT_GT(serial.postings_scanned, 0u) << c.Describe();
+    for (uint32_t threads : {1u, 2u, 4u, 7u}) {
+      for (uint32_t knob : {1u, 8u, 64u, 4096u}) {
+        ParallelJoinOptions exec_options;
+        exec_options.num_threads = threads;
+        exec_options.chunk_size = knob;
+        exec_options.block_records = knob;
+        const std::string context = c.Describe() + " threads=" + std::to_string(threads) +
+                                    " chunk/block=" + std::to_string(knob);
+        JoinStats parallel;
+        JoinStats blocked;
+        ASSERT_TRUE(ParallelAllPairsJoin(input, options, exec_options, &parallel).ok());
+        ASSERT_TRUE(BlockedAllPairsJoin(input, options, exec_options, &blocked).ok());
+        ExpectSameCounters(serial, parallel, "ParallelAllPairsJoin", context);
+        ExpectSameCounters(serial, blocked, "BlockedAllPairsJoin", context);
+      }
+    }
+  }
+}
+
+TEST(JoinEquivalenceProperty, PositionalFilterPrunesCraftedCandidate) {
+  // Every token occurs exactly twice, so token ranks equal token ids. At
+  // Jaccard 0.5 two 4-token records need an overlap of 3; a 4-token record
+  // indexes its first 2 tokens and probes with its first 3.
+  //   r0 = {0, 3, 5, 6} indexes {0, 3}; r1 = {1, 2, 3, 4} probes {1, 2, 3}.
+  // r1 reaches r0 through token 3 (r1 offset 2, r0 offset 1), with nothing
+  // shared before it: the overlap is at most 0 + 1 + min(1, 2) = 2 < 3, so
+  // the candidate is pruned unverified. r2 = {0, 1, 2, 4, 5, 6} then meets
+  // both and verifies both (overlap 3 each, below the 4 a 6-by-4 pair needs).
+  // Postings read: r1 scans one (token 3), r2 three (tokens 0, 1, 2).
+  JoinInput input;
+  input.sets = {{0, 3, 5, 6}, {1, 2, 3, 4}, {0, 1, 2, 4, 5, 6}};
+  JoinOptions options;
+  options.measure = SetMeasure::kJaccard;
+  options.threshold = 0.5;
+  JoinStats serial;
+  const auto pairs = AllPairsJoin(input, options, &serial);
+  ASSERT_TRUE(pairs.ok());
+  EXPECT_TRUE(pairs->empty());
+  EXPECT_EQ(serial.pair_verifications, 2u);
+  EXPECT_EQ(serial.candidates_pruned, 1u);
+  EXPECT_EQ(serial.postings_scanned, 4u);
+  for (uint32_t threads : {1u, 2u, 4u, 7u}) {
+    ParallelJoinOptions exec_options;
+    exec_options.num_threads = threads;
+    exec_options.chunk_size = 1;
+    exec_options.block_records = 1;
+    JoinStats parallel;
+    JoinStats blocked;
+    ASSERT_TRUE(ParallelAllPairsJoin(input, options, exec_options, &parallel).ok());
+    ASSERT_TRUE(BlockedAllPairsJoin(input, options, exec_options, &blocked).ok());
+    ExpectSameCounters(serial, parallel, "ParallelAllPairsJoin", std::to_string(threads));
+    ExpectSameCounters(serial, blocked, "BlockedAllPairsJoin", std::to_string(threads));
+  }
 }
 
 TEST(JoinEquivalenceProperty, EmptySetsNeverPairAtPositiveThreshold) {
@@ -215,7 +389,7 @@ TEST(JoinEquivalenceProperty, ParallelJoinsAreByteIdenticalToSerial) {
   for (bool two_sources : {false, true}) {
     RandomCase c = DrawCase(&master);
     c.n = 300;
-    c.two_sources = two_sources;
+    c.num_labels = two_sources ? 2 : 0;
     c.threshold = 0.3;
     const JoinInput input = GenerateInput(c);
     JoinOptions options;

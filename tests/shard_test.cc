@@ -371,6 +371,110 @@ TEST(ShardProto, RejectsCorruptFrames) {
   EXPECT_FALSE(DecodePairBatch(empty_pairs).ok());
 }
 
+// Little-endian payload builders for hand-made hostile frames.
+void AppendLe(std::vector<uint8_t>* out, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+}
+
+Frame RawFrame(FrameType type, std::vector<uint8_t> payload) {
+  Frame frame;
+  frame.type = type;
+  frame.payload = std::move(payload);
+  return frame;
+}
+
+TEST(ShardProto, HostileCountsFailBeforeAllocating) {
+  // A 4-byte record batch claiming 2^32 - 1 records: rejected before
+  // reserving room for them.
+  const Frame many_records = RawFrame(FrameType::kRecordBatch, {0xff, 0xff, 0xff, 0xff});
+  EXPECT_TRUE(DecodeRecordBatch(many_records).status().IsIOError());
+
+  // One record entry claiming 2^32 - 1 tokens, with none following.
+  std::vector<uint8_t> entry;
+  AppendLe(&entry, 1, 4);           // record count
+  AppendLe(&entry, 0, 4);           // global id
+  AppendLe(&entry, 0, 8);           // position
+  AppendLe(&entry, 1, 1);           // owned
+  AppendLe(&entry, 0, 4);           // source
+  AppendLe(&entry, 0xffffffff, 4);  // token count
+  EXPECT_TRUE(DecodeRecordBatch(RawFrame(FrameType::kRecordBatch, entry)).status().IsIOError());
+
+  // A pair batch whose count * 16 wraps around to the 16 bytes present.
+  std::vector<uint8_t> pairs;
+  AppendLe(&pairs, (uint64_t{1} << 60) + 1, 8);
+  pairs.resize(pairs.size() + 16, 0);
+  EXPECT_TRUE(DecodePairBatch(RawFrame(FrameType::kPairBatch, pairs)).status().IsIOError());
+
+  // Unknown measures in a spec, and unknown status codes in a worker error.
+  JobSpec spec;
+  spec.threshold = 0.5;
+  for (uint32_t measure : {4u, 0xffffffffu}) {
+    Frame bad_measure = EncodeJobSpec(spec);
+    for (int i = 0; i < 4; ++i) {
+      bad_measure.payload[16 + i] = static_cast<uint8_t>(measure >> (8 * i));  // after 4 u32s
+    }
+    EXPECT_TRUE(DecodeJobSpec(bad_measure).status().IsIOError()) << measure;
+  }
+  for (uint32_t code : {0u, 11u, 0xffffffffu}) {
+    std::vector<uint8_t> error;
+    AppendLe(&error, code, 4);
+    AppendLe(&error, 0, 4);  // empty message
+    EXPECT_TRUE(DecodeWorkerError(RawFrame(FrameType::kWorkerError, error)).status().IsIOError())
+        << code;
+  }
+}
+
+TEST(ShardWorker, HostileSpecFramesFailCleanly) {
+  JobSpec spec;
+  spec.threshold = 0.5;
+  std::vector<RecordEntry> entries(2);
+  entries[0].position = 0;
+  entries[0].tokens = similarity::MakeTokenSet({1, 2});
+  entries[1].global_id = 1;
+  entries[1].position = 1;
+  entries[1].tokens = similarity::MakeTokenSet({1, 2});
+
+  // The hostile batches fail as IOError through the worker's Feed too.
+  {
+    ShardWorkerJob job;
+    ASSERT_TRUE(job.Feed(EncodeJobSpec(spec)).ok());
+    EXPECT_TRUE(job.Feed(RawFrame(FrameType::kRecordBatch, {0xff, 0xff, 0xff, 0xff})).IsIOError());
+  }
+  // A spec promising 2^62 records allocates nothing up front; the job
+  // fails cleanly once the promise is not kept.
+  {
+    ShardWorkerJob job;
+    JobSpec huge = spec;
+    huge.num_records = uint64_t{1} << 62;
+    ASSERT_TRUE(job.Feed(EncodeJobSpec(huge)).ok());
+    ASSERT_TRUE(job.Feed(EncodeRecordBatch(entries, 0, 2)).ok());
+    ASSERT_TRUE(job.Feed(EncodeJobSealed()).ok());
+    const std::vector<Frame> frames = job.Execute();
+    ASSERT_EQ(frames.size(), 1u);
+    auto error = DecodeWorkerError(frames[0]);
+    ASSERT_TRUE(error.ok());
+    EXPECT_EQ(error->code, StatusCode::kIOError);
+  }
+  // More records than promised.
+  {
+    ShardWorkerJob job;
+    JobSpec one = spec;
+    one.num_records = 1;
+    ASSERT_TRUE(job.Feed(EncodeJobSpec(one)).ok());
+    EXPECT_TRUE(job.Feed(EncodeRecordBatch(entries, 0, 2)).IsIOError());
+  }
+  // A replica after an owned record: the owned band must come last.
+  {
+    ShardWorkerJob job;
+    JobSpec two = spec;
+    two.num_records = 2;
+    entries[0].owned = true;
+    entries[1].owned = false;
+    ASSERT_TRUE(job.Feed(EncodeJobSpec(two)).ok());
+    EXPECT_TRUE(job.Feed(EncodeRecordBatch(entries, 0, 2)).IsIOError());
+  }
+}
+
 // ---- Worker protocol-order and job validation ------------------------------
 
 TEST(ShardWorker, RejectsProtocolViolations) {
