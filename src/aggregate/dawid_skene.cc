@@ -8,17 +8,14 @@ namespace aggregate {
 Result<DawidSkeneResult> RunDawidSkene(const VoteTable& votes,
                                        const DawidSkeneOptions& options) {
   // One implementation serves both shapes: the materialized entry point is
-  // the sharded EM (aggregate/partitioned.h) run over a single in-memory
-  // shard, followed by one posterior-materialization pass. Bitwise-identical
-  // to the pre-sharding loop — the golden workflow test pins it.
-  InMemoryVoteShards shards(&votes, {votes.size()});
+  // the sharded EM (aggregate/partitioned.h) run over the table flattened
+  // into a single shard, followed by the one posterior pass. Bitwise-
+  // identical to the pre-sharding loop — the golden workflow test pins it.
+  InMemoryVoteShards shards(votes, {votes.size()});
   CROWDER_ASSIGN_OR_RETURN(DawidSkeneModel model, FitDawidSkeneSharded(&shards, options));
 
   DawidSkeneResult result;
-  result.match_probability.reserve(votes.size());
-  for (const auto& pair_votes : votes) {
-    result.match_probability.push_back(PosteriorMatchProbability(pair_votes, model));
-  }
+  CROWDER_RETURN_NOT_OK(ShardMatchProbabilities(&shards, 0, model, &result.match_probability));
   result.workers = std::move(model.workers);
   result.class_prior = model.class_prior;
   result.iterations = model.iterations;

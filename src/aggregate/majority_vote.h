@@ -16,8 +16,9 @@ namespace aggregate {
 /// get `kUnjudgedMatchProbability` (never asked means not confirmed).
 ///
 /// Because each pair is scored independently, the sharded form
-/// (`MajorityVoteSharded`, aggregate/partitioned.h) is bitwise-identical to
-/// this one at any partitioning of the table.
+/// (`ShardMatchProbabilities` under an unfitted model,
+/// aggregate/partitioned.h) is bitwise-identical to this one at any
+/// partitioning of the table.
 std::vector<double> MajorityVote(const VoteTable& votes);
 
 }  // namespace aggregate

@@ -7,14 +7,12 @@
 /// `votes[i]` with pair *i* of the surviving pair list. A sharded table
 /// slices that index space into contiguous ranges — shard *s* covers global
 /// pair indices `[start_s, start_s + size_s)` — and exposes them through
-/// `VoteShardSource`, which loads one shard at a time (typically from a
-/// spill file; see `VoteShardStore` in core/partition.h). Aggregation then
-/// runs with only **one resident shard plus O(#workers) model state**:
+/// `VoteShardSource`, which lends one shard at a time in flat form
+/// (`FlatVoteShard`: CSR row offsets plus packed votes naming workers by a
+/// dense index; see `VoteShardStore` in core/partition.h for the spilling
+/// store). Aggregation then runs with only **one resident shard plus
+/// O(#workers) model state**:
 ///
-///  * `MajorityVoteSharded` scores each shard independently — pairs are
-///    independent under majority vote, so the sharded result is
-///    bitwise-identical to `MajorityVote` on the concatenated table at any
-///    partitioning.
 ///  * `FitDawidSkeneSharded` runs the EM of `RunDawidSkene` as repeated
 ///    passes over the shard sequence. The trick that removes the O(|P|)
 ///    posterior vector entirely: the E-step posterior of a pair is a pure
@@ -25,14 +23,16 @@
 ///    confusion masses, the class prior) happens in exactly the order the
 ///    materialized loop uses — the fitted model, iteration count, and
 ///    convergence flag are bitwise-identical, and `RunDawidSkene` itself is
-///    now a thin single-shard wrapper over this implementation.
-///
-/// `PosteriorMatchProbability` exposes the E-step arithmetic so consumers
-/// (the wrapper, the workflow's final ranked pass) can materialize
-/// posteriors for any shard from the fitted model on demand.
+///    a thin single-shard wrapper over this implementation.
+///  * `ShardMatchProbabilities` is the one posterior pass: the Dawid-Skene
+///    posterior of every pair of a shard under a fitted model, or the
+///    majority fraction under an unfitted one. Pairs are independent under
+///    both, so the sharded result is bitwise the materialized one at any
+///    partitioning.
 #ifndef CROWDER_AGGREGATE_PARTITIONED_H_
 #define CROWDER_AGGREGATE_PARTITIONED_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
@@ -46,8 +46,51 @@
 namespace crowder {
 namespace aggregate {
 
+/// \brief One vote packed into 32 bits: `dense_worker << 1 | says_match`,
+/// where `dense_worker` indexes the source's `worker_ids()`.
+inline constexpr uint32_t PackVote(uint32_t dense_worker, bool says_match) {
+  return dense_worker << 1 | (says_match ? 1u : 0u);
+}
+
+/// \brief Dense worker indices must fit the 31 bits `PackVote` leaves them.
+inline constexpr uint32_t kMaxDenseWorkers = uint32_t{1} << 31;
+
+/// \brief Interns worker ids into dense indices in order of first
+/// appearance: the worker space a VoteShardSource publishes as
+/// `worker_ids()`.
+class DenseWorkerIndex {
+ public:
+  /// \brief The dense index of `worker_id`, assigning the next one on first
+  /// sight; OutOfRange once `kMaxDenseWorkers` workers are interned.
+  Result<uint32_t> Intern(uint32_t worker_id);
+  /// \brief Worker ids by dense index.
+  const std::vector<uint32_t>& worker_ids() const { return worker_ids_; }
+
+ private:
+  std::unordered_map<uint32_t, uint32_t> dense_of_;
+  std::vector<uint32_t> worker_ids_;
+};
+
+/// \brief One vote shard in compressed sparse row form. The votes of local
+/// pair `i` are `votes[offsets[i], offsets[i + 1])`, packed by `PackVote`,
+/// in cast order. `offsets` need not cover every pair: each pair at or past
+/// `num_rows()` is voteless, so a shard no vote reached costs nothing
+/// however many pairs it covers (the stores end the rows at the last voted
+/// pair).
+struct FlatVoteShard {
+  /// Pairs the shard covers (local indices `[0, num_pairs)`).
+  uint64_t num_pairs = 0;
+  /// Row boundaries into `votes`; empty or `num_rows() + 1` entries.
+  std::vector<uint32_t> offsets;
+  /// Packed votes, row after row.
+  std::vector<uint32_t> votes;
+
+  /// \brief Local pairs with a row in `offsets`.
+  size_t num_rows() const { return offsets.empty() ? 0 : offsets.size() - 1; }
+};
+
 /// \brief Read interface over a vote table sharded into contiguous pair
-/// ranges, in global pair order. Loads are repeatable (EM scans the shard
+/// ranges, in global pair order. Reads are repeatable (EM scans the shard
 /// sequence once per iteration) and may perform disk I/O.
 class VoteShardSource {
  public:
@@ -57,82 +100,67 @@ class VoteShardSource {
   /// pair order.
   virtual size_t num_shards() const = 0;
 
-  /// \brief Loads shard `shard` as a local VoteTable whose index 0 is the
-  /// shard's first global pair. Per-pair vote order must be cast order (the
-  /// order the materialized table would hold).
-  virtual Result<VoteTable> LoadShard(size_t shard) = 0;
+  /// \brief Worker ids by dense index: every packed vote of every shard
+  /// names its worker by position in this list.
+  virtual const std::vector<uint32_t>& worker_ids() const = 0;
 
-  /// \brief Runs `fn` over the shard's table without transferring
-  /// ownership. The default loads a copy via LoadShard; sources that can
-  /// lend a view override it — the EM loop reads every shard once per
-  /// iteration, so a borrowing source (InMemoryVoteShards over one whole
-  /// table, i.e. the materialized RunDawidSkene) pays no per-iteration
-  /// copies.
-  virtual Status WithShard(size_t shard, const std::function<Status(const VoteTable&)>& fn) {
-    CROWDER_ASSIGN_OR_RETURN(const VoteTable table, LoadShard(shard));
-    return fn(table);
-  }
+  /// \brief Runs `fn` over shard `shard`. The shard is lent for the call
+  /// only; its per-pair vote order is cast order (the order the
+  /// materialized table would hold).
+  virtual Status WithShard(size_t shard,
+                           const std::function<Status(const FlatVoteShard&)>& fn) = 0;
 };
 
-/// \brief In-memory shard view over one VoteTable, split into the given
-/// consecutive range sizes. Reference adapter for tests and for the
-/// single-shard wrapper (`RunDawidSkene`).
+/// \brief A materialized VoteTable split into the given consecutive range
+/// sizes and flattened once, at construction. Serves the single-shard
+/// wrapper (`RunDawidSkene`) and tests.
 class InMemoryVoteShards : public VoteShardSource {
  public:
-  /// \brief Splits `table` (not owned; must outlive the view) into
-  /// consecutive ranges of `shard_sizes` elements. The sizes must sum to
-  /// `table.size()` (checked).
-  InMemoryVoteShards(const VoteTable* table, std::vector<size_t> shard_sizes);
+  /// \brief Flattens `table` into consecutive ranges of `shard_sizes` pairs,
+  /// interning worker ids in order of first appearance. The sizes must sum
+  /// to `table.size()` (checked).
+  InMemoryVoteShards(const VoteTable& table, const std::vector<size_t>& shard_sizes);
 
-  size_t num_shards() const override { return shard_sizes_.size(); }
-  Result<VoteTable> LoadShard(size_t shard) override;
-  /// \brief Lends the underlying table directly when one shard covers it
-  /// whole (the materialized RunDawidSkene shape); otherwise copies.
+  size_t num_shards() const override { return shards_.size(); }
+  const std::vector<uint32_t>& worker_ids() const override { return workers_.worker_ids(); }
   Status WithShard(size_t shard,
-                   const std::function<Status(const VoteTable&)>& fn) override;
+                   const std::function<Status(const FlatVoteShard&)>& fn) override;
 
  private:
-  const VoteTable* table_;
-  std::vector<size_t> shard_sizes_;
-  std::vector<size_t> shard_starts_;
+  DenseWorkerIndex workers_;
+  std::vector<FlatVoteShard> shards_;
 };
 
-/// \brief A shard view with the votes of banned workers removed at load
+/// \brief A shard view with the votes of banned workers removed at read
 /// time. The aggregation-side half of the worker-filter defense: the
 /// underlying store keeps every vote (audit truth), while everything the
 /// aggregators see — majority tallies, Dawid-Skene confusion masses — is
 /// re-derived from the surviving votes only. Filtering at the shard
-/// boundary keeps the bounded-memory property: one shard plus the O(#banned)
-/// set resident, exactly as without the filter.
+/// boundary keeps the bounded-memory property: one filtered shard plus a
+/// ban bitmap over the dense workers.
 ///
-/// With an empty ban set, WithShard lends the inner shard through untouched,
-/// so the unfiltered path (every golden) pays nothing.
+/// When no worker that voted is banned, WithShard lends the inner shard
+/// through untouched, so the unfiltered path (every golden) pays nothing.
 class FilteredVoteShardSource : public VoteShardSource {
  public:
-  /// \brief Wraps `inner` (not owned; must outlive the view). `banned` is
-  /// copied.
-  FilteredVoteShardSource(VoteShardSource* inner, std::unordered_set<uint32_t> banned);
+  /// \brief Wraps `inner` (not owned; must outlive the view, and its worker
+  /// list must not grow afterwards). Ids in `banned` that never voted are
+  /// ignored.
+  FilteredVoteShardSource(VoteShardSource* inner, const std::unordered_set<uint32_t>& banned);
 
   size_t num_shards() const override { return inner_->num_shards(); }
-  Result<VoteTable> LoadShard(size_t shard) override;
+  const std::vector<uint32_t>& worker_ids() const override { return inner_->worker_ids(); }
   Status WithShard(size_t shard,
-                   const std::function<Status(const VoteTable&)>& fn) override;
+                   const std::function<Status(const FlatVoteShard&)>& fn) override;
 
  private:
   VoteShardSource* inner_;
-  std::unordered_set<uint32_t> banned_;
+  std::vector<bool> banned_;  ///< by dense worker; empty when no voter is banned
+  FlatVoteShard filtered_;    ///< the current shard minus banned votes
 };
 
-/// \brief Majority vote, one shard at a time: for each shard in order,
-/// `emit(shard, probabilities)` receives the per-pair probabilities of that
-/// shard (aligned to the shard's local indices). Bitwise-identical to
-/// `MajorityVote` over the concatenated table.
-Status MajorityVoteSharded(
-    VoteShardSource* shards,
-    const std::function<Status(size_t shard, const std::vector<double>&)>& emit);
-
 /// \brief A fitted Dawid-Skene model: everything EM learns except the
-/// per-pair posteriors (recover those with `PosteriorMatchProbability`).
+/// per-pair posteriors (recover those with `ShardMatchProbabilities`).
 struct DawidSkeneModel {
   /// Per-worker confusion estimates, keyed by worker id.
   std::unordered_map<uint32_t, WorkerQuality> workers;
@@ -142,6 +170,13 @@ struct DawidSkeneModel {
   int iterations = 0;
   /// Whether the posterior change fell below the tolerance.
   bool converged = false;
+  /// The E-step's per-vote terms, indexed by packed vote in the dense
+  /// worker space of the source the model was fitted on:
+  /// `{log P(vote | match), log P(vote | non-match)}`. Empty when no EM
+  /// iteration ran.
+  std::vector<std::array<double, 2>> vote_log_terms;
+  /// `{log(class_prior), log(1 - class_prior)}`.
+  std::array<double, 2> log_prior{};
 };
 
 /// \brief Fits Dawid-Skene by EM over the shard sequence, holding one shard
@@ -150,25 +185,30 @@ struct DawidSkeneModel {
 /// concatenated table (same iteration count, convergence flag, worker
 /// estimates, and class prior).
 ///
-/// The deliberate trade of the recompute formulation: each pass evaluates
-/// the E-step arithmetic up to twice per voted pair (current and previous
-/// model, for the convergence delta) where a stored-posterior loop would
-/// evaluate once — roughly doubling EM compute to eliminate the O(|P|)
-/// posterior vector and keep ONE implementation for both execution modes.
-/// EM is a negligible slice of workflow wall-time (the machine pass
-/// dominates by orders of magnitude; see BENCH_e2e_stream.json), so the
-/// simplicity wins.
+/// The M-step accumulates into vectors indexed by dense worker, and each
+/// iteration takes the four logs of every worker's confusion estimates
+/// once, so an E-step is two table reads and two additions per vote. The
+/// deliberate trade of the recompute formulation: each pass evaluates the
+/// E-step up to twice per voted pair (current and previous model, for the
+/// convergence delta) where a stored-posterior loop would evaluate once —
+/// doubling E-step work to eliminate the O(|P|) posterior vector and keep
+/// one implementation for both execution modes. The fit is still most of
+/// the aggregation: on the benchmark's `stream_defended` workload (204,393
+/// votes over 15 passes, Release, one thread of a 4-vCPU Xeon) it takes
+/// about 60 ms of an 80 ms aggregate stage.
 Result<DawidSkeneModel> FitDawidSkeneSharded(VoteShardSource* shards,
                                              const DawidSkeneOptions& options = {});
 
-/// \brief The E-step posterior of one pair under a fitted model — exactly
-/// the arithmetic the EM loop uses, exposed so posteriors can be
-/// re-materialized shard-by-shard. Voteless pairs get
-/// `kUnjudgedMatchProbability`. `model.workers` must contain every worker
-/// appearing in `pair_votes`; an empty model (no EM iteration ran) falls
-/// back to `MajorityMatchProbability`.
-double PosteriorMatchProbability(const std::vector<Vote>& pair_votes,
-                                 const DawidSkeneModel& model);
+/// \brief The match probability of every pair of shard `shard`, into `out`
+/// (resized to the shard's pair count): the E-step posterior under `model`
+/// — exactly the arithmetic the EM loop uses — or, when `model` has no
+/// terms (unfitted, or fitted to no votes), the majority fraction, the
+/// E-step's initialization. Voteless pairs get `kUnjudgedMatchProbability`.
+/// `model` must have been fitted on `shards` (same dense worker space); a
+/// fitted model whose terms do not cover the source's workers is an
+/// InvalidArgument.
+Status ShardMatchProbabilities(VoteShardSource* shards, size_t shard,
+                               const DawidSkeneModel& model, std::vector<double>* out);
 
 }  // namespace aggregate
 }  // namespace crowder

@@ -255,15 +255,23 @@ class ShardedSpillStore {
 };
 
 /// \brief The disk-backed vote table: votes keyed by *global pair index*,
-/// sharded into the contiguous index ranges given at construction, stored
-/// append-order per shard (spilling beyond the budget), and read back as
-/// `aggregate::VoteShardSource` shards for partitioned aggregation.
+/// sharded into the contiguous index ranges given at construction, and
+/// read back as flat `aggregate::VoteShardSource` shards for partitioned
+/// aggregation.
+///
+/// Two phases. While votes arrive, `Append` interns each worker id into a
+/// dense index and stages `(local pair, packed vote)` records append-order
+/// per shard, spilling beyond the budget. `Finish` then compacts each
+/// shard once into CSR form (`aggregate::FlatVoteShard`) by a counting
+/// sort on the local pair index and drops the staged log. A compacted shard
+/// stays resident while the compacted bytes fit the budget; otherwise it is
+/// one spill block, read back whole by `WithShard` into one reused buffer.
 ///
 /// Per-pair vote order is preserved: appends arrive in global cast order
-/// (HIT order, then cast order within a HIT), each shard's log replays in
-/// append order, and `LoadShard` groups stably by pair — so the per-pair
-/// vote sequences equal the materialized table's, which keeps Dawid-Skene
-/// bitwise-identical across execution modes.
+/// (HIT order, then cast order within a HIT), each shard's staged log
+/// replays in append order, and the counting sort is stable — so the
+/// per-pair vote sequences equal the materialized table's, which keeps
+/// Dawid-Skene bitwise-identical across execution modes.
 class VoteShardStore : public aggregate::VoteShardSource {
  public:
   /// \brief `shard_pair_counts[s]` is the number of pairs shard `s` covers;
@@ -273,7 +281,8 @@ class VoteShardStore : public aggregate::VoteShardSource {
   /// \brief Files one vote under the pair at `global_pair_index`.
   Status Append(uint64_t global_pair_index, const aggregate::Vote& vote);
 
-  /// \brief Seals the store; required before LoadShard.
+  /// \brief Compacts every shard and seals the store; required before
+  /// WithShard.
   Status Finish();
 
   /// \brief First global pair index shard `shard` covers.
@@ -281,26 +290,46 @@ class VoteShardStore : public aggregate::VoteShardSource {
   /// \brief Number of pairs shard `shard` covers.
   uint64_t shard_pairs(size_t shard) const;
   /// \brief Votes filed across all shards.
-  uint64_t total_votes() const { return store_.total_records(); }
-  /// \brief Vote bytes spilled to disk.
-  uint64_t spilled_bytes() const { return store_.spilled_bytes(); }
+  uint64_t total_votes() const;
+  /// \brief Vote bytes written to disk: the staged records that spilled
+  /// before Finish plus the compacted shards that spilled at Finish.
+  uint64_t spilled_bytes() const;
 
   // aggregate::VoteShardSource:
   size_t num_shards() const override { return counts_.size(); }
-  Result<aggregate::VoteTable> LoadShard(size_t shard) override;
+  const std::vector<uint32_t>& worker_ids() const override { return workers_.worker_ids(); }
+  /// \brief Lends shard `shard` in flat form; requires Finish.
+  Status WithShard(size_t shard,
+                   const std::function<Status(const aggregate::FlatVoteShard&)>& fn) override;
 
  private:
-  /// Fixed-width on-disk vote record (SpillLog payload).
-  struct PackedVote {
+  /// One staged vote (SpillLog payload).
+  struct StagedVote {
     uint32_t local_index = 0;  ///< pair index within the shard
-    uint32_t worker_id = 0;
-    uint8_t says_match = 0;
+    uint32_t vote = 0;         ///< aggregate::PackVote(dense worker, verdict)
   };
 
-  ShardedSpillStore<PackedVote> store_;
+  /// Where a compacted shard lives: resident in `flat`, or in block `block`
+  /// of `compacted_log_` as `offsets` followed by `votes`.
+  struct CompactedShard {
+    aggregate::FlatVoteShard flat;  ///< num_pairs always set; vectors empty if spilled
+    bool spilled = false;
+    size_t block = 0;
+    size_t num_offsets = 0;
+    size_t num_votes = 0;
+  };
+
+  std::unique_ptr<ShardedSpillStore<StagedVote>> staged_;  ///< null after Finish
+  uint64_t memory_budget_bytes_;
   std::vector<uint64_t> counts_;
   std::vector<uint64_t> starts_;  ///< prefix sums of counts_
   size_t last_shard_ = 0;         ///< locality hint: votes arrive mostly in order
+  aggregate::DenseWorkerIndex workers_;
+  std::vector<uint32_t> shard_votes_;  ///< votes filed per shard
+  uint64_t staged_spilled_bytes_ = 0;
+  std::vector<CompactedShard> compacted_;
+  std::unique_ptr<SpillLog<uint32_t>> compacted_log_;
+  aggregate::FlatVoteShard read_buffer_;  ///< a spilled shard, read back
 };
 
 /// \brief The component-aligned partition plan for cluster-based HITs:

@@ -320,11 +320,11 @@ namespace {
 
 // Streaming aggregation: fit (Dawid-Skene) or nothing (majority), then one
 // synchronized walk — vote shards advance in lockstep with the sorted
-// stream, so each pair meets its votes under the global index both sides
-// agree on. The per-pair probability goes through the same helpers the
-// materialized aggregators use, and shards tile the global pair order, so
-// the ranked list is bitwise the materialized one even before the final
-// sort.
+// stream, so each pair meets its probability under the global index both
+// sides agree on. Each shard's probabilities come from the same posterior
+// pass the materialized aggregators use, and shards tile the global pair
+// order, so the ranked list is bitwise the materialized one even before
+// the final sort.
 //
 // GCC 12 flags the inlined destructor of the Result<DawidSkeneModel>
 // temporary below with -Warray-bounds/-Wstringop-overflow false positives
@@ -346,16 +346,16 @@ Status RunStreamingAggregate(WorkflowState* state) {
   // the view is the identity and the bytes are the pre-filter ones.
   aggregate::FilteredVoteShardSource filtered(votes, state->banned_workers);
 
+  // Unfitted, the model yields majority fractions.
   aggregate::DawidSkeneModel model;
-  const bool dawid_skene = config.aggregation == AggregationMethod::kDawidSkene;
-  if (dawid_skene) {
+  if (config.aggregation == AggregationMethod::kDawidSkene) {
     CROWDER_ASSIGN_OR_RETURN(model, aggregate::FitDawidSkeneSharded(&filtered, {}));
   }
 
   const data::Dataset& dataset = *state->dataset;
   result.ranked.reserve(static_cast<size_t>(result.num_candidate_pairs));
-  aggregate::VoteTable shard_votes;
-  size_t shard = 0;
+  std::vector<double> shard_probabilities;
+  size_t next_shard = 0;
   uint64_t shard_start = 0;
   uint64_t shard_end = 0;  // exclusive; 0 forces the first load
   uint64_t index = 0;
@@ -365,16 +365,14 @@ Status RunStreamingAggregate(WorkflowState* state) {
   const auto inferred_end = state->inferred_verdicts.cend();
   CROWDER_RETURN_NOT_OK(state->stream.ScanSorted([&](const PairBlock& block) {
     for (const auto& p : block) {
-      if (index >= shard_end) {
-        shard = index == 0 ? 0 : shard + 1;
-        CROWDER_ASSIGN_OR_RETURN(shard_votes, filtered.LoadShard(shard));
-        shard_start = votes->shard_start(shard);
-        shard_end = shard_start + votes->shard_pairs(shard);
+      while (index >= shard_end) {
+        CROWDER_RETURN_NOT_OK(aggregate::ShardMatchProbabilities(&filtered, next_shard, model,
+                                                                 &shard_probabilities));
+        shard_start = votes->shard_start(next_shard);
+        shard_end = shard_start + votes->shard_pairs(next_shard);
+        ++next_shard;
       }
-      const auto& pair_votes = shard_votes[static_cast<size_t>(index - shard_start)];
-      double probability =
-          dawid_skene ? aggregate::PosteriorMatchProbability(pair_votes, model)
-                      : aggregate::MajorityMatchProbability(pair_votes);
+      double probability = shard_probabilities[static_cast<size_t>(index - shard_start)];
       if (inferred != inferred_end && inferred->first == index) {
         probability = inferred->second ? 1.0 : 0.0;
         ++inferred;

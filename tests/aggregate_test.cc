@@ -1,12 +1,21 @@
 // Tests for answer aggregation: majority vote and Dawid-Skene EM, including
-// the property that the sharded (partition-aware) implementations are
-// equivalent to the materialized ones at any partitioning.
+// the property that the flat sharded implementation equals a reference EM
+// bitwise at any partitioning and under any ban set.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <string>
+#include <unordered_map>
+#include <unordered_set>
+
+#include "aggregate/agreement.h"
 #include "aggregate/dawid_skene.h"
 #include "aggregate/majority_vote.h"
 #include "aggregate/partitioned.h"
 #include "common/rng.h"
+#include "core/partition.h"
 
 namespace crowder {
 namespace aggregate {
@@ -165,32 +174,172 @@ TEST(DawidSkeneTest, DisagreementYieldsIntermediateProbability) {
 }
 
 // ---------------------------------------------------------------------------
-// Partitioned aggregation: sharded == materialized, at any partitioning.
+// Option validation: NaN, infinite and out-of-range values are rejected.
 // ---------------------------------------------------------------------------
 
+// Every real-valued option, set to each bad value, must be rejected by both
+// entry points with InvalidArgument.
+void ExpectRejected(void (*set)(DawidSkeneOptions*, double), std::initializer_list<double> bad) {
+  const VoteTable votes{{{0, true}, {1, false}}, {{0, true}}};
+  for (double value : bad) {
+    DawidSkeneOptions options;
+    set(&options, value);
+    EXPECT_TRUE(RunDawidSkene(votes, options).status().IsInvalidArgument()) << value;
+    InMemoryVoteShards shards(votes, {votes.size()});
+    EXPECT_TRUE(FitDawidSkeneSharded(&shards, options).status().IsInvalidArgument()) << value;
+  }
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(DawidSkeneOptionsTest, RejectsBadSmoothing) {
+  ExpectRejected([](DawidSkeneOptions* o, double v) { o->smoothing = v; },
+                 {kNaN, kInf, -kInf, -1.0});
+}
+
+TEST(DawidSkeneOptionsTest, RejectsBadPriorCorrect) {
+  ExpectRejected([](DawidSkeneOptions* o, double v) { o->prior_correct = v; },
+                 {kNaN, kInf, 0.0, -1.0});
+}
+
+TEST(DawidSkeneOptionsTest, RejectsBadPriorIncorrect) {
+  ExpectRejected([](DawidSkeneOptions* o, double v) { o->prior_incorrect = v; },
+                 {kNaN, kInf, 0.0, -1.0});
+}
+
+TEST(DawidSkeneOptionsTest, RejectsBadTolerance) {
+  ExpectRejected([](DawidSkeneOptions* o, double v) { o->tolerance = v; },
+                 {kNaN, kInf, -1e-6});
+}
+
+// ---------------------------------------------------------------------------
+// Partitioned aggregation: the flat sharded EM equals a reference EM
+// bitwise, at any partitioning and under any ban set.
+// ---------------------------------------------------------------------------
+
+// The reference: the map-keyed Dawid-Skene EM and E-step the flat
+// implementation replaced, kept verbatim (a stored-posterior loop over a
+// materialized table, one unordered_map entry per worker).
+struct ReferenceFit {
+  std::unordered_map<uint32_t, WorkerQuality> workers;
+  double class_prior = 0.5;
+  int iterations = 0;
+  bool converged = false;
+};
+
+double ReferencePosterior(const std::vector<Vote>& pair_votes, const ReferenceFit& model) {
+  if (pair_votes.empty()) return kUnjudgedMatchProbability;
+  if (model.workers.empty()) return MajorityMatchProbability(pair_votes);
+  double log_pos = std::log(model.class_prior);
+  double log_neg = std::log(1.0 - model.class_prior);
+  for (const Vote& v : pair_votes) {
+    const WorkerQuality& w = model.workers.at(v.worker_id);
+    if (v.says_match) {
+      log_pos += std::log(w.sensitivity);
+      log_neg += std::log(1.0 - w.specificity);
+    } else {
+      log_pos += std::log(1.0 - w.sensitivity);
+      log_neg += std::log(w.specificity);
+    }
+  }
+  const double m = std::max(log_pos, log_neg);
+  const double pos = std::exp(log_pos - m);
+  const double neg = std::exp(log_neg - m);
+  return pos / (pos + neg);
+}
+
+ReferenceFit ReferenceEm(const VoteTable& table, const DawidSkeneOptions& options = {}) {
+  const double s = options.smoothing;
+  const double good = options.prior_correct;
+  const double bad = options.prior_incorrect;
+  ReferenceFit prev;
+  ReferenceFit older;
+  for (int t = 0;; ++t) {
+    std::unordered_map<uint32_t, double> sens_sum;
+    std::unordered_map<uint32_t, double> spec_sum;
+    std::unordered_map<uint32_t, double> pos_mass;
+    std::unordered_map<uint32_t, double> neg_mass;
+    std::unordered_map<uint32_t, uint32_t> vote_count;
+    double prior_num = 0.0;
+    size_t judged = 0;
+    double max_delta = 0.0;
+    for (const auto& pair_votes : table) {
+      if (pair_votes.empty()) continue;
+      const double p = t == 0 ? MajorityMatchProbability(pair_votes)
+                              : ReferencePosterior(pair_votes, prev);
+      if (t >= 1) {
+        const double p_old = t == 1 ? MajorityMatchProbability(pair_votes)
+                                    : ReferencePosterior(pair_votes, older);
+        max_delta = std::max(max_delta, std::fabs(p - p_old));
+      }
+      ++judged;
+      prior_num += p;
+      for (const Vote& v : pair_votes) {
+        ++vote_count[v.worker_id];
+        pos_mass[v.worker_id] += p;
+        neg_mass[v.worker_id] += 1.0 - p;
+        if (v.says_match) {
+          sens_sum[v.worker_id] += p;
+        } else {
+          spec_sum[v.worker_id] += 1.0 - p;
+        }
+      }
+    }
+    if (judged == 0) {
+      ReferenceFit model;
+      model.converged = true;
+      return model;
+    }
+    if (t >= 1 && max_delta < options.tolerance) {
+      prev.converged = true;
+      return prev;
+    }
+    if (t == options.max_iterations) return prev;
+    ReferenceFit next;
+    next.class_prior =
+        std::clamp((prior_num + s) / (static_cast<double>(judged) + 2.0 * s), 0.01, 0.99);
+    for (const auto& [id, count] : vote_count) {
+      WorkerQuality w;
+      w.num_votes = count;
+      w.sensitivity = (sens_sum[id] + good) / (pos_mass[id] + good + bad);
+      w.specificity = (spec_sum[id] + good) / (neg_mass[id] + good + bad);
+      w.sensitivity = std::clamp(w.sensitivity, 1e-4, 1.0 - 1e-4);
+      w.specificity = std::clamp(w.specificity, 1e-4, 1.0 - 1e-4);
+      next.workers.emplace(id, w);
+    }
+    next.iterations = t + 1;
+    older = std::move(prev);
+    prev = std::move(next);
+  }
+}
+
 // A random vote table: `num_pairs` pairs, a random subset voteless, votes
-// from a small worker pool with mixed reliability.
+// from a pool that always includes the extreme ids 0, 2^31 and UINT32_MAX,
+// with mixed reliability.
 VoteTable RandomVoteTable(Rng* rng, size_t num_pairs) {
+  const std::vector<uint32_t> pool = {0,  uint32_t{1} << 31, UINT32_MAX, 7, 12, 99, 1000,
+                                      (uint32_t{1} << 31) - 1, 54321, UINT32_MAX - 1};
   VoteTable votes(num_pairs);
   for (auto& pair_votes : votes) {
     if (rng->Bernoulli(0.15)) continue;  // voteless pair
     const uint64_t count = 1 + rng->Uniform(5);
     for (uint64_t v = 0; v < count; ++v) {
-      pair_votes.push_back(
-          {static_cast<uint32_t>(rng->Uniform(10)), rng->Bernoulli(0.55)});
+      pair_votes.push_back({pool[rng->Uniform(pool.size())], rng->Bernoulli(0.55)});
     }
   }
   return votes;
 }
 
-// A random partition of [0, total) into consecutive shard sizes (empty
-// shards included on purpose — a partition may legitimately be voteless or
-// pairless).
+// A random partition of [0, total) into consecutive shard sizes: one-pair
+// shards are frequent, and empty shards are included on purpose (a
+// partition may legitimately be voteless or pairless).
 std::vector<size_t> RandomShardSizes(Rng* rng, size_t total) {
   std::vector<size_t> sizes;
   size_t assigned = 0;
   while (assigned < total) {
-    const size_t size = std::min<size_t>(total - assigned, rng->Uniform(40));
+    const size_t want = rng->Bernoulli(0.3) ? 1 : rng->Uniform(40);
+    const size_t size = std::min<size_t>(total - assigned, want);
     sizes.push_back(size);
     assigned += size;
   }
@@ -198,60 +347,127 @@ std::vector<size_t> RandomShardSizes(Rng* rng, size_t total) {
   return sizes;
 }
 
-// The satellite property, strengthened: sharded majority vote is bitwise
-// the materialized result, and the sharded Dawid-Skene *fit* is bitwise the
-// materialized fit (not merely within EM tolerance) — the shards tile the
-// pair order, so every floating-point accumulation happens in the same
-// order.
-TEST(PartitionedAggregationTest, ShardedEqualsMaterializedAtAnyPartitioning) {
+// A random ban set: sometimes empty, sometimes naming workers of the
+// table's pool (possibly every worker that voted), sometimes ids that never
+// voted.
+std::unordered_set<uint32_t> RandomBans(Rng* rng, const VoteTable& votes) {
+  std::unordered_set<uint32_t> banned;
+  const uint64_t mode = rng->Uniform(4);
+  if (mode == 0) return banned;
+  for (const auto& pair_votes : votes) {
+    for (const Vote& v : pair_votes) {
+      if (mode == 3 || rng->Bernoulli(0.1)) banned.insert(v.worker_id);
+    }
+  }
+  banned.insert(424242);  // never voted
+  return banned;
+}
+
+// The flat fit and every flat posterior, pair-aligned, through `shards`.
+struct FlatRun {
+  DawidSkeneModel model;
+  std::vector<double> posteriors;
+};
+
+FlatRun RunFlat(VoteShardSource* shards) {
+  FlatRun run;
+  Result<DawidSkeneModel> fit = FitDawidSkeneSharded(shards);
+  EXPECT_TRUE(fit.ok()) << fit.status().ToString();
+  if (!fit.ok()) return run;
+  run.model = std::move(fit).ValueOrDie();
+  std::vector<double> shard_probabilities;
+  for (size_t shard = 0; shard < shards->num_shards(); ++shard) {
+    EXPECT_TRUE(ShardMatchProbabilities(shards, shard, run.model, &shard_probabilities).ok());
+    run.posteriors.insert(run.posteriors.end(), shard_probabilities.begin(),
+                          shard_probabilities.end());
+  }
+  return run;
+}
+
+void ExpectBitwiseEqual(const FlatRun& run, const ReferenceFit& ref,
+                        const std::vector<double>& ref_posteriors, const std::string& label) {
+  EXPECT_EQ(run.model.class_prior, ref.class_prior) << label;
+  EXPECT_EQ(run.model.iterations, ref.iterations) << label;
+  EXPECT_EQ(run.model.converged, ref.converged) << label;
+  ASSERT_EQ(run.model.workers.size(), ref.workers.size()) << label;
+  for (const auto& [id, w] : ref.workers) {
+    const auto it = run.model.workers.find(id);
+    ASSERT_NE(it, run.model.workers.end()) << label << " worker " << id;
+    EXPECT_EQ(it->second.sensitivity, w.sensitivity) << label << " worker " << id;
+    EXPECT_EQ(it->second.specificity, w.specificity) << label << " worker " << id;
+    EXPECT_EQ(it->second.num_votes, w.num_votes) << label << " worker " << id;
+  }
+  ASSERT_EQ(run.posteriors.size(), ref_posteriors.size()) << label;
+  for (size_t i = 0; i < ref_posteriors.size(); ++i) {
+    EXPECT_EQ(run.posteriors[i], ref_posteriors[i]) << label << " pair " << i;
+  }
+}
+
+// The property: over random tables, ban sets and shard splits, the flat
+// sharded EM (in memory, and through the spilling VoteShardStore) and
+// RunDawidSkene equal the reference EM bitwise — model, iteration count,
+// convergence flag and every posterior — and majority fractions equal
+// MajorityVote. Shards tile the pair order and the E-step adds the same
+// logs in the same order, so the results match exactly, not merely within
+// EM tolerance.
+TEST(PartitionedAggregationTest, FlatEmEqualsReferenceEmBitwise) {
   Rng rng(20260731);
-  for (int trial = 0; trial < 40; ++trial) {
+  for (int trial = 0; trial < 60; ++trial) {
     const size_t num_pairs = rng.Uniform(120);
     const VoteTable votes = RandomVoteTable(&rng, num_pairs);
-    const auto mv = MajorityVote(votes);
-    const auto ds = RunDawidSkene(votes).ValueOrDie();
+    const std::unordered_set<uint32_t> banned = RandomBans(&rng, votes);
+    VoteTable surviving = votes;
+    RemoveVotesFrom(&surviving, banned);
 
+    const ReferenceFit ref = ReferenceEm(surviving);
+    std::vector<double> ref_posteriors;
+    for (const auto& pair_votes : surviving) {
+      ref_posteriors.push_back(ReferencePosterior(pair_votes, ref));
+    }
+    const std::string label = "trial " + std::to_string(trial);
+
+    const auto ds = RunDawidSkene(surviving);
+    ASSERT_TRUE(ds.ok());
+    FlatRun materialized;
+    materialized.model.workers = ds->workers;
+    materialized.model.class_prior = ds->class_prior;
+    materialized.model.iterations = ds->iterations;
+    materialized.model.converged = ds->converged;
+    materialized.posteriors = ds->match_probability;
+    ExpectBitwiseEqual(materialized, ref, ref_posteriors, label + " RunDawidSkene");
+
+    const std::vector<double> mv = MajorityVote(surviving);
     for (int split = 0; split < 3; ++split) {
       const std::vector<size_t> sizes = RandomShardSizes(&rng, num_pairs);
-      InMemoryVoteShards shards(&votes, sizes);
+      const std::string split_label = label + " split " + std::to_string(split);
 
-      // Majority vote: bitwise per shard.
-      size_t offset_holder = 0;
-      std::vector<size_t> starts;
-      for (size_t s : sizes) {
-        starts.push_back(offset_holder);
-        offset_holder += s;
-      }
-      const std::function<Status(size_t, const std::vector<double>&)> check_shard =
-          [&](size_t shard, const std::vector<double>& probabilities) {
-            for (size_t i = 0; i < probabilities.size(); ++i) {
-              EXPECT_EQ(probabilities[i], mv[starts[shard] + i])
-                  << "trial " << trial << " shard " << shard << " pair " << i;
-            }
-            return Status::OK();
-          };
-      const Status mv_status = MajorityVoteSharded(&shards, check_shard);
-      ASSERT_TRUE(mv_status.ok());
+      InMemoryVoteShards shards(votes, sizes);
+      FilteredVoteShardSource filtered(&shards, banned);
+      ExpectBitwiseEqual(RunFlat(&filtered), ref, ref_posteriors, split_label + " in-memory");
 
-      // Dawid-Skene: the fitted model and every posterior, bitwise.
-      InMemoryVoteShards refit_shards(&votes, sizes);
-      auto fit = FitDawidSkeneSharded(&refit_shards);
-      ASSERT_TRUE(fit.ok());
-      const DawidSkeneModel& model = *fit;
-      EXPECT_EQ(model.class_prior, ds.class_prior) << "trial " << trial;
-      EXPECT_EQ(model.iterations, ds.iterations) << "trial " << trial;
-      EXPECT_EQ(model.converged, ds.converged) << "trial " << trial;
-      ASSERT_EQ(model.workers.size(), ds.workers.size());
-      for (const auto& [id, w] : model.workers) {
-        const auto& expected = ds.workers.at(id);
-        EXPECT_EQ(w.sensitivity, expected.sensitivity) << "worker " << id;
-        EXPECT_EQ(w.specificity, expected.specificity) << "worker " << id;
-        EXPECT_EQ(w.num_votes, expected.num_votes) << "worker " << id;
+      // Majority fractions under an unfitted model, shard by shard.
+      std::vector<double> probabilities;
+      size_t start = 0;
+      for (size_t shard = 0; shard < sizes.size(); ++shard) {
+        ASSERT_TRUE(
+            ShardMatchProbabilities(&filtered, shard, DawidSkeneModel{}, &probabilities).ok());
+        ASSERT_EQ(probabilities.size(), sizes[shard]);
+        for (size_t i = 0; i < probabilities.size(); ++i) {
+          EXPECT_EQ(probabilities[i], mv[start + i]) << split_label << " pair " << start + i;
+        }
+        start += sizes[shard];
       }
+
+      // The spilling store: votes filed pair by pair in cast order under a
+      // budget of a few bytes, so every compacted shard spills.
+      std::vector<uint64_t> counts(sizes.begin(), sizes.end());
+      core::VoteShardStore store(/*memory_budget_bytes=*/8, counts);
       for (size_t i = 0; i < votes.size(); ++i) {
-        EXPECT_EQ(PosteriorMatchProbability(votes[i], model), ds.match_probability[i])
-            << "trial " << trial << " pair " << i;
+        for (const Vote& v : votes[i]) ASSERT_TRUE(store.Append(i, v).ok());
       }
+      ASSERT_TRUE(store.Finish().ok());
+      FilteredVoteShardSource filtered_store(&store, banned);
+      ExpectBitwiseEqual(RunFlat(&filtered_store), ref, ref_posteriors, split_label + " store");
     }
   }
 }
@@ -268,10 +484,32 @@ TEST(PartitionedAggregationTest, VotelessPairsGetTheUnjudgedProbability) {
 
 TEST(PartitionedAggregationTest, ShardedValidatesOptions) {
   VoteTable votes{{{0, true}}};
-  InMemoryVoteShards shards(&votes, {1});
+  InMemoryVoteShards shards(votes, {1});
   DawidSkeneOptions bad;
   bad.max_iterations = 0;
   EXPECT_FALSE(FitDawidSkeneSharded(&shards, bad).ok());
+}
+
+TEST(PartitionedAggregationTest, FlattensWithDenseWorkersAndTrimmedRows) {
+  // Dense ids follow first appearance; rows stop at the last voted pair.
+  VoteTable votes{{{UINT32_MAX, true}, {0, false}}, {}, {{0, true}}, {}, {}};
+  InMemoryVoteShards shards(votes, {2, 3});
+  EXPECT_EQ(shards.worker_ids(), (std::vector<uint32_t>{UINT32_MAX, 0}));
+  ASSERT_TRUE(shards.WithShard(0, [](const FlatVoteShard& flat) {
+                      EXPECT_EQ(flat.num_pairs, 2u);
+                      EXPECT_EQ(flat.offsets, (std::vector<uint32_t>{0, 2}));
+                      EXPECT_EQ(flat.votes, (std::vector<uint32_t>{PackVote(0, true),
+                                                                   PackVote(1, false)}));
+                      return Status::OK();
+                    }).ok());
+  ASSERT_TRUE(shards.WithShard(1, [](const FlatVoteShard& flat) {
+                      EXPECT_EQ(flat.num_pairs, 3u);
+                      EXPECT_EQ(flat.offsets, (std::vector<uint32_t>{0, 1}));
+                      EXPECT_EQ(flat.votes, std::vector<uint32_t>{PackVote(1, true)});
+                      return Status::OK();
+                    }).ok());
+  EXPECT_TRUE(shards.WithShard(2, [](const FlatVoteShard&) { return Status::OK(); })
+                  .IsOutOfRange());
 }
 
 }  // namespace

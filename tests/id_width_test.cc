@@ -8,7 +8,7 @@
 //   * PairKey — the canonical 64-bit pair key packs min/max record ids
 //     into disjoint words with no truncation at the 2^32-1 id boundary.
 //   * Partition layouts — ResolvePartitionCapacity caps every shard at
-//     2^32-1 pairs (PackedVote's 32-bit local index), TileShardCounts and
+//     2^32-1 pairs (the vote store's 32-bit local index), TileShardCounts and
 //     AlignedPartitionCapacity stay exact past 2^32 total pairs, and
 //     VoteShardStore routes votes at global pair indices beyond 2^32 to
 //     the right shard and local slot.
@@ -81,9 +81,9 @@ TEST(IdWidth, PairKeyPacksFullWidthIdsWithoutCollision) {
 
 // ---- Partition layouts past 2^32 pairs. ----
 
-TEST(IdWidth, PartitionCapacityIsCappedAtThePackedVoteIndexWidth) {
+TEST(IdWidth, PartitionCapacityIsCappedAtTheVoteShardIndexWidth) {
   // Explicit capacities and the unbounded default are both clamped to
-  // 2^32-1 — PackedVote addresses pairs within a shard with 32 bits, and
+  // 2^32-1 — the vote store addresses pairs within a shard with 32 bits, and
   // the cap turns what would be silent truncation into more partitions.
   EXPECT_EQ(core::ResolvePartitionCapacity(uint64_t{1} << 40, 0), uint64_t{UINT32_MAX});
   EXPECT_EQ(core::ResolvePartitionCapacity(0, 0), uint64_t{UINT32_MAX});
@@ -127,16 +127,28 @@ TEST(IdWidth, VoteShardStoreRoutesGlobalIndicesPastTwoToTheThirtyTwo) {
   ASSERT_TRUE(store.Append(2, vote).ok());  // shard 0, local 2
   // Beyond the tiled range: a clean error, not a wrap-around.
   EXPECT_FALSE(store.Append(store.shard_start(2) + 7, vote).ok());
+  // Compaction sizes each shard's rows by its last voted pair, so the
+  // 2^32-1-pair shard that no vote reached costs nothing.
   ASSERT_TRUE(store.Finish().ok());
 
-  auto shard2 = store.LoadShard(2);
-  ASSERT_TRUE(shard2.ok());
-  ASSERT_EQ(shard2->size(), 7u);
-  ASSERT_EQ((*shard2)[3].size(), 1u);
-  EXPECT_EQ((*shard2)[3][0].worker_id, 9u);
-  auto shard0 = store.LoadShard(0);
-  ASSERT_TRUE(shard0.ok());
-  ASSERT_EQ((*shard0)[2].size(), 1u);
+  const uint32_t packed = aggregate::PackVote(0, true);  // worker 9 is dense 0
+  ASSERT_EQ(store.worker_ids(), std::vector<uint32_t>{9});
+  ASSERT_TRUE(store.WithShard(2, [&](const aggregate::FlatVoteShard& flat) {
+                     EXPECT_EQ(flat.num_pairs, 7u);
+                     EXPECT_EQ(flat.offsets, (std::vector<uint32_t>{0, 0, 0, 0, 1}));
+                     EXPECT_EQ(flat.votes, std::vector<uint32_t>{packed});
+                     return Status::OK();
+                   }).ok());
+  ASSERT_TRUE(store.WithShard(1, [&](const aggregate::FlatVoteShard& flat) {
+                     EXPECT_EQ(flat.num_pairs, uint64_t{UINT32_MAX});
+                     EXPECT_EQ(flat.num_rows(), 0u);
+                     return Status::OK();
+                   }).ok());
+  ASSERT_TRUE(store.WithShard(0, [&](const aggregate::FlatVoteShard& flat) {
+                     EXPECT_EQ(flat.offsets, (std::vector<uint32_t>{0, 0, 0, 1}));
+                     EXPECT_EQ(flat.votes, std::vector<uint32_t>{packed});
+                     return Status::OK();
+                   }).ok());
 }
 
 // ---- Histogram counters past 2^32. ----

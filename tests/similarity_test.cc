@@ -2,9 +2,17 @@
 // Jaccard examples.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
+#if defined(__x86_64__) && !defined(CROWDER_DISABLE_SIMD)
+#include <cpuid.h>
+#endif
+
 #include "common/rng.h"
 #include "data/generators.h"
 #include "similarity/edit_distance.h"
+#include "similarity/overlap_simd.h"
 #include "similarity/set_similarity.h"
 #include "text/tokenizer.h"
 #include "text/vocabulary.h"
@@ -224,6 +232,53 @@ TEST(SetSimilarityTest, FilterBoundsAreSound) {
     }
   }
 }
+
+#if defined(__x86_64__) && !defined(CROWDER_DISABLE_SIMD)
+// XINUSE bit 2 (XGETBV with ECX = 1): the upper halves of the YMM
+// registers may hold non-zero state.
+bool UpperYmmInUse() {
+  uint32_t lo = 0;
+  uint32_t hi = 0;
+  __asm__ volatile("xgetbv" : "=a"(lo), "=d"(hi) : "c"(1));
+  return (lo & 4u) != 0;
+}
+
+// The AVX2 kernel must leave the upper YMM state clean on every exit: with
+// it dirty, every later SSE instruction in the process pays the AVX-SSE
+// transition penalty. A build that reaches a scalar tail or an early exit
+// without vzeroupper fails here.
+TEST(OverlapSimdTest, Avx2KernelExitsWithCleanUpperYmmState) {
+  if (std::string(internal_simd::KernelName()) != "avx2") {
+    GTEST_SKIP() << "the AVX2 kernel is not the active one";
+  }
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx) || (ecx & bit_OSXSAVE) == 0 ||
+      !__get_cpuid_count(0xD, 1, &eax, &ebx, &ecx, &edx) || (eax & (1u << 2)) == 0) {
+    GTEST_SKIP() << "XGETBV with ECX = 1 is unavailable";
+  }
+  TokenSet evens;
+  TokenSet odds;
+  for (text::TokenId t = 0; t < 48; t += 2) {
+    evens.push_back(t);
+    odds.push_back(t + 1);
+  }
+  struct Case {
+    const char* label;
+    size_t na, nb, required;
+  };
+  // Nine elements a side run one 8-lane block, then the scalar tail;
+  // required = 20 over disjoint sets passes the first bound check, runs a
+  // block, then takes the in-loop early exit.
+  for (const Case& c : {Case{"scalar tail", 9, 9, 0}, Case{"early exit", 24, 24, 20}}) {
+    __asm__ volatile("vzeroupper");
+    if (UpperYmmInUse()) GTEST_SKIP() << "upper YMM state is not clean at baseline";
+    const size_t overlap = internal_simd::OverlapAtLeastDispatch(evens.data(), c.na, odds.data(),
+                                                                 c.nb, c.required);
+    EXPECT_FALSE(UpperYmmInUse()) << c.label;
+    EXPECT_EQ(overlap, 0u) << c.label;
+  }
+}
+#endif
 
 TEST(EditDistanceTest, KnownDistances) {
   EXPECT_EQ(Levenshtein("kitten", "sitting"), 3u);
