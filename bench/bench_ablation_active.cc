@@ -70,7 +70,7 @@ int main() {
   config.seed = 2012;
   auto hybrid = core::HybridWorkflow(config).Run(dataset).ValueOrDie();
   table.AddRow({"CrowdER hybrid",
-                std::to_string(hybrid.candidate_pairs.size() * 3) + " (votes)",
+                std::to_string(hybrid.num_candidate_pairs * 3) + " (votes)",
                 bench::Pct(eval::PrecisionAtRecall(hybrid.pr_curve, 0.7)),
                 bench::Pct(eval::PrecisionAtRecall(hybrid.pr_curve, 0.9)),
                 bench::Pct(eval::BestF1(hybrid.pr_curve))});

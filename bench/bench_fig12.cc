@@ -134,7 +134,7 @@ std::vector<eval::PrPoint> HybridCurve(const data::Dataset& dataset, double thre
   config.crowd.qualification_test = qualification_test;
   auto result = core::HybridWorkflow(config).Run(dataset).ValueOrDie();
   std::cout << "  hybrid" << (qualification_test ? "(QT)" : "") << ": "
-            << WithThousands(result.candidate_pairs.size()) << " pairs -> "
+            << WithThousands(result.num_candidate_pairs) << " pairs -> "
             << WithThousands(result.crowd_stats.num_hits) << " cluster HITs, cost $"
             << FormatDouble(result.crowd_stats.cost_dollars, 2) << ", machine recall "
             << Pct(result.machine_recall) << "\n";

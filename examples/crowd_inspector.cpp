@@ -26,8 +26,27 @@ int main() {
   config.seed = 99;
   auto result = core::HybridWorkflow(config).Run(dataset).ValueOrDie();
 
+  // ---- The raw votes. The workflow aggregates from its own disk-backed
+  // vote table and returns only the ranked list, so put the same two-tiered
+  // HITs to the same simulated platform (model and seed) directly: every
+  // HIT draws from its own seed, so these are the votes the workflow saw.
+  const auto pairs = core::HybridWorkflow::MachinePass(dataset, config.measure,
+                                                       config.likelihood_threshold)
+                         .ValueOrDie();
+  std::vector<graph::Edge> edges;
+  for (const auto& p : pairs) edges.push_back({p.a, p.b});
+  auto graph =
+      graph::PairGraph::Create(static_cast<uint32_t>(dataset.table.num_records()), edges)
+          .ValueOrDie();
+  const auto hits = hitgen::TwoTieredGenerator().Generate(&graph, config.cluster_size).ValueOrDie();
+  crowd::CrowdContext context;
+  context.pairs = &pairs;
+  context.entity_of = &dataset.truth.entity_of;
+  const auto crowd_run =
+      crowd::CrowdPlatform(config.crowd, config.seed).RunClusterHits(hits, context).ValueOrDie();
+
   // ---- Worker quality as estimated by EM (no ground truth involved). ----
-  auto em = aggregate::RunDawidSkene(result.crowd_stats.votes).ValueOrDie();
+  auto em = aggregate::RunDawidSkene(crowd_run.votes).ValueOrDie();
   std::cout << "EM converged after " << em.iterations << " iterations; estimated match prior "
             << FormatDouble(em.class_prior, 3) << "\n\n";
 
@@ -48,7 +67,7 @@ int main() {
   std::cout << low.Render() << "\n";
 
   // ---- Aggregation comparison. ----
-  auto mv = aggregate::MajorityVote(result.crowd_stats.votes);
+  auto mv = aggregate::MajorityVote(crowd_run.votes);
   size_t disagreements = 0;
   for (size_t i = 0; i < mv.size(); ++i) {
     disagreements += (mv[i] >= 0.5) != (em.match_probability[i] >= 0.5);

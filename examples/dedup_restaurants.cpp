@@ -30,7 +30,7 @@ int main() {
   auto result = core::HybridWorkflow(config).Run(dataset).ValueOrDie();
 
   std::cout << "\nmachine pass @ " << config.likelihood_threshold << ": "
-            << WithThousands(result.candidate_pairs.size()) << " pairs kept ("
+            << WithThousands(result.num_candidate_pairs) << " pairs kept ("
             << FormatDouble(100.0 * result.machine_recall, 1) << "% of duplicates survive)\n";
   std::cout << "cluster-based HITs (two-tiered, k=" << config.cluster_size
             << "): " << result.crowd_stats.num_hits << "\n";

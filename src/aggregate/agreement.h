@@ -31,9 +31,10 @@ double FleissKappa(const std::vector<uint32_t>& yes_counts,
 double FleissKappa(const VoteTable& votes);
 
 /// \brief Removes every vote cast by a worker in `banned` (order of the
-/// surviving votes is preserved). The revision path's primitive: dropping a
-/// worker re-derives every affected pair's decision from the surviving
-/// votes, instead of patching decisions incrementally.
+/// surviving votes is preserved). The in-memory statement of the revision
+/// path — dropping a worker re-derives every affected pair's decision from
+/// the surviving votes, instead of patching decisions incrementally — and
+/// the reference the workflow's FilteredVoteShardSource is tested against.
 void RemoveVotesFrom(VoteTable* votes, const std::unordered_set<uint32_t>& banned);
 
 }  // namespace aggregate

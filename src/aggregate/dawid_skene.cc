@@ -7,7 +7,7 @@ namespace aggregate {
 
 Result<DawidSkeneResult> RunDawidSkene(const VoteTable& votes,
                                        const DawidSkeneOptions& options) {
-  // One implementation serves both shapes: the materialized entry point is
+  // One implementation serves both shapes: the in-memory entry point is
   // the sharded EM (aggregate/partitioned.h) run over the table flattened
   // into a single shard, followed by the one posterior pass. Bitwise-
   // identical to the pre-sharding loop — the golden workflow test pins it.

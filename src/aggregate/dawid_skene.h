@@ -6,9 +6,9 @@
 /// probability of every pair, which makes it robust to spammers whose votes
 /// carry no information.
 ///
-/// `RunDawidSkene` is the materialized entry point; it is implemented as a
+/// `RunDawidSkene` is the in-memory entry point; it is implemented as a
 /// single-shard run of the partition-aware EM in aggregate/partitioned.h,
-/// which is the one fitting loop both execution modes share.
+/// the one fitting loop for in-memory tables and spilled shards alike.
 #ifndef CROWDER_AGGREGATE_DAWID_SKENE_H_
 #define CROWDER_AGGREGATE_DAWID_SKENE_H_
 

@@ -192,7 +192,8 @@ struct DawidSkeneModel {
 /// E-step up to twice per voted pair (current and previous model, for the
 /// convergence delta) where a stored-posterior loop would evaluate once —
 /// doubling E-step work to eliminate the O(|P|) posterior vector and keep
-/// one implementation for both execution modes. The fit is still most of
+/// one implementation for in-memory tables and spilled shards. The fit is
+/// still most of
 /// the aggregation: on the benchmark's `stream_defended` workload (204,393
 /// votes over 15 passes, Release, one thread of a 4-vCPU Xeon) it takes
 /// about 60 ms of an 80 ms aggregate stage.

@@ -27,7 +27,7 @@ Result<BudgetPlan> PlanForBudget(const data::Dataset& dataset, double budget_dol
     CROWDER_ASSIGN_OR_RETURN(
         auto pairs,
         HybridWorkflow::MachinePass(dataset, base_config.measure, threshold,
-                                    base_config.candidate_strategy, base_config.num_threads));
+                                    CandidateStrategy::kAllPairsJoin, base_config.num_threads));
 
     BudgetPoint point;
     point.threshold = threshold;

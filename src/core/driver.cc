@@ -19,9 +19,22 @@ std::string PairName(uint32_t a, uint32_t b) {
   return "(" + std::to_string(a) + "," + std::to_string(b) + ")";
 }
 
+// The only place the execution mode is read: kMaterialized is the one
+// partitioned path at its unbounded setting — no budget, the join's
+// default blocks, one crowd partition.
+WorkflowConfig ApplyExecutionMode(WorkflowConfig config) {
+  if (config.execution_mode == ExecutionMode::kMaterialized) {
+    config.memory_budget_bytes = 0;
+    config.stream_block_records = 0;
+    config.crowd_partition_pairs = 0;
+  }
+  return config;
+}
+
 }  // namespace
 
-WorkflowDriver::WorkflowDriver(WorkflowConfig config) : config_(std::move(config)) {}
+WorkflowDriver::WorkflowDriver(WorkflowConfig config)
+    : config_(ApplyExecutionMode(std::move(config))) {}
 WorkflowDriver::~WorkflowDriver() = default;
 
 Status WorkflowDriver::Start(const data::Dataset& dataset) {
@@ -48,12 +61,12 @@ Status WorkflowDriver::Start(const data::Dataset& dataset) {
   pipeline.Add(std::make_unique<MachinePassStage>()).Add(std::make_unique<HitGenStage>());
   CROWDER_RETURN_NOT_OK(pipeline.Run(state_.get(), &state_->result.pipeline_stats));
 
-  // Round-source setup. Mirrors the pre-driver crowd stage exactly: the
-  // pair route fixes the partition/shard layout up front; the cluster route
-  // sizes HIT ranges so one range's pair context stays within the partition
-  // capacity (a HIT of k records references at most k(k-1)/2 pairs).
+  // Round-source setup: the pair route fixes the partition/shard layout up
+  // front; the cluster route sizes HIT ranges so one range's pair context
+  // stays within the partition capacity (a HIT of k records references at
+  // most k(k-1)/2 pairs).
   const uint64_t total = state_->result.num_candidate_pairs;
-  if (config_.execution_mode == ExecutionMode::kStreaming && total > 0) {
+  if (total > 0) {
     if (config_.hit_type == HitType::kPairBased) {
       aligned_capacity_ =
           AlignedPartitionCapacity(state_->partition_capacity, config_.pairs_per_hit);
@@ -68,10 +81,7 @@ Status WorkflowDriver::Start(const data::Dataset& dataset) {
                                                        TileShardCounts(total, capacity));
       const uint64_t k = config_.cluster_size;
       const uint64_t context_per_hit = std::max<uint64_t>(1, k * (k - 1) / 2);
-      hits_per_range_ =
-          capacity == UINT64_MAX
-              ? std::max<size_t>(state_->cluster_hits.size(), 1)
-              : static_cast<size_t>(std::max<uint64_t>(1, capacity / context_per_hit));
+      hits_per_range_ = static_cast<size_t>(std::max<uint64_t>(1, capacity / context_per_hit));
       CROWDER_RETURN_NOT_OK(BuildClusterRangeIndex());
     }
   }
@@ -87,24 +97,6 @@ void WorkflowDriver::IndexRoundPairs(const std::vector<similarity::ScoredPair>& 
   }
 }
 
-Status WorkflowDriver::PrepareMaterializedRound() {
-  if (next_hit_ > 0) return Status::OK();  // the single all-HITs round was served
-  const auto& pairs = state_->result.candidate_pairs;
-  if (state_->pair_hits.empty() && state_->cluster_hits.empty()) return Status::OK();
-  IndexRoundPairs(pairs);
-  round_global_index_.resize(pairs.size());
-  std::iota(round_global_index_.begin(), round_global_index_.end(), uint64_t{0});
-  vote_table_.assign(pairs.size(), {});
-  pending_.first_hit = 0;
-  pending_.pairs = &pairs;
-  if (!state_->pair_hits.empty()) {
-    pending_.pair_hits = &state_->pair_hits;
-  } else {
-    pending_.cluster_hits = &state_->cluster_hits;
-  }
-  return Status::OK();
-}
-
 Status WorkflowDriver::PreparePairPartitionRound() {
   const uint64_t total = state_->result.num_candidate_pairs;
   if (next_pair_base_ >= total) return Status::OK();
@@ -114,8 +106,8 @@ Status WorkflowDriver::PreparePairPartitionRound() {
                            cursor_->Next(static_cast<size_t>(want), &round_pairs_));
   if (got == 0) return Status::OK();
 
-  // Pack this partition's HITs — identical to the materialized pack because
-  // the partition capacity is a multiple of pairs_per_hit.
+  // Pack this partition's HITs — identical to one pack over all pairs
+  // because the partition capacity is a multiple of pairs_per_hit.
   hitgen::PairHitPacker packer(config_.pairs_per_hit);
   std::vector<graph::Edge> edges;
   edges.reserve(round_pairs_.size());
@@ -279,24 +271,6 @@ Status WorkflowDriver::LoadNextBaseContext() {
   base_unresolved_.clear();
   base_cluster_hits_.clear();
   base_hit_posted_.clear();
-
-  if (config_.execution_mode == ExecutionMode::kMaterialized) {
-    if (materialized_served_) return Status::OK();
-    materialized_served_ = true;
-    const auto& pairs = state_->result.candidate_pairs;
-    if (state_->pair_hits.empty() && state_->cluster_hits.empty()) return Status::OK();
-    vote_table_.assign(pairs.size(), {});
-    base_unresolved_.reserve(pairs.size());
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      base_unresolved_.push_back({pairs[i], static_cast<uint64_t>(i)});
-    }
-    if (config_.hit_type == HitType::kClusterBased) {
-      base_cluster_hits_ = state_->cluster_hits;
-      base_hit_posted_.assign(base_cluster_hits_.size(), false);
-    }
-    base_active_ = true;
-    return Status::OK();
-  }
 
   if (config_.hit_type == HitType::kPairBased) {
     const uint64_t total = state_->result.num_candidate_pairs;
@@ -504,8 +478,7 @@ Status WorkflowDriver::PrepareAdaptiveRound() {
     SweepClosure();
     if (base_unresolved_.empty()) {
       base_active_ = false;  // context fully resolved — retire it
-      if (config_.execution_mode == ExecutionMode::kStreaming &&
-          config_.hit_type == HitType::kClusterBased) {
+      if (config_.hit_type == HitType::kClusterBased) {
         ++state_->result.pipeline_stats.crowd_partitions;
       }
       continue;
@@ -577,8 +550,6 @@ Status WorkflowDriver::Advance() {
   if (state_->result.num_candidate_pairs > 0) {
     if (adaptive()) {
       CROWDER_RETURN_NOT_OK(PrepareAdaptiveRound());
-    } else if (config_.execution_mode == ExecutionMode::kMaterialized) {
-      CROWDER_RETURN_NOT_OK(PrepareMaterializedRound());
     } else if (config_.hit_type == HitType::kPairBased) {
       CROWDER_RETURN_NOT_OK(PreparePairPartitionRound());
     } else {
@@ -602,12 +573,9 @@ Status WorkflowDriver::Finalize() {
     std::sort(result.filtered_workers.begin(), result.filtered_workers.end());
     state_->banned_workers = banned_workers_;
   }
-  if (config_.execution_mode == ExecutionMode::kStreaming && state_->votes != nullptr) {
+  if (state_->votes != nullptr) {
     CROWDER_RETURN_NOT_OK(state_->votes->Finish());
     result.pipeline_stats.vote_spilled_bytes = state_->votes->spilled_bytes();
-  }
-  if (config_.execution_mode == ExecutionMode::kMaterialized) {
-    result.crowd_stats.votes = std::move(vote_table_);
   }
   if (adaptive()) {
     for (const auto& [global, ip] : inferred_) {
@@ -621,7 +589,7 @@ Status WorkflowDriver::Finalize() {
   }
   // Fallback crowd statistics from what flowed through SubmitVotes; a
   // backend's Finish result (SubmitCrowdStats) replaces them with the
-  // authoritative numbers, preserving the vote table.
+  // authoritative numbers.
   crowd::CrowdRunResult& stats = result.crowd_stats;
   stats.num_hits = next_hit_;
   stats.num_assignments = static_cast<uint32_t>(stats.assignment_seconds.size());
@@ -713,21 +681,15 @@ Status WorkflowDriver::SubmitVotes(crowd::VoteBatch votes) {
   // aggregators — and the byte-identity contract — observe). A filing
   // failure (e.g. vote-shard spill I/O) leaves a prefix already appended,
   // so it must latch too — a retry would double-file that prefix.
-  const bool streaming = config_.execution_mode == ExecutionMode::kStreaming;
   size_t vote_cursor = 0;
   for (const crowd::HitVotes& hv : votes.hit_votes) {
     round_hits_filed_.insert(hv.hit);
     for (const crowd::PairVote& pv : hv.votes) {
       const size_t local = vote_locals[vote_cursor++];
-      const uint64_t global = round_global_index_[local];
-      if (streaming) {
-        const Status filed = state_->votes->Append(global, pv.vote);
-        if (!filed.ok()) {
-          failed_ = true;
-          return filed;
-        }
-      } else {
-        vote_table_[static_cast<size_t>(global)].push_back(pv.vote);
+      const Status filed = state_->votes->Append(round_global_index_[local], pv.vote);
+      if (!filed.ok()) {
+        failed_ = true;
+        return filed;
       }
       round_votes_.emplace_back(local, pv.vote);
     }
@@ -859,8 +821,7 @@ Status WorkflowDriver::Step() {
     // and retract (driver.h's retraction contract).
     FoldAnsweredRound();
     MaybeRebuildClosure();
-  } else if (config_.execution_mode == ExecutionMode::kStreaming &&
-             config_.hit_type == HitType::kClusterBased) {
+  } else if (config_.hit_type == HitType::kClusterBased) {
     // Adaptive mode counts a crowd partition when a base context retires
     // (PrepareAdaptiveRound), not once per sub-round.
     ++state_->result.pipeline_stats.crowd_partitions;
@@ -876,7 +837,6 @@ Status WorkflowDriver::SubmitCrowdStats(crowd::CrowdRunResult stats) {
   if (phase_ != Phase::kDone) {
     return Status::InvalidArgument("SubmitCrowdStats before the workflow finished");
   }
-  stats.votes = std::move(state_->result.crowd_stats.votes);
   state_->result.crowd_stats = std::move(stats);
   return Status::OK();
 }

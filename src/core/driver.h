@@ -25,11 +25,10 @@
 /// `crowd::CrowdBackend` (core/workflow.cc), so every workflow test
 /// exercises the driver path.
 ///
-/// Rounds follow the execution mode: one round carrying every HIT in
-/// kMaterialized; one round per crowd partition (pair-based HITs) or HIT
-/// range (cluster-based) in kStreaming — the PR-3/4 staged machinery
-/// underneath is unchanged, and the results are bitwise those of the
-/// pre-driver workflow in both modes (golden-pinned).
+/// Rounds follow the crowd partitioning: one round per crowd partition
+/// (pair-based HITs) or HIT range (cluster-based) — a single round carrying
+/// every HIT when the run is unbounded. The results are bitwise the same
+/// at any partitioning (golden-pinned).
 ///
 /// Error discipline (the `failed_` latch, as in crowd::CrowdSession):
 /// submitting corrupt vote *data* — a vote on a pair outside the round's
@@ -44,14 +43,14 @@
 /// Question selection (config.question_policy, core/question_policy.h):
 /// under the default kFixedOrder the rounds above are the whole story —
 /// bitwise unchanged. Under kInferenceOrdered each round source's context
-/// (the materialized pair list / one pair partition / one cluster-HIT
-/// range) becomes a *base context* served as adaptive **sub-rounds**:
+/// (one pair partition / one cluster-HIT range) becomes a *base context*
+/// served as adaptive **sub-rounds**:
 /// between sub-rounds the driver folds the answered pairs'
 /// surviving-vote *consensus* (unanimous verdicts only — see
 /// SurvivingConsensus in driver.cc) into a graph::AnswerClosure, records
 /// every closure-implied
 /// pair as inferred (never posting it), and asks the policy-ranked top of
-/// the rest. Streaming mode therefore reorders only within the resident
+/// the rest. Selection therefore reorders only within the resident
 /// partition — the partition sequence itself is the stream's order.
 /// Composition with the crowd defenses: repair rounds re-post
 /// under-replicated pairs of the current sub-round context as usual, and
@@ -61,7 +60,7 @@
 /// conservatively re-asked (the retraction contract; see
 /// docs/ARCHITECTURE.md). The asked-pair log keeps one entry per asked
 /// pair (with its votes) resident for the whole run — the adaptive mode's
-/// documented O(pairs asked) memory cost on top of the streaming budget.
+/// documented O(pairs asked) memory cost on top of the memory budget.
 #ifndef CROWDER_CORE_DRIVER_H_
 #define CROWDER_CORE_DRIVER_H_
 
@@ -92,7 +91,9 @@ namespace core {
 /// must outlive the driver (the driver keeps a pointer, like the stages).
 class WorkflowDriver {
  public:
-  /// \brief Holds the configuration; no work happens until Start.
+  /// \brief Holds the configuration; no work happens until Start. Under
+  /// ExecutionMode::kMaterialized the budget, block and partition knobs are
+  /// cleared here (the unbounded run).
   explicit WorkflowDriver(WorkflowConfig config);
   /// \brief Drops the run's state (temp spill files included).
   ~WorkflowDriver();
@@ -100,8 +101,8 @@ class WorkflowDriver {
   WorkflowDriver(const WorkflowDriver&) = delete;             ///< not copyable
   WorkflowDriver& operator=(const WorkflowDriver&) = delete;  ///< not copyable
 
-  /// \brief Validates the config, runs the machine pass and HIT generation
-  /// (both execution modes), and prepares the first crowd round. After a
+  /// \brief Validates the config, runs the machine pass and HIT generation,
+  /// and prepares the first crowd round. After a
   /// successful Start either done() is true (nothing for the crowd to do)
   /// or PendingHits() carries the first batch.
   Status Start(const data::Dataset& dataset);
@@ -150,8 +151,8 @@ class WorkflowDriver {
 
   /// \brief Installs the crowd's run statistics (cost, latency, audit
   /// trail — typically `CrowdBackend::Finish()`'s result) into the pending
-  /// WorkflowResult, preserving the vote table the driver assembled.
-  /// Optional: without it the result carries the driver's own fallback
+  /// WorkflowResult. Optional: without it the result carries the driver's
+  /// own fallback
   /// counts (HITs, assignments, durations) with zero cost/latency. Only
   /// legal when done() and before TakeResult.
   Status SubmitCrowdStats(crowd::CrowdRunResult stats);
@@ -161,7 +162,8 @@ class WorkflowDriver {
   /// — and on a poisoned driver.
   Result<WorkflowResult> TakeResult();
 
-  /// \brief The configuration the driver was built with.
+  /// \brief The configuration the driver runs (kMaterialized's knobs
+  /// cleared, see the constructor).
   const WorkflowConfig& config() const { return config_; }
 
  private:
@@ -170,12 +172,11 @@ class WorkflowDriver {
   /// Prepares the next round into pending_ or, when rounds are exhausted,
   /// finalizes (vote store seal, crowd timing, aggregation).
   Status Advance();
-  Status PrepareMaterializedRound();
   Status PreparePairPartitionRound();
   Status PrepareClusterRangeRound();
   /// One sorted pass joining the component-bucket pair stores against the
   /// per-record HIT-range lists into range_pairs_ (Start, cluster-based
-  /// streaming only; timed as PipelineStats::cluster_index_wall_ms).
+  /// only; timed as PipelineStats::cluster_index_wall_ms).
   /// Releases state_->bucket_pairs — the range index subsumes it.
   Status BuildClusterRangeIndex();
   /// Rebuilds round_pair_index_ (and, for rounds whose context is not the
@@ -197,13 +198,13 @@ class WorkflowDriver {
     return config_.question_policy == QuestionPolicyKind::kInferenceOrdered;
   }
   /// The adaptive round dispatcher: drains the re-ask queue, loads base
-  /// contexts from the mode's round source, sweeps the closure over them,
+  /// contexts from the round source, sweeps the closure over them,
   /// and posts policy-ranked selection sub-rounds until a round is pending
   /// or everything is resolved.
   Status PrepareAdaptiveRound();
-  /// Pulls the next base context (whole pair list / pair partition /
-  /// cluster-HIT range) into base_unresolved_; leaves base_active_ false
-  /// when the source is exhausted.
+  /// Pulls the next base context (pair partition / cluster-HIT range) into
+  /// base_unresolved_; leaves base_active_ false when the source is
+  /// exhausted.
   Status LoadNextBaseContext();
   /// Drops every pending question the closure (or an earlier context)
   /// already resolves, recording fresh verdicts as inferred.
@@ -232,8 +233,7 @@ class WorkflowDriver {
 
   // ---- The pending round. ----
   crowd::HitBatch pending_;
-  /// Round-owned backing storage for pending_ (streaming rounds; the
-  /// materialized round points into WorkflowState instead).
+  /// Round-owned backing storage for pending_.
   std::vector<similarity::ScoredPair> round_pairs_;
   std::vector<hitgen::PairBasedHit> round_pair_hits_;
   std::vector<hitgen::ClusterBasedHit> round_cluster_hits_;
@@ -267,15 +267,12 @@ class WorkflowDriver {
   /// Every worker banned so far (cumulative across rounds).
   std::unordered_set<uint32_t> banned_workers_;
 
-  // ---- Materialized filing target. ----
-  aggregate::VoteTable vote_table_;
-
-  // ---- Streaming pair-partition rounds. ----
+  // ---- Pair-partition rounds. ----
   std::optional<PairStream::SortedCursor> cursor_;
   uint64_t aligned_capacity_ = 0;
   uint64_t next_pair_base_ = 0;
 
-  // ---- Streaming cluster-range rounds. ----
+  // ---- Cluster-range rounds. ----
   size_t next_range_begin_ = 0;
   size_t hits_per_range_ = 0;
   /// The inverted pair→HIT-range index: shard r holds, in (bucket asc,
@@ -322,8 +319,6 @@ class WorkflowDriver {
   size_t banned_seen_ = 0;
   // The resident base context being served as sub-rounds.
   bool base_active_ = false;
-  /// Materialized mode's single base context was already loaded.
-  bool materialized_served_ = false;
   /// Questions of the base context not yet asked or inferred.
   std::vector<PendingQuestion> base_unresolved_;
   /// Cluster-based only: the context's HITs and which were already posted

@@ -1,10 +1,9 @@
 /// \file
 /// \brief The partitioned crowd boundary: bounded-memory stores and
-/// partition plans that let the streaming workflow run HIT generation, crowd
+/// partition plans that let the workflow run HIT generation, crowd
 /// simulation, vote storage, and aggregation one pair partition at a time —
-/// so the full pair list, the pair graph, and the vote table never have to
-/// be resident (ROADMAP's "disk-backed vote table / partitioned
-/// aggregation" unlock).
+/// so under a memory budget the full pair list, the pair graph, and the
+/// vote table never have to be resident.
 ///
 /// Three building blocks, all budget-aware and spill-backed by the generic
 /// SpillLog (core/spill.h):
@@ -24,9 +23,9 @@
 ///    hold whole connected components, because candidate pairs never cross
 ///    components and the two-tiered decomposition is component-local).
 ///
-/// The drivers that wire these into `HybridWorkflow::Run` live in
-/// core/stages.cc; the byte-identity argument for the whole boundary is
-/// spelled out in docs/ARCHITECTURE.md.
+/// The stages and the driver that wire these into `HybridWorkflow::Run` live
+/// in core/stages.cc and core/driver.cc; why partitioning is invisible in
+/// the output is spelled out in docs/ARCHITECTURE.md.
 #ifndef CROWDER_CORE_PARTITION_H_
 #define CROWDER_CORE_PARTITION_H_
 
@@ -48,16 +47,15 @@ namespace core {
 /// \brief How large one crowd-boundary partition may be, in pairs.
 /// `partition_pairs` (explicit, e.g. `crowder_cli --partition-pairs`) wins;
 /// otherwise a share of the memory budget; otherwise unbounded (a single
-/// partition — the degenerate case that still exercises the partitioned
-/// code path).
+/// partition — the unbounded run).
 uint64_t ResolvePartitionCapacity(uint64_t partition_pairs, uint64_t memory_budget_bytes);
 
 /// \brief Rounds a partition capacity down to a multiple of `pairs_per_hit`
 /// (never below one HIT). Pair-based HITs close exactly every
 /// `pairs_per_hit` pairs of the global sorted sequence, so a partition
 /// boundary at any multiple of it is invisible to HIT packing — which is
-/// what makes partitioned pair-HIT generation byte-identical to the
-/// materialized pack.
+/// what makes partitioned pair-HIT generation byte-identical to one pack
+/// over the whole sorted sequence.
 uint64_t AlignedPartitionCapacity(uint64_t capacity_pairs, uint32_t pairs_per_hit);
 
 /// \brief Tiles [0, total) into contiguous ranges of at most `capacity` and
@@ -270,8 +268,8 @@ class ShardedSpillStore {
 /// Per-pair vote order is preserved: appends arrive in global cast order
 /// (HIT order, then cast order within a HIT), each shard's staged log
 /// replays in append order, and the counting sort is stable — so the
-/// per-pair vote sequences equal the materialized table's, which keeps
-/// Dawid-Skene bitwise-identical across execution modes.
+/// per-pair vote sequences are the cast order at any shard layout, which
+/// keeps Dawid-Skene bitwise-identical across partition capacities.
 class VoteShardStore : public aggregate::VoteShardSource {
  public:
   /// \brief `shard_pair_counts[s]` is the number of pairs shard `s` covers;

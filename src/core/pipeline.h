@@ -1,17 +1,14 @@
 // The staged streaming pipeline substrate.
 //
 // CrowdER is a pipeline by construction (§2.2): machine pass → prune → HIT
-// generation → crowd → aggregate. The seed implementation materialized every
-// intermediate before starting the next phase; this header provides the two
-// pieces that let the phases compose as bounded-memory stages instead:
+// generation → crowd → aggregate. This header provides the two pieces that
+// let the phases compose as bounded-memory stages:
 //
 //  * Stage / Pipeline — the composition surface. A Stage transforms the
 //    shared WorkflowState; Pipeline runs stages in order and records
 //    per-stage wall times. WorkflowDriver (core/driver.h) composes
 //    MachinePassStage → HitGenStage in Start and AggregateStage at the end,
-//    with the crowd rounds in between (timed as the "crowd" stage), in both
-//    execution modes — the modes differ only in how candidate pairs flow
-//    between the first two phases.
+//    with the crowd rounds in between (timed as the "crowd" stage).
 //
 //  * PairStream — the spillable candidate-pair stream between the machine
 //    pass and its consumers. The producer appends blocks (each internally
@@ -20,7 +17,7 @@
 //    (SpillFile) so resident pair memory never exceeds the budget.
 //    Consumers read back with ScanSorted — a k-way merge across blocks that
 //    yields pairs in exactly SortPairs order, which is what makes the
-//    streaming workflow byte-identical to the materialized one: the merge of
+//    workflow's output independent of block size and budget: the merge of
 //    per-block sorted runs over a disjoint pair set IS the globally sorted
 //    pair list, whether or not any block ever touched disk.
 #ifndef CROWDER_CORE_PIPELINE_H_
@@ -115,9 +112,8 @@ class PairStream {
   /// may be open (each holds its own read positions).
   Result<SortedCursor> OpenSortedCursor() const;
 
-  /// Materializes the full sorted pair list (the boundary where a streaming
-  /// run must rejoin the materialized representation, e.g. for the crowd's
-  /// vote table).
+  /// Materializes the full sorted pair list, for callers that need P
+  /// itself (e.g. comparing a sharded pass with the single-process one).
   Result<std::vector<similarity::ScoredPair>> MaterializeSorted() const;
 
  private:
@@ -136,34 +132,34 @@ struct StageTiming {
 };
 
 /// \brief What a pipeline run reports about itself (never part of the
-/// byte-identity contract between execution modes).
+/// byte-identity contract across budgets and partition capacities).
 struct PipelineStats {
   std::vector<StageTiming> stages;
-  /// Pairs that flowed through the candidate stream (streaming mode only).
+  /// Pairs that flowed through the candidate stream.
   uint64_t streamed_pairs = 0;
   /// Bytes the candidate stream spilled to disk (0 when under budget).
   uint64_t spilled_bytes = 0;
-  /// Crowd-boundary partitions the streaming run was split into (pair
-  /// partitions for pair-based HITs, HIT ranges for cluster-based).
+  /// Crowd-boundary partitions the run was split into (pair partitions for
+  /// pair-based HITs, HIT ranges for cluster-based; 1 when unbounded).
   uint64_t crowd_partitions = 0;
   /// Bytes the partitioned vote table spilled to disk.
   uint64_t vote_spilled_bytes = 0;
-  /// Bytes the component-bucket pair store spilled to disk (cluster-based
-  /// streaming only).
+  /// Bytes the component-bucket and HIT-range pair stores spilled to disk
+  /// (cluster-based only).
   uint64_t boundary_spilled_bytes = 0;
   /// Wall time Start spent building the inverted pair→HIT-range index that
   /// routes each candidate pair to the cluster rounds referencing it
-  /// (cluster-based streaming only; one pass over the bucket stores).
+  /// (cluster-based only; one pass over the bucket stores).
   double cluster_index_wall_ms = 0.0;
   /// Cumulative wall time the cluster rounds spent assembling their pair
-  /// contexts (cluster-based streaming only). Together with
+  /// contexts (cluster-based only). Together with
   /// cluster_index_wall_ms this is the before/after axis of the pair→HIT
   /// join rework recorded in BENCH_machine.json.
   double cluster_context_wall_ms = 0.0;
   /// Per-crowd-round wall times, microseconds (one Record per answered HIT
   /// batch, repair rounds included). The aggregate "crowd" stage timing
-  /// hides the per-round spread this keeps: a streaming run's many small
-  /// rounds vs the materialized run's single one.
+  /// hides the per-round spread this keeps: a bounded run's many small
+  /// rounds vs the unbounded run's single one.
   Histogram round_wall_micros;
 };
 

@@ -3,16 +3,12 @@
 #include <algorithm>
 #include <string>
 
-#include "aggregate/agreement.h"
-#include "aggregate/majority_vote.h"
 #include "aggregate/partitioned.h"
 #include "common/logging.h"
 #include "graph/connected_components.h"
 #include "graph/pair_graph.h"
 #include "hitgen/packing.h"
-#include "hitgen/pair_hit_generator.h"
 #include "hitgen/two_tiered_generator.h"
-#include "similarity/parallel_join.h"
 #include "text/tokenizer.h"
 #include "text/vocabulary.h"
 
@@ -135,7 +131,7 @@ Result<ClusterBoundary> BuildClusterBoundary(const PairStream& stream, uint32_t 
     }
   }
 
-  // Bottom tier, once and globally, over the materialized generator's
+  // Bottom tier, once and globally, over TwoTieredGenerator::Generate's
   // exact scc order.
   std::vector<std::vector<uint32_t>> sccs;
   for (auto& bucket_smalls : small_per_bucket) {
@@ -156,14 +152,9 @@ Result<ClusterBoundary> BuildClusterBoundary(const PairStream& stream, uint32_t 
 
 namespace {
 
-bool IsStreaming(const WorkflowState& state) {
-  return state.config->execution_mode == ExecutionMode::kStreaming;
-}
-
-// The one place the ranked score is assembled, shared by both execution
-// modes (the byte-identity contract depends on the formula never
-// diverging): the crowd posterior ranks first; the machine likelihood
-// breaks ties among equal posteriors (e.g. all-yes unanimous pairs).
+// The one place the ranked score is assembled: the crowd posterior ranks
+// first; the machine likelihood breaks ties among equal posteriors (e.g.
+// all-yes unanimous pairs).
 eval::RankedPair MakeRankedPair(const similarity::ScoredPair& pair, double probability,
                                 const data::Dataset& dataset) {
   eval::RankedPair rp;
@@ -184,82 +175,43 @@ Status MachinePassStage::Run(WorkflowState* state) {
   const WorkflowConfig& config = *state->config;
   WorkflowResult& result = state->result;
 
-  uint64_t candidate_matches = 0;
+  // Bounded blocks flow into state->stream, where the pairs stay for the
+  // rest of the run: the crowd boundary consumes them partition by
+  // partition and the final ranked pass re-scans them, so the full sorted
+  // list is never materialized. The sorted scan reproduces MachinePass'
+  // (a, b)-sorted output exactly.
+  HybridWorkflow::MachineStreamStats stream_stats;
   if (config.num_shards >= 2) {
     // Sharded machine pass (src/shard/): N workers, one owned band each,
-    // merged through a PairStream's k-way merge — byte-identical to the
+    // merged through the stream's k-way merge — byte-identical to the
     // single-process pass (the ownership lemma + merge-identity argument,
-    // shard/plan.h). Both execution modes route through the stream; the
-    // materialized mode then rejoins its usual representation via
-    // MaterializeSorted, which IS the sorted scan, so downstream stages see
-    // the same bytes either way.
+    // shard/plan.h).
     shard::ShardExecOptions exec;
     exec.num_shards = config.num_shards;
     exec.worker_path = config.shard_worker_path;
-    const bool streaming = IsStreaming(*state);
-    PairStream local_stream(config.memory_budget_bytes);
-    PairStream* stream = streaming ? &state->stream : &local_stream;
     CROWDER_ASSIGN_OR_RETURN(
-        const auto stream_stats,
+        stream_stats,
         HybridWorkflow::MachinePassSharded(*state->dataset, config.measure,
-                                           config.likelihood_threshold, exec, stream,
+                                           config.likelihood_threshold, exec, &state->stream,
                                            &result.shard_stats));
-    result.num_candidate_pairs = stream_stats.num_pairs;
-    candidate_matches = stream_stats.candidate_matches;
-    if (streaming) {
-      result.pipeline_stats.streamed_pairs = stream_stats.num_pairs;
-      result.pipeline_stats.spilled_bytes = stream_stats.spilled_bytes;
-    } else {
-      CROWDER_ASSIGN_OR_RETURN(result.candidate_pairs, local_stream.MaterializeSorted());
-    }
-  } else if (IsStreaming(*state)) {
-    // Stream bounded blocks through state->stream, where the pairs stay for
-    // the rest of the run: the crowd boundary consumes them partition by
-    // partition and the final ranked pass re-scans them, so the full sorted
-    // list is never materialized. The sorted scan reproduces MachinePass'
-    // (a, b)-sorted output exactly, so everything downstream sees the same
-    // bytes as the materialized mode.
+  } else {
     CROWDER_ASSIGN_OR_RETURN(
-        const auto stream_stats,
+        stream_stats,
         HybridWorkflow::MachinePassStream(*state->dataset, config.measure,
                                           config.likelihood_threshold, config.num_threads,
                                           &state->stream, config.stream_block_records));
-    result.pipeline_stats.streamed_pairs = stream_stats.num_pairs;
-    result.pipeline_stats.spilled_bytes = stream_stats.spilled_bytes;
-    result.num_candidate_pairs = stream_stats.num_pairs;
-    candidate_matches = stream_stats.candidate_matches;  // counted in the sink
-  } else {
-    CROWDER_ASSIGN_OR_RETURN(
-        result.candidate_pairs,
-        HybridWorkflow::MachinePass(*state->dataset, config.measure,
-                                    config.likelihood_threshold, config.candidate_strategy,
-                                    config.num_threads));
-    result.num_candidate_pairs = result.candidate_pairs.size();
-    candidate_matches = internal::CountCandidateMatches(*state->dataset, result.candidate_pairs);
   }
-  result.machine_recall =
-      static_cast<double>(candidate_matches) / static_cast<double>(result.total_matches);
+  result.pipeline_stats.streamed_pairs = stream_stats.num_pairs;
+  result.pipeline_stats.spilled_bytes = stream_stats.spilled_bytes;
+  result.num_candidate_pairs = stream_stats.num_pairs;
+  result.machine_recall = static_cast<double>(stream_stats.candidate_matches) /
+                          static_cast<double>(result.total_matches);
   return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
 // HitGenStage
 // ---------------------------------------------------------------------------
-
-namespace {
-
-// Feeds the materialized candidate pairs to `consume` as one edge batch
-// (the incremental builders are batch-boundary-blind; unit tests pin that).
-Status ForEachEdgeBatch(WorkflowState* state,
-                        const std::function<Status(const std::vector<graph::Edge>&)>& consume) {
-  const auto& pairs = state->result.candidate_pairs;
-  std::vector<graph::Edge> edges;
-  edges.reserve(pairs.size());
-  for (const auto& p : pairs) edges.push_back({p.a, p.b});
-  return consume(edges);
-}
-
-}  // namespace
 
 Status HitGenStage::Run(WorkflowState* state) {
   const WorkflowConfig& config = *state->config;
@@ -268,47 +220,23 @@ Status HitGenStage::Run(WorkflowState* state) {
     return Status::OK();
   }
 
-  if (IsStreaming(*state)) {
-    state->partition_capacity =
-        ResolvePartitionCapacity(config.crowd_partition_pairs, config.memory_budget_bytes);
-    if (config.hit_type == HitType::kPairBased) {
-      // Pair-based HITs close every pairs_per_hit pairs of the sorted
-      // sequence, so the driver packs them partition-by-partition in the
-      // same walk that posts them to the crowd — nothing to precompute.
-      return Status::OK();
-    }
-    CROWDER_ASSIGN_OR_RETURN(
-        internal::ClusterBoundary boundary,
-        internal::BuildClusterBoundary(
-            state->stream, static_cast<uint32_t>(state->dataset->table.num_records()),
-            state->partition_capacity, config.cluster_size, config.memory_budget_bytes));
-    state->cluster_hits = std::move(boundary.hits);
-    state->result.pipeline_stats.boundary_spilled_bytes = boundary.spilled_bytes;
-    state->buckets = std::make_unique<ComponentBucketPlan>(std::move(boundary.plan));
-    state->bucket_pairs = std::move(boundary.bucket_pairs);
-    return Status::OK();
-  }
-
+  state->partition_capacity =
+      ResolvePartitionCapacity(config.crowd_partition_pairs, config.memory_budget_bytes);
   if (config.hit_type == HitType::kPairBased) {
-    hitgen::PairHitPacker packer(config.pairs_per_hit);
-    CROWDER_RETURN_NOT_OK(ForEachEdgeBatch(
-        state, [&](const std::vector<graph::Edge>& batch) { return packer.Add(batch); }));
-    CROWDER_ASSIGN_OR_RETURN(state->pair_hits, packer.Finish());
+    // Pair-based HITs close every pairs_per_hit pairs of the sorted
+    // sequence, so the driver packs them partition-by-partition in the
+    // same walk that posts them to the crowd — nothing to precompute.
     return Status::OK();
   }
-
-  graph::PairGraphBuilder builder(static_cast<uint32_t>(state->dataset->table.num_records()));
-  CROWDER_RETURN_NOT_OK(ForEachEdgeBatch(
-      state, [&](const std::vector<graph::Edge>& batch) { return builder.Add(batch); }));
-  CROWDER_ASSIGN_OR_RETURN(auto graph, builder.Build());
-  hitgen::ClusterGeneratorOptions gen_options;
-  gen_options.seed = config.seed;
-  std::unique_ptr<hitgen::ClusterHitGenerator> generator =
-      hitgen::MakeClusterGenerator(config.cluster_algorithm, gen_options);
-  CROWDER_ASSIGN_OR_RETURN(state->cluster_hits, generator->Generate(&graph, config.cluster_size));
-  graph.Reset();
-  CROWDER_RETURN_NOT_OK(
-      hitgen::ValidateClusterCover(state->cluster_hits, graph, config.cluster_size));
+  CROWDER_ASSIGN_OR_RETURN(
+      internal::ClusterBoundary boundary,
+      internal::BuildClusterBoundary(
+          state->stream, static_cast<uint32_t>(state->dataset->table.num_records()),
+          state->partition_capacity, config.cluster_size, config.memory_budget_bytes));
+  state->cluster_hits = std::move(boundary.hits);
+  state->result.pipeline_stats.boundary_spilled_bytes = boundary.spilled_bytes;
+  state->buckets = std::make_unique<ComponentBucketPlan>(std::move(boundary.plan));
+  state->bucket_pairs = std::move(boundary.bucket_pairs);
   return Status::OK();
 }
 
@@ -316,15 +244,11 @@ Status HitGenStage::Run(WorkflowState* state) {
 // AggregateStage
 // ---------------------------------------------------------------------------
 
-namespace {
-
-// Streaming aggregation: fit (Dawid-Skene) or nothing (majority), then one
-// synchronized walk — vote shards advance in lockstep with the sorted
-// stream, so each pair meets its probability under the global index both
-// sides agree on. Each shard's probabilities come from the same posterior
-// pass the materialized aggregators use, and shards tile the global pair
-// order, so the ranked list is bitwise the materialized one even before
-// the final sort.
+// Fit (Dawid-Skene) or nothing (majority), then one synchronized walk —
+// vote shards advance in lockstep with the sorted stream, so each pair
+// meets its probability under the global index both sides agree on.
+// Shards tile the global pair order, so every floating-point accumulation
+// happens in that order whatever the partitioning.
 //
 // GCC 12 flags the inlined destructor of the Result<DawidSkeneModel>
 // temporary below with -Warray-bounds/-Wstringop-overflow false positives
@@ -335,7 +259,7 @@ namespace {
 #pragma GCC diagnostic ignored "-Warray-bounds"
 #pragma GCC diagnostic ignored "-Wstringop-overflow"
 #endif
-Status RunStreamingAggregate(WorkflowState* state) {
+Status AggregateStage::Run(WorkflowState* state) {
   const WorkflowConfig& config = *state->config;
   WorkflowResult& result = state->result;
   if (result.num_candidate_pairs == 0 || state->votes == nullptr) return Status::OK();
@@ -391,51 +315,6 @@ Status RunStreamingAggregate(WorkflowState* state) {
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
-
-}  // namespace
-
-Status AggregateStage::Run(WorkflowState* state) {
-  const WorkflowConfig& config = *state->config;
-  WorkflowResult& result = state->result;
-
-  if (IsStreaming(*state)) return RunStreamingAggregate(state);
-
-  // The materialized revision path: decisions are derived from a filtered
-  // copy of the vote table; the original stays in crowd_stats.votes as the
-  // audit trail. Without bans the original table is used directly.
-  const aggregate::VoteTable* table = &result.crowd_stats.votes;
-  aggregate::VoteTable surviving;
-  if (!state->banned_workers.empty()) {
-    surviving = result.crowd_stats.votes;
-    aggregate::RemoveVotesFrom(&surviving, state->banned_workers);
-    table = &surviving;
-  }
-
-  std::vector<double> probabilities;
-  if (config.aggregation == AggregationMethod::kMajorityVote) {
-    probabilities = aggregate::MajorityVote(*table);
-  } else {
-    CROWDER_ASSIGN_OR_RETURN(auto ds, aggregate::RunDawidSkene(*table));
-    probabilities = std::move(ds.match_probability);
-  }
-  // Closure-inferred verdicts (kInferenceOrdered) have no votes; their
-  // probability is the inference, not "never judged".
-  for (const auto& [global, verdict] : state->inferred_verdicts) {
-    if (global < probabilities.size()) probabilities[global] = verdict ? 1.0 : 0.0;
-  }
-
-  result.ranked.reserve(result.candidate_pairs.size());
-  for (size_t i = 0; i < result.candidate_pairs.size(); ++i) {
-    result.ranked.push_back(
-        MakeRankedPair(result.candidate_pairs[i], probabilities[i], *state->dataset));
-  }
-  eval::SortByScoreDesc(&result.ranked);
-  if (!result.ranked.empty()) {
-    CROWDER_ASSIGN_OR_RETURN(result.pr_curve,
-                             eval::PrCurve(result.ranked, result.total_matches));
-  }
-  return Status::OK();
-}
 
 }  // namespace core
 }  // namespace crowder

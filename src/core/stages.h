@@ -1,30 +1,27 @@
 // The pipeline stages HybridWorkflow composes (CrowdER §2.2's phases):
 //
-//   MachinePassStage  records → candidate pairs (materialized vector, or
-//                     bounded blocks through WorkflowState::stream)
-//   HitGenStage       candidate pairs → HITs (incremental PairGraphBuilder /
-//                     PairHitPacker fed by pair batches; in partitioned
-//                     streaming cluster mode: component buckets + per-bucket
-//                     two-tiered decomposition over local-id subgraphs + one
-//                     global pack — see internal::BuildClusterBoundary)
-//   AggregateStage    votes → ranked matches + PR curve (sharded
-//                     aggregation in streaming mode)
+//   MachinePassStage  records → candidate pairs, in bounded blocks through
+//                     WorkflowState::stream (spilling past the budget)
+//   HitGenStage       candidate pairs → HITs: pair-based HITs are packed
+//                     partition by partition by the driver's rounds;
+//                     cluster-based HITs come from component buckets +
+//                     per-bucket two-tiered decomposition over local-id
+//                     subgraphs + one global pack (internal::
+//                     BuildClusterBoundary)
+//   AggregateStage    votes → ranked matches + PR curve, shard by shard
 //
-// The crowd phase is no longer a Stage: since the backend redesign it is a
-// sequence of *rounds* surfaced by core::WorkflowDriver (driver.h) — the
-// driver prepares one HIT batch at a time, any crowd::CrowdBackend answers
-// it, and the driver files the votes (into the materialized vote table or
-// the spill-backed VoteShardStore). HybridWorkflow::Run is a thin loop over
-// driver + backend; its PipelineStats still reports a "crowd" stage timing
-// spanning the rounds.
+// The crowd phase is not a Stage: it is a sequence of *rounds* surfaced by
+// core::WorkflowDriver (driver.h) — the driver prepares one HIT batch at a
+// time, any crowd::CrowdBackend answers it, and the driver files the votes
+// into the spill-backed VoteShardStore. HybridWorkflow::Run is a thin loop
+// over driver + backend; its PipelineStats still reports a "crowd" stage
+// timing spanning the rounds.
 //
-// Stages communicate through WorkflowState, never through globals. The two
-// execution modes share every stage; streaming mode differs in transport —
-// candidate pairs live in a spillable stream and cross the crowd boundary
-// partition by partition (core/partition.h) instead of as one materialized
-// list — which is why the modes are byte-identical (see the merge lemma in
-// core/pipeline.h and the partition-invisibility argument in
-// docs/ARCHITECTURE.md).
+// Stages communicate through WorkflowState, never through globals. Every
+// run takes this one path; the memory budget and partition capacity only
+// decide what spills and where partitions fall, which is invisible in the
+// output (the merge lemma in core/pipeline.h and "Why partitioning is
+// invisible" in docs/ARCHITECTURE.md).
 #ifndef CROWDER_CORE_STAGES_H_
 #define CROWDER_CORE_STAGES_H_
 
@@ -51,20 +48,18 @@ struct WorkflowState {
   const WorkflowConfig* config;
   const data::Dataset* dataset;
 
-  /// Candidate-pair transport in kStreaming mode (unused in kMaterialized).
-  /// Stays alive through the whole streaming run: the crowd boundary and
-  /// the final ranked pass re-scan it instead of materializing the pairs.
+  /// The candidate pairs. Stays alive through the whole run: the crowd
+  /// boundary and the final ranked pass re-scan it instead of holding the
+  /// pair list.
   PairStream stream;
 
-  /// HITs handed from HitGenStage to the crowd rounds (one of the two, by
-  /// config->hit_type). In streaming mode, pair-based HITs are packed
-  /// partition-by-partition by the driver instead (pair_hits stays empty);
-  /// cluster HITs are bounded by the two-tiered decomposition, not by |P|,
-  /// and are kept whole in both modes.
-  std::vector<hitgen::PairBasedHit> pair_hits;
+  /// Cluster-based HITs, handed from HitGenStage to the crowd rounds; they
+  /// are bounded by the two-tiered decomposition, not by |P|, and are kept
+  /// whole. Pair-based HITs are packed partition by partition by the
+  /// driver's rounds instead.
   std::vector<hitgen::ClusterBasedHit> cluster_hits;
 
-  // ---- Partitioned crowd boundary (kStreaming only; core/partition.h). ----
+  // ---- Partitioned crowd boundary (core/partition.h). ----
 
   /// Pairs per crowd partition, resolved from the config by HitGenStage.
   uint64_t partition_capacity = 0;
@@ -78,54 +73,50 @@ struct WorkflowState {
 
   /// Workers banned by the driver's admission filter (crowd/worker_filter.h),
   /// copied in at Finalize. AggregateStage excludes their votes when it
-  /// derives decisions — in both execution modes — while the unfiltered
-  /// tables above (and result.crowd_stats.votes) keep the audit truth.
+  /// derives decisions, while the unfiltered vote store above keeps the
+  /// audit truth.
   std::unordered_set<uint32_t> banned_workers;
 
   /// Verdicts the driver's answer closure inferred instead of crowdsourcing
   /// (QuestionPolicyKind::kInferenceOrdered; copied in at Finalize), keyed
-  /// by global pair index — ordered, so the streaming aggregate can walk it
-  /// in lockstep with the sorted stream. AggregateStage overrides these
-  /// pairs' match probabilities with 1.0 / 0.0 (they have no votes; without
-  /// the override they would rank as never-judged). Empty under
-  /// kFixedOrder, leaving both aggregate paths bitwise untouched.
+  /// by global pair index — ordered, so the aggregate can walk it in
+  /// lockstep with the sorted stream. AggregateStage overrides these pairs'
+  /// match probabilities with 1.0 / 0.0 (they have no votes; without the
+  /// override they would rank as never-judged). Empty under kFixedOrder,
+  /// leaving the aggregate bitwise untouched.
   std::map<uint64_t, bool> inferred_verdicts;
 
-  /// The result under construction (candidate_pairs, machine_recall,
+  /// The result under construction (num_candidate_pairs, machine_recall,
   /// crowd_stats, ranked, pr_curve, ... filled in stage by stage).
   WorkflowResult result;
 };
 
-/// \brief Machine pass + prune. Materialized mode fills
-/// result.candidate_pairs directly; streaming mode drives
-/// BlockedAllPairsJoinStream into state->stream, where the pairs stay —
-/// every downstream consumer re-scans the (possibly spilled) stream in
-/// sorted order. Also computes machine recall.
+/// \brief Machine pass + prune: the prefix-filter join (or the sharded
+/// runtime, num_shards >= 2) emits sorted blocks into state->stream, where
+/// the pairs stay — every downstream consumer re-scans the (possibly
+/// spilled) stream in sorted order. Also computes machine recall.
 class MachinePassStage : public Stage {
  public:
   const char* name() const override { return "machine-pass"; }
   Status Run(WorkflowState* state) override;
 };
 
-/// \brief HIT generation. Materialized mode feeds the pair list to the
-/// incremental builders in one batch. Streaming pair-based mode defers to
-/// the driver's rounds (HITs are packed per partition as the partitions are
-/// drawn from the stream). Streaming cluster-based mode runs
-/// internal::BuildClusterBoundary — the identical HIT list the materialized
-/// generator produces, without ever holding the whole pair graph.
+/// \brief HIT generation. Resolves the crowd partition capacity. Pair-based
+/// HITs are left to the driver's rounds (packed per partition as the
+/// partitions are drawn from the stream); cluster-based HITs run
+/// internal::BuildClusterBoundary — the two-tiered generator's HIT list,
+/// without ever holding the whole pair graph.
 class HitGenStage : public Stage {
  public:
   const char* name() const override { return "hit-gen"; }
   Status Run(WorkflowState* state) override;
 };
 
-/// \brief Vote aggregation into the ranked match list and PR curve.
-/// Materialized mode reads result.crowd_stats.votes (assembled by the
-/// driver); streaming mode aggregates shard by shard
-/// (aggregate/partitioned.h) while re-scanning the candidate stream for the
-/// pair identities — majority vote bitwise-identical by pair independence,
-/// Dawid-Skene bitwise-identical because shards tile the global pair order,
-/// so every floating-point accumulation happens in the materialized order.
+/// \brief Vote aggregation into the ranked match list and PR curve: the
+/// model is fitted shard by shard (aggregate/partitioned.h), then one walk
+/// re-scans the candidate stream in lockstep with the vote shards for the
+/// pair identities. Majority vote needs no fit (an unfitted model yields
+/// majority fractions).
 class AggregateStage : public Stage {
  public:
   const char* name() const override { return "aggregate"; }
@@ -135,34 +126,34 @@ class AggregateStage : public Stage {
 namespace internal {
 
 /// \brief Tokenizes every record into the join input (and, for sorted
-/// neighborhood, the normalized sort keys). Shared by the materialized and
-/// streaming machine passes so both see identical token sets.
+/// neighborhood, the normalized sort keys). Shared by every machine pass
+/// (MachinePass, MachinePassStream, MachinePassSharded) so all see
+/// identical token sets.
 similarity::JoinInput BuildJoinInput(const data::Dataset& dataset, CandidateStrategy strategy,
                                      std::vector<std::string>* keys);
 
 /// \brief True matches among `pairs` — the machine-recall numerator. The one
-/// definition shared by the workflow stages, the streaming sink, and the
-/// CLI's machine-only report.
+/// definition shared by the machine-pass sinks and the CLI's machine-only
+/// report.
 uint64_t CountCandidateMatches(const data::Dataset& dataset,
                                const std::vector<similarity::ScoredPair>& pairs);
 
-/// \brief What the streaming cluster-based crowd boundary precomputes.
+/// \brief What the cluster-based crowd boundary precomputes.
 struct ClusterBoundary {
   /// Component-aligned bucket plan (which bucket holds each record).
   ComponentBucketPlan plan;
   /// Per-bucket pairs, tagged with their global sorted index.
   std::unique_ptr<ShardedSpillStore<IndexedPair>> bucket_pairs;
-  /// The full cluster-HIT list — identical to the materialized two-tiered
-  /// generator's output.
+  /// The full cluster-HIT list — identical to hitgen::TwoTieredGenerator's
+  /// output over the whole pair graph.
   std::vector<hitgen::ClusterBasedHit> hits;
   /// Bytes the bucket store spilled while routing pairs.
   uint64_t spilled_bytes = 0;
 };
 
-/// \brief Streaming cluster-based boundary: component buckets, per-bucket
-/// two-tiered decomposition, one global pack. Produces the HIT list the
-/// materialized TwoTieredGenerator produces — same HITs, same order —
-/// because
+/// \brief Cluster-based boundary: component buckets, per-bucket two-tiered
+/// decomposition, one global pack. Produces the HIT list TwoTieredGenerator
+/// produces over the whole pair graph — same HITs, same order — because
 ///  (1) buckets hold whole components, in the ConnectedComponents order
 ///      (ascending smallest member), so concatenating the per-bucket
 ///      decompositions reproduces the global component order;

@@ -155,31 +155,10 @@ Status ValidateWorkflowConfig(const WorkflowConfig& config) {
   if (config.pairs_per_hit < 1) {
     return Status::InvalidArgument("pairs_per_hit must be >= 1");
   }
-  if (config.execution_mode == ExecutionMode::kStreaming &&
-      config.candidate_strategy != CandidateStrategy::kAllPairsJoin) {
+  if (config.num_shards >= 2 && config.likelihood_threshold <= 0.0) {
     return Status::InvalidArgument(
-        "streaming execution requires the kAllPairsJoin candidate strategy (the "
-        "other strategies have no streaming driver)");
-  }
-  if (config.execution_mode == ExecutionMode::kStreaming &&
-      config.hit_type == HitType::kClusterBased &&
-      config.cluster_algorithm != hitgen::ClusterAlgorithm::kTwoTiered) {
-    return Status::InvalidArgument(
-        "streaming execution with cluster-based HITs requires the two-tiered "
-        "generator (the only cluster algorithm whose decomposition is "
-        "component-local and therefore partitionable)");
-  }
-  if (config.num_shards >= 2) {
-    if (config.candidate_strategy != CandidateStrategy::kAllPairsJoin) {
-      return Status::InvalidArgument(
-          "the sharded machine pass (num_shards >= 2) requires the kAllPairsJoin "
-          "candidate strategy");
-    }
-    if (config.likelihood_threshold <= 0.0) {
-      return Status::InvalidArgument(
-          "the sharded machine pass (num_shards >= 2) requires a positive "
-          "likelihood_threshold (prefix filtering degenerates at 0)");
-    }
+        "the sharded machine pass (num_shards >= 2) requires a positive "
+        "likelihood_threshold (prefix filtering degenerates at 0)");
   }
   const crowd::CrowdModel& crowd = config.crowd;
   if (crowd.assignments_per_hit < 1) {

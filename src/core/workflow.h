@@ -10,10 +10,11 @@
 // surfaces crowd work one HIT batch at a time) and a crowd::CrowdBackend
 // (who answers it — by default the deterministic simulator; pass your own
 // backend to replay a recorded run or attach a real crowd).
-// WorkflowConfig::execution_mode picks whether candidate pairs are
-// materialized between the machine pass and HIT generation or flow through
-// a bounded, disk-spilling stream. The two modes are byte-identical — the
-// golden workflow test pins it.
+// Every run takes one path: candidate pairs flow through a disk-spillable
+// stream and cross the crowd boundary one bounded partition at a time.
+// memory_budget_bytes, stream_block_records and crowd_partition_pairs only
+// bound that path; the output is byte-identical at any setting — the golden
+// workflow test pins it.
 #ifndef CROWDER_CORE_WORKFLOW_H_
 #define CROWDER_CORE_WORKFLOW_H_
 
@@ -27,7 +28,6 @@
 #include "crowd/worker_filter.h"
 #include "data/dataset.h"
 #include "eval/metrics.h"
-#include "hitgen/cluster_generator.h"
 #include "shard/coordinator.h"
 #include "similarity/similarity_join.h"
 
@@ -53,15 +53,17 @@ enum class QuestionPolicyKind {
   /// ranks the rest by expected information gain — machine likelihood
   /// weighted by the records' current cluster sizes (the degree /
   /// component-size heuristic of "Select Your Questions Wisely",
-  /// Yalavarthi et al.). In streaming mode selection reorders only within
-  /// the resident partition (the stream's global order is the partition
-  /// sequence). Results are deterministic but not byte-identical to
-  /// kFixedOrder — fewer pairs reach the crowd.
+  /// Yalavarthi et al.). Selection reorders only within the resident crowd
+  /// partition (the stream's global order is the partition sequence; one
+  /// partition when unbounded). Results are deterministic but not
+  /// byte-identical to kFixedOrder — fewer pairs reach the crowd.
   kInferenceOrdered,
 };
 
-/// \brief How the machine pass finds candidate pairs (footnote 1 of the
-/// paper: indexing techniques avoid the all-pairs comparison).
+/// \brief How HybridWorkflow::MachinePass finds candidate pairs (footnote 1
+/// of the paper: indexing techniques avoid the all-pairs comparison). The
+/// workflow always runs kAllPairsJoin; the other two are the paper's
+/// baselines, measured through MachinePass (bench_table2).
 enum class CandidateStrategy {
   /// Prefix-filtering AllPairs join: exact (same output as exhaustive).
   kAllPairsJoin,
@@ -73,26 +75,20 @@ enum class CandidateStrategy {
   kSortedNeighborhoodVerify,
 };
 
-/// \brief How candidate pairs flow from the machine pass to HIT generation.
+/// \brief Whether the bounded-memory knobs apply. Both values run the same
+/// partitioned path; no code is selected by it, and kMaterialized is the
+/// same run as kStreaming with the three knobs left at 0.
 enum class ExecutionMode {
-  /// Every intermediate is materialized before the next stage starts (the
-  /// original shape; no disk I/O, peak memory O(|P|)).
+  /// The unbounded run: memory_budget_bytes, stream_block_records and
+  /// crowd_partition_pairs are treated as 0 — no budget, the join's default
+  /// blocks, one crowd partition, nothing spilled to disk.
   kMaterialized,
-  /// The machine pass emits bounded blocks through a spillable PairStream
-  /// (core/pipeline.h); under `memory_budget_bytes` the stream's resident
-  /// pair memory is capped, with overflow spilled to a temp file. The crowd
-  /// boundary is *partitioned* (core/partition.h): HIT generation, crowd
-  /// simulation, vote storage, and aggregation run one bounded pair
-  /// partition at a time, so the full workflow never materializes the pair
-  /// list, the pair graph, or the vote table — `result.candidate_pairs`
-  /// stays empty (see `num_candidate_pairs`) and the only pair-proportional
-  /// output is the final ranked list. Requires
-  /// CandidateStrategy::kAllPairsJoin (the other strategies have no
-  /// streaming driver); cluster-based HITs additionally require the
-  /// two-tiered generator (the only cluster algorithm whose decomposition
-  /// is component-local and therefore partitionable). Output is
+  /// The knobs apply: the candidate stream, the component buckets and the
+  /// vote table spill past memory_budget_bytes, and the crowd boundary runs
+  /// one bounded pair partition at a time, so the pair list, the pair graph
+  /// and the vote table are never resident in full. Output is
   /// byte-identical to kMaterialized at any thread count, block size,
-  /// budget, and partition capacity.
+  /// budget and partition capacity.
   kStreaming,
 };
 
@@ -100,24 +96,20 @@ struct WorkflowConfig {
   // ---- Machine pass. ----
   similarity::SetMeasure measure = similarity::SetMeasure::kJaccard;
   double likelihood_threshold = 0.3;
-  CandidateStrategy candidate_strategy = CandidateStrategy::kAllPairsJoin;
   /// Worker threads (0 = exec::HardwareConcurrency(), which honors
-  /// CROWDER_THREADS; 1 = the serial code paths, unchanged). Results are
-  /// identical at any value — a contract pinned by the golden workflow test.
+  /// CROWDER_THREADS; 1 = serial). Results are identical at any value — a
+  /// contract pinned by the golden workflow test.
   ///
-  /// What parallelizes: the machine pass only under
-  /// CandidateStrategy::kAllPairsJoin (kBlockingVerify and
-  /// kSortedNeighborhoodVerify are serial algorithms — requesting threads
-  /// with them logs a stderr warning and runs them serially), and the crowd
-  /// simulation under every strategy (per-HIT seed derivation, see
-  /// crowd/session.h). HIT generation is inherently sequential and ignores
-  /// this knob.
+  /// What parallelizes: the machine pass's prefix-filter join and the crowd
+  /// simulation (per-HIT seed derivation, see crowd/session.h). HIT
+  /// generation is inherently sequential and ignores this knob.
   uint32_t num_threads = 1;
 
   // ---- Execution. ----
   ExecutionMode execution_mode = ExecutionMode::kMaterialized;
-  /// kStreaming only: resident bytes the candidate PairStream may hold
-  /// before spilling blocks to disk (0 = unbounded, never spills).
+  /// kStreaming only: resident bytes each spillable structure (candidate
+  /// stream, component buckets, vote table) may hold before spilling blocks
+  /// to disk (0 = unbounded, never spills).
   uint64_t memory_budget_bytes = 0;
   /// kStreaming only: probe records per emitted block — the granularity of
   /// streaming (and of spilling). 0 = the join's default. Any value yields
@@ -135,10 +127,9 @@ struct WorkflowConfig {
   // ---- Sharded machine pass (src/shard/; docs/ARCHITECTURE.md). ----
   /// Number of worker shards the machine pass is split across. 0 or 1 runs
   /// the single-process pass (unchanged, golden-pinned bytes). >= 2 runs
-  /// the sharded runtime — requires kAllPairsJoin and a positive
-  /// likelihood_threshold (prefix filtering degenerates at 0) — whose
-  /// merged candidate list is byte-identical to the single-process pass at
-  /// any shard count, in both execution modes.
+  /// the sharded runtime — requires a positive likelihood_threshold (prefix
+  /// filtering degenerates at 0) — whose merged candidate list is
+  /// byte-identical to the single-process pass at any shard count.
   uint32_t num_shards = 0;
   /// Path to the crowder_shardd worker binary. Empty runs every shard
   /// worker in-process (same frames, same bytes, no subprocesses — the
@@ -162,9 +153,11 @@ struct WorkflowConfig {
   HitType hit_type = HitType::kClusterBased;
   /// Cluster-size threshold k (cluster-based HITs).
   uint32_t cluster_size = 10;
-  /// Pairs per HIT (pair-based HITs).
+  /// Pairs per HIT (pair-based HITs). Cluster-based HITs always come from
+  /// the two-tiered generator, whose decomposition is component-local and
+  /// therefore partitionable; the paper's other generators are baselines
+  /// (hitgen::MakeClusterGenerator, bench_fig10/11).
   uint32_t pairs_per_hit = 10;
-  hitgen::ClusterAlgorithm cluster_algorithm = hitgen::ClusterAlgorithm::kTwoTiered;
 
   // ---- Crowd & aggregation. ----
   crowd::CrowdModel crowd;
@@ -201,8 +194,8 @@ struct WorkflowConfig {
 
 /// \brief Validates a configuration: threshold in [0,1], cluster size >= 2,
 /// pairs per HIT >= 1, sane crowd-model fractions, pool large enough for the
-/// replication factor, and kStreaming only with kAllPairsJoin. Run() calls
-/// this before any work.
+/// replication factor, and a positive threshold for the sharded pass. Run()
+/// calls this before any work.
 Status ValidateWorkflowConfig(const WorkflowConfig& config);
 
 /// \brief What the driver observed about one crowd round (one HIT batch):
@@ -225,11 +218,8 @@ struct CrowdRoundStats {
 };
 
 struct WorkflowResult {
-  /// Pairs surviving the machine pass (the set P sent to the crowd).
-  /// Materialized mode only — the partitioned streaming mode never holds P,
-  /// so this stays empty there; use num_candidate_pairs for the count.
-  std::vector<similarity::ScoredPair> candidate_pairs;
-  /// |P| in both execution modes.
+  /// |P|: pairs surviving the machine pass (the set sent to the crowd). The
+  /// result never carries P itself; HybridWorkflow::MachinePass returns it.
   uint64_t num_candidate_pairs = 0;
   /// Recall of the machine pass: matches in P / matches in the dataset.
   double machine_recall = 0.0;
@@ -238,12 +228,14 @@ struct WorkflowResult {
   /// Precision-recall curve of `ranked` against the dataset's ground truth.
   std::vector<eval::PrPoint> pr_curve;
   /// Crowd statistics: #HITs, assignment durations, total latency, cost.
+  /// `crowd_stats.votes` stays empty: votes live in the run's disk-backed
+  /// vote table, not in the result.
   crowd::CrowdRunResult crowd_stats;
   /// Per-round agreement and filtering observations, in round order.
   std::vector<CrowdRoundStats> crowd_rounds;
   /// Workers banned by the admission filter (ascending id; empty without a
   /// filter). Their votes were excluded from the aggregated decisions but
-  /// remain in crowd_stats for auditing.
+  /// their assignments remain in crowd_stats for auditing.
   std::vector<uint32_t> filtered_workers;
   /// Candidate pairs actually posted to the crowd. Under kFixedOrder this
   /// is every candidate pair (when crowd rounds ran at all); under
@@ -255,7 +247,7 @@ struct WorkflowResult {
   uint64_t pairs_inferred = 0;
   uint64_t total_matches = 0;
   /// Per-stage timings and stream/spill counters. Informational — never part
-  /// of the byte-identity contract between execution modes.
+  /// of the byte-identity contract across budgets and partition capacities.
   PipelineStats pipeline_stats;
   /// Sharded machine pass only (num_shards >= 2): per-shard wall/CPU/RSS
   /// and coordinator timings. Informational, like pipeline_stats.
@@ -281,12 +273,14 @@ class HybridWorkflow {
 
   const WorkflowConfig& config() const { return config_; }
 
-  /// The machine pass alone: tokenize every record (all attributes), find
-  /// candidates with `strategy`, and keep pairs at or above `threshold`.
-  /// Exposed for benches that sweep thresholds without crowdsourcing
-  /// (Table 2, Figures 10-11). `num_threads` follows the WorkflowConfig
-  /// convention (0 = auto, 1 = serial) and only affects kAllPairsJoin; the
-  /// returned pairs are identical at any value.
+  /// The machine pass alone, materialized: tokenize every record (all
+  /// attributes), find candidates with `strategy`, and keep pairs at or
+  /// above `threshold`. Exposed for callers that need P itself, such as the
+  /// benches that sweep thresholds or compare strategies without
+  /// crowdsourcing (Table 2, Figures 10-11) and the budget planner.
+  /// `num_threads` follows the WorkflowConfig convention (0 = auto, 1 =
+  /// serial) and only affects kAllPairsJoin; the returned pairs are
+  /// identical at any value.
   static Result<std::vector<similarity::ScoredPair>> MachinePass(
       const data::Dataset& dataset, similarity::SetMeasure measure, double threshold,
       CandidateStrategy strategy = CandidateStrategy::kAllPairsJoin,
@@ -308,8 +302,8 @@ class HybridWorkflow {
   /// every pair qualifies and the O(n^2) output is first materialized by the
   /// exhaustive join (then still fed to the stream in bounded blocks). The
   /// stream's sorted scan is byte-identical to MachinePass' return value.
-  /// Backbone of `crowder_cli run --machine-only --streaming` and
-  /// bench_stream.
+  /// The workflow's single-process machine pass; also the backbone of
+  /// `crowder_cli run --machine-only --streaming` and bench_stream.
   static Result<MachineStreamStats> MachinePassStream(const data::Dataset& dataset,
                                                       similarity::SetMeasure measure,
                                                       double threshold, uint32_t num_threads,

@@ -131,9 +131,9 @@ class PairGraph {
 /// a streaming machine pass produces (core/pipeline.h). Semantics are
 /// identical to PairGraph::Create over the concatenation of the batches:
 /// normalization, silent deduplication, the same validation failures, and —
-/// important for the byte-identity contract between execution modes — the
-/// same edge-id assignment (insertion order), which generators observe
-/// through adjacency iteration order.
+/// important for the byte-identity contract of the partitioned cluster
+/// boundary — the same edge-id assignment (insertion order), which
+/// generators observe through adjacency iteration order.
 class PairGraphBuilder {
  public:
   /// \brief Prepares a builder over vertices [0, num_vertices).

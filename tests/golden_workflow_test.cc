@@ -48,7 +48,6 @@ WorkflowConfig GoldenConfig() {
   config.likelihood_threshold = 0.3;
   config.hit_type = HitType::kClusterBased;
   config.cluster_size = 5;
-  config.cluster_algorithm = hitgen::ClusterAlgorithm::kTwoTiered;
   config.aggregation = AggregationMethod::kDawidSkene;
   config.seed = 1234;
   return config;
@@ -63,12 +62,17 @@ TEST(GoldenWorkflowTest, SmallRestaurantPipelineIsStable) {
   // ---- Golden values (recorded from the seed build; see header note). ----
   EXPECT_EQ(dataset.table.num_records(), 160u);
   EXPECT_EQ(result->total_matches, 24u);
-  EXPECT_EQ(result->candidate_pairs.size(), 234u);
+  EXPECT_EQ(result->num_candidate_pairs, 234u);
   EXPECT_NEAR(result->machine_recall, 23.0 / 24.0, 1e-12);
 
-  // Cluster structure of the candidate pair graph.
+  // Cluster structure of the candidate pair graph (the result carries only
+  // |P|; the machine pass alone returns P).
+  const auto pairs = HybridWorkflow::MachinePass(dataset, GoldenConfig().measure,
+                                                 GoldenConfig().likelihood_threshold)
+                         .ValueOrDie();
+  EXPECT_EQ(pairs.size(), 234u);
   std::vector<graph::Edge> edges;
-  for (const auto& p : result->candidate_pairs) edges.push_back({p.a, p.b});
+  for (const auto& p : pairs) edges.push_back({p.a, p.b});
   auto pair_graph =
       graph::PairGraph::Create(dataset.table.num_records(), edges).ValueOrDie();
   EXPECT_EQ(graph::ConnectedComponents(pair_graph).size(), 18u);
@@ -78,7 +82,7 @@ TEST(GoldenWorkflowTest, SmallRestaurantPipelineIsStable) {
   EXPECT_EQ(result->crowd_stats.num_assignments, 138u);
 
   // Quality of the final ranked output.
-  EXPECT_EQ(result->ranked.size(), result->candidate_pairs.size());
+  EXPECT_EQ(result->ranked.size(), result->num_candidate_pairs);
   EXPECT_NEAR(eval::BestF1(result->pr_curve), 0.91666666666666663, 1e-9);
 }
 
@@ -91,6 +95,9 @@ TEST(GoldenWorkflowTest, MultiThreadedRunLeavesGoldenValuesBitwiseUnchanged) {
   const HybridWorkflow serial_workflow(GoldenConfig());
   auto serial = serial_workflow.Run(dataset);
   ASSERT_TRUE(serial.ok());
+  const auto serial_pairs = HybridWorkflow::MachinePass(dataset, GoldenConfig().measure,
+                                                        GoldenConfig().likelihood_threshold)
+                                .ValueOrDie();
 
   for (uint32_t threads : {2u, 4u, 7u}) {
     WorkflowConfig config = GoldenConfig();
@@ -100,19 +107,24 @@ TEST(GoldenWorkflowTest, MultiThreadedRunLeavesGoldenValuesBitwiseUnchanged) {
     ASSERT_TRUE(result.ok()) << result.status().ToString();
 
     // The recorded goldens, verbatim.
-    EXPECT_EQ(result->candidate_pairs.size(), 234u) << "threads " << threads;
+    EXPECT_EQ(result->num_candidate_pairs, 234u) << "threads " << threads;
     EXPECT_NEAR(result->machine_recall, 23.0 / 24.0, 1e-12) << "threads " << threads;
     EXPECT_EQ(result->crowd_stats.num_hits, 46u) << "threads " << threads;
     EXPECT_EQ(result->crowd_stats.num_assignments, 138u) << "threads " << threads;
     EXPECT_NEAR(eval::BestF1(result->pr_curve), 0.91666666666666663, 1e-9)
         << "threads " << threads;
 
-    // And the stronger form: bitwise equality with the serial run.
-    ASSERT_EQ(result->candidate_pairs.size(), serial->candidate_pairs.size());
-    for (size_t i = 0; i < serial->candidate_pairs.size(); ++i) {
-      EXPECT_EQ(result->candidate_pairs[i].a, serial->candidate_pairs[i].a);
-      EXPECT_EQ(result->candidate_pairs[i].b, serial->candidate_pairs[i].b);
-      EXPECT_EQ(result->candidate_pairs[i].score, serial->candidate_pairs[i].score);
+    // And the stronger form: bitwise equality with the serial run — the
+    // machine pass's pairs and the ranked list.
+    const auto pairs =
+        HybridWorkflow::MachinePass(dataset, config.measure, config.likelihood_threshold,
+                                    CandidateStrategy::kAllPairsJoin, threads)
+            .ValueOrDie();
+    ASSERT_EQ(pairs.size(), serial_pairs.size());
+    for (size_t i = 0; i < serial_pairs.size(); ++i) {
+      EXPECT_EQ(pairs[i].a, serial_pairs[i].a);
+      EXPECT_EQ(pairs[i].b, serial_pairs[i].b);
+      EXPECT_EQ(pairs[i].score, serial_pairs[i].score);
     }
     ASSERT_EQ(result->ranked.size(), serial->ranked.size());
     for (size_t i = 0; i < serial->ranked.size(); ++i) {
@@ -125,9 +137,8 @@ TEST(GoldenWorkflowTest, MultiThreadedRunLeavesGoldenValuesBitwiseUnchanged) {
 }
 
 // Shared matrix body: a streaming run under (threads, budget,
-// partition_pairs) must reproduce `materialized` bitwise — ranked list,
-// crowd statistics, cost, and completion time — without ever materializing
-// the candidate pair list.
+// partition_pairs) must reproduce the unbounded `materialized` run bitwise —
+// ranked list, crowd statistics, cost, and completion time.
 void ExpectStreamingMatchesMaterialized(const data::Dataset& dataset,
                                         const WorkflowConfig& base,
                                         const WorkflowResult& materialized, uint32_t threads,
@@ -145,9 +156,6 @@ void ExpectStreamingMatchesMaterialized(const data::Dataset& dataset,
                             std::to_string(budget) + " partition " +
                             std::to_string(partition_pairs);
 
-  // The partitioned boundary never materializes the pair list; only the
-  // count survives.
-  EXPECT_TRUE(result->candidate_pairs.empty()) << which;
   EXPECT_EQ(result->num_candidate_pairs, materialized.num_candidate_pairs) << which;
   EXPECT_EQ(result->pipeline_stats.streamed_pairs, materialized.num_candidate_pairs) << which;
   EXPECT_EQ(result->machine_recall, materialized.machine_recall) << which;
@@ -176,6 +184,37 @@ void ExpectStreamingMatchesMaterialized(const data::Dataset& dataset,
     EXPECT_GT(result->pipeline_stats.spilled_bytes, 0u) << which;
   } else {
     EXPECT_EQ(result->pipeline_stats.spilled_bytes, 0u) << which;
+  }
+}
+
+TEST(GoldenWorkflowTest, MaterializedModeIgnoresTheBoundedMemoryKnobs) {
+  // ExecutionMode selects no code: kMaterialized is the partitioned path
+  // with memory_budget_bytes, stream_block_records and crowd_partition_pairs
+  // treated as 0. Knobs that force spilling and ~4 crowd partitions under
+  // kStreaming (see the matrix below) must leave this run unbounded — no
+  // spill anywhere, one partition — and its ranked list the default run's.
+  const data::Dataset dataset = SmallRestaurant();
+  auto baseline = HybridWorkflow(GoldenConfig()).Run(dataset);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+
+  WorkflowConfig config = GoldenConfig();
+  config.execution_mode = ExecutionMode::kMaterialized;
+  config.memory_budget_bytes = 1024;
+  config.stream_block_records = 64;
+  config.crowd_partition_pairs = 64;
+  auto result = HybridWorkflow(config).Run(dataset);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  EXPECT_EQ(result->pipeline_stats.spilled_bytes, 0u);
+  EXPECT_EQ(result->pipeline_stats.vote_spilled_bytes, 0u);
+  EXPECT_EQ(result->pipeline_stats.boundary_spilled_bytes, 0u);
+  EXPECT_EQ(result->pipeline_stats.crowd_partitions, 1u);
+  EXPECT_EQ(result->crowd_rounds.size(), 1u);
+  ASSERT_EQ(result->ranked.size(), baseline->ranked.size());
+  for (size_t i = 0; i < baseline->ranked.size(); ++i) {
+    EXPECT_EQ(result->ranked[i].a, baseline->ranked[i].a);
+    EXPECT_EQ(result->ranked[i].b, baseline->ranked[i].b);
+    EXPECT_EQ(result->ranked[i].score, baseline->ranked[i].score);
   }
 }
 
@@ -269,7 +308,6 @@ TEST(GoldenWorkflowTest, ManualDriverLoopReproducesGoldensInBothModes) {
     EXPECT_NEAR(eval::BestF1(result->pr_curve), 0.91666666666666663, 1e-9) << which;
     if (streaming) {
       EXPECT_GT(rounds, 1u);  // the step machine really surfaced partitions
-      EXPECT_TRUE(result->candidate_pairs.empty()) << which;
     } else {
       EXPECT_EQ(rounds, 1u);
     }

@@ -2,6 +2,10 @@
 // together, checked over randomized inputs (parameterized seeds).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <utility>
+
 #include "core/crowder.h"
 
 namespace crowder {
@@ -24,21 +28,46 @@ TEST_P(EndToEndProperties, PipelineInvariantsHold) {
   config.likelihood_threshold = 0.3;
   config.cluster_size = 8;
   config.seed = GetParam() * 7 + 1;
-  auto result = core::HybridWorkflow(config).Run(dataset).ValueOrDie();
+
+  // The driver loop spelled out (as HybridWorkflow::Run runs it), noting
+  // every record pair the crowd voted on along the way.
+  auto backend = crowd::SimulatedCrowdBackend::Create(config.crowd, config.seed,
+                                                      dataset.truth.entity_of, {})
+                     .ValueOrDie();
+  core::WorkflowDriver driver(config);
+  ASSERT_TRUE(driver.Start(dataset).ok());
+  std::set<std::pair<uint32_t, uint32_t>> voted;
+  while (!driver.done()) {
+    const auto ticket = backend->Post(driver.PendingHits()).ValueOrDie();
+    crowd::VoteBatch votes = backend->Poll(ticket).ValueOrDie();
+    for (const crowd::HitVotes& hv : votes.hit_votes) {
+      for (const crowd::PairVote& pv : hv.votes) {
+        voted.insert({std::min(pv.a, pv.b), std::max(pv.a, pv.b)});
+      }
+    }
+    ASSERT_TRUE(driver.SubmitVotes(std::move(votes)).ok());
+    ASSERT_TRUE(driver.Step().ok());
+  }
+  ASSERT_TRUE(driver.SubmitCrowdStats(backend->Finish().ValueOrDie()).ok());
+  const core::WorkflowResult result = driver.TakeResult().ValueOrDie();
+  const auto pairs = core::HybridWorkflow::MachinePass(dataset, config.measure,
+                                                       config.likelihood_threshold)
+                         .ValueOrDie();
+  ASSERT_EQ(pairs.size(), result.num_candidate_pairs);
 
   // 1. Every candidate pair meets the threshold and is admissible.
-  for (const auto& p : result.candidate_pairs) {
+  for (const auto& p : pairs) {
     EXPECT_GE(p.score, config.likelihood_threshold);
     EXPECT_LT(p.a, p.b);
     EXPECT_LT(p.b, dataset.table.num_records());
   }
 
   // 2. A cluster HIT covers at least one pair, so #HITs <= #pairs.
-  EXPECT_LE(result.crowd_stats.num_hits, result.candidate_pairs.size());
+  EXPECT_LE(result.crowd_stats.num_hits, result.num_candidate_pairs);
 
   // 3. Every candidate pair received at least one vote (cluster cover).
-  for (size_t i = 0; i < result.crowd_stats.votes.size(); ++i) {
-    EXPECT_GE(result.crowd_stats.votes[i].size(), 1u) << "pair " << i;
+  for (const auto& p : pairs) {
+    EXPECT_EQ(voted.count({p.a, p.b}), 1u) << "pair (" << p.a << "," << p.b << ")";
   }
 
   // 4. Cost accounting: assignments = HITs * replication; cost follows.
@@ -48,7 +77,7 @@ TEST_P(EndToEndProperties, PipelineInvariantsHold) {
               result.crowd_stats.num_assignments * config.crowd.CostPerAssignment(), 1e-9);
 
   // 5. Ranked output is sorted by score descending and covers all pairs.
-  EXPECT_EQ(result.ranked.size(), result.candidate_pairs.size());
+  EXPECT_EQ(result.ranked.size(), result.num_candidate_pairs);
   for (size_t i = 1; i < result.ranked.size(); ++i) {
     EXPECT_GE(result.ranked[i - 1].score, result.ranked[i].score);
   }

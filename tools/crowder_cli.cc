@@ -8,10 +8,8 @@
 //       Product to ~54k records, --scale 46 past 100k.
 //
 //   crowder_cli run --in FILE [--threshold 0.3] [--k 10]
-//                   [--hit-type cluster|pair] [--algorithm two-tiered|bfs|
-//                    dfs|random|approximation] [--qt] [--seed N]
-//                   [--threads N] [--strategy allpairs|blocking|
-//                    sorted-neighborhood] [--streaming]
+//                   [--hit-type cluster|pair] [--qt] [--seed N]
+//                   [--threads N] [--streaming]
 //                   [--memory-budget SIZE] [--partition-pairs N]
 //                   [--crowd sim|record:FILE|replay:FILE]
 //                   [--spammer-fraction F] [--colluder-fraction F]
@@ -22,27 +20,27 @@
 //       Runs the full hybrid workflow (simulated crowd) on a dataset CSV
 //       produced by `generate` (or any CSV with __source/__entity columns),
 //       prints the quality/cost/latency report, and optionally writes the
-//       confirmed matches and the deduplicated table. --threads parallelizes
-//       the machine pass (allpairs strategy only — a serial strategy warns
-//       on stderr and runs serially) and the crowd simulation (0 = all
-//       hardware threads, honoring CROWDER_THREADS; default 1 = serial);
-//       results are identical at any value. --streaming runs the staged
-//       pipeline end-to-end in bounded memory: the candidate pairs flow
-//       through a spillable stream and the crowd boundary (HIT generation,
-//       crowd simulation, vote table, aggregation) runs one pair partition
-//       at a time, so the full pair list / pair graph / vote table are
-//       never resident; entity clustering switches to the streaming
-//       union-find resolver (pure transitive closure — the cross-support
-//       merge guard of the materialized path needs the full confirmed edge
-//       set, so the cluster report is labeled with which rule produced
-//       it). --memory-budget caps each bounded structure's resident bytes
+//       confirmed matches and the deduplicated table. Cluster-based HITs
+//       come from the two-tiered generator. --threads parallelizes the
+//       machine pass and the crowd simulation (0 = all hardware threads,
+//       honoring CROWDER_THREADS; default 1 = serial); results are
+//       identical at any value. Every run takes the same partitioned path:
+//       the candidate pairs flow through a spillable stream and the crowd
+//       boundary (HIT generation, crowd simulation, vote table,
+//       aggregation) runs one pair partition at a time. --streaming bounds
+//       it: --memory-budget caps each bounded structure's resident bytes
 //       (suffixes K/M/G, upper- or lowercase, e.g. 256M or 256m) before it
-//       spills to disk;
-//       --partition-pairs pins the crowd partition capacity (0/absent =
-//       derived from the budget). The workflow outputs — candidate pairs,
-//       HITs, votes, ranked matches, F1 — are byte-identical to the
-//       materialized run at any setting; only the clustering rule differs,
-//       by design. --crowd picks who answers the HITs: `sim` (default) is
+//       spills to disk, and --partition-pairs pins the crowd partition
+//       capacity (0/absent = derived from the budget), so the full pair
+//       list / pair graph / vote table are never resident; entity
+//       clustering switches to the streaming union-find resolver (pure
+//       transitive closure — the cross-support merge guard of the default
+//       report needs the full confirmed edge set, so the cluster report is
+//       labeled with which rule produced it). The workflow outputs —
+//       candidate pairs, HITs, votes, ranked matches, F1 — are
+//       byte-identical to the unbounded run at any setting; only the
+//       clustering rule differs, by design. --crowd picks who answers the
+//       HITs: `sim` (default) is
 //       the deterministic simulator; `record:FILE` simulates AND exports
 //       every vote/assignment to a JSONL vote log; `replay:FILE` answers
 //       from a recorded log instead of simulating — the ranked output is
@@ -74,9 +72,9 @@
 //       --shardd names the worker binary; without it the CLI looks for
 //       crowder_shardd next to its own executable and falls back to
 //       in-process workers (same bytes, no subprocesses) with a notice.
-//       Sharding requires the allpairs strategy and a positive threshold,
-//       and adds a "shard workers" line to the report. The default report
-//       (no such flags) is byte-for-byte unchanged.
+//       Sharding requires a positive threshold and adds a "shard workers"
+//       line to the report. The default report (no such flags) is
+//       byte-for-byte unchanged.
 //
 //   crowder_cli plan --in FILE --budget DOLLARS [--k 10] [--threads N]
 //       Evaluates the cost/recall tradeoff across thresholds and recommends
@@ -90,15 +88,23 @@
 //       transitive closure. Its `record,cluster` report (--report) is
 //       bitwise what crowder_serve / crowder_bench_serve produce for the
 //       same data and config — the smoke chain compares the files.
+//
+// Every subcommand rejects a flag its usage text does not list (exit 2),
+// and a numeric flag whose whole value is not a finite number in range
+// (exit 1, naming the flag).
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
+#include <type_traits>
 
 #include "core/crowder.h"
 #include "serve/service.h"
@@ -116,45 +122,98 @@ struct Args {
     auto it = flags.find(key);
     return it == flags.end() ? fallback : it->second;
   }
-  double GetDouble(const std::string& key, double fallback) const {
+
+  /// Flag `key` as a T (`fallback` when absent): a double, or an unsigned
+  /// integer, which takes no sign. The whole value must parse and be finite
+  /// and within [lo, hi]; anything else is an InvalidArgument naming the
+  /// flag.
+  template <typename T>
+  Result<T> GetNumber(const std::string& key, T fallback,
+                      T lo = std::numeric_limits<T>::lowest(),
+                      T hi = std::numeric_limits<T>::max()) const {
+    static_assert(std::is_floating_point_v<T> || std::is_unsigned_v<T>);
     auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::stod(it->second);
-  }
-  long GetLong(const std::string& key, long fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::stol(it->second);
-  }
-  /// --threads, range-checked: a negative value would otherwise wrap through
-  /// uint32_t and ask the pool for billions of workers.
-  Result<uint32_t> GetThreads() const {
-    const long threads = GetLong("threads", 1);
-    if (threads < 0 || threads > 4096) {
-      return Status::InvalidArgument("--threads must be in [0, 4096], got " +
-                                     std::to_string(threads));
+    if (it == flags.end()) return fallback;
+    const std::string& text = it->second;
+    const char* end = text.data() + text.size();
+    T value{};
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    const char* expected =
+        std::is_floating_point_v<T> ? "a number" : "a non-negative integer";
+    if (error == std::errc::result_out_of_range) {
+      return Status::InvalidArgument("--" + key + " is out of range: '" + text + "'");
     }
-    return static_cast<uint32_t>(threads);
+    if (error != std::errc() || stop != end) {
+      return Status::InvalidArgument("--" + key + " expects " + expected + ", got '" + text +
+                                     "'");
+    }
+    if constexpr (std::is_floating_point_v<T>) {
+      if (!std::isfinite(value)) {
+        return Status::InvalidArgument("--" + key + " must be finite, got '" + text + "'");
+      }
+    }
+    if (value < lo || value > hi) {
+      std::ostringstream range;
+      range << "[" << +lo << ", " << +hi << "]";
+      return Status::InvalidArgument("--" + key + " must be in " + range.str() + ", got '" +
+                                     text + "'");
+    }
+    return value;
   }
 };
+
+/// The flags each subcommand accepts: exactly those its usage text lists.
+/// Value flags take the next token; switches take none.
+struct CommandFlags {
+  std::set<std::string> values;
+  std::set<std::string> switches;
+};
+
+const std::map<std::string, CommandFlags>& KnownFlags() {
+  static const std::map<std::string, CommandFlags> flags = {
+      {"generate", {{"dataset", "out", "seed", "scale"}, {}}},
+      {"run",
+       {{"in", "threshold", "k", "hit-type", "seed", "threads", "memory-budget",
+         "partition-pairs", "crowd", "spammer-fraction", "colluder-fraction",
+         "sleeper-fraction", "select", "shards", "shardd", "matches", "merged"},
+        {"qt", "streaming", "filter-workers", "async-crowd", "machine-only"}}},
+      {"plan", {{"in", "budget", "k", "threads"}, {}}},
+      {"serve-batch",
+       {{"in", "threshold", "auto-match", "match-threshold", "seed", "report"}, {}}},
+  };
+  return flags;
+}
 
 Result<Args> Parse(int argc, char** argv) {
   if (argc < 2) return Status::InvalidArgument("missing command");
   Args args;
   args.command = argv[1];
+  const auto known = KnownFlags().find(args.command);
+  if (known == KnownFlags().end()) {
+    return Status::InvalidArgument("unknown command '" + args.command + "'");
+  }
   for (int i = 2; i < argc; ++i) {
     std::string token = argv[i];
     if (!StartsWith(token, "--")) {
       return Status::InvalidArgument("expected --flag, got '" + token + "'");
     }
     token = token.substr(2);
-    if (token == "qt" || token == "streaming" || token == "machine-only" ||
-        token == "filter-workers" || token == "async-crowd") {
-      args.flags[token] = "true";  // boolean flags
-    } else {
+    if (known->second.switches.count(token) != 0) {
+      args.flags[token] = "true";
+    } else if (known->second.values.count(token) != 0) {
       if (i + 1 >= argc) return Status::InvalidArgument("flag --" + token + " needs a value");
       args.flags[token] = argv[++i];
+    } else {
+      return Status::InvalidArgument("unknown flag --" + token + " for " + args.command);
     }
   }
   return args;
+}
+
+/// --threads: a bounded count, so a typo cannot ask the pool for billions of
+/// workers.
+Result<uint32_t> GetThreads(const Args& args) {
+  return args.GetNumber<uint32_t>("threads", 1, 0, 4096);
 }
 
 int Usage() {
@@ -163,9 +222,7 @@ int Usage() {
   crowder_cli generate --dataset restaurant|product|productdup --out FILE [--seed N]
                        [--scale F]
   crowder_cli run --in FILE [--threshold 0.3] [--k 10] [--hit-type cluster|pair]
-                  [--algorithm two-tiered|bfs|dfs|random|approximation] [--qt]
-                  [--seed N] [--threads N]
-                  [--strategy allpairs|blocking|sorted-neighborhood]
+                  [--qt] [--seed N] [--threads N]
                   [--streaming] [--memory-budget SIZE(K|M|G, either case)]
                   [--partition-pairs N] [--crowd sim|record:FILE|replay:FILE]
                   [--spammer-fraction F] [--colluder-fraction F]
@@ -185,8 +242,8 @@ Status Generate(const Args& args) {
   if (kind.empty() || out.empty()) {
     return Status::InvalidArgument("generate requires --dataset and --out");
   }
-  const uint64_t seed = static_cast<uint64_t>(args.GetLong("seed", 0));
-  const double scale = args.GetDouble("scale", 1.0);
+  CROWDER_ASSIGN_OR_RETURN(const uint64_t seed, args.GetNumber<uint64_t>("seed", 0));
+  CROWDER_ASSIGN_OR_RETURN(const double scale, args.GetNumber<double>("scale", 1.0));
   data::Dataset dataset;
   if (kind == "restaurant") {
     data::RestaurantConfig config;
@@ -212,22 +269,6 @@ Status Generate(const Args& args) {
   std::cout << "wrote " << dataset.table.num_records() << " records ("
             << dataset.CountMatchingPairs() << " matching pairs) to " << out << "\n";
   return Status::OK();
-}
-
-Result<hitgen::ClusterAlgorithm> AlgorithmFromName(const std::string& name) {
-  if (name == "two-tiered") return hitgen::ClusterAlgorithm::kTwoTiered;
-  if (name == "bfs") return hitgen::ClusterAlgorithm::kBfs;
-  if (name == "dfs") return hitgen::ClusterAlgorithm::kDfs;
-  if (name == "random") return hitgen::ClusterAlgorithm::kRandom;
-  if (name == "approximation") return hitgen::ClusterAlgorithm::kApproximation;
-  return Status::InvalidArgument("unknown algorithm '" + name + "'");
-}
-
-Result<core::CandidateStrategy> StrategyFromName(const std::string& name) {
-  if (name == "allpairs") return core::CandidateStrategy::kAllPairsJoin;
-  if (name == "blocking") return core::CandidateStrategy::kBlockingVerify;
-  if (name == "sorted-neighborhood") return core::CandidateStrategy::kSortedNeighborhoodVerify;
-  return Status::InvalidArgument("unknown strategy '" + name + "'");
 }
 
 /// Where `--shards N` looks for the worker binary when --shardd is absent:
@@ -325,7 +366,8 @@ Status RunMachineOnly(const data::Dataset& dataset,
         const auto pairs,
         core::HybridWorkflow::MachinePass(dataset, config.measure,
                                           config.likelihood_threshold,
-                                          config.candidate_strategy, config.num_threads));
+                                          core::CandidateStrategy::kAllPairsJoin,
+                                          config.num_threads));
     num_pairs = pairs.size();
     candidate_matches = core::internal::CountCandidateMatches(dataset, pairs);
   }
@@ -356,16 +398,14 @@ Status RunMachineOnly(const data::Dataset& dataset,
 Status Run(const Args& args) {
   const std::string in = args.Get("in", "");
   if (in.empty()) return Status::InvalidArgument("run requires --in");
-  CROWDER_ASSIGN_OR_RETURN(data::Dataset dataset, data::ReadDatasetCsv(in, in));
 
   core::WorkflowConfig config;
-  config.likelihood_threshold = args.GetDouble("threshold", 0.3);
-  config.cluster_size = static_cast<uint32_t>(args.GetLong("k", 10));
+  CROWDER_ASSIGN_OR_RETURN(config.likelihood_threshold,
+                           args.GetNumber<double>("threshold", 0.3));
+  CROWDER_ASSIGN_OR_RETURN(config.cluster_size, args.GetNumber<uint32_t>("k", 10));
   config.pairs_per_hit = config.cluster_size;
-  config.seed = static_cast<uint64_t>(args.GetLong("seed", 42));
-  CROWDER_ASSIGN_OR_RETURN(config.num_threads, args.GetThreads());
-  CROWDER_ASSIGN_OR_RETURN(config.candidate_strategy,
-                           StrategyFromName(args.Get("strategy", "allpairs")));
+  CROWDER_ASSIGN_OR_RETURN(config.seed, args.GetNumber<uint64_t>("seed", 42));
+  CROWDER_ASSIGN_OR_RETURN(config.num_threads, GetThreads(args));
   if (args.Has("streaming")) config.execution_mode = core::ExecutionMode::kStreaming;
   if (args.Has("memory-budget")) {
     CROWDER_ASSIGN_OR_RETURN(config.memory_budget_bytes,
@@ -375,11 +415,8 @@ Status Run(const Args& args) {
     }
   }
   if (args.Has("partition-pairs")) {
-    const long partition_pairs = args.GetLong("partition-pairs", 0);
-    if (partition_pairs < 0) {
-      return Status::InvalidArgument("--partition-pairs must be non-negative");
-    }
-    config.crowd_partition_pairs = static_cast<uint64_t>(partition_pairs);
+    CROWDER_ASSIGN_OR_RETURN(config.crowd_partition_pairs,
+                             args.GetNumber<uint64_t>("partition-pairs", 0));
     if (!args.Has("streaming")) {
       std::cerr << "warning: --partition-pairs only applies with --streaming; ignored\n";
     }
@@ -394,13 +431,14 @@ Status Run(const Args& args) {
   const bool adversarial = args.Has("spammer-fraction") || args.Has("colluder-fraction") ||
                            args.Has("sleeper-fraction");
   if (adversarial) {
-    const double spammer = args.GetDouble("spammer-fraction", 0.0);
-    const double colluder = args.GetDouble("colluder-fraction", 0.0);
-    const double sleeper = args.GetDouble("sleeper-fraction", 0.0);
-    if (spammer < 0.0 || colluder < 0.0 || sleeper < 0.0 ||
-        spammer + colluder + sleeper > 1.0) {
-      return Status::InvalidArgument(
-          "adversarial fractions must be non-negative and sum to <= 1");
+    CROWDER_ASSIGN_OR_RETURN(const double spammer,
+                             args.GetNumber<double>("spammer-fraction", 0.0, 0.0, 1.0));
+    CROWDER_ASSIGN_OR_RETURN(const double colluder,
+                             args.GetNumber<double>("colluder-fraction", 0.0, 0.0, 1.0));
+    CROWDER_ASSIGN_OR_RETURN(const double sleeper,
+                             args.GetNumber<double>("sleeper-fraction", 0.0, 0.0, 1.0));
+    if (spammer + colluder + sleeper > 1.0) {
+      return Status::InvalidArgument("adversarial fractions must sum to <= 1");
     }
     const double honest = 1.0 - (spammer + colluder + sleeper);
     const crowd::CrowdModel defaults;
@@ -424,12 +462,7 @@ Status Run(const Args& args) {
   }
 
   if (args.Has("shards")) {
-    const long shards = args.GetLong("shards", 0);
-    if (shards < 1 || shards > 1024) {
-      return Status::InvalidArgument("--shards must be in [1, 1024], got " +
-                                     std::to_string(shards));
-    }
-    config.num_shards = static_cast<uint32_t>(shards);
+    CROWDER_ASSIGN_OR_RETURN(config.num_shards, args.GetNumber<uint32_t>("shards", 0, 1, 1024));
     config.shard_worker_path = args.Get("shardd", "");
     if (config.num_shards >= 2 && config.shard_worker_path.empty()) {
       config.shard_worker_path = DefaultShardWorkerPath();
@@ -449,8 +482,6 @@ Status Run(const Args& args) {
   } else if (hit_type != "cluster") {
     return Status::InvalidArgument("unknown --hit-type '" + hit_type + "'");
   }
-  CROWDER_ASSIGN_OR_RETURN(config.cluster_algorithm,
-                           AlgorithmFromName(args.Get("algorithm", "two-tiered")));
   // Who answers the HITs (crowd/backend.h): the simulator, the simulator
   // teeing into a vote log, or a recorded log replayed.
   const std::string crowd_mode = args.Get("crowd", "sim");
@@ -460,8 +491,9 @@ Status Run(const Args& args) {
                                    "' (use sim, record:FILE, or replay:FILE)");
   }
 
-  // After full flag validation, so a typo'd --hit-type/--algorithm fails the
-  // same way with or without --machine-only.
+  // After full flag validation, so a typo'd --hit-type fails the same way
+  // with or without --machine-only, and before any work on the dataset.
+  CROWDER_ASSIGN_OR_RETURN(data::Dataset dataset, data::ReadDatasetCsv(in, in));
   if (args.Has("machine-only")) {
     if (args.Has("matches") || args.Has("merged")) {
       std::cerr << "warning: --matches/--merged need the full workflow; "
@@ -528,7 +560,7 @@ Status Run(const Args& args) {
   }
   std::cout << "HITs:               " << result.crowd_stats.num_hits << " ("
             << (config.hit_type == core::HitType::kPairBased ? "pair-based" : "cluster-based")
-            << ", " << args.Get("algorithm", "two-tiered") << ")\n";
+            << ", two-tiered)\n";
   std::cout << "assignments:        " << result.crowd_stats.num_assignments << " ($"
             << FormatDouble(result.crowd_stats.cost_dollars, 2) << ")\n";
   std::cout << "crowd wall time:    "
@@ -608,14 +640,14 @@ Status Plan(const Args& args) {
   if (in.empty() || !args.Has("budget")) {
     return Status::InvalidArgument("plan requires --in and --budget");
   }
-  CROWDER_ASSIGN_OR_RETURN(data::Dataset dataset, data::ReadDatasetCsv(in, in));
   core::WorkflowConfig base;
-  base.cluster_size = static_cast<uint32_t>(args.GetLong("k", 10));
-  CROWDER_ASSIGN_OR_RETURN(base.num_threads, args.GetThreads());
+  CROWDER_ASSIGN_OR_RETURN(base.cluster_size, args.GetNumber<uint32_t>("k", 10));
+  CROWDER_ASSIGN_OR_RETURN(base.num_threads, GetThreads(args));
+  CROWDER_ASSIGN_OR_RETURN(const double budget, args.GetNumber<double>("budget", 0.0));
+  CROWDER_ASSIGN_OR_RETURN(data::Dataset dataset, data::ReadDatasetCsv(in, in));
   CROWDER_ASSIGN_OR_RETURN(
       core::BudgetPlan plan,
-      core::PlanForBudget(dataset, args.GetDouble("budget", 0.0), base,
-                          {0.5, 0.4, 0.3, 0.2, 0.1}));
+      core::PlanForBudget(dataset, budget, base, {0.5, 0.4, 0.3, 0.2, 0.1}));
   eval::TablePrinter table({"threshold", "#pairs", "#HITs", "cost", "machine recall"});
   for (const auto& pt : plan.evaluated) {
     table.AddRow({FormatDouble(pt.threshold, 1), WithThousands(pt.num_pairs),
@@ -635,13 +667,16 @@ Status Plan(const Args& args) {
 Status ServeBatch(const Args& args) {
   const std::string in = args.Get("in", "");
   if (in.empty()) return Status::InvalidArgument("serve-batch requires --in");
-  CROWDER_ASSIGN_OR_RETURN(data::Dataset dataset, data::ReadDatasetCsv(in, in));
 
   serve::ServiceConfig config;
-  config.threshold = args.GetDouble("threshold", config.threshold);
-  config.auto_match_threshold = args.GetDouble("auto-match", config.auto_match_threshold);
-  config.match_threshold = args.GetDouble("match-threshold", config.match_threshold);
-  config.seed = static_cast<uint64_t>(args.GetLong("seed", static_cast<long>(config.seed)));
+  CROWDER_ASSIGN_OR_RETURN(config.threshold,
+                           args.GetNumber<double>("threshold", config.threshold));
+  CROWDER_ASSIGN_OR_RETURN(config.auto_match_threshold,
+                           args.GetNumber<double>("auto-match", config.auto_match_threshold));
+  CROWDER_ASSIGN_OR_RETURN(config.match_threshold,
+                           args.GetNumber<double>("match-threshold", config.match_threshold));
+  CROWDER_ASSIGN_OR_RETURN(config.seed, args.GetNumber<uint64_t>("seed", config.seed));
+  CROWDER_ASSIGN_OR_RETURN(data::Dataset dataset, data::ReadDatasetCsv(in, in));
 
   CROWDER_ASSIGN_OR_RETURN(const serve::ServiceReport report,
                            serve::BatchResolve(dataset, config));
@@ -671,6 +706,8 @@ Status ServeBatch(const Args& args) {
 }  // namespace crowder
 
 int main(int argc, char** argv) {
+  // Parse knows every subcommand and its flags; anything else is a usage
+  // error (exit 2).
   auto args = crowder::cli::Parse(argc, argv);
   if (!args.ok()) {
     std::cerr << args.status().ToString() << "\n";
@@ -683,10 +720,8 @@ int main(int argc, char** argv) {
     status = crowder::cli::Run(*args);
   } else if (args->command == "plan") {
     status = crowder::cli::Plan(*args);
-  } else if (args->command == "serve-batch") {
-    status = crowder::cli::ServeBatch(*args);
   } else {
-    return crowder::cli::Usage();
+    status = crowder::cli::ServeBatch(*args);
   }
   if (!status.ok()) {
     std::cerr << "error: " << status.ToString() << "\n";
