@@ -11,6 +11,7 @@ namespace core {
 Result<BudgetPlan> PlanForBudget(const data::Dataset& dataset, double budget_dollars,
                                  const WorkflowConfig& base_config,
                                  const std::vector<double>& thresholds) {
+  CROWDER_RETURN_NOT_OK(ValidateWorkflowConfig(base_config));
   if (thresholds.empty()) {
     return Status::InvalidArgument("at least one candidate threshold required");
   }

@@ -34,7 +34,8 @@ struct BudgetPlan {
 };
 
 /// \brief Evaluates `thresholds` (any order) and picks the point with the
-/// highest machine recall whose cost fits `budget_dollars`.
+/// highest machine recall whose cost fits `budget_dollars`. Rejects a
+/// `base_config` that ValidateWorkflowConfig rejects.
 Result<BudgetPlan> PlanForBudget(const data::Dataset& dataset, double budget_dollars,
                                  const WorkflowConfig& base_config,
                                  const std::vector<double>& thresholds);

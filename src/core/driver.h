@@ -30,7 +30,7 @@
 /// every HIT when the run is unbounded. The results are bitwise the same
 /// at any partitioning (golden-pinned).
 ///
-/// Error discipline (the `failed_` latch, as in crowd::CrowdSession):
+/// Error discipline (the `failed_` latch, as in crowd::SimulatedCrowdBackend):
 /// submitting corrupt vote *data* — a vote on a pair outside the round's
 /// context, an assignment for a HIT outside the round — rejects the batch
 /// without filing anything AND poisons the driver, so a partial or

@@ -1,6 +1,7 @@
 #include "core/workflow.h"
 
 #include <memory>
+#include <string>
 
 #include "common/logging.h"
 #include "core/driver.h"
@@ -149,11 +150,14 @@ Status ValidateWorkflowConfig(const WorkflowConfig& config) {
   if (!(config.likelihood_threshold >= 0.0 && config.likelihood_threshold <= 1.0)) {
     return Status::InvalidArgument("likelihood_threshold must be in [0,1]");
   }
-  if (config.cluster_size < 2) {
-    return Status::InvalidArgument("cluster_size must be >= 2");
+  if (config.cluster_size < 2 || config.cluster_size > kMaxHitSize) {
+    return Status::InvalidArgument("cluster_size must be in [2, " + std::to_string(kMaxHitSize) +
+                                   "], got " + std::to_string(config.cluster_size));
   }
-  if (config.pairs_per_hit < 1) {
-    return Status::InvalidArgument("pairs_per_hit must be >= 1");
+  if (config.pairs_per_hit < 1 || config.pairs_per_hit > kMaxHitSize) {
+    return Status::InvalidArgument("pairs_per_hit must be in [1, " +
+                                   std::to_string(kMaxHitSize) + "], got " +
+                                   std::to_string(config.pairs_per_hit));
   }
   if (config.num_shards >= 2 && config.likelihood_threshold <= 0.0) {
     return Status::InvalidArgument(

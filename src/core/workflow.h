@@ -101,7 +101,7 @@ struct WorkflowConfig {
   /// contract pinned by the golden workflow test.
   ///
   /// What parallelizes: the machine pass's prefix-filter join and the crowd
-  /// simulation (per-HIT seed derivation, see crowd/session.h). HIT
+  /// simulation (per-HIT seed derivation, see crowd/backend.h). HIT
   /// generation is inherently sequential and ignores this knob.
   uint32_t num_threads = 1;
 
@@ -192,10 +192,16 @@ struct WorkflowConfig {
   uint64_t seed = 42;
 };
 
-/// \brief Validates a configuration: threshold in [0,1], cluster size >= 2,
-/// pairs per HIT >= 1, sane crowd-model fractions, pool large enough for the
-/// replication factor, and a positive threshold for the sharded pass. Run()
-/// calls this before any work.
+/// \brief Largest cluster_size / pairs_per_hit a configuration may ask for.
+/// HIT generation allocates per-size vectors of that length, so an absurd
+/// value must be rejected, not allocated; the paper's HITs hold at most 20.
+inline constexpr uint32_t kMaxHitSize = 1000;
+
+/// \brief Validates a configuration: threshold in [0,1], cluster size in
+/// [2, kMaxHitSize], pairs per HIT in [1, kMaxHitSize], sane crowd-model
+/// fractions, pool large enough for the replication factor, and a positive
+/// threshold for the sharded pass. Run() and PlanForBudget() call this
+/// before any work.
 Status ValidateWorkflowConfig(const WorkflowConfig& config);
 
 /// \brief What the driver observed about one crowd round (one HIT batch):

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <unordered_map>
 
-#include "crowd/session.h"  // DeriveRng
-
 namespace crowder {
 namespace crowd {
 

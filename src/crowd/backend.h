@@ -9,10 +9,10 @@
 /// *polls* answers, and what sits behind the boundary is the caller's
 /// choice:
 ///
-///  * `SimulatedCrowdBackend` — the deterministic simulator
-///    (crowd/session.h) behind the interface; bitwise-identical to the
-///    pre-interface workflow, and able to tee every response into a
-///    `VoteLogWriter` (crowd/vote_log.h) for later replay.
+///  * `SimulatedCrowdBackend` — the deterministic simulator, the one code
+///    that answers a simulated HIT; bitwise-identical to the pre-interface
+///    workflow, and able to tee every response into a `VoteLogWriter`
+///    (crowd/vote_log.h) for later replay.
 ///  * `RecordedCrowdBackend` (crowd/vote_log.h) — replays a recorded vote
 ///    log, reproducing the ranked output byte for byte without simulating.
 ///  * `CallbackCrowdBackend` — a user-supplied function: the embedding hook
@@ -30,17 +30,19 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
+#include "common/rng.h"
 #include "crowd/platform.h"
-#include "crowd/session.h"
+#include "exec/thread_pool.h"
 #include "hitgen/hit.h"
 #include "similarity/similarity_join.h"
 
 namespace crowder {
-/// \brief The crowd: worker pool simulation, crowd sessions, and the
-/// pluggable CrowdBackend boundary with its vote-log record/replay.
+/// \brief The crowd: worker pool simulation and the pluggable CrowdBackend
+/// boundary with its vote-log record/replay.
 namespace crowd {
 
 class VoteLogWriter;  // crowd/vote_log.h
@@ -75,12 +77,30 @@ struct HitBatch {
 
 /// \brief Canonical 64-bit key of an unordered record pair — min(a, b) in
 /// the high word, max(a, b) in the low. The one normalization shared by
-/// every component that indexes votes by record pair (the session's pair
+/// every component that indexes votes by record pair (the simulator's pair
 /// index, the driver's round context, the simulator's per-pair hardness
 /// draw); a single definition keeps the seam's key spaces identical.
 inline uint64_t PairKey(uint32_t a, uint32_t b) {
   return (static_cast<uint64_t>(a < b ? a : b) << 32) | (a < b ? b : a);
 }
+
+/// \brief Derives the independent Rng a component uses for `salt` under a
+/// platform seed. Distinct salts give statistically independent streams;
+/// SimulatedCrowdBackend uses the global HIT index as the salt.
+Rng DeriveRng(uint64_t seed, uint64_t salt);
+
+/// \brief Deterministic per-pair hardness draw in [0,1): the same pair is
+/// equally confusing for every worker and every run, which is what makes
+/// replication imperfect insurance (as on the real platform). Shared with
+/// the serving stack's per-pair verdicts (serve/pair_crowd.h), so both
+/// draw the same hardness.
+double PairHardness(uint32_t a, uint32_t b);
+
+/// \brief Picks `count` distinct entries of `eligible` using `rng` (sample
+/// without replacement over positions). Shared by the simulator and the
+/// serving stack so both assign the same workers to the same draw.
+std::vector<uint32_t> PickWorkersFrom(const std::vector<uint32_t>& eligible, uint32_t count,
+                                      Rng* rng);
 
 /// \brief One worker's verdict on one record pair, named by record ids (not
 /// positional indices) so answers survive any transport — a live platform, a
@@ -172,22 +192,41 @@ struct SimulatedCrowdOptions {
   VoteLogWriter* tee = nullptr;
 };
 
-/// \brief Today's deterministic simulator behind the backend interface.
+/// \brief The deterministic simulator behind the backend interface — the
+/// one code that answers a simulated HIT.
 ///
-/// Bitwise contract: driving a workflow through this backend produces
-/// exactly the bytes the pre-backend `HybridWorkflow::Run` produced — the
-/// simulation still runs per HIT from Rng(seed, global HIT index) inside
-/// one CrowdSession that spans all batches, so batch boundaries, execution
-/// mode, and thread counts remain invisible (pinned by the golden workflow
-/// test's backend dimension).
+/// Every HIT is simulated from its own Rng derived from (platform seed,
+/// global HIT index), never from state mutated by earlier HITs, and its
+/// workers answer from that stream (Worker::AnswerPairWith), not from their
+/// own — so a worker's verdicts do not depend on what else they were
+/// assigned. Two consequences the workflow relies on (pinned by crowd_test
+/// and the golden workflow test):
+///
+///   1. Batch boundaries are invisible: one HIT per Post, one big Post, or
+///      any split in between — each batch carrying its own pair context —
+///      yields bitwise-identical votes, assignments and statistics.
+///   2. Thread counts are invisible: a batch is simulated with
+///      exec::ParallelMap, per-HIT outcomes land in slots indexed by
+///      position and merge in HIT order (exec/parallel.h's layout
+///      determinism), so any `num_threads` produces the same bytes.
+///
+/// A batch may carry pair-based or cluster-based HITs, and a run may mix
+/// them (a cluster round's repair HITs are pair-based). The wall-clock
+/// completion simulation (worker arrival process) needs the whole
+/// assignment list, so it runs once, sequentially, inside Finish() from its
+/// own derived stream; the first batch's HIT kind selects its interface
+/// familiarity. A batch that names a pair outside its context fails
+/// mid-merge, with a prefix of its HITs already counted, so it latches the
+/// backend: every later Post and Finish is rejected.
 class SimulatedCrowdBackend : public CrowdBackend {
  public:
   /// \brief Construction knobs (alias; see SimulatedCrowdOptions).
   using Options = SimulatedCrowdOptions;
 
-  /// \brief Builds the worker pool from (model, seed) and opens a
-  /// partitioned CrowdSession over it. `entity_of` (ground truth per
-  /// record) must outlive the backend.
+  /// \brief Builds the worker pool from (model, seed) and simulates over
+  /// it. Fails on a malformed model or an infeasible pool
+  /// (CrowdPlatform::Validate), naming the cause. `entity_of` (ground truth
+  /// per record) must outlive the backend.
   static Result<std::unique_ptr<SimulatedCrowdBackend>> Create(
       const CrowdModel& model, uint64_t seed, const std::vector<uint32_t>& entity_of,
       Options options = Options());
@@ -197,16 +236,41 @@ class SimulatedCrowdBackend : public CrowdBackend {
   Result<CrowdRunResult> Finish() override;
 
  private:
-  SimulatedCrowdBackend(const CrowdModel& model, uint64_t seed, VoteLogWriter* tee);
+  /// Everything one simulated HIT produces, merged in HIT order.
+  struct HitOutcome {
+    Status status;                ///< first validation error wins, deterministically
+    std::vector<PairVote> votes;  ///< in cast order
+    std::vector<AssignmentRecord> assignments;
+    double visible_items = 0.0;
+  };
+
+  SimulatedCrowdBackend(const CrowdModel& model, uint64_t seed,
+                        const std::vector<uint32_t>& entity_of, Options options);
+
+  /// Answers the HIT at position `pos` of `batch` (pair_index_ holds the
+  /// batch's context).
+  HitOutcome SimulatePairHit(const HitBatch& batch, size_t pos) const;
+  /// The §6 labelling procedure over the cluster HIT at position `pos`.
+  HitOutcome SimulateClusterHit(const HitBatch& batch, size_t pos) const;
 
   CrowdPlatform platform_;
-  std::unique_ptr<CrowdSession> session_;
+  const std::vector<uint32_t>& entity_of_;
   VoteLogWriter* tee_ = nullptr;
+  std::unique_ptr<exec::ThreadPool> pool_;  ///< null when serial
+  /// PairKey(a, b) -> position in the posted batch's pair context.
+  std::unordered_map<uint64_t, size_t> pair_index_;
   /// The answer prepared by Post, awaiting its Poll.
   VoteBatch pending_votes_;
   const HitBatch* pending_batch_ = nullptr;  // non-owning; valid until Poll
+  /// Accumulated across batches; Finish completes it.
+  CrowdRunResult stats_;
+  std::vector<char> worker_used_;
+  double total_visible_ = 0.0;
+  uint32_t next_hit_ = 0;
+  bool cluster_interface_ = false;
   Ticket next_ticket_ = 0;
   bool ticket_outstanding_ = false;
+  bool failed_ = false;
   bool finished_ = false;
 };
 

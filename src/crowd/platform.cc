@@ -1,6 +1,9 @@
 #include "crowd/platform.h"
 
-#include "crowd/session.h"
+#include <string>
+#include <unordered_map>
+
+#include "crowd/backend.h"
 
 namespace crowder {
 namespace crowd {
@@ -31,18 +34,65 @@ CrowdPlatform::CrowdPlatform(const CrowdModel& model, uint64_t seed)
   }
 }
 
+Status CrowdPlatform::Validate() const {
+  CROWDER_RETURN_NOT_OK(ValidateCrowdModel(model_));
+  if (eligible_.size() < model_.assignments_per_hit) {
+    return Status::Infeasible("only " + std::to_string(eligible_.size()) +
+                              " eligible workers; need " +
+                              std::to_string(model_.assignments_per_hit) +
+                              " distinct workers per HIT");
+  }
+  return Status::OK();
+}
+
+namespace {
+
+// One batch through the simulator (whose pool, a pure function of (model,
+// seed), is this platform's), its per-HIT votes folded into the table
+// aligned to the context's pair list.
+Result<CrowdRunResult> RunOneBatch(const CrowdPlatform& platform, const CrowdContext& context,
+                                   HitBatch batch) {
+  if (context.pairs == nullptr || context.entity_of == nullptr) {
+    return Status::InvalidArgument("CrowdContext pairs/entity_of must be set");
+  }
+  CROWDER_ASSIGN_OR_RETURN(
+      auto backend,
+      SimulatedCrowdBackend::Create(platform.model(), platform.seed(), *context.entity_of));
+  batch.pairs = context.pairs;
+  VoteBatch votes;
+  if (!batch.empty()) {
+    CROWDER_ASSIGN_OR_RETURN(const Ticket ticket, backend->Post(batch));
+    CROWDER_ASSIGN_OR_RETURN(votes, backend->Poll(ticket));
+  }
+  CROWDER_ASSIGN_OR_RETURN(CrowdRunResult result, backend->Finish());
+
+  const std::vector<similarity::ScoredPair>& pairs = *context.pairs;
+  std::unordered_map<uint64_t, size_t> index_of;
+  index_of.reserve(pairs.size());
+  for (size_t i = 0; i < pairs.size(); ++i) index_of[PairKey(pairs[i].a, pairs[i].b)] = i;
+  result.votes.assign(pairs.size(), {});
+  for (const HitVotes& hit : votes.hit_votes) {
+    for (const PairVote& pv : hit.votes) {
+      result.votes[index_of[PairKey(pv.a, pv.b)]].push_back(pv.vote);
+    }
+  }
+  return result;
+}
+
+}  // namespace
+
 Result<CrowdRunResult> CrowdPlatform::RunPairHits(const std::vector<hitgen::PairBasedHit>& hits,
                                                   const CrowdContext& context) const {
-  CROWDER_ASSIGN_OR_RETURN(auto session, CrowdSession::Create(*this, context));
-  CROWDER_RETURN_NOT_OK(session->ProcessPairHits(hits));
-  return session->Finish();
+  HitBatch batch;
+  batch.pair_hits = &hits;
+  return RunOneBatch(*this, context, batch);
 }
 
 Result<CrowdRunResult> CrowdPlatform::RunClusterHits(
     const std::vector<hitgen::ClusterBasedHit>& hits, const CrowdContext& context) const {
-  CROWDER_ASSIGN_OR_RETURN(auto session, CrowdSession::Create(*this, context));
-  CROWDER_RETURN_NOT_OK(session->ProcessClusterHits(hits));
-  return session->Finish();
+  HitBatch batch;
+  batch.cluster_hits = &hits;
+  return RunOneBatch(*this, context, batch);
 }
 
 }  // namespace crowd

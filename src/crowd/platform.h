@@ -63,10 +63,12 @@ struct CrowdRunResult {
 /// \brief The simulated platform. Deterministic given (model, seed).
 ///
 /// Construction builds the worker pool and runs the optional qualification
-/// gate. HIT simulation itself lives in CrowdSession (crowd/session.h) —
-/// every HIT draws from an Rng derived from (seed, global HIT index), so
-/// runs are bitwise-identical at any batch partition and thread count. The
-/// Run*Hits entry points below are one-shot conveniences over a session.
+/// gate. HIT simulation itself lives in SimulatedCrowdBackend
+/// (crowd/backend.h) — every HIT draws from an Rng derived from (seed,
+/// global HIT index), so runs are bitwise-identical at any batch partition
+/// and thread count. The Run*Hits entry points below are one-batch runs of
+/// that backend, with the votes folded into a table aligned to the
+/// context's pair list.
 class CrowdPlatform {
  public:
   CrowdPlatform(const CrowdModel& model, uint64_t seed);
@@ -81,6 +83,12 @@ class CrowdPlatform {
   Result<CrowdRunResult> RunClusterHits(const std::vector<hitgen::ClusterBasedHit>& hits,
                                         const CrowdContext& context) const;
 
+  /// The checks a platform must pass before it answers HITs: the model's
+  /// fields (ValidateCrowdModel, naming the offending one) and pool
+  /// feasibility — at least assignments_per_hit eligible workers. The
+  /// constructor cannot return a Status, so every consumer calls this.
+  Status Validate() const;
+
   /// Workers who passed the gate (all workers when the qualification test is
   /// off). Exposed for tests.
   const std::vector<uint32_t>& eligible_workers() const { return eligible_; }
@@ -90,7 +98,7 @@ class CrowdPlatform {
 
   const CrowdModel& model() const { return model_; }
 
-  /// The seed HIT streams derive from (see crowd/session.h).
+  /// The seed HIT streams derive from (see crowd/backend.h).
   uint64_t seed() const { return seed_; }
 
  private:

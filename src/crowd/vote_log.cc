@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <limits>
 #include <system_error>
 #include <unordered_set>
 
@@ -20,6 +21,19 @@ std::string ExactDouble(double value) {
   const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value);
   CROWDER_CHECK(ec == std::errc());
   return std::string(buf, end);
+}
+
+// Narrows a log number to an unsigned id or count. A negative, fractional
+// or out-of-range value is corruption: converting it would be undefined
+// behaviour, not a wrapped value.
+template <typename T>
+bool ToUnsigned(double value, T* out) {
+  if (!(value >= 0.0 && value < std::ldexp(1.0, std::numeric_limits<T>::digits)) ||
+      std::trunc(value) != value) {
+    return false;
+  }
+  *out = static_cast<T>(value);
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -75,9 +89,14 @@ class JsonParser {
     const char c = text_[pos_];
     switch (c) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        // Log lines nest three deep; a hostile line must not recurse
+        // until the stack runs out.
+        if (++depth_ > kMaxDepth) return Fail("nesting too deep");
+        Result<JsonValue> nested = c == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return nested;
+      }
       case '"':
         return ParseString();
       case 't':
@@ -213,8 +232,11 @@ class JsonParser {
     return value;
   }
 
+  static constexpr int kMaxDepth = 16;
+
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 // Field accessors that fail with a message instead of asserting — log lines
@@ -455,11 +477,10 @@ Result<VoteBatch> RecordedCrowdBackend::Poll(Ticket ticket) {
                               at_hit + " but the run generated more HITs");
     }
     auto recorded_hit = NumberField(*parsed, "hit");
-    if (!recorded_hit.ok() || static_cast<uint32_t>(*recorded_hit) != hit) {
+    if (!recorded_hit.ok() || *recorded_hit != hit) {
       return Status::DataLoss("vote log " + path_ + " mismatch" + at_hit +
                               ": recorded line carries HIT index " +
-                              (recorded_hit.ok() ? std::to_string(static_cast<uint64_t>(
-                                                       *recorded_hit))
+                              (recorded_hit.ok() ? ExactDouble(*recorded_hit)
                                                  : std::string("<missing>")));
     }
 
@@ -471,8 +492,7 @@ Result<VoteBatch> RecordedCrowdBackend::Poll(Ticket ticket) {
       bool match = pairs->array.size() == edges.size();
       for (size_t e = 0; match && e < edges.size(); ++e) {
         auto pair = NumberArray(pairs->array[e], 2, "pair");
-        match = pair.ok() && static_cast<uint32_t>((*pair)[0]) == edges[e].a &&
-                static_cast<uint32_t>((*pair)[1]) == edges[e].b;
+        match = pair.ok() && (*pair)[0] == edges[e].a && (*pair)[1] == edges[e].b;
       }
       if (!match) {
         return Status::DataLoss("vote log " + path_ + " mismatch" + at_hit +
@@ -484,7 +504,7 @@ Result<VoteBatch> RecordedCrowdBackend::Poll(Ticket ticket) {
       bool match = recs->array.size() == records.size();
       for (size_t r = 0; match && r < records.size(); ++r) {
         match = recs->array[r].type == JsonValue::Type::kNumber &&
-                static_cast<uint32_t>(recs->array[r].number) == records[r];
+                recs->array[r].number == records[r];
       }
       if (!match) {
         return Status::DataLoss("vote log " + path_ + " mismatch" + at_hit +
@@ -498,14 +518,12 @@ Result<VoteBatch> RecordedCrowdBackend::Poll(Ticket ticket) {
     hv.votes.reserve(votes->array.size());
     for (const JsonValue& entry : votes->array) {
       auto fields = NumberArray(entry, 4, "vote");
-      if (!fields.ok()) {
-        return Status::DataLoss("vote log " + path_ + " corrupt" + at_hit + ": " +
-                                fields.status().message());
-      }
       PairVote pv;
-      pv.a = static_cast<uint32_t>((*fields)[0]);
-      pv.b = static_cast<uint32_t>((*fields)[1]);
-      pv.vote.worker_id = static_cast<uint32_t>((*fields)[2]);
+      if (!fields.ok() || !ToUnsigned((*fields)[0], &pv.a) || !ToUnsigned((*fields)[1], &pv.b) ||
+          !ToUnsigned((*fields)[2], &pv.vote.worker_id)) {
+        return Status::DataLoss("vote log " + path_ + " corrupt" + at_hit +
+                                ": malformed vote entry");
+      }
       pv.vote.says_match = (*fields)[3] != 0.0;
       if (context_keys.find(PairKey(pv.a, pv.b)) == context_keys.end()) {
         return Status::DataLoss("vote log " + path_ + " corrupt" + at_hit +
@@ -520,15 +538,14 @@ Result<VoteBatch> RecordedCrowdBackend::Poll(Ticket ticket) {
     CROWDER_ASSIGN_OR_RETURN(const JsonValue* assignments, ArrayField(*parsed, "assignments"));
     for (const JsonValue& entry : assignments->array) {
       auto fields = NumberArray(entry, 4, "assignment");
-      if (!fields.ok()) {
-        return Status::DataLoss("vote log " + path_ + " corrupt" + at_hit + ": " +
-                                fields.status().message());
-      }
       AssignmentRecord rec;
+      if (!fields.ok() || !ToUnsigned((*fields)[0], &rec.worker) ||
+          !ToUnsigned((*fields)[2], &rec.comparisons)) {
+        return Status::DataLoss("vote log " + path_ + " corrupt" + at_hit +
+                                ": malformed assignment entry");
+      }
       rec.hit = hit;
-      rec.worker = static_cast<uint32_t>((*fields)[0]);
       rec.duration_seconds = (*fields)[1];
-      rec.comparisons = static_cast<uint64_t>((*fields)[2]);
       rec.by_spammer = (*fields)[3] != 0.0;
       out.assignments.push_back(rec);
       assignments_.push_back(rec);
@@ -565,27 +582,27 @@ Result<CrowdRunResult> RecordedCrowdBackend::Finish() {
     auto extra_hit = NumberField(*parsed, "hit");
     return Status::DataLoss(
         "vote log " + path_ + " mismatch: log continues past the run's last HIT" +
-        (extra_hit.ok()
-             ? " (next recorded HIT " + std::to_string(static_cast<uint64_t>(*extra_hit)) + ")"
-             : ""));
+        (extra_hit.ok() ? " (next recorded HIT " + ExactDouble(*extra_hit) + ")" : ""));
   }
 
   CrowdRunResult stats;
-  CROWDER_ASSIGN_OR_RETURN(const double num_hits, NumberField(*finish, "num_hits"));
-  CROWDER_ASSIGN_OR_RETURN(const double num_assignments,
-                           NumberField(*finish, "num_assignments"));
-  CROWDER_ASSIGN_OR_RETURN(const double comparisons, NumberField(*finish, "total_comparisons"));
-  CROWDER_ASSIGN_OR_RETURN(const double workers, NumberField(*finish, "num_distinct_workers"));
-  CROWDER_ASSIGN_OR_RETURN(const double spam, NumberField(*finish, "num_spammer_assignments"));
+  const auto count = [&](const std::string& key, auto* out) -> Status {
+    CROWDER_ASSIGN_OR_RETURN(const double value, NumberField(*finish, key));
+    if (!ToUnsigned(value, out)) {
+      return Status::DataLoss("vote log " + path_ + " corrupt finish record: '" + key +
+                              "' is not a count");
+    }
+    return Status::OK();
+  };
+  CROWDER_RETURN_NOT_OK(count("num_hits", &stats.num_hits));
+  CROWDER_RETURN_NOT_OK(count("num_assignments", &stats.num_assignments));
+  CROWDER_RETURN_NOT_OK(count("total_comparisons", &stats.total_comparisons));
+  CROWDER_RETURN_NOT_OK(count("num_distinct_workers", &stats.num_distinct_workers));
+  CROWDER_RETURN_NOT_OK(count("num_spammer_assignments", &stats.num_spammer_assignments));
   CROWDER_ASSIGN_OR_RETURN(stats.median_assignment_seconds,
                            NumberField(*finish, "median_assignment_seconds"));
   CROWDER_ASSIGN_OR_RETURN(stats.total_seconds, NumberField(*finish, "total_seconds"));
   CROWDER_ASSIGN_OR_RETURN(stats.cost_dollars, NumberField(*finish, "cost_dollars"));
-  stats.num_hits = static_cast<uint32_t>(num_hits);
-  stats.num_assignments = static_cast<uint32_t>(num_assignments);
-  stats.total_comparisons = static_cast<uint64_t>(comparisons);
-  stats.num_distinct_workers = static_cast<uint32_t>(workers);
-  stats.num_spammer_assignments = static_cast<uint32_t>(spam);
   stats.assignments = std::move(assignments_);
   stats.assignment_seconds = std::move(assignment_seconds_);
   return stats;

@@ -51,10 +51,10 @@ class Worker {
 
   /// Same decision rule, but drawing from a caller-provided stream instead of
   /// the worker's own. This is what makes per-HIT seed derivation possible:
-  /// CrowdSession answers every pair of a HIT from that HIT's derived Rng, so
-  /// a worker's answers do not depend on which other HITs they were assigned
-  /// — the property that lets HIT batches simulate in parallel while staying
-  /// bitwise-deterministic.
+  /// SimulatedCrowdBackend answers every pair of a HIT from that HIT's
+  /// derived Rng, so a worker's answers do not depend on which other HITs
+  /// they were assigned — the property that lets HIT batches simulate in
+  /// parallel while staying bitwise-deterministic.
   bool AnswerPairWith(Rng* rng, bool truth, double likelihood, double hardness_u,
                       const CrowdModel& model) const;
 

@@ -1,11 +1,5 @@
 #include "serve/pair_crowd.h"
 
-#include <string>
-#include <unordered_map>
-#include <utility>
-
-#include "crowd/session.h"  // DeriveRng, PairHardness, PickWorkersFrom
-
 namespace crowder {
 namespace serve {
 
@@ -26,107 +20,6 @@ PairJudgement JudgePair(const crowd::CrowdPlatform& platform, uint32_t a, uint32
                                   model.pair_comparison_seconds * worker.speed_factor());
   }
   return judgement;
-}
-
-PairSeededCrowdBackend::PairSeededCrowdBackend(const crowd::CrowdModel& model, uint64_t seed,
-                                               const std::vector<uint32_t>* entity_of)
-    : platform_(model, seed), entity_of_(entity_of) {}
-
-Result<std::unique_ptr<PairSeededCrowdBackend>> PairSeededCrowdBackend::Create(
-    const crowd::CrowdModel& model, uint64_t seed, const std::vector<uint32_t>* entity_of) {
-  if (entity_of == nullptr) {
-    return Status::InvalidArgument("PairSeededCrowdBackend requires ground truth entity_of");
-  }
-  CROWDER_RETURN_NOT_OK(crowd::ValidateCrowdModel(model));
-  auto backend = std::unique_ptr<PairSeededCrowdBackend>(
-      new PairSeededCrowdBackend(model, seed, entity_of));
-  if (backend->platform_.eligible_workers().size() < model.assignments_per_hit) {
-    return Status::Infeasible(
-        "only " + std::to_string(backend->platform_.eligible_workers().size()) +
-        " eligible workers; need " + std::to_string(model.assignments_per_hit) +
-        " distinct workers per HIT");
-  }
-  return backend;
-}
-
-Result<crowd::Ticket> PairSeededCrowdBackend::Post(const crowd::HitBatch& batch) {
-  if (finished_) return Status::InvalidArgument("Post after Finish");
-  if (ticket_outstanding_) {
-    return Status::InvalidArgument("Post before the previous ticket was polled");
-  }
-  CROWDER_RETURN_NOT_OK(crowd::ValidateBatchShape(batch));
-  if (batch.cluster_hits != nullptr && !batch.cluster_hits->empty()) {
-    return Status::InvalidArgument("PairSeededCrowdBackend carries pair-based HITs only");
-  }
-
-  std::unordered_map<uint64_t, double> score_of;
-  score_of.reserve(batch.pairs->size());
-  for (const similarity::ScoredPair& p : *batch.pairs) {
-    score_of[crowd::PairKey(p.a, p.b)] = p.score;
-  }
-
-  pending_votes_ = crowd::VoteBatch();
-  for (size_t i = 0; i < batch.pair_hits->size(); ++i) {
-    const uint32_t hit = batch.first_hit + static_cast<uint32_t>(i);
-    crowd::HitVotes hv;
-    hv.hit = hit;
-    for (const graph::Edge& e : (*batch.pair_hits)[i].pairs) {
-      const auto it = score_of.find(crowd::PairKey(e.a, e.b));
-      if (it == score_of.end()) {
-        return Status::InvalidArgument("pair HIT contains pair (" + std::to_string(e.a) + "," +
-                                       std::to_string(e.b) + ") not in the candidate set");
-      }
-      if (e.a >= entity_of_->size() || e.b >= entity_of_->size()) {
-        return Status::OutOfRange("pair references record beyond entity_of");
-      }
-      const bool truth = (*entity_of_)[e.a] == (*entity_of_)[e.b];
-      const PairJudgement judgement = JudgePair(platform_, e.a, e.b, it->second, truth);
-      const uint32_t a = e.a < e.b ? e.a : e.b;
-      const uint32_t b = e.a < e.b ? e.b : e.a;
-      for (size_t k = 0; k < judgement.votes.size(); ++k) {
-        hv.votes.push_back({a, b, judgement.votes[k]});
-        crowd::AssignmentRecord rec;
-        rec.hit = hit;
-        rec.worker = judgement.votes[k].worker_id;
-        rec.duration_seconds = judgement.durations[k];
-        rec.comparisons = 1;
-        rec.by_spammer = platform_.workers()[rec.worker].is_adversarial();
-        pending_votes_.assignments.push_back(rec);
-
-        workers_seen_.insert(rec.worker);
-        if (rec.by_spammer) ++stats_.num_spammer_assignments;
-        ++stats_.total_comparisons;
-        stats_.assignment_seconds.push_back(rec.duration_seconds);
-        stats_.assignments.push_back(rec);
-      }
-    }
-    pending_votes_.hit_votes.push_back(std::move(hv));
-    ++stats_.num_hits;
-  }
-  pending_votes_.complete = true;
-  ticket_outstanding_ = true;
-  return next_ticket_;
-}
-
-Result<crowd::VoteBatch> PairSeededCrowdBackend::Poll(crowd::Ticket ticket) {
-  if (finished_) return Status::InvalidArgument("Poll after Finish");
-  if (!ticket_outstanding_ || ticket != next_ticket_) {
-    return Status::InvalidArgument("Poll for unknown ticket " + std::to_string(ticket));
-  }
-  ticket_outstanding_ = false;
-  ++next_ticket_;
-  return std::move(pending_votes_);
-}
-
-Result<crowd::CrowdRunResult> PairSeededCrowdBackend::Finish() {
-  if (finished_) return Status::InvalidArgument("Finish called twice");
-  if (ticket_outstanding_) return Status::InvalidArgument("Finish with an unpolled ticket");
-  finished_ = true;
-  stats_.num_assignments = static_cast<uint32_t>(stats_.assignment_seconds.size());
-  stats_.cost_dollars = stats_.num_assignments * platform_.model().CostPerAssignment();
-  stats_.median_assignment_seconds = crowd::AssignmentMedianSeconds(stats_.assignment_seconds);
-  stats_.num_distinct_workers = static_cast<uint32_t>(workers_seen_.size());
-  return std::move(stats_);
 }
 
 }  // namespace serve

@@ -1,17 +1,19 @@
-// The serving stack's crowd simulation: a crowd::CrowdBackend whose every
+// The serving stack's crowd simulation: a verdict function whose every
 // random draw is seeded per *pair* instead of per HIT.
 //
-// Why a separate backend: the batch simulator (crowd/session.h) derives one
-// Rng per (seed, global HIT index), which makes batch boundaries invisible
-// but HIT *membership* visible — repack the same pairs into different HITs
-// and the votes change. A resident service discovers pairs one record at a
-// time and packs whatever is pending when a round flushes, so its packing
-// depends on arrival timing. Deriving the Rng from (seed, PairKey(a, b))
-// instead makes the verdict on a pair a pure function of (model, seed, pair,
-// truth, hardness) — packing, flush size, round boundaries, and delivery
-// order all become invisible, which is exactly the property the
-// incremental-vs-batch bitwise-equality contract needs (both paths ask the
-// same pairs, so they get the same votes).
+// Why a separate verdict function: the batch simulator
+// (crowd::SimulatedCrowdBackend) derives one Rng per (seed, global HIT
+// index), which makes batch boundaries invisible but HIT *membership*
+// visible — repack the same pairs into different HITs and the votes change.
+// A resident service discovers pairs one record at a time and packs whatever
+// is pending when a round flushes, so its packing depends on arrival timing.
+// Deriving the Rng from (seed, PairKey(a, b)) instead makes the verdict on a
+// pair a pure function of (model, seed, pair, truth, hardness) — packing,
+// flush size, round boundaries, and delivery order all become invisible,
+// which is exactly the property the incremental-vs-batch bitwise-equality
+// contract needs (both paths ask the same pairs, so they get the same
+// votes). The service answers its rounds through a crowd::CallbackCrowdBackend
+// over JudgePair.
 //
 // Worker pool, eligibility gating, hardness draws (crowd::PairHardness), and
 // the per-worker answer model (Worker::AnswerPairWith) are all shared with
@@ -20,8 +22,6 @@
 #define CROWDER_SERVE_PAIR_CROWD_H_
 
 #include <cstdint>
-#include <memory>
-#include <set>
 #include <vector>
 
 #include "crowd/backend.h"
@@ -46,40 +46,6 @@ struct PairJudgement {
 /// Worker::AnswerPairWith against the pair's deterministic hardness.
 PairJudgement JudgePair(const crowd::CrowdPlatform& platform, uint32_t a, uint32_t b,
                         double score, bool truth);
-
-/// \brief Synchronous CrowdBackend over JudgePair, suitable for wrapping in
-/// crowd::AsyncCrowdBackend. Pair-based HITs only. `entity_of` (ground truth
-/// per record) must outlive the backend and cover every posted record — the
-/// service appends to it as records are ingested.
-class PairSeededCrowdBackend : public crowd::CrowdBackend {
- public:
-  /// \brief Validates the model and pool feasibility (enough eligible
-  /// workers for the replication factor), then builds the worker pool from
-  /// (model, seed) exactly as the batch platform does.
-  static Result<std::unique_ptr<PairSeededCrowdBackend>> Create(
-      const crowd::CrowdModel& model, uint64_t seed, const std::vector<uint32_t>* entity_of);
-
-  Result<crowd::Ticket> Post(const crowd::HitBatch& batch) override;
-  Result<crowd::VoteBatch> Poll(crowd::Ticket ticket) override;
-  Result<crowd::CrowdRunResult> Finish() override;
-
-  /// \brief The platform (pool + model + seed) — shared with the batch
-  /// reference path so both judge pairs identically.
-  const crowd::CrowdPlatform& platform() const { return platform_; }
-
- private:
-  PairSeededCrowdBackend(const crowd::CrowdModel& model, uint64_t seed,
-                         const std::vector<uint32_t>* entity_of);
-
-  crowd::CrowdPlatform platform_;
-  const std::vector<uint32_t>* entity_of_;
-  crowd::VoteBatch pending_votes_;
-  crowd::Ticket next_ticket_ = 0;
-  bool ticket_outstanding_ = false;
-  bool finished_ = false;
-  crowd::CrowdRunResult stats_;
-  std::set<uint32_t> workers_seen_;
-};
 
 }  // namespace serve
 }  // namespace crowder

@@ -16,7 +16,10 @@ namespace serve {
 
 namespace {
 
-Status ValidateServiceConfig(const ServiceConfig& config) {
+// Checks the thresholds and builds the crowd platform both service paths
+// judge pairs against, so a malformed model or an infeasible pool fails at
+// Create, not inside a background round.
+Result<crowd::CrowdPlatform> BuildCrowdPlatform(const ServiceConfig& config) {
   if (!(config.threshold > 0.0 && config.threshold <= 1.0)) {
     return Status::InvalidArgument("service threshold must be in (0,1], got " +
                                    std::to_string(config.threshold));
@@ -25,16 +28,40 @@ Status ValidateServiceConfig(const ServiceConfig& config) {
     return Status::InvalidArgument("match_threshold must be in [0,1], got " +
                                    std::to_string(config.match_threshold));
   }
-  CROWDER_RETURN_NOT_OK(crowd::ValidateCrowdModel(config.model));
-  // Fail pool infeasibility at Create, not inside a background round.
-  const crowd::CrowdPlatform probe(config.model, config.seed);
-  if (probe.eligible_workers().size() < config.model.assignments_per_hit) {
-    return Status::Infeasible("only " + std::to_string(probe.eligible_workers().size()) +
-                              " eligible workers; need " +
-                              std::to_string(config.model.assignments_per_hit) +
-                              " distinct workers per HIT");
+  crowd::CrowdPlatform platform(config.model, config.seed);
+  CROWDER_RETURN_NOT_OK(platform.Validate());
+  return platform;
+}
+
+// The service's crowd (the body of its crowd::CrowdCallback): every pair of a
+// round's HITs is judged by JudgePair, and each of its votes is one
+// assignment. The round's pairs and truth copy cover every HIT it posts.
+crowd::VoteBatch JudgeRound(const crowd::CrowdPlatform& platform,
+                            const std::vector<uint32_t>& entity_of,
+                            const crowd::HitBatch& batch) {
+  std::unordered_map<uint64_t, double> score_of;
+  score_of.reserve(batch.pairs->size());
+  for (const similarity::ScoredPair& p : *batch.pairs) {
+    score_of[crowd::PairKey(p.a, p.b)] = p.score;
   }
-  return Status::OK();
+  crowd::VoteBatch out;
+  for (size_t i = 0; i < batch.pair_hits->size(); ++i) {
+    crowd::HitVotes hv;
+    hv.hit = batch.first_hit + static_cast<uint32_t>(i);
+    for (const graph::Edge& e : (*batch.pair_hits)[i].pairs) {
+      const bool truth = entity_of[e.a] == entity_of[e.b];
+      const PairJudgement judgement =
+          JudgePair(platform, e.a, e.b, score_of.at(crowd::PairKey(e.a, e.b)), truth);
+      for (size_t k = 0; k < judgement.votes.size(); ++k) {
+        const uint32_t worker = judgement.votes[k].worker_id;
+        hv.votes.push_back({std::min(e.a, e.b), std::max(e.a, e.b), judgement.votes[k]});
+        out.assignments.push_back({hv.hit, worker, judgement.durations[k], /*comparisons=*/1,
+                                   platform.workers()[worker].is_adversarial()});
+      }
+    }
+    out.hit_votes.push_back(std::move(hv));
+  }
+  return out;
 }
 
 }  // namespace
@@ -52,8 +79,9 @@ struct EntityResolutionService::Round {
 };
 
 EntityResolutionService::EntityResolutionService(const ServiceConfig& config,
-                                                 IncrementalIndex index)
-    : config_(config), index_(std::move(index)) {
+                                                 IncrementalIndex index,
+                                                 crowd::CrowdPlatform platform)
+    : config_(config), platform_(std::move(platform)), index_(std::move(index)) {
   config_.pairs_per_hit = std::max<uint32_t>(1, config_.pairs_per_hit);
   config_.publish_interval = std::max<uint64_t>(1, config_.publish_interval);
   config_.crowd_flush_pairs = std::max<size_t>(1, config_.crowd_flush_pairs);
@@ -66,7 +94,7 @@ EntityResolutionService::~EntityResolutionService() {
 
 Result<std::unique_ptr<EntityResolutionService>> EntityResolutionService::Create(
     const ServiceConfig& config) {
-  CROWDER_RETURN_NOT_OK(ValidateServiceConfig(config));
+  CROWDER_ASSIGN_OR_RETURN(crowd::CrowdPlatform platform, BuildCrowdPlatform(config));
   IncrementalIndexOptions index_options;
   index_options.measure = config.measure;
   index_options.threshold = config.threshold;
@@ -74,7 +102,7 @@ Result<std::unique_ptr<EntityResolutionService>> EntityResolutionService::Create
   index_options.rebuild_base = config.rebuild_base;
   CROWDER_ASSIGN_OR_RETURN(IncrementalIndex index, IncrementalIndex::Create(index_options));
   return std::unique_ptr<EntityResolutionService>(
-      new EntityResolutionService(config, std::move(index)));
+      new EntityResolutionService(config, std::move(index), std::move(platform)));
 }
 
 Result<InsertOutcome> EntityResolutionService::Insert(const std::string& text, int source,
@@ -199,17 +227,15 @@ void EntityResolutionService::FlushQueue() {
 }
 
 void EntityResolutionService::RunRound(std::shared_ptr<Round> round) {
-  Result<std::unique_ptr<PairSeededCrowdBackend>> inner_or =
-      PairSeededCrowdBackend::Create(config_.model, config_.seed, &round->entity_of);
-  CROWDER_CHECK(inner_or.ok()) << inner_or.status().ToString();  // validated at Create
-  std::unique_ptr<PairSeededCrowdBackend> inner = std::move(inner_or).ValueOrDie();
-
+  crowd::CallbackCrowdBackend inner([this, &round](const crowd::HitBatch& batch) {
+    return JudgeRound(platform_, round->entity_of, batch);
+  });
   std::unique_ptr<crowd::AsyncCrowdBackend> async;
-  crowd::CrowdBackend* backend = inner.get();
+  crowd::CrowdBackend* backend = &inner;
   if (config_.async_delivery) {
     crowd::AsyncCrowdOptions async_options;
     async_options.hits_per_poll = config_.hits_per_poll;
-    async = std::make_unique<crowd::AsyncCrowdBackend>(inner.get(), config_.model, config_.seed,
+    async = std::make_unique<crowd::AsyncCrowdBackend>(&inner, config_.model, config_.seed,
                                                        async_options);
     backend = async.get();
   }
@@ -310,7 +336,7 @@ std::vector<std::pair<uint32_t, uint32_t>> EntityResolutionService::AppliedMatch
 }
 
 Result<ServiceReport> BatchResolve(const data::Dataset& dataset, const ServiceConfig& config) {
-  CROWDER_RETURN_NOT_OK(ValidateServiceConfig(config));
+  CROWDER_ASSIGN_OR_RETURN(const crowd::CrowdPlatform platform, BuildCrowdPlatform(config));
 
   // Tokenize exactly like the service's ingest path (and the batch
   // pipeline's BuildJoinInput): record order defines token-id assignment,
@@ -331,7 +357,6 @@ Result<ServiceReport> BatchResolve(const data::Dataset& dataset, const ServiceCo
   CROWDER_ASSIGN_OR_RETURN(std::vector<similarity::ScoredPair> pairs,
                            similarity::AllPairsJoin(input, join_options));
 
-  const crowd::CrowdPlatform platform(config.model, config.seed);
   const uint32_t n = static_cast<uint32_t>(dataset.table.num_records());
   core::StreamingResolver resolver(n);
 

@@ -12,7 +12,7 @@
 //                                                     │        (exec pool,
 //                                                     ▼    AsyncCrowdBackend
 //                                          SnapshotStore ──► Query  over
-//                                                          PairSeededCrowd)
+//                                                           JudgePair)
 //
 // Determinism contract (pinned by serve_test, exercised at scale by
 // crowder_bench_serve --compare-batch): the FINAL partition is a pure
@@ -192,7 +192,8 @@ class EntityResolutionService {
  private:
   struct Round;  // one flushed crowd round (pairs + HITs + truth copy)
 
-  EntityResolutionService(const ServiceConfig& config, IncrementalIndex index);
+  EntityResolutionService(const ServiceConfig& config, IncrementalIndex index,
+                          crowd::CrowdPlatform platform);
 
   /// Moves the queued pairs into a Round and runs it (inline or on the
   /// pool). Ingest thread only; caller must NOT hold mu_.
@@ -209,6 +210,8 @@ class EntityResolutionService {
   void PublishLocked();
 
   ServiceConfig config_;
+  /// The crowd every round is judged against (read-only after Create).
+  const crowd::CrowdPlatform platform_;
 
   // ---- Ingest-thread-only state (no lock needed). ----
   text::Tokenizer tokenizer_;

@@ -3,6 +3,7 @@
 #include <errno.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -12,6 +13,9 @@ namespace crowder {
 namespace shard {
 
 namespace {
+
+// Payload bytes Recv reads (and allocates) per step.
+constexpr size_t kRecvChunk = size_t{1} << 20;
 
 void PutU32Raw(uint8_t* out, uint32_t v) {
   for (int i = 0; i < 4; ++i) out[i] = static_cast<uint8_t>(v >> (8 * i));
@@ -101,9 +105,14 @@ Result<Frame> PipeTransport::Recv() {
     return Status::IOError(peer_name_ + ": corrupt frame (payload of " +
                            std::to_string(payload_len) + " bytes)");
   }
-  frame.payload.resize(payload_len);
-  if (payload_len > 0) {
-    CROWDER_RETURN_NOT_OK(ReadFully(frame.payload.data(), payload_len, &eof));
+  // Grow the buffer only as bytes arrive: a 12-byte header may declare up
+  // to kMaxFramePayload, and a truncated frame must fail having allocated
+  // in proportion to what arrived, not to what was declared.
+  while (frame.payload.size() < payload_len) {
+    const size_t have = frame.payload.size();
+    const size_t take = static_cast<size_t>(std::min<uint64_t>(kRecvChunk, payload_len - have));
+    frame.payload.resize(have + take);
+    CROWDER_RETURN_NOT_OK(ReadFully(frame.payload.data() + have, take, &eof));
     if (eof) {
       return Status::IOError(peer_name_ + ": stream truncated mid-frame (peer died?)");
     }

@@ -4,9 +4,12 @@
 // filtering + retroactive vote revision + repair rounds for the pairs the
 // bans starved — must recover at least 90% of the clean crowd's best F1,
 // while the undefended run degrades. The same sweep passes in partitioned
-// streaming mode under a forced memory budget.
+// streaming mode under a forced memory budget. Both sweeps run with pair-based
+// and with cluster-based HITs (whose repair rounds post pair HITs over the
+// cluster round's context).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 
 #include "core/workflow.h"
@@ -26,10 +29,10 @@ data::Dataset SweepDataset() {
   return data::GenerateRestaurant(config).ValueOrDie();
 }
 
-WorkflowConfig SweepConfig() {
+WorkflowConfig SweepConfig(HitType hit_type) {
   WorkflowConfig config;
   config.likelihood_threshold = 0.35;
-  config.hit_type = HitType::kPairBased;
+  config.hit_type = hit_type;
   config.pairs_per_hit = 10;
   config.seed = 42;
   return config;
@@ -54,15 +57,17 @@ double RunBestF1(const WorkflowConfig& config, const data::Dataset& dataset,
   return f1;
 }
 
-TEST(AdversarialSweepTest, FilteredPipelineRecoversCleanF1UnfilteredDegrades) {
+class AdversarialSweepTest : public ::testing::TestWithParam<HitType> {};
+
+TEST_P(AdversarialSweepTest, FilteredPipelineRecoversCleanF1UnfilteredDegrades) {
   const auto dataset = SweepDataset();
 
   WorkflowResult clean_result;
-  const double clean_f1 = RunBestF1(SweepConfig(), dataset, &clean_result);
+  const double clean_f1 = RunBestF1(SweepConfig(GetParam()), dataset, &clean_result);
   ASSERT_GT(clean_f1, 0.5) << "clean baseline must be meaningful";
 
   // Undefended hostile crowd, votes arriving out of order: measurably worse.
-  WorkflowConfig hostile = SweepConfig();
+  WorkflowConfig hostile = SweepConfig(GetParam());
   MakeHostile(&hostile.crowd);
   hostile.async_crowd = true;
   WorkflowResult unfiltered_result;
@@ -93,11 +98,11 @@ TEST(AdversarialSweepTest, FilteredPipelineRecoversCleanF1UnfilteredDegrades) {
             clean_result.crowd_rounds[0].fleiss_kappa);
 }
 
-TEST(AdversarialSweepTest, StreamingSweepPassesUnderForcedMemoryBudget) {
+TEST_P(AdversarialSweepTest, StreamingSweepPassesUnderForcedMemoryBudget) {
   const auto dataset = SweepDataset();
-  const double clean_f1 = RunBestF1(SweepConfig(), dataset);
+  const double clean_f1 = RunBestF1(SweepConfig(GetParam()), dataset);
 
-  WorkflowConfig defended = SweepConfig();
+  WorkflowConfig defended = SweepConfig(GetParam());
   MakeHostile(&defended.crowd);
   defended.async_crowd = true;
   defended.filter_workers = true;
@@ -112,6 +117,13 @@ TEST(AdversarialSweepTest, StreamingSweepPassesUnderForcedMemoryBudget) {
   // The budget was real: votes round-tripped through spill shards.
   EXPECT_GT(result.pipeline_stats.vote_spilled_bytes, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(HitTypes, AdversarialSweepTest,
+                         ::testing::Values(HitType::kPairBased, HitType::kClusterBased),
+                         [](const ::testing::TestParamInfo<HitType>& info) {
+                           return info.param == HitType::kPairBased ? std::string("PairHits")
+                                                                    : std::string("ClusterHits");
+                         });
 
 }  // namespace
 }  // namespace core

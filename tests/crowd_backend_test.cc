@@ -1,21 +1,22 @@
 // Tests for the pluggable crowd boundary (crowd/backend.h) and the JSONL
-// vote log (crowd/vote_log.h): the simulated backend reproduces the
-// session's votes with per-HIT provenance, the writer/replayer round-trip
-// is exact (votes, assignments, statistics — doubles included), and replay
-// failures (truncation, mismatch, missing finish record) are DataLoss
-// errors naming the offending HIT.
+// vote log (crowd/vote_log.h): the writer/replayer round-trip is exact
+// (votes, assignments, statistics — doubles included), and replay failures
+// (truncation, mismatch, missing finish record) are DataLoss errors naming
+// the offending HIT.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "crowd/async_backend.h"
 #include "crowd/backend.h"
-#include "crowd/platform.h"
+#include "common/rng.h"
 #include "crowd/vote_log.h"
 #include "hitgen/hit.h"
 
@@ -41,61 +42,6 @@ std::vector<hitgen::PairBasedHit> PairHits() {
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
-}
-
-TEST(SimulatedCrowdBackendTest, MatchesPartitionedSessionBitwise) {
-  // The backend is the session behind an interface: same platform, same
-  // seed, same batches → the per-pair vote sequences must be identical.
-  const auto entity_of = EntityOf();
-  const auto pairs = SomePairs();
-  const auto hits = PairHits();
-  const CrowdModel model;
-  const uint64_t seed = 77;
-
-  // Reference: the raw partitioned session.
-  const CrowdPlatform platform(model, seed);
-  auto session = CrowdSession::CreatePartitioned(platform, entity_of).ValueOrDie();
-  ASSERT_TRUE(session->StartPartition(pairs).ok());
-  ASSERT_TRUE(session->ProcessPairHits(hits).ok());
-  auto session_votes = session->TakePartitionVotes().ValueOrDie();
-  auto session_stats = session->Finish().ValueOrDie();
-
-  // The backend, posted the same single batch.
-  auto backend = SimulatedCrowdBackend::Create(model, seed, entity_of).ValueOrDie();
-  HitBatch batch;
-  batch.first_hit = 0;
-  batch.pairs = &pairs;
-  batch.pair_hits = &hits;
-  auto ticket = backend->Post(batch);
-  ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
-  auto votes = backend->Poll(*ticket).ValueOrDie();
-  auto stats = backend->Finish().ValueOrDie();
-
-  // Reassemble a per-pair table from the per-HIT responses and compare.
-  aggregate::VoteTable rebuilt(pairs.size());
-  for (const HitVotes& hv : votes.hit_votes) {
-    for (const PairVote& pv : hv.votes) {
-      for (size_t i = 0; i < pairs.size(); ++i) {
-        if (pairs[i].a == pv.a && pairs[i].b == pv.b) {
-          rebuilt[i].push_back(pv.vote);
-          break;
-        }
-      }
-    }
-  }
-  ASSERT_EQ(rebuilt.size(), session_votes.size());
-  for (size_t i = 0; i < rebuilt.size(); ++i) {
-    ASSERT_EQ(rebuilt[i].size(), session_votes[i].size()) << "pair " << i;
-    for (size_t v = 0; v < rebuilt[i].size(); ++v) {
-      EXPECT_EQ(rebuilt[i][v].worker_id, session_votes[i][v].worker_id);
-      EXPECT_EQ(rebuilt[i][v].says_match, session_votes[i][v].says_match);
-    }
-  }
-  EXPECT_EQ(stats.num_hits, session_stats.num_hits);
-  EXPECT_EQ(stats.num_assignments, session_stats.num_assignments);
-  EXPECT_EQ(stats.cost_dollars, session_stats.cost_dollars);
-  EXPECT_EQ(stats.total_seconds, session_stats.total_seconds);
-  ASSERT_EQ(votes.assignments.size(), stats.assignments.size());
 }
 
 // Posts the three HITs in two batches through `backend`, returning the
@@ -322,6 +268,150 @@ TEST(VoteLogTest, NonLogFileFailsToOpen) {
   auto replayer = RecordedCrowdBackend::Open(path);
   ASSERT_FALSE(replayer.ok());
   EXPECT_TRUE(replayer.status().IsDataLoss());
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation sweep of vote-log replay: the log is hand-parsed JSON read
+// from disk, so every corruption must end in a clean Status, never a crash.
+// ---------------------------------------------------------------------------
+
+// The recorded run the sweep mutates: a cluster round, then a pair round
+// over the same context (a cluster run's repair shape), then the finish
+// record — both HIT line kinds in one small log.
+struct MixedRun {
+  std::vector<uint32_t> entity_of = EntityOf();
+  std::vector<similarity::ScoredPair> pairs = SomePairs();
+  std::vector<hitgen::ClusterBasedHit> cluster_hits{{{0, 1, 2, 3}}, {{4, 5, 6, 7}}};
+  std::vector<hitgen::PairBasedHit> pair_hits = PairHits();
+
+  std::vector<HitBatch> Batches() const {
+    HitBatch cluster;
+    cluster.pairs = &pairs;
+    cluster.cluster_hits = &cluster_hits;
+    HitBatch pair;
+    pair.first_hit = static_cast<uint32_t>(cluster_hits.size());
+    pair.pairs = &pairs;
+    pair.pair_hits = &pair_hits;
+    return {cluster, pair};
+  }
+};
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+// Replays `path` against `run`'s batches. OK when the whole log replays;
+// otherwise the first error, which must be one of the clean replay codes.
+Status ReplayLog(const std::string& path, const MixedRun& run) {
+  CROWDER_ASSIGN_OR_RETURN(auto replayer, RecordedCrowdBackend::Open(path));
+  for (const HitBatch& batch : run.Batches()) {
+    CROWDER_ASSIGN_OR_RETURN(const Ticket ticket, replayer->Post(batch));
+    CROWDER_ASSIGN_OR_RETURN(const VoteBatch votes, replayer->Poll(ticket));
+  }
+  return replayer->Finish().status();
+}
+
+// One deterministic mutation of `log`: truncate at a byte, flip a bit,
+// splice the head of one line onto the tail of another, or swap a number
+// for a hostile literal.
+std::string Mutate(const std::string& log, uint64_t seed) {
+  static const char* const kHostile[] = {
+      "-1",   "-0",   "1e300", "4294967296", "18446744073709551616", "1e999", "-1e999",
+      "inf",  "nan",  "NaN",   "1.5",        "9007199254740993",     "-4294967297"};
+  Rng rng(seed);
+  std::string out = log;
+  switch (seed % 4) {
+    case 0:
+      out.resize(rng.Uniform(log.size()));
+      break;
+    case 1:
+      out[rng.Uniform(out.size())] ^= static_cast<char>(1u << rng.Uniform(8));
+      break;
+    case 2: {
+      std::vector<size_t> starts{0};
+      for (size_t i = 0; i + 1 < log.size(); ++i) {
+        if (log[i] == '\n') starts.push_back(i + 1);
+      }
+      const size_t x = starts[rng.Uniform(starts.size())];
+      const size_t y = starts[rng.Uniform(starts.size())];
+      const size_t x_end = log.find('\n', x);
+      const size_t y_end = log.find('\n', y);
+      const size_t cut = x + rng.Uniform(x_end - x + 1);
+      const size_t resume = y + rng.Uniform(y_end - y + 1);
+      out = log.substr(0, cut) + log.substr(resume, y_end - resume) + log.substr(x_end);
+      break;
+    }
+    default: {
+      std::vector<std::pair<size_t, size_t>> numbers;  // (begin, length)
+      for (size_t i = 0; i < log.size();) {
+        if (std::isdigit(static_cast<unsigned char>(log[i])) == 0) {
+          ++i;
+          continue;
+        }
+        size_t j = i;
+        while (j < log.size() && (std::isdigit(static_cast<unsigned char>(log[j])) != 0 ||
+                                  log[j] == '.' || log[j] == 'e' || log[j] == '-')) {
+          ++j;
+        }
+        numbers.emplace_back(i, j - i);
+        i = j;
+      }
+      const auto [begin, length] = numbers[rng.Uniform(numbers.size())];
+      out.replace(begin, length, kHostile[rng.Uniform(std::size(kHostile))]);
+    }
+  }
+  return out;
+}
+
+TEST(VoteLogMutationSweep, EveryMutationReplaysOrFailsCleanly) {
+  const MixedRun run;
+  const std::string recorded = TempPath("votes_mutation_base.jsonl");
+  {
+    auto writer = VoteLogWriter::Create(recorded).ValueOrDie();
+    SimulatedCrowdOptions options;
+    options.tee = writer.get();
+    auto recorder =
+        SimulatedCrowdBackend::Create(CrowdModel{}, 11, run.entity_of, options).ValueOrDie();
+    for (const HitBatch& batch : run.Batches()) {
+      ASSERT_TRUE(recorder->Poll(recorder->Post(batch).ValueOrDie()).ok());
+    }
+    ASSERT_TRUE(recorder->Finish().ok());
+    ASSERT_TRUE(writer->Close().ok());
+  }
+  const std::string log = ReadFile(recorded);
+  ASSERT_NE(log.find("\"records\""), std::string::npos);
+  ASSERT_NE(log.find("\"pairs\""), std::string::npos);
+  ASSERT_TRUE(ReplayLog(recorded, run).ok());
+
+  const std::string path = TempPath("votes_mutated.jsonl");
+  constexpr uint64_t kMutations = 1200;
+  uint64_t replayed = 0;
+  for (uint64_t seed = 0; seed < kMutations; ++seed) {
+    const std::string mutated = Mutate(log, seed);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << mutated;
+    }
+    const Status status = ReplayLog(path, run);
+    if (status.ok()) {
+      ++replayed;
+      continue;
+    }
+    EXPECT_TRUE(status.IsDataLoss() || status.IsInvalidArgument() || status.IsIOError())
+        << "seed " << seed << ": " << status.ToString() << "\n" << mutated;
+  }
+  // Both outcomes occur: the sweep is neither vacuous nor all-rejecting.
+  EXPECT_GT(replayed, 0u);
+  EXPECT_LT(replayed, kMutations);
+
+  // No line nests deeper than three, so a line of brackets must fail
+  // cleanly instead of recursing until the stack runs out.
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << log.substr(0, log.find('\n') + 1) << std::string(1 << 20, '[') << "\n";
+  }
+  EXPECT_TRUE(ReplayLog(path, run).IsDataLoss());
 }
 
 TEST(CallbackCrowdBackendTest, AccumulatesStatsAndEnforcesProtocol) {

@@ -4,10 +4,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <unordered_map>
 
+#include "crowd/backend.h"
 #include "crowd/crowd_model.h"
 #include "crowd/platform.h"
-#include "crowd/session.h"
 #include "crowd/worker.h"
 #include "hitgen/pair_hit_generator.h"
 
@@ -358,8 +359,8 @@ TEST(PlatformTest, TotalTimeExceedsLongestAssignment) {
 }
 
 // ---------------------------------------------------------------------------
-// CrowdSession: the batch/thread invariance contracts the staged streaming
-// workflow is built on.
+// SimulatedCrowdBackend: the batch/thread invariance contracts the workflow is
+// built on, each pinned against the one-batch run (CrowdPlatform::Run*Hits).
 // ---------------------------------------------------------------------------
 
 // A fixture big enough that batching and threading have something to chew on:
@@ -398,7 +399,57 @@ void ExpectSameRun(const CrowdRunResult& x, const CrowdRunResult& y) {
   EXPECT_EQ(x.num_distinct_workers, y.num_distinct_workers);
 }
 
-TEST(SessionTest, BatchPartitionIsInvisible) {
+// One posted batch: its own pair context plus its HITs (one list non-empty).
+struct Batch {
+  std::vector<similarity::ScoredPair> pairs;
+  std::vector<hitgen::PairBasedHit> pair_hits;
+  std::vector<hitgen::ClusterBasedHit> cluster_hits;
+};
+
+// Posts `batches` in order through one backend over `platform` and folds
+// the per-HIT votes into a table aligned to `f.pairs` — the shape the
+// one-batch run returns, so the two compare field by field.
+Result<CrowdRunResult> RunBatches(const CrowdPlatform& platform, const Fixture& f,
+                                  const std::vector<Batch>& batches, uint32_t num_threads = 1) {
+  SimulatedCrowdOptions options;
+  options.num_threads = num_threads;
+  CROWDER_ASSIGN_OR_RETURN(
+      auto backend,
+      SimulatedCrowdBackend::Create(platform.model(), platform.seed(), f.entity_of, options));
+  std::unordered_map<uint64_t, size_t> index_of;
+  for (size_t i = 0; i < f.pairs.size(); ++i) index_of[PairKey(f.pairs[i].a, f.pairs[i].b)] = i;
+  aggregate::VoteTable votes(f.pairs.size());
+  uint32_t next_hit = 0;
+  for (const Batch& b : batches) {
+    HitBatch batch;
+    batch.first_hit = next_hit;
+    batch.pairs = &b.pairs;
+    batch.pair_hits = b.pair_hits.empty() ? nullptr : &b.pair_hits;
+    batch.cluster_hits = b.cluster_hits.empty() ? nullptr : &b.cluster_hits;
+    next_hit += static_cast<uint32_t>(batch.num_hits());
+    CROWDER_ASSIGN_OR_RETURN(const Ticket ticket, backend->Post(batch));
+    CROWDER_ASSIGN_OR_RETURN(VoteBatch answer, backend->Poll(ticket));
+    for (const HitVotes& hv : answer.hit_votes) {
+      for (const PairVote& pv : hv.votes) {
+        votes.at(index_of.at(PairKey(pv.a, pv.b))).push_back(pv.vote);
+      }
+    }
+  }
+  CROWDER_ASSIGN_OR_RETURN(CrowdRunResult run, backend->Finish());
+  if (!run.votes.empty()) return Status::Internal("backend stats carry a vote table");
+  run.votes = std::move(votes);
+  return run;
+}
+
+std::vector<hitgen::ClusterBasedHit> FourRecordClusterHits() {
+  std::vector<hitgen::ClusterBasedHit> hits;
+  for (uint32_t base = 0; base + 4 <= 24; base += 4) {
+    hits.push_back({{base, base + 1, base + 2, base + 3}});
+  }
+  return hits;
+}
+
+TEST(SimulatorBatchingTest, BatchSplitIsInvisible) {
   const Fixture f = MakeLargeFixture();
   std::vector<graph::Edge> edges;
   for (const auto& p : f.pairs) edges.push_back({p.a, p.b});
@@ -409,54 +460,33 @@ TEST(SessionTest, BatchPartitionIsInvisible) {
   const auto one_shot = platform.RunPairHits(hits, f.Context()).ValueOrDie();
 
   // One HIT per batch.
-  auto single = CrowdSession::Create(platform, f.Context()).ValueOrDie();
-  for (const auto& hit : hits) {
-    ASSERT_TRUE(single->ProcessPairHits({hit}).ok());
-  }
-  ExpectSameRun(one_shot, single->Finish().ValueOrDie());
+  std::vector<Batch> single;
+  for (const auto& hit : hits) single.push_back({f.pairs, {hit}, {}});
+  ExpectSameRun(one_shot, RunBatches(platform, f, single).ValueOrDie());
 
   // An uneven split.
-  auto split = CrowdSession::Create(platform, f.Context()).ValueOrDie();
-  const std::vector<hitgen::PairBasedHit> head(hits.begin(), hits.begin() + 2);
-  const std::vector<hitgen::PairBasedHit> tail(hits.begin() + 2, hits.end());
-  ASSERT_TRUE(split->ProcessPairHits(head).ok());
-  ASSERT_TRUE(split->ProcessPairHits(tail).ok());
-  ExpectSameRun(one_shot, split->Finish().ValueOrDie());
+  const std::vector<Batch> split{{f.pairs, {hits.begin(), hits.begin() + 2}, {}},
+                                 {f.pairs, {hits.begin() + 2, hits.end()}, {}}};
+  ExpectSameRun(one_shot, RunBatches(platform, f, split).ValueOrDie());
 }
 
-TEST(SessionTest, ThreadCountIsInvisible) {
+TEST(SimulatorBatchingTest, ThreadCountIsInvisible) {
   const Fixture f = MakeLargeFixture();
-  std::vector<hitgen::ClusterBasedHit> hits;
-  for (uint32_t base = 0; base + 4 <= 24; base += 4) {
-    hits.push_back({{base, base + 1, base + 2, base + 3}});
-  }
+  const auto hits = FourRecordClusterHits();
   const CrowdPlatform platform(CrowdModel{}, 654);
-  auto serial = CrowdSession::Create(platform, f.Context(), /*num_threads=*/1).ValueOrDie();
-  ASSERT_TRUE(serial->ProcessClusterHits(hits).ok());
-  const auto serial_run = serial->Finish().ValueOrDie();
-  for (uint32_t threads : {2u, 4u, 7u}) {
-    auto session = CrowdSession::Create(platform, f.Context(), threads).ValueOrDie();
-    ASSERT_TRUE(session->ProcessClusterHits(hits).ok());
-    ExpectSameRun(serial_run, session->Finish().ValueOrDie());
+  const auto one_shot = platform.RunClusterHits(hits, f.Context()).ValueOrDie();
+  for (uint32_t threads : {1u, 2u, 4u, 7u}) {
+    SCOPED_TRACE(threads);
+    ExpectSameRun(one_shot, RunBatches(platform, f, {{f.pairs, {}, hits}}, threads).ValueOrDie());
   }
 }
 
-TEST(SessionTest, MixingHitTypesFails) {
-  const Fixture f = MakeFixture();
-  const CrowdPlatform platform(CrowdModel{}, 5);
-  auto session = CrowdSession::Create(platform, f.Context()).ValueOrDie();
-  ASSERT_TRUE(session->ProcessPairHits({{{{0, 1}}}}).ok());
-  auto status = session->ProcessClusterHits({{{0, 1, 2}}});
-  EXPECT_TRUE(status.IsInvalidArgument());
-}
-
-// Splitting one run into pair partitions (CreatePartitioned /
-// StartPartition / TakePartitionVotes) must reproduce the classic run
-// bitwise: the concatenated per-partition vote tables equal the one-shot
-// vote table, and the global statistics — assignments, cost, completion
-// time — are untouched, because HIT indices (and hence every per-HIT
-// random stream) keep counting across partitions.
-TEST(SessionTest, PairPartitionsAreInvisible) {
+// Splitting one run into batches that each carry only their own pairs'
+// context must reproduce the one-batch run bitwise: the folded per-batch
+// votes equal the one-shot vote table, and the global statistics —
+// assignments, cost, completion time — are untouched, because HIT indices
+// (and hence every per-HIT random stream) keep counting across batches.
+TEST(SimulatorBatchingTest, PerBatchPairContextsAreInvisible) {
   const Fixture f = MakeLargeFixture();
   const uint32_t pairs_per_hit = 3;
   std::vector<graph::Edge> edges;
@@ -465,105 +495,110 @@ TEST(SessionTest, PairPartitionsAreInvisible) {
   const CrowdPlatform platform(CrowdModel{}, 977);
   const auto one_shot = platform.RunPairHits(hits, f.Context()).ValueOrDie();
 
-  // Partition capacities aligned to the HIT size (the invisibility
-  // precondition), including one that forces many partitions.
+  // Context capacities aligned to the HIT size (the invisibility
+  // precondition), including one that forces many batches.
   for (const size_t capacity : {size_t{3}, size_t{6}, size_t{9}, f.pairs.size()}) {
-    auto session = CrowdSession::CreatePartitioned(platform, f.entity_of).ValueOrDie();
-    aggregate::VoteTable merged;
-    std::vector<similarity::ScoredPair> partition;
-    size_t hit_cursor = 0;
+    SCOPED_TRACE(capacity);
+    std::vector<Batch> batches;
+    size_t num_hits = 0;
     for (size_t begin = 0; begin < f.pairs.size(); begin += capacity) {
       const size_t end = std::min(f.pairs.size(), begin + capacity);
-      partition.assign(f.pairs.begin() + begin, f.pairs.begin() + end);
+      Batch batch;
+      batch.pairs.assign(f.pairs.begin() + begin, f.pairs.begin() + end);
       std::vector<graph::Edge> part_edges;
-      for (const auto& p : partition) part_edges.push_back({p.a, p.b});
-      const auto part_hits = hitgen::GeneratePairHits(part_edges, pairs_per_hit).ValueOrDie();
-      ASSERT_TRUE(session->StartPartition(partition).ok());
-      ASSERT_TRUE(session->ProcessPairHits(part_hits).ok());
-      auto votes = session->TakePartitionVotes().ValueOrDie();
-      for (auto& pair_votes : votes) merged.push_back(std::move(pair_votes));
-      hit_cursor += part_hits.size();
+      for (const auto& p : batch.pairs) part_edges.push_back({p.a, p.b});
+      batch.pair_hits = hitgen::GeneratePairHits(part_edges, pairs_per_hit).ValueOrDie();
+      num_hits += batch.pair_hits.size();
+      batches.push_back(std::move(batch));
     }
-    ASSERT_EQ(hit_cursor, hits.size()) << "capacity " << capacity;
-    auto run = session->Finish().ValueOrDie();
-    EXPECT_TRUE(run.votes.empty());  // drained per partition
-    run.votes = std::move(merged);
-    ExpectSameRun(one_shot, run);
+    ASSERT_EQ(num_hits, hits.size());
+    ExpectSameRun(one_shot, RunBatches(platform, f, batches).ValueOrDie());
   }
 }
 
 // The cluster-HIT analogue: ranges of HITs simulated against a context
 // holding only the candidate pairs among the range's records must vote
 // exactly like the full-context run.
-TEST(SessionTest, ClusterHitRangesWithFilteredContextAreInvisible) {
+TEST(SimulatorBatchingTest, ClusterRangesWithFilteredContextsAreInvisible) {
   const Fixture f = MakeLargeFixture();
-  std::vector<hitgen::ClusterBasedHit> hits;
-  for (uint32_t base = 0; base + 4 <= 24; base += 4) {
-    hits.push_back({{base, base + 1, base + 2, base + 3}});
-  }
+  const auto hits = FourRecordClusterHits();
   const CrowdPlatform platform(CrowdModel{}, 1543);
   const auto one_shot = platform.RunClusterHits(hits, f.Context()).ValueOrDie();
 
   for (const size_t hits_per_range : {size_t{1}, size_t{2}, hits.size()}) {
-    auto session = CrowdSession::CreatePartitioned(platform, f.entity_of).ValueOrDie();
-    aggregate::VoteTable merged(f.pairs.size());
+    SCOPED_TRACE(hits_per_range);
+    std::vector<Batch> batches;
     for (size_t begin = 0; begin < hits.size(); begin += hits_per_range) {
       const size_t end = std::min(hits.size(), begin + hits_per_range);
+      Batch batch;
+      batch.cluster_hits.assign(hits.begin() + begin, hits.begin() + end);
       std::vector<char> in_range(24, 0);
-      for (size_t h = begin; h < end; ++h) {
-        for (uint32_t r : hits[h].records) in_range[r] = 1;
+      for (const auto& hit : batch.cluster_hits) {
+        for (uint32_t r : hit.records) in_range[r] = 1;
       }
-      std::vector<similarity::ScoredPair> context;
-      std::vector<size_t> global_index;
-      for (size_t i = 0; i < f.pairs.size(); ++i) {
-        if (in_range[f.pairs[i].a] && in_range[f.pairs[i].b]) {
-          context.push_back(f.pairs[i]);
-          global_index.push_back(i);
-        }
+      for (const auto& p : f.pairs) {
+        if (in_range[p.a] && in_range[p.b]) batch.pairs.push_back(p);
       }
-      const std::vector<hitgen::ClusterBasedHit> range(hits.begin() + begin,
-                                                       hits.begin() + end);
-      ASSERT_TRUE(session->StartPartition(context).ok());
-      ASSERT_TRUE(session->ProcessClusterHits(range).ok());
-      auto votes = session->TakePartitionVotes().ValueOrDie();
-      for (size_t i = 0; i < votes.size(); ++i) {
-        for (const auto& v : votes[i]) merged[global_index[i]].push_back(v);
-      }
+      batches.push_back(std::move(batch));
     }
-    auto run = session->Finish().ValueOrDie();
-    EXPECT_TRUE(run.votes.empty());
-    run.votes = std::move(merged);
-    ExpectSameRun(one_shot, run);
+    ExpectSameRun(one_shot, RunBatches(platform, f, batches).ValueOrDie());
   }
 }
 
-TEST(SessionTest, PartitionLifecycleIsEnforced) {
-  const Fixture f = MakeFixture();
-  const CrowdPlatform platform(CrowdModel{}, 5);
-  auto session = CrowdSession::CreatePartitioned(platform, f.entity_of).ValueOrDie();
-  // No partition open yet: processing and taking votes both fail.
-  EXPECT_TRUE(session->ProcessPairHits({{{{0, 1}}}}).IsInvalidArgument());
-  EXPECT_TRUE(session->TakePartitionVotes().status().IsInvalidArgument());
-  ASSERT_TRUE(session->StartPartition(f.pairs).ok());
-  // Double-open without draining fails.
-  EXPECT_TRUE(session->StartPartition(f.pairs).IsInvalidArgument());
-  ASSERT_TRUE(session->ProcessPairHits({{{{0, 1}}}}).ok());
-  ASSERT_TRUE(session->TakePartitionVotes().ok());
-  // Drained: reopening is legal.
-  EXPECT_TRUE(session->StartPartition(f.pairs).ok());
+// A cluster round's repair HITs are pair-based and posted over the same
+// context: one run may mix the kinds. The cluster HITs vote as in the
+// one-batch run, and the first batch's kind selects the completion model's
+// interface familiarity.
+TEST(SimulatorBatchingTest, PairRepairHitsFollowClusterHits) {
+  const Fixture f = MakeLargeFixture();
+  const auto hits = FourRecordClusterHits();
+  const std::vector<hitgen::PairBasedHit> repair{{{{0, 1}, {1, 2}}}, {{{3, 4}}}};
+  const std::vector<Batch> mixed{{f.pairs, {}, hits}, {f.pairs, repair, {}}};
+
+  const CrowdPlatform platform(CrowdModel{}, 88);
+  const auto cluster_only = platform.RunClusterHits(hits, f.Context()).ValueOrDie();
+  const auto run = RunBatches(platform, f, mixed).ValueOrDie();
+  EXPECT_EQ(run.num_hits, hits.size() + repair.size());
+  ASSERT_EQ(run.assignments.size(), (hits.size() + repair.size()) * 3);
+  for (size_t i = 0; i < cluster_only.assignments.size(); ++i) {
+    EXPECT_EQ(run.assignments[i].worker, cluster_only.assignments[i].worker);
+    EXPECT_EQ(run.assignments[i].duration_seconds, cluster_only.assignments[i].duration_seconds);
+  }
+  for (size_t i = 0; i < f.pairs.size(); ++i) {
+    const size_t cluster_votes = cluster_only.votes[i].size();
+    ASSERT_GE(run.votes[i].size(), cluster_votes) << "pair " << i;
+    for (size_t v = 0; v < cluster_votes; ++v) {
+      EXPECT_EQ(run.votes[i][v].worker_id, cluster_only.votes[i][v].worker_id);
+      EXPECT_EQ(run.votes[i][v].says_match, cluster_only.votes[i][v].says_match);
+    }
+  }
+
+  CrowdModel pair_familiar;
+  pair_familiar.familiarity_pair = 0.05;
+  EXPECT_EQ(RunBatches(CrowdPlatform(pair_familiar, 88), f, mixed)->total_seconds,
+            run.total_seconds);
+  CrowdModel cluster_familiar;
+  cluster_familiar.familiarity_cluster = 0.05;
+  EXPECT_GT(RunBatches(CrowdPlatform(cluster_familiar, 88), f, mixed)->total_seconds,
+            run.total_seconds);
 }
 
-TEST(SessionTest, UnknownPairInHitIsReportedFromParallelRegion) {
+TEST(SimulatorBatchingTest, UnknownPairInHitIsReportedFromParallelRegion) {
   const Fixture f = MakeFixture();
-  const CrowdPlatform platform(CrowdModel{}, 5);
-  auto session = CrowdSession::Create(platform, f.Context(), /*num_threads=*/4).ValueOrDie();
-  std::vector<hitgen::PairBasedHit> hits{{{{0, 1}}}, {{{0, 3}}}};  // (0,3) not a candidate
-  auto status = session->ProcessPairHits(hits);
-  EXPECT_TRUE(status.IsInvalidArgument());
-  // A failed batch may have merged a prefix of its HITs, so the session is
-  // poisoned: retrying or finishing must not double-count that prefix.
-  EXPECT_TRUE(session->ProcessPairHits({{{{0, 1}}}}).IsInvalidArgument());
-  EXPECT_TRUE(session->Finish().status().IsInvalidArgument());
+  SimulatedCrowdOptions options;
+  options.num_threads = 4;
+  auto backend = SimulatedCrowdBackend::Create(CrowdModel{}, 5, f.entity_of, options).ValueOrDie();
+  const std::vector<hitgen::PairBasedHit> hits{{{{0, 1}}}, {{{0, 3}}}};  // (0,3) not a candidate
+  HitBatch batch;
+  batch.pairs = &f.pairs;
+  batch.pair_hits = &hits;
+  EXPECT_TRUE(backend->Post(batch).status().IsInvalidArgument());
+  // A failed batch may have merged a prefix of its HITs, so the backend is
+  // latched: retrying or finishing must not double-count that prefix.
+  const std::vector<hitgen::PairBasedHit> good{{{{0, 1}}}};
+  batch.pair_hits = &good;
+  EXPECT_TRUE(backend->Post(batch).status().IsInvalidArgument());
+  EXPECT_TRUE(backend->Finish().status().IsInvalidArgument());
 }
 
 // ---------------------------------------------------------------------------
@@ -640,17 +675,16 @@ TEST(CrowdModelValidationTest, ColludersNeedARing) {
   EXPECT_NE(status.message().find("colluder_rings"), std::string::npos);
 }
 
-TEST(CrowdModelValidationTest, SessionConstructionRejectsMalformedModel) {
-  // The enforcement point: a malformed model cannot produce a session (the
-  // platform constructor cannot return a Status, so the session checks).
+TEST(CrowdModelValidationTest, BackendCreationRejectsMalformedModel) {
+  // The enforcement point: a malformed model cannot produce a simulator (the
+  // platform constructor cannot return a Status, so Create checks).
   const Fixture f = MakeFixture();
   CrowdModel model;
   model.noisy_fraction = -0.25;
-  const CrowdPlatform platform(model, 9);
-  const auto session = CrowdSession::Create(platform, f.Context());
-  ASSERT_FALSE(session.ok());
-  EXPECT_TRUE(session.status().IsInvalidArgument());
-  EXPECT_NE(session.status().message().find("noisy_fraction"), std::string::npos);
+  const auto backend = SimulatedCrowdBackend::Create(model, 9, f.entity_of);
+  ASSERT_FALSE(backend.ok());
+  EXPECT_TRUE(backend.status().IsInvalidArgument());
+  EXPECT_NE(backend.status().message().find("noisy_fraction"), std::string::npos);
 }
 
 }  // namespace

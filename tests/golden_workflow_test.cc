@@ -11,7 +11,7 @@
 //
 // Re-record history:
 //  * BestF1 0.93617... → 0.91666...: the crowd platform moved to per-HIT
-//    seed derivation (crowd/session.h) so HIT batches can simulate in
+//    seed derivation (crowd/backend.h) so HIT batches can simulate in
 //    parallel and stream incrementally; the worker-pick and answer draws
 //    legitimately shifted. Candidate pairs, HIT counts, assignment counts,
 //    and cost are unchanged.

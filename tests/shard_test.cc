@@ -15,8 +15,12 @@
 //   * Failure paths — a worker that reports an error, a transport that dies
 //     mid-stream, and a subprocess worker that exits without results all
 //     surface as a clean Status naming the shard, with no hang and no
-//     zombie.
+//     zombie; a frame header declaring a huge payload is not allocated
+//     before its bytes arrive.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstring>
 #include <string>
@@ -422,6 +426,64 @@ TEST(ShardProto, HostileCountsFailBeforeAllocating) {
     EXPECT_TRUE(DecodeWorkerError(RawFrame(FrameType::kWorkerError, error)).status().IsIOError())
         << code;
   }
+}
+
+// Sanitizer shadow memory needs more address space than an RLIMIT_AS cap
+// leaves, so the capped test below only runs in plain builds.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizedBuild = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
+    __has_feature(memory_sanitizer)
+constexpr bool kSanitizedBuild = true;
+#else
+constexpr bool kSanitizedBuild = false;
+#endif
+#else
+constexpr bool kSanitizedBuild = false;
+#endif
+
+// The forked reader of the test below: caps its address space at 1 GiB,
+// then receives a header declaring kMaxFramePayload (16 GiB), a few payload
+// bytes and EOF. Returns 0 on the expected IOError, 1 on any other outcome,
+// 2 when the setup itself failed.
+int RecvHugeDeclaredFrameUnderCap() {
+  rlimit limit{};
+  limit.rlim_cur = limit.rlim_max = rlim_t{1} << 30;
+  int fds[2];
+  if (::setrlimit(RLIMIT_AS, &limit) != 0 || ::pipe(fds) != 0) return 2;
+  std::vector<uint8_t> bytes;
+  AppendLe(&bytes, static_cast<uint32_t>(FrameType::kPairBatch), 4);
+  AppendLe(&bytes, kMaxFramePayload, 8);
+  AppendLe(&bytes, 0x0102030405060708ULL, 8);
+  if (::write(fds[1], bytes.data(), bytes.size()) != static_cast<ssize_t>(bytes.size())) return 2;
+  ::close(fds[1]);
+  PipeTransport transport(fds[0], -1, "hostile peer");
+  const Result<Frame> frame = transport.Recv();
+  return !frame.ok() && frame.status().IsIOError() ? 0 : 1;
+}
+
+TEST(ShardTransport, HugeDeclaredPayloadFailsWithoutAllocatingIt) {
+  if (kSanitizedBuild) GTEST_SKIP() << "sanitizer shadow memory needs the address space";
+  // The read runs in a forked child, so a transport that sizes its buffer
+  // from the header fails the test (bad_alloc under the cap) instead of
+  // exhausting the machine. The child never returns into the test runner.
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    int code = 3;
+    try {
+      code = RecvHugeDeclaredFrameUnderCap();
+    } catch (...) {
+    }
+    ::_exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status)) << "reader killed by signal "
+                                 << (WIFSIGNALED(status) ? WTERMSIG(status) : 0);
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "1: Recv did not fail with IOError; 2: setup failed; 3: Recv threw (allocation)";
 }
 
 TEST(ShardWorker, HostileSpecFramesFailCleanly) {

@@ -187,7 +187,18 @@ TEST(WorkflowTest, ConfigValidationRejectsBadValues) {
   config.cluster_size = 1;
   EXPECT_FALSE(ValidateWorkflowConfig(config).ok());
   config = WorkflowConfig{};
+  config.cluster_size = 4294967295u;  // a k-sized allocation must not happen
+  const Status huge_k = ValidateWorkflowConfig(config);
+  EXPECT_TRUE(huge_k.IsInvalidArgument());
+  EXPECT_NE(huge_k.message().find("cluster_size"), std::string::npos);
+  config = WorkflowConfig{};
+  config.cluster_size = kMaxHitSize;
+  EXPECT_TRUE(ValidateWorkflowConfig(config).ok());
+  config = WorkflowConfig{};
   config.pairs_per_hit = 0;
+  EXPECT_FALSE(ValidateWorkflowConfig(config).ok());
+  config = WorkflowConfig{};
+  config.pairs_per_hit = kMaxHitSize + 1;
   EXPECT_FALSE(ValidateWorkflowConfig(config).ok());
   config = WorkflowConfig{};
   config.crowd.assignments_per_hit = 0;
@@ -284,6 +295,10 @@ TEST(BudgetPlannerTest, RejectsBadArguments) {
   WorkflowConfig base;
   EXPECT_FALSE(PlanForBudget(ds, 10.0, base, {}).ok());
   EXPECT_FALSE(PlanForBudget(ds, -5.0, base, {0.3}).ok());
+  base.cluster_size = 4294967295u;  // rejected before any HIT generation
+  const auto huge_k = PlanForBudget(ds, 10.0, base, {0.3});
+  EXPECT_TRUE(huge_k.status().IsInvalidArgument());
+  EXPECT_NE(huge_k.status().message().find("cluster_size"), std::string::npos);
 }
 
 }  // namespace
