@@ -262,15 +262,8 @@ similarity::JoinInput ScaledProductInput(double scale) {
   data::ProductConfig config;
   config.scale_factor = scale;
   const auto dataset = data::GenerateProduct(config).ValueOrDie();
-  text::Tokenizer tokenizer;
-  text::Vocabulary vocab;
-  similarity::JoinInput input;
-  for (uint32_t r = 0; r < dataset.table.num_records(); ++r) {
-    input.sets.push_back(similarity::MakeTokenSet(
-        vocab.InternDocument(tokenizer.Tokenize(dataset.table.ConcatenatedRecord(r)))));
-  }
-  input.sources = dataset.table.sources;
-  return input;
+  return core::internal::BuildJoinInput(dataset, core::CandidateStrategy::kAllPairsJoin,
+                                        nullptr);
 }
 
 // One serial AllPairs join over scaled Product: its counters and wall time.

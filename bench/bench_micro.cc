@@ -90,17 +90,8 @@ BENCHMARK(BM_BoundedEditDistance)->Arg(64)->Arg(256);
 // ---------------------------------------------------------------------------
 
 const similarity::JoinInput& RestaurantJoinInput() {
-  static const similarity::JoinInput kInput = [] {
-    const auto& dataset = Restaurant();
-    text::Tokenizer tokenizer;
-    text::Vocabulary vocab;
-    similarity::JoinInput input;
-    for (uint32_t r = 0; r < dataset.table.num_records(); ++r) {
-      input.sets.push_back(similarity::MakeTokenSet(
-          vocab.InternDocument(tokenizer.Tokenize(dataset.table.ConcatenatedRecord(r)))));
-    }
-    return input;
-  }();
+  static const similarity::JoinInput kInput = core::internal::BuildJoinInput(
+      Restaurant(), core::CandidateStrategy::kAllPairsJoin, nullptr);
   return kInput;
 }
 
@@ -194,15 +185,8 @@ const similarity::JoinInput& ScaledProductJoinInput() {
     data::ProductConfig config;
     config.scale_factor = 25.0;  // 27,025 + 27,300 = 54,325 records
     const auto dataset = data::GenerateProduct(config).ValueOrDie();
-    text::Tokenizer tokenizer;
-    text::Vocabulary vocab;
-    similarity::JoinInput input;
-    for (uint32_t r = 0; r < dataset.table.num_records(); ++r) {
-      input.sets.push_back(similarity::MakeTokenSet(
-          vocab.InternDocument(tokenizer.Tokenize(dataset.table.ConcatenatedRecord(r)))));
-    }
-    input.sources = dataset.table.sources;
-    return input;
+    return core::internal::BuildJoinInput(dataset, core::CandidateStrategy::kAllPairsJoin,
+                                          nullptr);
   }();
   return kInput;
 }

@@ -31,16 +31,6 @@ double FleissKappa(const std::vector<uint32_t>& yes_counts,
   return (p_bar - p_e) / (1.0 - p_e);
 }
 
-double FleissKappa(const VoteTable& votes) {
-  std::vector<uint32_t> yes(votes.size(), 0);
-  std::vector<uint32_t> total(votes.size(), 0);
-  for (size_t i = 0; i < votes.size(); ++i) {
-    total[i] = static_cast<uint32_t>(votes[i].size());
-    for (const Vote& v : votes[i]) yes[i] += v.says_match ? 1 : 0;
-  }
-  return FleissKappa(yes, total);
-}
-
 void RemoveVotesFrom(VoteTable* votes, const std::unordered_set<uint32_t>& banned) {
   if (banned.empty()) return;
   for (std::vector<Vote>& pair_votes : *votes) {

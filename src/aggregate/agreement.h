@@ -27,9 +27,6 @@ namespace aggregate {
 double FleissKappa(const std::vector<uint32_t>& yes_counts,
                    const std::vector<uint32_t>& total_counts);
 
-/// \brief Convenience overload over a vote table (one subject per pair).
-double FleissKappa(const VoteTable& votes);
-
 /// \brief Removes every vote cast by a worker in `banned` (order of the
 /// surviving votes is preserved). The in-memory statement of the revision
 /// path — dropping a worker re-derives every affected pair's decision from

@@ -1,11 +1,9 @@
 #include "core/driver.h"
 
 #include <algorithm>
-#include <numeric>
 #include <string>
 
 #include "aggregate/agreement.h"
-#include "common/logging.h"
 #include "hitgen/pair_hit_generator.h"
 
 namespace crowder {
@@ -31,6 +29,15 @@ WorkflowConfig ApplyExecutionMode(WorkflowConfig config) {
   return config;
 }
 
+// Runs one machine-facing phase (core/stages.h), recording its wall time
+// under `name` — the stage names PipelineStats reports.
+Status RunTimed(const char* name, Status (*phase)(WorkflowState*), WorkflowState* state) {
+  WallTimer timer;
+  CROWDER_RETURN_NOT_OK(phase(state));
+  state->result.pipeline_stats.stages.push_back({name, timer.ElapsedMillis()});
+  return Status::OK();
+}
+
 }  // namespace
 
 WorkflowDriver::WorkflowDriver(WorkflowConfig config)
@@ -45,7 +52,6 @@ Status WorkflowDriver::Start(const data::Dataset& dataset) {
     filter_ = owned_filter_.get();
   }
   if (adaptive()) {
-    policy_ = MakeQuestionPolicy(config_.question_policy);
     closure_ = std::make_unique<graph::AnswerClosure>(
         static_cast<uint32_t>(dataset.table.num_records()));
   }
@@ -55,16 +61,15 @@ Status WorkflowDriver::Start(const data::Dataset& dataset) {
     return Status::InvalidArgument("dataset has no matching pairs; nothing to resolve");
   }
 
-  // The machine pass and HIT generation run eagerly, as pipeline stages (the
-  // crowd rounds and aggregation continue the same PipelineStats record).
-  Pipeline pipeline;
-  pipeline.Add(std::make_unique<MachinePassStage>()).Add(std::make_unique<HitGenStage>());
-  CROWDER_RETURN_NOT_OK(pipeline.Run(state_.get(), &state_->result.pipeline_stats));
+  // The machine pass and HIT generation run eagerly (the crowd rounds and
+  // aggregation continue the same PipelineStats record).
+  CROWDER_RETURN_NOT_OK(RunTimed("machine-pass", RunMachinePass, state_.get()));
+  CROWDER_RETURN_NOT_OK(RunTimed("hit-gen", GenerateHits, state_.get()));
 
-  // Round-source setup: the pair route fixes the partition/shard layout up
+  // Context-source setup: the pair route fixes the partition/shard layout up
   // front; the cluster route sizes HIT ranges so one range's pair context
-  // stays within the partition capacity (a HIT of k records references at
-  // most k(k-1)/2 pairs).
+  // stays within the partition capacity (a HIT of k records asks at most
+  // k(k-1)/2 pairs).
   const uint64_t total = state_->result.num_candidate_pairs;
   if (total > 0) {
     if (config_.hit_type == HitType::kPairBased) {
@@ -72,7 +77,6 @@ Status WorkflowDriver::Start(const data::Dataset& dataset) {
           AlignedPartitionCapacity(state_->partition_capacity, config_.pairs_per_hit);
       state_->votes = std::make_unique<VoteShardStore>(
           config_.memory_budget_bytes, TileShardCounts(total, aligned_capacity_));
-      state_->result.pipeline_stats.crowd_partitions = state_->votes->num_shards();
       CROWDER_ASSIGN_OR_RETURN(auto cursor, state_->stream.OpenSortedCursor());
       cursor_.emplace(std::move(cursor));
     } else {
@@ -89,89 +93,49 @@ Status WorkflowDriver::Start(const data::Dataset& dataset) {
   return Advance();
 }
 
-void WorkflowDriver::IndexRoundPairs(const std::vector<similarity::ScoredPair>& pairs) {
-  round_pair_index_.clear();
-  round_pair_index_.reserve(pairs.size());
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    round_pair_index_[PairKey(pairs[i].a, pairs[i].b)] = i;
-  }
-}
-
-Status WorkflowDriver::PreparePairPartitionRound() {
-  const uint64_t total = state_->result.num_candidate_pairs;
-  if (next_pair_base_ >= total) return Status::OK();
-  const uint64_t want = std::min<uint64_t>(aligned_capacity_, total - next_pair_base_);
-  round_pairs_.reserve(static_cast<size_t>(want));
-  CROWDER_ASSIGN_OR_RETURN(const size_t got,
-                           cursor_->Next(static_cast<size_t>(want), &round_pairs_));
-  if (got == 0) return Status::OK();
-
-  // Pack this partition's HITs — identical to one pack over all pairs
-  // because the partition capacity is a multiple of pairs_per_hit.
-  hitgen::PairHitPacker packer(config_.pairs_per_hit);
-  std::vector<graph::Edge> edges;
-  edges.reserve(round_pairs_.size());
-  for (const auto& p : round_pairs_) edges.push_back({p.a, p.b});
-  CROWDER_RETURN_NOT_OK(packer.Add(edges));
-  CROWDER_ASSIGN_OR_RETURN(round_pair_hits_, packer.Finish());
-
-  IndexRoundPairs(round_pairs_);
-  round_global_index_.resize(round_pairs_.size());
-  std::iota(round_global_index_.begin(), round_global_index_.end(), next_pair_base_);
-  pending_.first_hit = next_hit_;
-  pending_.pairs = &round_pairs_;
-  pending_.pair_hits = &round_pair_hits_;
-  next_pair_base_ += got;
-  return Status::OK();
-}
-
 Status WorkflowDriver::BuildClusterRangeIndex() {
   WallTimer index_timer;
   const auto& hits = state_->cluster_hits;
   const ComponentBucketPlan& plan = *state_->buckets;
   const size_t num_ranges = (hits.size() + hits_per_range_ - 1) / hits_per_range_;
 
-  // Per-record ascending, deduplicated list of the HIT ranges referencing
-  // it: hits are scanned in range order, so the lists stay sorted and a
-  // last-element check deduplicates. A record's list has an entry for range
-  // r exactly when the old per-round re-scan would have marked the record
-  // for r's round.
-  std::vector<std::vector<uint32_t>> record_ranges(state_->dataset->table.num_records());
+  // Per-record ascending list of the HITs that ask it: hits are scanned in
+  // order and a HIT lists each record once.
+  std::vector<std::vector<uint32_t>> record_hits(state_->dataset->table.num_records());
   for (size_t h = 0; h < hits.size(); ++h) {
-    const uint32_t range = static_cast<uint32_t>(h / hits_per_range_);
-    for (uint32_t r : hits[h].records) {
-      auto& list = record_ranges[r];
-      if (list.empty() || list.back() != range) list.push_back(range);
-    }
+    for (uint32_t r : hits[h].records) record_hits[r].push_back(static_cast<uint32_t>(h));
   }
 
-  // Join each bucketed pair against its records' range lists in one sorted
-  // pass over ALL buckets, ascending. The replay order per range shard —
-  // bucket ascending, append order within a bucket — is exactly what the
-  // old route produced: it scanned the round's touched buckets sorted
-  // ascending, a pair lives only in its own component's bucket, and an
-  // untouched bucket can contribute no pair whose records are both in the
-  // round's HITs. Order matters because PrepareRepairRound re-posts
-  // deficient pairs in context order.
+  // Join each bucketed pair against its records' HIT lists in one pass over
+  // ALL buckets, ascending, so each range shard replays in (bucket asc,
+  // append order). Order matters: FinishRound sums kappa and
+  // PrepareRepairRound re-posts deficient pairs in context order.
   range_pairs_ = std::make_unique<ShardedSpillStore<IndexedPair>>(config_.memory_budget_bytes);
   range_pairs_->AddShards(num_ranges);
   for (uint32_t bucket = 0; bucket < plan.num_buckets(); ++bucket) {
     CROWDER_RETURN_NOT_OK(
         state_->bucket_pairs->Scan(bucket, [&](const std::vector<IndexedPair>& block) {
           for (const auto& ip : block) {
-            // A pair belongs to range r's context iff both records appear in
-            // r's HITs: intersect the two ascending range lists.
-            const auto& ra = record_ranges[ip.pair.a];
-            const auto& rb = record_ranges[ip.pair.b];
+            // A pair belongs to range r's context iff one of r's HITs asks
+            // it (holds both records): intersect the two ascending HIT
+            // lists. Common HITs come in range order, so a pair is appended
+            // once per range however many of the range's HITs ask it.
+            const auto& ha = record_hits[ip.pair.a];
+            const auto& hb = record_hits[ip.pair.b];
+            size_t last_range = num_ranges;
             size_t i = 0;
             size_t j = 0;
-            while (i < ra.size() && j < rb.size()) {
-              if (ra[i] < rb[j]) {
+            while (i < ha.size() && j < hb.size()) {
+              if (ha[i] < hb[j]) {
                 ++i;
-              } else if (rb[j] < ra[i]) {
+              } else if (hb[j] < ha[i]) {
                 ++j;
               } else {
-                CROWDER_RETURN_NOT_OK(range_pairs_->AppendRecord(ra[i], ip));
+                const size_t range = ha[i] / hits_per_range_;
+                if (range != last_range) {
+                  CROWDER_RETURN_NOT_OK(range_pairs_->AppendRecord(range, ip));
+                  last_range = range;
+                }
                 ++i;
                 ++j;
               }
@@ -189,42 +153,11 @@ Status WorkflowDriver::BuildClusterRangeIndex() {
   return Status::OK();
 }
 
-Status WorkflowDriver::PrepareClusterRangeRound() {
-  const auto& hits = state_->cluster_hits;
-  if (next_range_begin_ >= hits.size()) return Status::OK();
-  WallTimer context_timer;
-  const size_t begin = next_range_begin_;
-  const size_t end = std::min(hits.size(), begin + hits_per_range_);
-
-  // The range's pair context — the candidate pairs among its records, with
-  // their global indices — is its shard of the inverted pair→HIT-range
-  // index, replayed in append order. Simulating (or answering) a cluster
-  // HIT only ever looks up pairs among that HIT's records, so this context
-  // answers exactly the lookups the full pair index would.
-  round_global_index_.clear();
-  CROWDER_RETURN_NOT_OK(range_pairs_->Scan(
-      begin / hits_per_range_, [&](const std::vector<IndexedPair>& block) {
-        for (const auto& ip : block) {
-          round_pairs_.push_back(ip.pair);
-          round_global_index_.push_back(ip.index);
-        }
-        return Status::OK();
-      }));
-
-  round_cluster_hits_.assign(hits.begin() + begin, hits.begin() + end);
-  IndexRoundPairs(round_pairs_);
-  pending_.first_hit = next_hit_;
-  pending_.pairs = &round_pairs_;
-  pending_.cluster_hits = &round_cluster_hits_;
-  next_range_begin_ = end;
-  state_->result.pipeline_stats.cluster_context_wall_ms += context_timer.ElapsedMillis();
-  return Status::OK();
-}
-
 // ---------------------------------------------------------------------------
-// Adaptive question selection (config.question_policy == kInferenceOrdered).
-// Each fixed-mode round source becomes a *base context* served as selection
-// sub-rounds; see the selection paragraph of the file comment in driver.h.
+// The round loop. Every context (one pair partition, or one range of cluster
+// HITs) is loaded once and served as rounds until nothing in it is left to
+// ask; the question policy only decides what each round takes. See the
+// round paragraph of the file comment in driver.h.
 // ---------------------------------------------------------------------------
 
 uint64_t WorkflowDriver::ResolveSelectionBatch() const {
@@ -328,56 +261,67 @@ void WorkflowDriver::SweepClosure() {
   base_unresolved_.resize(kept);
 }
 
-Status WorkflowDriver::PostReaskRound() {
-  const size_t take =
-      std::min<size_t>(reask_queue_.size(), static_cast<size_t>(ResolveSelectionBatch()));
+Status WorkflowDriver::PackPairHits(const std::vector<graph::Edge>& edges) {
+  CROWDER_ASSIGN_OR_RETURN(round_pair_hits_,
+                           hitgen::GeneratePairHits(edges, config_.pairs_per_hit));
+  pending_.first_hit = next_hit_;
+  pending_.pair_hits = &round_pair_hits_;
+  pending_.cluster_hits = nullptr;
+  return Status::OK();
+}
+
+void WorkflowDriver::PublishContext() {
+  round_pair_index_.reserve(round_pairs_.size());
+  for (size_t i = 0; i < round_pairs_.size(); ++i) {
+    round_pair_index_[PairKey(round_pairs_[i].a, round_pairs_[i].b)] = i;
+  }
+  pending_.first_hit = next_hit_;
+  pending_.pairs = &round_pairs_;
+}
+
+Status WorkflowDriver::PostPairRound(std::vector<PendingQuestion>* questions, size_t take) {
   round_pairs_.reserve(take);
   round_global_index_.reserve(take);
   std::vector<graph::Edge> edges;
   edges.reserve(take);
   for (size_t i = 0; i < take; ++i) {
-    const PendingQuestion& q = reask_queue_[i];
+    const PendingQuestion& q = (*questions)[i];
     round_pairs_.push_back(q.pair);
     round_global_index_.push_back(q.global_index);
     edges.push_back({q.pair.a, q.pair.b});
-    reask_pending_.erase(q.global_index);
   }
-  reask_queue_.erase(reask_queue_.begin(), reask_queue_.begin() + take);
-
-  hitgen::PairHitPacker packer(config_.pairs_per_hit);
-  CROWDER_RETURN_NOT_OK(packer.Add(edges));
-  CROWDER_ASSIGN_OR_RETURN(round_pair_hits_, packer.Finish());
-  IndexRoundPairs(round_pairs_);
-  pending_.first_hit = next_hit_;
-  pending_.pairs = &round_pairs_;
-  pending_.pair_hits = &round_pair_hits_;
+  questions->erase(questions->begin(), questions->begin() + take);
+  CROWDER_RETURN_NOT_OK(PackPairHits(edges));
+  PublishContext();
   return Status::OK();
 }
 
 Status WorkflowDriver::PostSelectionRound() {
-  const uint64_t batch = ResolveSelectionBatch();
-
   if (config_.hit_type == HitType::kPairBased) {
-    policy_->Rank(closure_.get(), &base_unresolved_);
-    const size_t take = std::min<size_t>(base_unresolved_.size(), static_cast<size_t>(batch));
-    round_pairs_.reserve(take);
-    round_global_index_.reserve(take);
-    std::vector<graph::Edge> edges;
-    edges.reserve(take);
-    for (size_t i = 0; i < take; ++i) {
-      const PendingQuestion& q = base_unresolved_[i];
+    // Fixed order asks the whole partition, in stream order: one pack over
+    // it equals one pack over all pairs, because the partition capacity is
+    // a multiple of pairs_per_hit.
+    size_t take = base_unresolved_.size();
+    if (adaptive()) {
+      RankByGain(closure_.get(), &base_unresolved_);
+      take = std::min<size_t>(take, static_cast<size_t>(ResolveSelectionBatch()));
+    }
+    return PostPairRound(&base_unresolved_, take);
+  }
+
+  if (!adaptive()) {
+    // Fixed order posts the whole range: every HIT, and the context in its
+    // load order.
+    round_pairs_.reserve(base_unresolved_.size());
+    round_global_index_.reserve(base_unresolved_.size());
+    for (const PendingQuestion& q : base_unresolved_) {
       round_pairs_.push_back(q.pair);
       round_global_index_.push_back(q.global_index);
-      edges.push_back({q.pair.a, q.pair.b});
     }
-    base_unresolved_.erase(base_unresolved_.begin(), base_unresolved_.begin() + take);
-    hitgen::PairHitPacker packer(config_.pairs_per_hit);
-    CROWDER_RETURN_NOT_OK(packer.Add(edges));
-    CROWDER_ASSIGN_OR_RETURN(round_pair_hits_, packer.Finish());
-    IndexRoundPairs(round_pairs_);
-    pending_.first_hit = next_hit_;
-    pending_.pairs = &round_pairs_;
-    pending_.pair_hits = &round_pair_hits_;
+    base_unresolved_.clear();
+    round_cluster_hits_ = std::move(base_cluster_hits_);
+    pending_.cluster_hits = &round_cluster_hits_;
+    PublishContext();
     return Status::OK();
   }
 
@@ -388,13 +332,14 @@ Status WorkflowDriver::PostSelectionRound() {
   // pair budget is covered. The sub-round's context is exactly the posted
   // HITs' unresolved pairs, so already-resolved pairs inside a posted HIT
   // receive no votes.
+  const uint64_t batch = ResolveSelectionBatch();
   std::unordered_map<uint64_t, size_t> unresolved_index;
   unresolved_index.reserve(base_unresolved_.size());
   std::vector<double> gain(base_unresolved_.size(), 0.0);
   for (size_t i = 0; i < base_unresolved_.size(); ++i) {
     const PendingQuestion& q = base_unresolved_[i];
     unresolved_index[PairKey(q.pair.a, q.pair.b)] = i;
-    gain[i] = policy_->Gain(closure_.get(), q);
+    gain[i] = SelectionGain(closure_.get(), q);
   }
 
   struct HitRank {
@@ -419,26 +364,34 @@ Status WorkflowDriver::PostSelectionRound() {
     if (!hr.pairs.empty()) ranked.push_back(std::move(hr));
   }
   if (ranked.empty()) {
-    // Defensive: every unresolved pair is covered by some unposted HIT (the
-    // cluster cover), so this can only mean the context is exhausted.
-    base_unresolved_.clear();
-    return Status::OK();
+    // A context pair is one some HIT of the range asks, and posting a HIT
+    // moves all of its unresolved pairs into the round, so an unresolved
+    // pair always has an unposted HIT.
+    const size_t end = next_range_begin_;
+    return Status::Internal("cluster HIT range [" +
+                            std::to_string(end - base_cluster_hits_.size()) + ", " +
+                            std::to_string(end) + ") has " +
+                            std::to_string(base_unresolved_.size()) +
+                            " unresolved pairs that no unposted HIT of the range asks");
   }
   std::stable_sort(ranked.begin(), ranked.end(),
                    [](const HitRank& x, const HitRank& y) { return x.gain > y.gain; });
 
-  std::unordered_set<size_t> context;  // indices into base_unresolved_
+  std::vector<bool> in_round(base_unresolved_.size(), false);
+  std::vector<size_t> ordered;  // indices into base_unresolved_
   std::vector<size_t> posted;
   for (const HitRank& hr : ranked) {
-    if (!posted.empty() && context.size() >= batch) break;
+    if (!posted.empty() && ordered.size() >= batch) break;
     posted.push_back(hr.hit);
     base_hit_posted_[hr.hit] = true;
-    for (const size_t p : hr.pairs) context.insert(p);
+    for (const size_t p : hr.pairs) {
+      if (!in_round[p]) ordered.push_back(p);
+      in_round[p] = true;
+    }
   }
 
   // Deterministic context order: ascending global index (vote filing and
   // FinishRound statistics see this order).
-  std::vector<size_t> ordered(context.begin(), context.end());
   std::sort(ordered.begin(), ordered.end(), [&](size_t x, size_t y) {
     return base_unresolved_[x].global_index < base_unresolved_[y].global_index;
   });
@@ -454,37 +407,34 @@ Status WorkflowDriver::PostSelectionRound() {
 
   size_t kept = 0;
   for (size_t i = 0; i < base_unresolved_.size(); ++i) {
-    if (context.count(i) != 0) continue;
-    base_unresolved_[kept++] = base_unresolved_[i];
+    if (!in_round[i]) base_unresolved_[kept++] = base_unresolved_[i];
   }
   base_unresolved_.resize(kept);
 
-  IndexRoundPairs(round_pairs_);
-  pending_.first_hit = next_hit_;
-  pending_.pairs = &round_pairs_;
   pending_.cluster_hits = &round_cluster_hits_;
+  PublishContext();
   return Status::OK();
 }
 
-Status WorkflowDriver::PrepareAdaptiveRound() {
+Status WorkflowDriver::PrepareRound() {
   for (;;) {
     // Retractions first: a re-asked pair may unlock inferences for every
-    // later context.
-    if (!reask_queue_.empty()) return PostReaskRound();
+    // later context. (Only a ban under adaptive selection queues any.)
+    if (!reask_queue_.empty()) {
+      const size_t take =
+          std::min<size_t>(reask_queue_.size(), static_cast<size_t>(ResolveSelectionBatch()));
+      for (size_t i = 0; i < take; ++i) reask_pending_.erase(reask_queue_[i].global_index);
+      return PostPairRound(&reask_queue_, take);
+    }
     if (!base_active_) {
       CROWDER_RETURN_NOT_OK(LoadNextBaseContext());
       if (!base_active_) return Status::OK();  // sources exhausted → Finalize
     }
-    SweepClosure();
-    if (base_unresolved_.empty()) {
-      base_active_ = false;  // context fully resolved — retire it
-      if (config_.hit_type == HitType::kClusterBased) {
-        ++state_->result.pipeline_stats.crowd_partitions;
-      }
-      continue;
-    }
-    CROWDER_RETURN_NOT_OK(PostSelectionRound());
-    if (!pending_.empty()) return Status::OK();
+    if (adaptive()) SweepClosure();
+    if (!base_unresolved_.empty()) return PostSelectionRound();
+    // Context fully asked or resolved: retire it.
+    base_active_ = false;
+    ++state_->result.pipeline_stats.crowd_partitions;
   }
 }
 
@@ -547,15 +497,7 @@ Status WorkflowDriver::Advance() {
   repair_rounds_used_ = 0;
   votes_submitted_ = false;
 
-  if (state_->result.num_candidate_pairs > 0) {
-    if (adaptive()) {
-      CROWDER_RETURN_NOT_OK(PrepareAdaptiveRound());
-    } else if (config_.hit_type == HitType::kPairBased) {
-      CROWDER_RETURN_NOT_OK(PreparePairPartitionRound());
-    } else {
-      CROWDER_RETURN_NOT_OK(PrepareClusterRangeRound());
-    }
-  }
+  if (state_->result.num_candidate_pairs > 0) CROWDER_RETURN_NOT_OK(PrepareRound());
   if (!pending_.empty()) {
     phase_ = Phase::kAwaitingVotes;
     round_timer_.Reset();
@@ -596,9 +538,7 @@ Status WorkflowDriver::Finalize() {
   stats.median_assignment_seconds = crowd::AssignmentMedianSeconds(stats.assignment_seconds);
 
   result.pipeline_stats.stages.push_back({"crowd", crowd_timer_.ElapsedMillis()});
-  Pipeline aggregate;
-  aggregate.Add(std::make_unique<AggregateStage>());
-  CROWDER_RETURN_NOT_OK(aggregate.Run(state_.get(), &result.pipeline_stats));
+  CROWDER_RETURN_NOT_OK(RunTimed("aggregate", Aggregate, state_.get()));
   phase_ = Phase::kDone;
   return Status::OK();
 }
@@ -785,13 +725,8 @@ Result<bool> WorkflowDriver::PrepareRepairRound() {
   // context (legal even for a cluster round: backends dispatch on the
   // batch's shape). The HIT sequence stays continuous — retire the answered
   // round's HITs before swapping the repair HITs in.
-  hitgen::PairHitPacker packer(config_.pairs_per_hit);
-  CROWDER_RETURN_NOT_OK(packer.Add(deficient));
   next_hit_ += static_cast<uint32_t>(pending_.num_hits());
-  CROWDER_ASSIGN_OR_RETURN(round_pair_hits_, packer.Finish());
-  pending_.first_hit = next_hit_;
-  pending_.pair_hits = &round_pair_hits_;
-  pending_.cluster_hits = nullptr;
+  CROWDER_RETURN_NOT_OK(PackPairHits(deficient));
   round_hits_filed_.clear();
   votes_submitted_ = false;
   ++repair_rounds_used_;
@@ -817,14 +752,9 @@ Status WorkflowDriver::Step() {
   if (adaptive()) {
     // The sub-round (repairs included) is fully answered: teach the closure
     // its unanimous verdicts, and if this round's review grew the ban set,
-    // rebuild
-    // and retract (driver.h's retraction contract).
+    // rebuild and retract (driver.h's retraction contract).
     FoldAnsweredRound();
     MaybeRebuildClosure();
-  } else if (config_.hit_type == HitType::kClusterBased) {
-    // Adaptive mode counts a crowd partition when a base context retires
-    // (PrepareAdaptiveRound), not once per sub-round.
-    ++state_->result.pipeline_stats.crowd_partitions;
   }
   return Advance();
 }

@@ -25,10 +25,14 @@
 /// `crowd::CrowdBackend` (core/workflow.cc), so every workflow test
 /// exercises the driver path.
 ///
-/// Rounds follow the crowd partitioning: one round per crowd partition
-/// (pair-based HITs) or HIT range (cluster-based) — a single round carrying
-/// every HIT when the run is unbounded. The results are bitwise the same
-/// at any partitioning (golden-pinned).
+/// Rounds come from one loop over *contexts*: a context is one crowd
+/// partition (pair-based HITs) or one range of cluster HITs posted together
+/// (cluster-based) — a single context holding every pair when the run is
+/// unbounded. A range's context holds exactly the candidate pairs some HIT
+/// of the range asks. Under the default kFixedOrder each context is posted
+/// whole as one round; the results are bitwise the same at any partitioning
+/// (golden-pinned). A context retires — and counts as one of
+/// PipelineStats::crowd_partitions — once nothing in it is left to ask.
 ///
 /// Error discipline (the `failed_` latch, as in crowd::SimulatedCrowdBackend):
 /// submitting corrupt vote *data* — a vote on a pair outside the round's
@@ -41,19 +45,16 @@
 /// leaves the driver usable.
 ///
 /// Question selection (config.question_policy, core/question_policy.h):
-/// under the default kFixedOrder the rounds above are the whole story —
-/// bitwise unchanged. Under kInferenceOrdered each round source's context
-/// (one pair partition / one cluster-HIT range) becomes a *base context*
-/// served as adaptive **sub-rounds**:
-/// between sub-rounds the driver folds the answered pairs'
-/// surviving-vote *consensus* (unanimous verdicts only — see
+/// under kInferenceOrdered each context is served as adaptive
+/// **sub-rounds** instead. Between sub-rounds the driver folds the answered
+/// pairs' surviving-vote *consensus* (unanimous verdicts only — see
 /// SurvivingConsensus in driver.cc) into a graph::AnswerClosure, records
-/// every closure-implied
-/// pair as inferred (never posting it), and asks the policy-ranked top of
-/// the rest. Selection therefore reorders only within the resident
-/// partition — the partition sequence itself is the stream's order.
+/// every closure-implied pair as inferred (never posting it), and asks the
+/// gain-ranked top of the rest. Selection therefore reorders only within
+/// the resident partition — the partition sequence itself is the stream's
+/// order.
 /// Composition with the crowd defenses: repair rounds re-post
-/// under-replicated pairs of the current sub-round context as usual, and
+/// under-replicated pairs of the current round's context as usual, and
 /// when a ban changes the surviving consensus the closure is rebuilt from
 /// the asked-pair log and every inferred verdict is re-validated — a
 /// verdict the rebuilt closure no longer implies is retracted and its pair
@@ -88,7 +89,7 @@ namespace core {
 /// Step)* → TakeResult. See the file comment for the loop shape.
 ///
 /// Not thread-safe; drive it from one thread. The dataset passed to Start
-/// must outlive the driver (the driver keeps a pointer, like the stages).
+/// must outlive the driver (the driver and its WorkflowState keep a pointer).
 class WorkflowDriver {
  public:
   /// \brief Holds the configuration; no work happens until Start. Under
@@ -172,16 +173,11 @@ class WorkflowDriver {
   /// Prepares the next round into pending_ or, when rounds are exhausted,
   /// finalizes (vote store seal, crowd timing, aggregation).
   Status Advance();
-  Status PreparePairPartitionRound();
-  Status PrepareClusterRangeRound();
   /// One sorted pass joining the component-bucket pair stores against the
-  /// per-record HIT-range lists into range_pairs_ (Start, cluster-based
+  /// per-record HIT lists into range_pairs_ (Start, cluster-based
   /// only; timed as PipelineStats::cluster_index_wall_ms).
   /// Releases state_->bucket_pairs — the range index subsumes it.
   Status BuildClusterRangeIndex();
-  /// Rebuilds round_pair_index_ (and, for rounds whose context is not the
-  /// global order, round_global_index_) for the pending context.
-  void IndexRoundPairs(const std::vector<similarity::ScoredPair>& pairs);
   /// Closes the books on the answered round (Step, before Advance): records
   /// CrowdRoundStats (votes, Fleiss' kappa), folds the round's votes into
   /// the lifetime worker statistics, and consults the filter.
@@ -193,26 +189,34 @@ class WorkflowDriver {
   Result<bool> PrepareRepairRound();
   Status Finalize();
 
-  // ---- Adaptive question selection (kInferenceOrdered only). ----
+  // ---- The round loop. ----
   bool adaptive() const {
     return config_.question_policy == QuestionPolicyKind::kInferenceOrdered;
   }
-  /// The adaptive round dispatcher: drains the re-ask queue, loads base
-  /// contexts from the round source, sweeps the closure over them,
-  /// and posts policy-ranked selection sub-rounds until a round is pending
-  /// or everything is resolved.
-  Status PrepareAdaptiveRound();
-  /// Pulls the next base context (pair partition / cluster-HIT range) into
+  /// The round loop: drains the re-ask queue, loads contexts from the
+  /// context source, sweeps the closure over them (adaptive only), retires
+  /// each exhausted one, and posts a round from the current one until a
+  /// round is pending or every context is retired.
+  Status PrepareRound();
+  /// Pulls the next context (pair partition / cluster-HIT range) into
   /// base_unresolved_; leaves base_active_ false when the source is
   /// exhausted.
   Status LoadNextBaseContext();
   /// Drops every pending question the closure (or an earlier context)
   /// already resolves, recording fresh verdicts as inferred.
   void SweepClosure();
-  /// Posts the policy-ranked top of base_unresolved_ as one sub-round.
+  /// Posts one round from base_unresolved_: the whole context under
+  /// kFixedOrder, the gain-ranked top under kInferenceOrdered.
   Status PostSelectionRound();
-  /// Posts retracted pairs (the conservative re-ask path) as pair HITs.
-  Status PostReaskRound();
+  /// Posts the first `take` of `questions` (removing them) as a round of
+  /// pair HITs in their current order — partitions, selections and re-asks.
+  Status PostPairRound(std::vector<PendingQuestion>* questions, size_t take);
+  /// Packs `edges` into pair HITs (round_pair_hits_) and makes them the
+  /// pending batch's HITs, numbered from next_hit_.
+  Status PackPairHits(const std::vector<graph::Edge>& edges);
+  /// Indexes round_pairs_ for vote lookup and makes it the pending batch's
+  /// context.
+  void PublishContext();
   /// Pairs per selection sub-round (config.selection_batch_pairs; 0=auto).
   uint64_t ResolveSelectionBatch() const;
   /// After a sub-round (and its repairs) is answered: files its pairs into
@@ -267,25 +271,23 @@ class WorkflowDriver {
   /// Every worker banned so far (cumulative across rounds).
   std::unordered_set<uint32_t> banned_workers_;
 
-  // ---- Pair-partition rounds. ----
+  // ---- Pair-partition contexts. ----
   std::optional<PairStream::SortedCursor> cursor_;
   uint64_t aligned_capacity_ = 0;
   uint64_t next_pair_base_ = 0;
 
-  // ---- Cluster-range rounds. ----
+  // ---- Cluster-range contexts. ----
   size_t next_range_begin_ = 0;
   size_t hits_per_range_ = 0;
   /// The inverted pair→HIT-range index: shard r holds, in (bucket asc,
-  /// append order) order, every candidate pair both of whose records appear
-  /// in range r's HITs. Built once by BuildClusterRangeIndex (Start); each
-  /// round then replays its own shard instead of re-scanning the component
-  /// buckets it touches.
+  /// append order) order, every candidate pair some HIT of range r asks,
+  /// once. Built once by BuildClusterRangeIndex (Start); each context then
+  /// replays its own shard instead of re-scanning the component buckets it
+  /// touches.
   std::unique_ptr<ShardedSpillStore<IndexedPair>> range_pairs_;
 
   // ---- Adaptive question selection (kInferenceOrdered only; empty and
   //      untouched under kFixedOrder). ----
-  /// The ranking strategy (MakeQuestionPolicy(config.question_policy)).
-  std::unique_ptr<QuestionPolicy> policy_;
   /// Positive + negative transitive closure over the answered pairs.
   std::unique_ptr<graph::AnswerClosure> closure_;
   /// One asked pair's resident record: identity and every vote it ever
@@ -317,12 +319,13 @@ class WorkflowDriver {
   /// banned_workers_ size at the last closure (re)build — the trigger for
   /// MaybeRebuildClosure.
   size_t banned_seen_ = 0;
-  // The resident base context being served as sub-rounds.
+
+  // ---- The resident context being served as rounds. ----
   bool base_active_ = false;
-  /// Questions of the base context not yet asked or inferred.
+  /// Questions of the context not yet posted or inferred.
   std::vector<PendingQuestion> base_unresolved_;
   /// Cluster-based only: the context's HITs and which were already posted
-  /// (a HIT whose pairs are all resolved is skipped outright).
+  /// (adaptively, a HIT whose pairs are all resolved is skipped outright).
   std::vector<hitgen::ClusterBasedHit> base_cluster_hits_;
   std::vector<bool> base_hit_posted_;
 

@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "common/logging.h"
-#include "common/timer.h"
 
 namespace crowder {
 namespace core {
@@ -192,26 +191,6 @@ Result<std::vector<similarity::ScoredPair>> PairStream::MaterializeSorted() cons
     return Status::OK();
   }));
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Pipeline
-// ---------------------------------------------------------------------------
-
-Pipeline& Pipeline::Add(std::unique_ptr<Stage> stage) {
-  stages_.push_back(std::move(stage));
-  return *this;
-}
-
-Status Pipeline::Run(WorkflowState* state, PipelineStats* stats) {
-  for (const std::unique_ptr<Stage>& stage : stages_) {
-    WallTimer timer;
-    CROWDER_RETURN_NOT_OK(stage->Run(state));
-    if (stats != nullptr) {
-      stats->stages.push_back({stage->name(), timer.ElapsedMillis()});
-    }
-  }
-  return Status::OK();
 }
 
 }  // namespace core

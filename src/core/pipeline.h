@@ -1,14 +1,10 @@
-// The staged streaming pipeline substrate.
+// The streaming substrate of the workflow.
 //
 // CrowdER is a pipeline by construction (§2.2): machine pass → prune → HIT
-// generation → crowd → aggregate. This header provides the two pieces that
-// let the phases compose as bounded-memory stages:
-//
-//  * Stage / Pipeline — the composition surface. A Stage transforms the
-//    shared WorkflowState; Pipeline runs stages in order and records
-//    per-stage wall times. WorkflowDriver (core/driver.h) composes
-//    MachinePassStage → HitGenStage in Start and AggregateStage at the end,
-//    with the crowd rounds in between (timed as the "crowd" stage).
+// generation → crowd → aggregate. WorkflowDriver (core/driver.h) runs the
+// phases as plain functions over the shared WorkflowState (core/stages.h),
+// timing each into PipelineStats, with the crowd rounds in between (timed
+// as the "crowd" stage). This header holds what flows between them:
 //
 //  * PairStream — the spillable candidate-pair stream between the machine
 //    pass and its consumers. The producer appends blocks (each internally
@@ -20,6 +16,9 @@
 //    workflow's output independent of block size and budget: the merge of
 //    per-block sorted runs over a disjoint pair set IS the globally sorted
 //    pair list, whether or not any block ever touched disk.
+//
+//  * PipelineStats — what a run reports about itself: per-stage wall times
+//    and the spill, partition and round counters.
 #ifndef CROWDER_CORE_PIPELINE_H_
 #define CROWDER_CORE_PIPELINE_H_
 
@@ -140,7 +139,8 @@ struct PipelineStats {
   /// Bytes the candidate stream spilled to disk (0 when under budget).
   uint64_t spilled_bytes = 0;
   /// Crowd-boundary partitions the run was split into (pair partitions for
-  /// pair-based HITs, HIT ranges for cluster-based; 1 when unbounded).
+  /// pair-based HITs, HIT ranges for cluster-based; 1 when unbounded),
+  /// counted as each one's context retires.
   uint64_t crowd_partitions = 0;
   /// Bytes the partitioned vote table spilled to disk.
   uint64_t vote_spilled_bytes = 0;
@@ -148,7 +148,7 @@ struct PipelineStats {
   /// (cluster-based only).
   uint64_t boundary_spilled_bytes = 0;
   /// Wall time Start spent building the inverted pair→HIT-range index that
-  /// routes each candidate pair to the cluster rounds referencing it
+  /// routes each candidate pair to the HIT ranges whose HITs ask it
   /// (cluster-based only; one pass over the bucket stores).
   double cluster_index_wall_ms = 0.0;
   /// Cumulative wall time the cluster rounds spent assembling their pair
@@ -161,27 +161,6 @@ struct PipelineStats {
   /// hides the per-round spread this keeps: a bounded run's many small
   /// rounds vs the unbounded run's single one.
   Histogram round_wall_micros;
-};
-
-struct WorkflowState;  // core/stages.h
-
-/// \brief One phase of the workflow: transforms the shared WorkflowState.
-class Stage {
- public:
-  virtual ~Stage() = default;
-  virtual const char* name() const = 0;
-  virtual Status Run(WorkflowState* state) = 0;
-};
-
-/// \brief Runs stages in order, timing each into PipelineStats.
-class Pipeline {
- public:
-  Pipeline& Add(std::unique_ptr<Stage> stage);
-  /// `stats` may be null. Stops at the first failing stage.
-  Status Run(WorkflowState* state, PipelineStats* stats);
-
- private:
-  std::vector<std::unique_ptr<Stage>> stages_;
 };
 
 }  // namespace core

@@ -1,57 +1,30 @@
 #include "core/question_policy.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace crowder {
 namespace core {
 
-namespace {
+// A likely match between two grown clusters collapses |A| * |B| open
+// questions at once; a long-shot pair between singletons settles only
+// itself.
+double SelectionGain(graph::AnswerClosure* closure, const PendingQuestion& question) {
+  const double sa = closure != nullptr ? closure->ClusterSize(question.pair.a) : 1.0;
+  const double sb = closure != nullptr ? closure->ClusterSize(question.pair.b) : 1.0;
+  return question.pair.score * sa * sb;
+}
 
-/// The identity policy: every question is equally urgent, nothing moves.
-class FixedOrderPolicy : public QuestionPolicy {
- public:
-  QuestionPolicyKind kind() const override { return QuestionPolicyKind::kFixedOrder; }
-  double Gain(graph::AnswerClosure*, const PendingQuestion&) const override { return 0.0; }
-  void Rank(graph::AnswerClosure*, std::vector<PendingQuestion>*) const override {}
-};
-
-/// Information-gain ordering (Yalavarthi et al.'s degree / component-size
-/// heuristic): a pair's answer is worth the likelihood it is a match times
-/// the number of record pairs a match would connect — the product of the
-/// two records' current cluster sizes. A likely match between two grown
-/// clusters collapses |A| * |B| open questions at once; a long-shot pair
-/// between singletons settles only itself.
-class InferenceOrderedPolicy : public QuestionPolicy {
- public:
-  QuestionPolicyKind kind() const override { return QuestionPolicyKind::kInferenceOrdered; }
-
-  double Gain(graph::AnswerClosure* closure, const PendingQuestion& q) const override {
-    const double sa = closure != nullptr ? closure->ClusterSize(q.pair.a) : 1.0;
-    const double sb = closure != nullptr ? closure->ClusterSize(q.pair.b) : 1.0;
-    return q.pair.score * sa * sb;
-  }
-
-  void Rank(graph::AnswerClosure* closure,
-            std::vector<PendingQuestion>* pending) const override {
-    // Score once, then stable-sort: Gain reads mutable closure state, so
-    // calling it inside the comparator would be both slow and fragile.
-    std::vector<std::pair<double, PendingQuestion>> scored;
-    scored.reserve(pending->size());
-    for (const PendingQuestion& q : *pending) scored.emplace_back(Gain(closure, q), q);
-    std::stable_sort(scored.begin(), scored.end(),
-                     [](const auto& x, const auto& y) { return x.first > y.first; });
-    pending->clear();
-    for (auto& [gain, q] : scored) pending->push_back(q);
-  }
-};
-
-}  // namespace
-
-std::unique_ptr<QuestionPolicy> MakeQuestionPolicy(QuestionPolicyKind kind) {
-  if (kind == QuestionPolicyKind::kInferenceOrdered) {
-    return std::make_unique<InferenceOrderedPolicy>();
-  }
-  return std::make_unique<FixedOrderPolicy>();
+void RankByGain(graph::AnswerClosure* closure, std::vector<PendingQuestion>* pending) {
+  // Score once, then stable-sort: the gain reads mutable closure state, so
+  // calling it inside the comparator would be both slow and fragile.
+  std::vector<std::pair<double, PendingQuestion>> scored;
+  scored.reserve(pending->size());
+  for (const PendingQuestion& q : *pending) scored.emplace_back(SelectionGain(closure, q), q);
+  std::stable_sort(scored.begin(), scored.end(),
+                   [](const auto& x, const auto& y) { return x.first > y.first; });
+  pending->clear();
+  for (auto& [gain, q] : scored) pending->push_back(q);
 }
 
 const char* QuestionPolicyName(QuestionPolicyKind kind) {

@@ -1,28 +1,26 @@
 /// \file
-/// \brief `QuestionPolicy`: the pluggable question-selection layer of
-/// `core::WorkflowDriver` — which pending pairs to put to the crowd next.
+/// \brief The question-selection ranking of `core::WorkflowDriver`: which
+/// pending pairs to put to the crowd next under adaptive selection.
 ///
 /// CrowdER fixes *what* is asked (the HITs) but not *in what order*, and
 /// order is where crowd cost hides: answered pairs imply unanswered ones
 /// through the transitive closure (graph/answer_closure.h), so asking the
 /// most informative pairs first lets the closure answer the rest for free.
-/// The driver consults the policy between selection sub-rounds:
+/// Under `kInferenceOrdered` the driver ranks between selection sub-rounds:
 ///
 ///   pending pairs --closure sweep--> inferred (skipped, recorded)
-///                 --policy Rank----> next sub-round's questions
+///                 --RankByGain-----> next sub-round's questions
 ///
-/// `kFixedOrder` is the identity policy — every pair is asked, in the
-/// machine pass' sorted order, preserving today's bitwise behavior.
-/// `kInferenceOrdered` ranks by expected information gain: machine
-/// likelihood weighted by the records' current cluster sizes (the degree /
-/// component-size heuristic of "Select Your Questions Wisely", Yalavarthi
-/// et al., PAPERS.md). The dataflow and the retraction contract are
-/// documented in docs/ARCHITECTURE.md.
+/// The gain is machine likelihood weighted by the records' current cluster
+/// sizes (the degree / component-size heuristic of "Select Your Questions
+/// Wisely", Yalavarthi et al., PAPERS.md). `kFixedOrder` ranks nothing: the
+/// driver posts each context whole, in the machine pass' sorted order. The
+/// dataflow and the retraction contract are documented in
+/// docs/ARCHITECTURE.md.
 #ifndef CROWDER_CORE_QUESTION_POLICY_H_
 #define CROWDER_CORE_QUESTION_POLICY_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/workflow.h"
@@ -40,31 +38,17 @@ struct PendingQuestion {
   uint64_t global_index = 0;
 };
 
-/// \brief Strategy interface: scores and orders the pending questions.
-/// Implementations must be deterministic — Rank with equal inputs must
-/// produce equal orders (the driver's reproducibility contract).
-class QuestionPolicy {
- public:
-  virtual ~QuestionPolicy() = default;  ///< virtual for interface use
+/// \brief Expected information gain of asking `question` given the
+/// closure's current state: the likelihood it is a match times the number
+/// of record pairs a match would connect (the product of the two records'
+/// cluster sizes). Non-const closure: cluster-size lookups path-compress.
+/// `closure` may be null (treated as all-singleton).
+double SelectionGain(graph::AnswerClosure* closure, const PendingQuestion& question);
 
-  /// \brief Which policy this is (mirrors the config enum).
-  virtual QuestionPolicyKind kind() const = 0;
-
-  /// \brief Expected information gain of asking `question` given the
-  /// closure's current state. Non-const closure: cluster-size lookups
-  /// path-compress. `closure` may be null (treated as all-singleton).
-  virtual double Gain(graph::AnswerClosure* closure,
-                      const PendingQuestion& question) const = 0;
-
-  /// \brief Reorders `pending` so the most informative questions come
-  /// first. Stable on Gain ties, so equal-gain questions keep their sorted
-  /// (a, b) order — the determinism anchor.
-  virtual void Rank(graph::AnswerClosure* closure,
-                    std::vector<PendingQuestion>* pending) const = 0;
-};
-
-/// \brief The policy for `kind` (never null).
-std::unique_ptr<QuestionPolicy> MakeQuestionPolicy(QuestionPolicyKind kind);
+/// \brief Reorders `pending` by descending SelectionGain. Stable on ties,
+/// so equal-gain questions keep their sorted (a, b) order — the
+/// determinism anchor.
+void RankByGain(graph::AnswerClosure* closure, std::vector<PendingQuestion>* pending);
 
 /// \brief Stable lowercase name ("fixed" / "adaptive") — the CLI flag
 /// vocabulary of `--select=`.

@@ -167,11 +167,7 @@ eval::RankedPair MakeRankedPair(const similarity::ScoredPair& pair, double proba
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// MachinePassStage
-// ---------------------------------------------------------------------------
-
-Status MachinePassStage::Run(WorkflowState* state) {
+Status RunMachinePass(WorkflowState* state) {
   const WorkflowConfig& config = *state->config;
   WorkflowResult& result = state->result;
 
@@ -209,11 +205,7 @@ Status MachinePassStage::Run(WorkflowState* state) {
   return Status::OK();
 }
 
-// ---------------------------------------------------------------------------
-// HitGenStage
-// ---------------------------------------------------------------------------
-
-Status HitGenStage::Run(WorkflowState* state) {
+Status GenerateHits(WorkflowState* state) {
   const WorkflowConfig& config = *state->config;
   if (state->result.num_candidate_pairs == 0) {
     CROWDER_LOG(Warning) << "machine pass pruned every pair; crowd is idle";
@@ -240,10 +232,6 @@ Status HitGenStage::Run(WorkflowState* state) {
   return Status::OK();
 }
 
-// ---------------------------------------------------------------------------
-// AggregateStage
-// ---------------------------------------------------------------------------
-
 // Fit (Dawid-Skene) or nothing (majority), then one synchronized walk —
 // vote shards advance in lockstep with the sorted stream, so each pair
 // meets its probability under the global index both sides agree on.
@@ -259,7 +247,7 @@ Status HitGenStage::Run(WorkflowState* state) {
 #pragma GCC diagnostic ignored "-Warray-bounds"
 #pragma GCC diagnostic ignored "-Wstringop-overflow"
 #endif
-Status AggregateStage::Run(WorkflowState* state) {
+Status Aggregate(WorkflowState* state) {
   const WorkflowConfig& config = *state->config;
   WorkflowResult& result = state->result;
   if (result.num_candidate_pairs == 0 || state->votes == nullptr) return Status::OK();

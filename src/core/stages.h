@@ -1,26 +1,28 @@
-// The pipeline stages HybridWorkflow composes (CrowdER §2.2's phases):
+// The workflow's machine-facing phases (CrowdER §2.2), as plain functions
+// over the shared WorkflowState:
 //
-//   MachinePassStage  records → candidate pairs, in bounded blocks through
-//                     WorkflowState::stream (spilling past the budget)
-//   HitGenStage       candidate pairs → HITs: pair-based HITs are packed
-//                     partition by partition by the driver's rounds;
-//                     cluster-based HITs come from component buckets +
-//                     per-bucket two-tiered decomposition over local-id
-//                     subgraphs + one global pack (internal::
-//                     BuildClusterBoundary)
-//   AggregateStage    votes → ranked matches + PR curve, shard by shard
+//   RunMachinePass  records → candidate pairs, in bounded blocks through
+//                   WorkflowState::stream (spilling past the budget)
+//   GenerateHits    candidate pairs → HITs: pair-based HITs are packed
+//                   partition by partition by the driver's rounds;
+//                   cluster-based HITs come from component buckets +
+//                   per-bucket two-tiered decomposition over local-id
+//                   subgraphs + one global pack (internal::
+//                   BuildClusterBoundary)
+//   Aggregate       votes → ranked matches + PR curve, shard by shard
 //
-// The crowd phase is not a Stage: it is a sequence of *rounds* surfaced by
-// core::WorkflowDriver (driver.h) — the driver prepares one HIT batch at a
-// time, any crowd::CrowdBackend answers it, and the driver files the votes
-// into the spill-backed VoteShardStore. HybridWorkflow::Run is a thin loop
-// over driver + backend; its PipelineStats still reports a "crowd" stage
-// timing spanning the rounds.
+// core::WorkflowDriver (driver.h) runs the first two in Start and Aggregate
+// after the last crowd round, timing each into PipelineStats under the
+// stage names "machine-pass", "hit-gen" and "aggregate". The crowd phase
+// between them is a sequence of *rounds*: the driver prepares one HIT batch
+// at a time, any crowd::CrowdBackend answers it, and the driver files the
+// votes into the spill-backed VoteShardStore; its wall time is reported as
+// the "crowd" stage.
 //
-// Stages communicate through WorkflowState, never through globals. Every
-// run takes this one path; the memory budget and partition capacity only
-// decide what spills and where partitions fall, which is invisible in the
-// output (the merge lemma in core/pipeline.h and "Why partitioning is
+// The phases communicate through WorkflowState, never through globals.
+// Every run takes this one path; the memory budget and partition capacity
+// only decide what spills and where partitions fall, which is invisible in
+// the output (the merge lemma in core/pipeline.h and "Why partitioning is
 // invisible" in docs/ARCHITECTURE.md).
 #ifndef CROWDER_CORE_STAGES_H_
 #define CROWDER_CORE_STAGES_H_
@@ -39,7 +41,7 @@
 namespace crowder {
 namespace core {
 
-/// \brief Everything the stages (and the driver's crowd rounds) share.
+/// \brief Everything the phases (and the driver's crowd rounds) share.
 /// Owned by WorkflowDriver for the duration of one workflow execution.
 struct WorkflowState {
   WorkflowState(const WorkflowConfig& config_in, const data::Dataset& dataset_in)
@@ -53,7 +55,7 @@ struct WorkflowState {
   /// pair list.
   PairStream stream;
 
-  /// Cluster-based HITs, handed from HitGenStage to the crowd rounds; they
+  /// Cluster-based HITs, handed from GenerateHits to the crowd rounds; they
   /// are bounded by the two-tiered decomposition, not by |P|, and are kept
   /// whole. Pair-based HITs are packed partition by partition by the
   /// driver's rounds instead.
@@ -61,18 +63,18 @@ struct WorkflowState {
 
   // ---- Partitioned crowd boundary (core/partition.h). ----
 
-  /// Pairs per crowd partition, resolved from the config by HitGenStage.
+  /// Pairs per crowd partition, resolved from the config by GenerateHits.
   uint64_t partition_capacity = 0;
   /// Component-aligned buckets (cluster-based HITs only).
   std::unique_ptr<ComponentBucketPlan> buckets;
   /// Per-bucket pair storage, global-index tagged (cluster-based only).
   std::unique_ptr<ShardedSpillStore<IndexedPair>> bucket_pairs;
   /// The disk-backed vote table, filled by the driver's crowd rounds,
-  /// drained by AggregateStage.
+  /// drained by Aggregate.
   std::unique_ptr<VoteShardStore> votes;
 
   /// Workers banned by the driver's admission filter (crowd/worker_filter.h),
-  /// copied in at Finalize. AggregateStage excludes their votes when it
+  /// copied in at Finalize. Aggregate excludes their votes when it
   /// derives decisions, while the unfiltered vote store above keeps the
   /// audit truth.
   std::unordered_set<uint32_t> banned_workers;
@@ -80,14 +82,14 @@ struct WorkflowState {
   /// Verdicts the driver's answer closure inferred instead of crowdsourcing
   /// (QuestionPolicyKind::kInferenceOrdered; copied in at Finalize), keyed
   /// by global pair index — ordered, so the aggregate can walk it in
-  /// lockstep with the sorted stream. AggregateStage overrides these pairs'
+  /// lockstep with the sorted stream. Aggregate overrides these pairs'
   /// match probabilities with 1.0 / 0.0 (they have no votes; without the
   /// override they would rank as never-judged). Empty under kFixedOrder,
   /// leaving the aggregate bitwise untouched.
   std::map<uint64_t, bool> inferred_verdicts;
 
   /// The result under construction (num_candidate_pairs, machine_recall,
-  /// crowd_stats, ranked, pr_curve, ... filled in stage by stage).
+  /// crowd_stats, ranked, pr_curve, ... filled in phase by phase).
   WorkflowResult result;
 };
 
@@ -95,33 +97,21 @@ struct WorkflowState {
 /// runtime, num_shards >= 2) emits sorted blocks into state->stream, where
 /// the pairs stay — every downstream consumer re-scans the (possibly
 /// spilled) stream in sorted order. Also computes machine recall.
-class MachinePassStage : public Stage {
- public:
-  const char* name() const override { return "machine-pass"; }
-  Status Run(WorkflowState* state) override;
-};
+Status RunMachinePass(WorkflowState* state);
 
 /// \brief HIT generation. Resolves the crowd partition capacity. Pair-based
 /// HITs are left to the driver's rounds (packed per partition as the
 /// partitions are drawn from the stream); cluster-based HITs run
 /// internal::BuildClusterBoundary — the two-tiered generator's HIT list,
 /// without ever holding the whole pair graph.
-class HitGenStage : public Stage {
- public:
-  const char* name() const override { return "hit-gen"; }
-  Status Run(WorkflowState* state) override;
-};
+Status GenerateHits(WorkflowState* state);
 
 /// \brief Vote aggregation into the ranked match list and PR curve: the
 /// model is fitted shard by shard (aggregate/partitioned.h), then one walk
 /// re-scans the candidate stream in lockstep with the vote shards for the
 /// pair identities. Majority vote needs no fit (an unfitted model yields
 /// majority fractions).
-class AggregateStage : public Stage {
- public:
-  const char* name() const override { return "aggregate"; }
-  Status Run(WorkflowState* state) override;
-};
+Status Aggregate(WorkflowState* state);
 
 namespace internal {
 

@@ -58,15 +58,11 @@ Result<std::vector<similarity::ScoredPair>> HybridWorkflow::MachinePass(
 
   switch (strategy) {
     case CandidateStrategy::kAllPairsJoin: {
-      // The parallel join is byte-identical to the serial one (property-
-      // tested); take the serial path when one thread resolves so the
-      // num_threads=1 contract ("serial paths unchanged") holds literally.
-      if (exec::ResolveNumThreads(num_threads) > 1) {
-        similarity::ParallelJoinOptions exec_options;
-        exec_options.num_threads = num_threads;
-        return similarity::ParallelAllPairsJoin(input, options, exec_options);
-      }
-      return similarity::AllPairsJoin(input, options);
+      // On one thread this is the serial AllPairsJoin; at any count its
+      // output is byte-identical (property-tested).
+      similarity::ParallelJoinOptions exec_options;
+      exec_options.num_threads = num_threads;
+      return similarity::ParallelAllPairsJoin(input, options, exec_options);
     }
     case CandidateStrategy::kBlockingVerify: {
       similarity::BlockingOptions blocking;

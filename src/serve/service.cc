@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "core/resolution.h"
+#include "core/stages.h"
 #include "crowd/async_backend.h"
 #include "graph/pair_graph.h"
 #include "hitgen/hit.h"
@@ -338,18 +339,11 @@ std::vector<std::pair<uint32_t, uint32_t>> EntityResolutionService::AppliedMatch
 Result<ServiceReport> BatchResolve(const data::Dataset& dataset, const ServiceConfig& config) {
   CROWDER_ASSIGN_OR_RETURN(const crowd::CrowdPlatform platform, BuildCrowdPlatform(config));
 
-  // Tokenize exactly like the service's ingest path (and the batch
-  // pipeline's BuildJoinInput): record order defines token-id assignment,
-  // so both paths see bitwise-identical token sets and scores.
-  text::Tokenizer tokenizer;
-  text::Vocabulary vocab;
-  similarity::JoinInput input;
-  input.sets.reserve(dataset.table.num_records());
-  for (uint32_t r = 0; r < dataset.table.num_records(); ++r) {
-    input.sets.push_back(similarity::MakeTokenSet(
-        vocab.InternDocument(tokenizer.Tokenize(dataset.table.ConcatenatedRecord(r)))));
-  }
-  input.sources = dataset.table.sources;
+  // The batch pipeline's tokenization, which the service's ingest path
+  // matches: record order defines token-id assignment, so both paths see
+  // bitwise-identical token sets and scores.
+  const similarity::JoinInput input = core::internal::BuildJoinInput(
+      dataset, core::CandidateStrategy::kAllPairsJoin, nullptr);
 
   similarity::JoinOptions join_options;
   join_options.measure = config.measure;

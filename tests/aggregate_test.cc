@@ -1,6 +1,7 @@
 // Tests for answer aggregation: majority vote and Dawid-Skene EM, including
 // the property that the flat sharded implementation equals a reference EM
-// bitwise at any partitioning and under any ban set.
+// bitwise at any partitioning and under any ban set; and Fleiss' kappa, the
+// per-round agreement signal.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "aggregate/agreement.h"
 #include "aggregate/dawid_skene.h"
@@ -188,6 +190,45 @@ void ExpectRejected(void (*set)(DawidSkeneOptions*, double), std::initializer_li
     InMemoryVoteShards shards(votes, {votes.size()});
     EXPECT_TRUE(FitDawidSkeneSharded(&shards, options).status().IsInvalidArgument()) << value;
   }
+}
+
+// Fleiss' kappa takes per-subject (yes, total) vote counts.
+TEST(FleissKappaTest, UnanimousSubjectsGiveOne) {
+  // Each subject unanimous, the categories mixed across subjects.
+  EXPECT_EQ(FleissKappa({3, 0, 2}, {3, 3, 2}), 1.0);
+}
+
+TEST(FleissKappaTest, SubjectsWithFewerThanTwoVotesAreSkipped) {
+  // No eligible subject at all: degenerate-perfect.
+  EXPECT_EQ(FleissKappa({}, {}), 1.0);
+  EXPECT_EQ(FleissKappa({1, 0, 0}, {1, 1, 0}), 1.0);
+  // Single-vote and voteless subjects leave a table's kappa unchanged.
+  const std::vector<uint32_t> yes = {3, 2, 0, 1};
+  const std::vector<uint32_t> total = {3, 3, 3, 4};
+  const std::vector<uint32_t> yes_padded = {1, 3, 0, 2, 0, 0, 1};
+  const std::vector<uint32_t> total_padded = {1, 3, 1, 3, 0, 3, 4};
+  EXPECT_EQ(FleissKappa(yes_padded, total_padded), FleissKappa(yes, total));
+}
+
+TEST(FleissKappaTest, AllVotesInOneCategoryGiveOne) {
+  // 1 - P_e vanishes; the agreement is perfect, not undefined.
+  EXPECT_EQ(FleissKappa({0, 0}, {3, 2}), 1.0);
+  EXPECT_EQ(FleissKappa({4, 2}, {4, 2}), 1.0);
+}
+
+TEST(FleissKappaTest, MixedTableMatchesTheUnequalRatersFormula) {
+  // P_i = (yes(yes-1) + no(no-1)) / (n(n-1)) per subject: 1, 1/3, 1, 1/2,
+  // so P_bar = 17/24. The pooled yes share is 6/13, so
+  // P_e = (36 + 49) / 169 = 85/169, and
+  // kappa = (17/24 - 85/169) / (84/169) = 833/2016 = 119/288.
+  EXPECT_NEAR(FleissKappa({3, 2, 0, 1}, {3, 3, 3, 4}), 119.0 / 288.0, 1e-12);
+}
+
+TEST(FleissKappaTest, LessAgreementThanChanceIsNegative) {
+  // Every subject split evenly: P_bar = 0 against P_e = 1/2.
+  const double kappa = FleissKappa({1, 1, 1}, {2, 2, 2});
+  EXPECT_LT(kappa, 0.0);
+  EXPECT_NEAR(kappa, -1.0, 1e-12);
 }
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();

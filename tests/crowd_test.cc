@@ -517,8 +517,9 @@ TEST(SimulatorBatchingTest, PerBatchPairContextsAreInvisible) {
 }
 
 // The cluster-HIT analogue: ranges of HITs simulated against a context
-// holding only the candidate pairs among the range's records must vote
-// exactly like the full-context run.
+// holding only the candidate pairs some HIT of the range asks (both records
+// in one HIT, as the driver's range contexts hold them) must vote exactly
+// like the full-context run.
 TEST(SimulatorBatchingTest, ClusterRangesWithFilteredContextsAreInvisible) {
   const Fixture f = MakeLargeFixture();
   const auto hits = FourRecordClusterHits();
@@ -532,12 +533,14 @@ TEST(SimulatorBatchingTest, ClusterRangesWithFilteredContextsAreInvisible) {
       const size_t end = std::min(hits.size(), begin + hits_per_range);
       Batch batch;
       batch.cluster_hits.assign(hits.begin() + begin, hits.begin() + end);
-      std::vector<char> in_range(24, 0);
-      for (const auto& hit : batch.cluster_hits) {
-        for (uint32_t r : hit.records) in_range[r] = 1;
-      }
       for (const auto& p : f.pairs) {
-        if (in_range[p.a] && in_range[p.b]) batch.pairs.push_back(p);
+        const bool asked = std::any_of(
+            batch.cluster_hits.begin(), batch.cluster_hits.end(), [&](const auto& hit) {
+              const auto& r = hit.records;
+              return std::find(r.begin(), r.end(), p.a) != r.end() &&
+                     std::find(r.begin(), r.end(), p.b) != r.end();
+            });
+        if (asked) batch.pairs.push_back(p);
       }
       batches.push_back(std::move(batch));
     }

@@ -4,11 +4,14 @@
 // hostile vote injection through SubmitVotes — unknown pair keys, duplicate
 // submissions, votes after done(), taking the result off a half-answered
 // run — fails with clean Status errors that never corrupt state (the
-// failed_ latch discipline).
+// failed_ latch discipline). A bounded cluster run's rounds, repairs
+// included, ask only pairs their own HITs cover.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "core/driver.h"
 #include "core/workflow.h"
@@ -494,6 +497,85 @@ TEST(AsyncCrowdTest, AsyncBackendFinishWithUndeliveredVotesIsRejected) {
   ASSERT_TRUE(async.Drain().ok());
   crowd::VoteBatch rest = async.Poll(ticket).ValueOrDie();
   EXPECT_TRUE(rest.complete);
+}
+
+// ---------------------------------------------------------------------------
+// Bounded cluster rounds: a range's context is the pairs its HITs ask, so a
+// repair round (which re-posts the context's under-replicated pairs) never
+// asks a pair the range's HITs did not.
+// ---------------------------------------------------------------------------
+
+bool InsideSomeHit(const std::vector<hitgen::ClusterBasedHit>& hits, uint32_t a, uint32_t b) {
+  return std::any_of(hits.begin(), hits.end(), [&](const hitgen::ClusterBasedHit& hit) {
+    const auto& r = hit.records;
+    return std::find(r.begin(), r.end(), a) != r.end() &&
+           std::find(r.begin(), r.end(), b) != r.end();
+  });
+}
+
+TEST(ClusterRangeTest, BoundedRoundsAndRepairsAskOnlyPairsTheirHitsCover) {
+  // The adversarial sweep's fixture and hostile crowd (adversarial_sweep_test),
+  // filter on, in 256-pair crowd partitions: several HITs per range, and
+  // enough bans for repair rounds.
+  data::RestaurantConfig data_config;
+  data_config.num_records = 400;
+  data_config.num_duplicate_pairs = 80;
+  data_config.num_chains = 8;
+  data_config.seed = 13;
+  const data::Dataset dataset = data::GenerateRestaurant(data_config).ValueOrDie();
+  WorkflowConfig config;
+  config.likelihood_threshold = 0.35;
+  config.hit_type = HitType::kClusterBased;
+  config.execution_mode = ExecutionMode::kStreaming;
+  config.crowd_partition_pairs = 256;
+  config.filter_workers = true;
+  config.crowd.reliable_fraction = 0.46;
+  config.crowd.noisy_fraction = 0.18;
+  config.crowd.colluder_fraction = 0.13;
+  config.crowd.sleeper_fraction = 0.08;
+
+  crowd::SimulatedCrowdOptions options;
+  auto backend = crowd::SimulatedCrowdBackend::Create(config.crowd, config.seed,
+                                                      dataset.truth.entity_of, options);
+  ASSERT_TRUE(backend.ok()) << backend.status().ToString();
+  WorkflowDriver driver(config);
+  ASSERT_TRUE(driver.Start(dataset).ok());
+  std::vector<hitgen::ClusterBasedHit> cluster_round;  // the latest cluster round's HITs
+  size_t cluster_rounds = 0;
+  size_t repair_rounds = 0;
+  size_t uncovered_context_pairs = 0;
+  size_t repair_pairs_outside_round = 0;
+  while (!driver.done()) {
+    const crowd::HitBatch& batch = driver.PendingHits();
+    if (batch.cluster_hits != nullptr) {
+      ++cluster_rounds;
+      cluster_round = *batch.cluster_hits;
+      for (const auto& p : *batch.pairs) {
+        if (!InsideSomeHit(cluster_round, p.a, p.b)) ++uncovered_context_pairs;
+      }
+    } else {
+      ++repair_rounds;
+      for (const auto& hit : *batch.pair_hits) {
+        for (const graph::Edge& e : hit.pairs) {
+          if (!InsideSomeHit(cluster_round, e.a, e.b)) ++repair_pairs_outside_round;
+        }
+      }
+    }
+    auto ticket = (*backend)->Post(batch);
+    ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+    auto votes = (*backend)->Poll(*ticket);
+    ASSERT_TRUE(votes.ok()) << votes.status().ToString();
+    ASSERT_TRUE(driver.SubmitVotes(std::move(*votes)).ok());
+    ASSERT_TRUE(driver.Step().ok());
+  }
+  auto result = driver.TakeResult();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  EXPECT_GT(cluster_rounds, 1u) << "the fixture must split into several HIT ranges";
+  EXPECT_GT(repair_rounds, 0u) << "the filter must ban workers and starve pairs";
+  EXPECT_FALSE(result->filtered_workers.empty());
+  EXPECT_EQ(uncovered_context_pairs, 0u);
+  EXPECT_EQ(repair_pairs_outside_round, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -17,10 +17,12 @@
 //    and cost are unchanged.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
 #include "core/driver.h"
+#include "core/partition.h"
 #include "core/workflow.h"
 #include "crowd/backend.h"
 #include "crowd/vote_log.h"
@@ -139,6 +141,25 @@ TEST(GoldenWorkflowTest, MultiThreadedRunLeavesGoldenValuesBitwiseUnchanged) {
 // Shared matrix body: a streaming run under (threads, budget,
 // partition_pairs) must reproduce the unbounded `materialized` run bitwise —
 // ranked list, crowd statistics, cost, and completion time.
+//
+// How many crowd partitions a bounded run over `num_pairs` candidate pairs
+// and `num_cluster_hits` cluster HITs counts: one per context — a partition
+// of whole pair HITs, or a range of cluster HITs whose pair contexts fit the
+// partition capacity (a HIT of k records asks at most k(k-1)/2 pairs).
+uint64_t ExpectedCrowdPartitions(const WorkflowConfig& config, uint64_t num_pairs,
+                                 uint64_t num_cluster_hits) {
+  const uint64_t capacity =
+      ResolvePartitionCapacity(config.crowd_partition_pairs, config.memory_budget_bytes);
+  uint64_t units = num_pairs;
+  uint64_t per_context = AlignedPartitionCapacity(capacity, config.pairs_per_hit);
+  if (config.hit_type == HitType::kClusterBased) {
+    const uint64_t k = config.cluster_size;
+    units = num_cluster_hits;
+    per_context = std::max<uint64_t>(1, capacity / (k * (k - 1) / 2));
+  }
+  return units / per_context + (units % per_context != 0 ? 1 : 0);
+}
+
 void ExpectStreamingMatchesMaterialized(const data::Dataset& dataset,
                                         const WorkflowConfig& base,
                                         const WorkflowResult& materialized, uint32_t threads,
@@ -175,11 +196,17 @@ void ExpectStreamingMatchesMaterialized(const data::Dataset& dataset,
     EXPECT_EQ(result->ranked[i].score, materialized.ranked[i].score) << which;
   }
 
-  // The boundary really partitioned / spilled when asked to.
+  // The boundary really partitioned / spilled when asked to, and counted
+  // each context once. Without a filter there are no repair HITs, so every
+  // cluster HIT of the materialized run is one the generator made.
   EXPECT_GE(result->pipeline_stats.crowd_partitions, 1u) << which;
   if (partition_pairs > 0 && partition_pairs < materialized.num_candidate_pairs) {
     EXPECT_GT(result->pipeline_stats.crowd_partitions, 1u) << which;
   }
+  EXPECT_EQ(result->pipeline_stats.crowd_partitions,
+            ExpectedCrowdPartitions(config, materialized.num_candidate_pairs,
+                                    materialized.crowd_stats.num_hits))
+      << which;
   if (budget > 0) {
     EXPECT_GT(result->pipeline_stats.spilled_bytes, 0u) << which;
   } else {
@@ -364,7 +391,7 @@ TEST(GoldenWorkflowTest, RecordReplayRoundTripIsByteIdentical) {
   }
 }
 
-TEST(GoldenWorkflowTest, FixedOrderPolicyLeavesGoldensBitwiseUnchanged) {
+TEST(GoldenWorkflowTest, FixedOrderLeavesGoldensBitwiseUnchanged) {
   // kFixedOrder is the default and must be a true no-op: requesting it
   // explicitly produces the recorded goldens and a bitwise-identical ranked
   // list, with the inference counters reporting "everything was asked".
@@ -438,6 +465,33 @@ TEST(GoldenWorkflowTest, AdaptiveSelectionGoldenIsStable) {
     EXPECT_EQ(result->ranked[i].a, head[i].a) << "rank " << i;
     EXPECT_EQ(result->ranked[i].b, head[i].b) << "rank " << i;
     EXPECT_EQ(result->ranked[i].score, head[i].score) << "rank " << i;
+  }
+}
+
+TEST(GoldenWorkflowTest, BoundedAdaptiveRunCountsEachContextOnce) {
+  // Adaptive selection serves a context as many sub-rounds, and may retire
+  // a context without posting anything; either way it is one crowd
+  // partition. The cluster HIT count comes from the fixed-order run: ranges
+  // are cut from the generated HIT list, not from the HITs posted.
+  const data::Dataset dataset = SmallRestaurant();
+  for (const HitType hit_type : {HitType::kPairBased, HitType::kClusterBased}) {
+    WorkflowConfig config = GoldenConfig();
+    config.hit_type = hit_type;
+    config.pairs_per_hit = 7;
+    auto fixed = HybridWorkflow(config).Run(dataset);
+    ASSERT_TRUE(fixed.ok()) << fixed.status().ToString();
+
+    config.question_policy = QuestionPolicyKind::kInferenceOrdered;
+    config.execution_mode = ExecutionMode::kStreaming;
+    config.memory_budget_bytes = 1024;
+    config.crowd_partition_pairs = 64;
+    auto result = HybridWorkflow(config).Run(dataset);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const uint64_t expected =
+        ExpectedCrowdPartitions(config, fixed->num_candidate_pairs, fixed->crowd_stats.num_hits);
+    EXPECT_GT(expected, 1u);
+    EXPECT_EQ(result->pipeline_stats.crowd_partitions, expected)
+        << (hit_type == HitType::kPairBased ? "pair HITs" : "cluster HITs");
   }
 }
 

@@ -10,9 +10,9 @@
 //  * order invariance — after any permutation of the answer sequence
 //    (truthful or contradiction-laced), Infer answers identically on every
 //    record pair;
-//  * core::QuestionPolicy ranking — kFixedOrder is the identity,
-//    kInferenceOrdered orders by likelihood x cluster sizes, deterministic
-//    and stable on ties.
+//  * the selection ranking — core::SelectionGain is likelihood x cluster
+//    sizes and core::RankByGain orders by it, deterministic and stable on
+//    ties.
 #include "core/question_policy.h"
 
 #include <gtest/gtest.h>
@@ -232,11 +232,11 @@ TEST_P(AnswerClosureProperty, InferenceIsOrderInvariant) {
 INSTANTIATE_TEST_SUITE_P(Seeds, AnswerClosureProperty, ::testing::Range<uint64_t>(1, 101));
 
 // ---------------------------------------------------------------------------
-// QuestionPolicy ranking
+// Selection ranking
 // ---------------------------------------------------------------------------
 
 std::vector<core::PendingQuestion> SomeQuestions() {
-  // Likelihoods chosen so fixed order != gain order.
+  // Likelihoods chosen so sorted order != gain order.
   std::vector<core::PendingQuestion> qs;
   auto add = [&](uint32_t a, uint32_t b, double score, uint64_t global) {
     core::PendingQuestion q;
@@ -253,27 +253,24 @@ std::vector<core::PendingQuestion> SomeQuestions() {
   return qs;
 }
 
-TEST(QuestionPolicyTest, FixedOrderIsTheIdentity) {
-  auto policy = core::MakeQuestionPolicy(core::QuestionPolicyKind::kFixedOrder);
-  ASSERT_NE(policy, nullptr);
-  EXPECT_EQ(policy->kind(), core::QuestionPolicyKind::kFixedOrder);
+TEST(QuestionPolicyTest, GainIsLikelihoodTimesClusterSizes) {
+  const auto qs = SomeQuestions();
+  // No closure: every record is a singleton.
+  EXPECT_EQ(core::SelectionGain(nullptr, qs[1]), 0.9);
   graph::AnswerClosure closure(8);
-  auto qs = SomeQuestions();
-  policy->Rank(&closure, &qs);
-  ASSERT_EQ(qs.size(), 4u);
-  for (size_t i = 0; i < qs.size(); ++i) EXPECT_EQ(qs[i].global_index, i);
-  EXPECT_EQ(policy->Gain(&closure, qs[0]), 0.0);
+  EXPECT_EQ(core::SelectionGain(&closure, qs[0]), 0.4);
+  closure.AddAnswer(0, 6, true);
+  closure.AddAnswer(1, 7, true);
+  closure.AddAnswer(1, 5, true);
+  EXPECT_EQ(core::SelectionGain(&closure, qs[0]), 0.4 * 2 * 3);
 }
 
-TEST(QuestionPolicyTest, InferenceOrderedRanksByLikelihoodTimesClusterSizes) {
-  auto policy = core::MakeQuestionPolicy(core::QuestionPolicyKind::kInferenceOrdered);
-  ASSERT_NE(policy, nullptr);
-  EXPECT_EQ(policy->kind(), core::QuestionPolicyKind::kInferenceOrdered);
+TEST(QuestionPolicyTest, RankByGainOrdersByLikelihoodTimesClusterSizes) {
   graph::AnswerClosure closure(8);
 
   // All singletons: pure likelihood order, stable on the 0.6 tie.
   auto qs = SomeQuestions();
-  policy->Rank(&closure, &qs);
+  core::RankByGain(&closure, &qs);
   ASSERT_EQ(qs.size(), 4u);
   EXPECT_EQ(qs[0].global_index, 1u);  // 0.9
   EXPECT_EQ(qs[1].global_index, 2u);  // 0.6, earlier on tie
@@ -285,7 +282,7 @@ TEST(QuestionPolicyTest, InferenceOrderedRanksByLikelihoodTimesClusterSizes) {
   closure.AddAnswer(0, 6, true);
   closure.AddAnswer(1, 7, true);
   qs = SomeQuestions();
-  policy->Rank(&closure, &qs);
+  core::RankByGain(&closure, &qs);
   EXPECT_EQ(qs[0].global_index, 3u);  // 0.6 * 2 * 2 = 2.4
   EXPECT_EQ(qs[1].global_index, 0u);  // 0.4 * 2 * 2 = 1.6 beats 0.9
   EXPECT_EQ(qs[2].global_index, 1u);  // 0.9
