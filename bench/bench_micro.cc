@@ -3,6 +3,10 @@
 // prefix-filtering AllPairs vs token blocking + verification.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+#include <map>
+
 #include "bench/bench_common.h"
 
 namespace crowder {
@@ -250,6 +254,82 @@ void BM_BfsGenerator(benchmark::State& state) {
 }
 BENCHMARK(BM_BfsGenerator)->Unit(benchmark::kMillisecond);
 
+// Two-tiered generation on Product grown by scale_factor (Arg 0; ×6 is the
+// repository benchmark's hybrid_cluster input, ×50 is 108,650 records) at
+// cluster size k (Arg 1). The machine pass at threshold 0.3 runs once per
+// scale, untimed; each iteration times Generate on a reset graph. After the
+// loop, the decomposition runs three more times outside the timer and
+// reports the best time of each tier: partition_s (components +
+// PartitionLcc) and pack_s (SolveCuttingStock on the demand vector).
+const std::vector<similarity::ScoredPair>& ScaledProductPairs(int scale, uint32_t* records) {
+  static std::map<int, std::pair<uint32_t, std::vector<similarity::ScoredPair>>> cache;
+  auto it = cache.find(scale);
+  if (it == cache.end()) {
+    data::ProductConfig config;
+    config.scale_factor = scale;
+    const auto dataset = data::GenerateProduct(config).ValueOrDie();
+    it = cache
+             .emplace(scale, std::make_pair(static_cast<uint32_t>(dataset.table.num_records()),
+                                            MachinePairs(dataset, 0.3)))
+             .first;
+  }
+  *records = it->second.first;
+  return it->second.second;
+}
+
+void BM_TwoTieredScaledProduct(benchmark::State& state) {
+  uint32_t records = 0;
+  const auto& pairs = ScaledProductPairs(static_cast<int>(state.range(0)), &records);
+  const auto k = static_cast<uint32_t>(state.range(1));
+  std::vector<graph::Edge> edges;
+  edges.reserve(pairs.size());
+  for (const auto& p : pairs) edges.push_back({p.a, p.b});
+  graph::PairGraph graph = graph::PairGraph::Create(records, edges).ValueOrDie();
+  hitgen::TwoTieredGenerator generator;
+  size_t hits = 0;
+  for (auto _ : state) {
+    graph.Reset();
+    auto generated = generator.Generate(&graph, k).ValueOrDie();
+    hits = generated.size();
+    benchmark::DoNotOptimize(generated);
+  }
+
+  using Clock = std::chrono::steady_clock;
+  double partition_s = 0.0;
+  double pack_s = 0.0;
+  uint64_t search_nodes = 0;
+  for (int rep = 0; rep < 3; ++rep) {  // best of three
+    graph.Reset();
+    const auto start = Clock::now();
+    graph::SplitComponents split = graph::SplitBySize(graph::ConnectedComponents(graph), k);
+    std::vector<uint32_t> demands(k, 0);
+    for (const auto& scc : split.small) ++demands[scc.size() - 1];
+    for (const auto& lcc : split.large) {
+      for (const auto& part : hitgen::PartitionLcc(&graph, lcc, k)) ++demands[part.size() - 1];
+    }
+    const auto partitioned = Clock::now();
+    search_nodes = lp::SolveCuttingStock(k, demands).ValueOrDie().search_nodes;
+    const std::chrono::duration<double> partition = partitioned - start;
+    const std::chrono::duration<double> pack = Clock::now() - partitioned;
+    partition_s = rep == 0 ? partition.count() : std::min(partition_s, partition.count());
+    pack_s = rep == 0 ? pack.count() : std::min(pack_s, pack.count());
+  }
+
+  state.counters["records"] = records;
+  state.counters["pairs"] = static_cast<double>(pairs.size());
+  state.counters["hits"] = static_cast<double>(hits);
+  state.counters["partition_s"] = partition_s;
+  state.counters["pack_s"] = pack_s;
+  state.counters["search_nodes"] = static_cast<double>(search_nodes);
+}
+BENCHMARK(BM_TwoTieredScaledProduct)
+    ->Args({6, 10})
+    ->Args({25, 10})
+    ->Args({25, 20})
+    ->Args({25, 50})
+    ->Args({50, 10})
+    ->Unit(benchmark::kMillisecond);
+
 // ---------------------------------------------------------------------------
 // Aggregation.
 // ---------------------------------------------------------------------------
@@ -283,6 +363,26 @@ void BM_CuttingStock(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CuttingStock)->Unit(benchmark::kMicrosecond);
+
+// Demand vectors recorded from real runs at k = 10 (Arg 0 picks one):
+// 0 = the repository benchmark's hybrid_cluster at seed 0, where the first
+// descent reaches ⌈LP⌉ = 1,234; 1 = the library's Product dataset at
+// threshold 0.3, where it misses and residual rounding reaches ⌈LP⌉ = 174.
+void BM_CuttingStockRecorded(benchmark::State& state) {
+  static const std::vector<uint32_t> kDemands[] = {
+      {0, 2847, 195, 228, 71, 61, 22, 31, 20, 382},
+      {0, 731, 25, 24, 9, 3, 0, 2, 1, 1},
+  };
+  const auto& demands = kDemands[state.range(0)];
+  lp::CuttingStockResult packed;
+  for (auto _ : state) {
+    packed = lp::SolveCuttingStock(10, demands).ValueOrDie();
+    benchmark::DoNotOptimize(packed);
+  }
+  state.counters["bins"] = packed.num_bins;
+  state.counters["search_nodes"] = static_cast<double>(packed.search_nodes);
+}
+BENCHMARK(BM_CuttingStockRecorded)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace bench

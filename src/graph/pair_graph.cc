@@ -93,19 +93,26 @@ bool PairGraph::RemoveEdge(uint32_t u, uint32_t v) {
 }
 
 size_t PairGraph::RemoveEdgesCoveredBy(const std::vector<uint32_t>& vertices) {
-  // Membership bitmap sized to the graph; HIT sizes are tiny relative to n,
-  // but the bitmap keeps this O(sum degree of members).
-  std::vector<char> member(num_vertices_, 0);
-  for (uint32_t v : vertices) {
+  // Membership by binary search in the sorted vertex set, so a call costs
+  // O(sum degree of members · log |vertices|). A bitmap over all n vertices
+  // would cost O(n) per call, and the two-tiered generator makes one call
+  // per part and per HIT. Its sets arrive sorted; others are sorted in a
+  // copy.
+  std::vector<uint32_t> sorted_copy;
+  if (!std::is_sorted(vertices.begin(), vertices.end())) {
+    sorted_copy = vertices;
+    std::sort(sorted_copy.begin(), sorted_copy.end());
+  }
+  const std::vector<uint32_t>& members = sorted_copy.empty() ? vertices : sorted_copy;
+  for (uint32_t v : members) {
     CROWDER_CHECK_LT(static_cast<size_t>(v), static_cast<size_t>(num_vertices_));
-    member[v] = 1;
   }
   size_t removed = 0;
-  for (uint32_t v : vertices) {
+  for (uint32_t v : members) {
     for (uint32_t eid : adjacency_[v]) {
       if (!alive_[eid]) continue;
       const Edge& e = edges_[eid];
-      if (member[e.a] && member[e.b]) {
+      if (std::binary_search(members.begin(), members.end(), e.a == v ? e.b : e.a)) {
         alive_[eid] = 0;
         --alive_degree_[e.a];
         --alive_degree_[e.b];

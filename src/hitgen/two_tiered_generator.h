@@ -9,6 +9,18 @@
 // candidate remains; covered edges are removed and the loop continues while
 // the component has edges.
 //
+// Both picks are exact maxima of total orders, found with lazy heaps rather
+// than scans. Seeds come from a max-heap over the component on (alive
+// degree desc, id asc); alive degrees only fall, so a stale entry is
+// re-pushed at its current degree when it surfaces. Candidates come from a
+// per-part max-heap on (indegree desc, outdegree asc, id asc) that gets a
+// new entry at every indegree rise; within a part both keys only improve,
+// so older entries rank below the live one and are skipped. A seed costs
+// O(log V) plus one re-push per stale entry; a part costs O(log) per alive
+// edge at its members, each of which pushes at most one entry. A scan
+// would cost O(V) per part and O(|candidates|) per pick, which grows with
+// the square of a hub's degree.
+//
 // Bottom tier (§5.3): the resulting small components are packed into HITs of
 // capacity k by the cutting-stock integer program (see lp/cutting_stock.h),
 // or by first-fit-decreasing / no packing for ablations.

@@ -3,7 +3,10 @@
 // satisfy both requirements of Definition 1 on random graphs).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
+#include "graph/connected_components.h"
 #include "graph/pair_graph.h"
 #include "hitgen/approximation_generator.h"
 #include "hitgen/baseline_generators.h"
@@ -120,6 +123,193 @@ TEST(TwoTieredTest, EmptyGraphYieldsNoHits) {
   auto hits = generator.Generate(&g, 4);
   ASSERT_TRUE(hits.ok());
   EXPECT_TRUE(hits->empty());
+}
+
+// ---------------------------------------------------------------------------
+// Two-tiered: the heap-ordered PartitionLcc against a scan-based reference.
+// ---------------------------------------------------------------------------
+
+// The scan-based Algorithm 2 partitioner PartitionLcc replaced: every part
+// rescans the component for its seed, and every pick rescans the candidate
+// set. The heap version must return the same parts in the same order.
+int64_t ReferencePickSeed(const graph::PairGraph& graph, const std::vector<uint32_t>& lcc,
+                          PartitionOptions::SeedRule rule) {
+  int64_t best = -1;
+  uint32_t best_degree = 0;
+  for (uint32_t v : lcc) {
+    const uint32_t d = graph.AliveDegree(v);
+    if (d == 0) continue;
+    switch (rule) {
+      case PartitionOptions::SeedRule::kMaxDegree:
+        if (d > best_degree || (d == best_degree && best >= 0 && v < best)) {
+          best_degree = d;
+          best = v;
+        } else if (best < 0) {
+          best_degree = d;
+          best = v;
+        }
+        break;
+      case PartitionOptions::SeedRule::kFirst:
+        return v;
+    }
+  }
+  return best;
+}
+
+std::vector<std::vector<uint32_t>> ReferencePartitionLcc(graph::PairGraph* graph,
+                                                         const std::vector<uint32_t>& lcc,
+                                                         uint32_t k,
+                                                         const PartitionOptions& options) {
+  std::vector<std::vector<uint32_t>> parts;
+  std::vector<char> in_scc(graph->num_vertices(), 0);
+  std::vector<char> in_conn(graph->num_vertices(), 0);
+  std::vector<uint32_t> indegree(graph->num_vertices(), 0);
+  for (;;) {
+    const int64_t seed = ReferencePickSeed(*graph, lcc, options.seed_rule);
+    if (seed < 0) break;
+    std::vector<uint32_t> scc{static_cast<uint32_t>(seed)};
+    in_scc[seed] = 1;
+    std::vector<uint32_t> conn;
+    graph->ForEachAliveNeighbor(static_cast<uint32_t>(seed), [&](uint32_t u) {
+      if (!in_conn[u]) {
+        in_conn[u] = 1;
+        indegree[u] = 1;
+        conn.push_back(u);
+      }
+    });
+    while (scc.size() < k && !conn.empty()) {
+      size_t best_pos = 0;
+      uint32_t best_in = 0;
+      uint32_t best_out = UINT32_MAX;
+      for (size_t pos = 0; pos < conn.size(); ++pos) {
+        const uint32_t r = conn[pos];
+        const uint32_t indeg = indegree[r];
+        const uint32_t outdeg = graph->AliveDegree(r) - indeg;
+        bool better = false;
+        if (indeg > best_in) {
+          better = true;
+        } else if (indeg == best_in) {
+          if (options.outdegree_tiebreak && outdeg != best_out) {
+            better = outdeg < best_out;
+          } else {
+            better = r < conn[best_pos];
+          }
+        }
+        if (better) {
+          best_pos = pos;
+          best_in = indeg;
+          best_out = outdeg;
+        }
+      }
+      const uint32_t chosen = conn[best_pos];
+      conn[best_pos] = conn.back();
+      conn.pop_back();
+      in_conn[chosen] = 0;
+      in_scc[chosen] = 1;
+      scc.push_back(chosen);
+      graph->ForEachAliveNeighbor(chosen, [&](uint32_t u) {
+        if (in_scc[u]) return;
+        if (!in_conn[u]) {
+          in_conn[u] = 1;
+          indegree[u] = 0;
+          conn.push_back(u);
+        }
+        ++indegree[u];
+      });
+    }
+    std::sort(scc.begin(), scc.end());
+    graph->RemoveEdgesCoveredBy(scc);
+    for (uint32_t v : scc) in_scc[v] = 0;
+    for (uint32_t v : conn) {
+      in_conn[v] = 0;
+      indegree[v] = 0;
+    }
+    parts.push_back(std::move(scc));
+  }
+  return parts;
+}
+
+// Hubs joined to shared spokes: hub degrees tie, spoke degrees tie, and a
+// part fills from a large candidate set where most keys are equal.
+std::vector<graph::Edge> HubAndSpokeEdges(Rng* rng, uint32_t hubs, uint32_t spokes) {
+  std::vector<graph::Edge> edges;
+  for (uint32_t h = 0; h < hubs; ++h) {
+    for (uint32_t s = 0; s < spokes; ++s) {
+      if (h == 0 || rng->Bernoulli(0.5)) edges.push_back({h, hubs + s});
+    }
+  }
+  for (uint32_t s = 0; s + 1 < spokes; s += 2) {
+    if (rng->Bernoulli(0.3)) edges.push_back({hubs + s, hubs + s + 1});
+  }
+  return edges;
+}
+
+// Cliques chained by single edges: every inner clique member has the same
+// degree, so seeds and candidates tie everywhere.
+std::vector<graph::Edge> CliqueChainEdges(uint32_t cliques, uint32_t size) {
+  std::vector<graph::Edge> edges;
+  for (uint32_t c = 0; c < cliques; ++c) {
+    const uint32_t base = c * size;
+    for (uint32_t i = 0; i < size; ++i) {
+      for (uint32_t j = i + 1; j < size; ++j) edges.push_back({base + i, base + j});
+    }
+    if (c + 1 < cliques) edges.push_back({base + size - 1, base + size});
+  }
+  return edges;
+}
+
+TEST(PartitionLccTest, HeapsMatchTheScanReferenceOnRandomGraphs) {
+  Rng rng(20260);
+  int compared = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    std::vector<graph::Edge> edges;
+    uint32_t used = 0;
+    switch (trial % 3) {
+      case 0:
+        used = 10 + static_cast<uint32_t>(rng.Uniform(50));
+        edges = RandomEdges(rng.Next64(), used, 0.05 + rng.UniformDouble() * 0.4);
+        break;
+      case 1: {
+        const auto hubs = 1 + static_cast<uint32_t>(rng.Uniform(4));
+        const auto spokes = 5 + static_cast<uint32_t>(rng.Uniform(40));
+        used = hubs + spokes;
+        edges = HubAndSpokeEdges(&rng, hubs, spokes);
+        break;
+      }
+      default: {
+        const auto cliques = 1 + static_cast<uint32_t>(rng.Uniform(6));
+        const auto size = 2 + static_cast<uint32_t>(rng.Uniform(7));
+        used = cliques * size;
+        edges = CliqueChainEdges(cliques, size);
+        break;
+      }
+    }
+    if (rng.Bernoulli(0.5)) rng.Shuffle(&edges);  // adjacency order is a tie-break input
+    // Isolated vertices past the used range.
+    const uint32_t n = used + static_cast<uint32_t>(rng.Uniform(5));
+    PartitionOptions options;
+    options.seed_rule = rng.Bernoulli(0.5) ? PartitionOptions::SeedRule::kMaxDegree
+                                           : PartitionOptions::SeedRule::kFirst;
+    options.outdegree_tiebreak = rng.Bernoulli(0.5);
+    const auto k = 2 + static_cast<uint32_t>(rng.Uniform(19));
+
+    auto heap_graph = graph::PairGraph::Create(n, edges).ValueOrDie();
+    auto scan_graph = graph::PairGraph::Create(n, edges).ValueOrDie();
+    std::vector<std::vector<uint32_t>> lccs =
+        graph::SplitBySize(graph::ConnectedComponents(heap_graph), k).large;
+    // The whole vertex range too: several components and isolated vertices.
+    std::vector<uint32_t> all(n);
+    for (uint32_t v = 0; v < n; ++v) all[v] = v;
+    lccs.push_back(all);
+    for (const auto& lcc : lccs) {
+      ASSERT_EQ(PartitionLcc(&heap_graph, lcc, k, options),
+                ReferencePartitionLcc(&scan_graph, lcc, k, options))
+          << "trial " << trial << " k=" << k;
+      ++compared;
+    }
+    EXPECT_FALSE(heap_graph.HasAliveEdges());
+  }
+  EXPECT_GE(compared, 600);
 }
 
 // ---------------------------------------------------------------------------
