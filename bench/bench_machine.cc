@@ -132,14 +132,13 @@ bool RunDivergenceCheck() {
   // Dataset-derived sets from both source-gated datasets: real token-id
   // distributions, including identical and disjoint records.
   for (const data::Dataset* dataset : {&Restaurant(), &Product()}) {
-    text::Tokenizer tokenizer;
     text::Vocabulary vocab;
     std::vector<similarity::TokenSet> sets;
     const uint32_t n = std::min<uint32_t>(
         static_cast<uint32_t>(dataset->table.num_records()), 400);
     for (uint32_t r = 0; r < n; ++r) {
       sets.push_back(similarity::MakeTokenSet(
-          vocab.InternDocument(tokenizer.Tokenize(dataset->table.ConcatenatedRecord(r)))));
+          vocab.InternDocument(dataset->table.ConcatenatedRecord(r))));
     }
     for (size_t trial = 0; trial < 600; ++trial) {
       const auto& a = sets[rng.Uniform(sets.size())];

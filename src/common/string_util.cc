@@ -1,21 +1,13 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <sstream>
+#include <type_traits>
 
 namespace crowder {
-
-std::vector<std::string> Split(std::string_view s, char delim) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  for (size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == delim) {
-      out.emplace_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
 
 std::vector<std::string> SplitWhitespace(std::string_view s) {
   std::vector<std::string> out;
@@ -35,20 +27,6 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
     if (i > 0) out += sep;
     out += parts[i];
   }
-  return out;
-}
-
-std::string_view Trim(std::string_view s) {
-  size_t b = 0;
-  size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
-std::string ToLower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return out;
 }
 
@@ -110,5 +88,36 @@ Result<uint64_t> ParseByteSize(const std::string& text) {
   }
   return bytes;
 }
+
+template <typename T>
+Result<T> ParseNumber(std::string_view text, std::string_view what, T lo, T hi) {
+  const char* end = text.data() + text.size();
+  T value{};
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  auto fail = [&](const std::string& why) {
+    return Status::InvalidArgument(std::string(what) + why + "'" + std::string(text) + "'");
+  };
+  if (error == std::errc::result_out_of_range) return fail(" is out of range: ");
+  if (error != std::errc() || stop != end) {
+    const char* expected = std::is_floating_point_v<T> ? "a number"
+                           : std::is_signed_v<T>       ? "an integer"
+                                                       : "a non-negative integer";
+    return fail(std::string(" expects ") + expected + ", got ");
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return fail(" must be finite, got ");
+  }
+  if (value < lo || value > hi) {
+    std::ostringstream range;
+    range << " must be in [" << lo << ", " << hi << "], got ";
+    return fail(range.str());
+  }
+  return value;
+}
+
+template Result<double> ParseNumber(std::string_view, std::string_view, double, double);
+template Result<int> ParseNumber(std::string_view, std::string_view, int, int);
+template Result<uint32_t> ParseNumber(std::string_view, std::string_view, uint32_t, uint32_t);
+template Result<uint64_t> ParseNumber(std::string_view, std::string_view, uint64_t, uint64_t);
 
 }  // namespace crowder

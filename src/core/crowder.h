@@ -71,9 +71,6 @@
 #include "similarity/set_similarity.h"
 #include "similarity/similarity_join.h"
 #include "similarity/sorted_neighborhood.h"
-#include "similarity/string_similarity.h"
-#include "text/normalizer.h"
-#include "text/qgram.h"
 #include "text/tfidf.h"
 #include "text/tokenizer.h"
 #include "text/vocabulary.h"

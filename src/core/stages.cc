@@ -19,7 +19,6 @@ namespace internal {
 
 similarity::JoinInput BuildJoinInput(const data::Dataset& dataset, CandidateStrategy strategy,
                                      std::vector<std::string>* keys) {
-  text::Tokenizer tokenizer;
   text::Vocabulary vocab;
   similarity::JoinInput input;
   input.sets.reserve(dataset.table.num_records());
@@ -28,10 +27,9 @@ similarity::JoinInput BuildJoinInput(const data::Dataset& dataset, CandidateStra
   }
   for (uint32_t r = 0; r < dataset.table.num_records(); ++r) {
     const std::string concatenated = dataset.table.ConcatenatedRecord(r);
-    input.sets.push_back(
-        similarity::MakeTokenSet(vocab.InternDocument(tokenizer.Tokenize(concatenated))));
+    input.sets.push_back(similarity::MakeTokenSet(vocab.InternDocument(concatenated)));
     if (keys != nullptr && strategy == CandidateStrategy::kSortedNeighborhoodVerify) {
-      keys->push_back(tokenizer.normalizer().Normalize(concatenated));
+      keys->push_back(text::Normalize(concatenated));
     }
   }
   input.sources = dataset.table.sources;

@@ -4,6 +4,7 @@
 
 #include "common/csv.h"
 #include "common/logging.h"
+#include "common/string_util.h"
 
 namespace crowder {
 namespace data {
@@ -110,7 +111,16 @@ Result<Dataset> ReadDatasetCsv(const std::string& path, const std::string& name)
     }
   }
   bool multi_source = false;
-  for (const auto& row : csv.rows) {
+  for (size_t i = 0; i < csv.rows.size(); ++i) {
+    const std::vector<std::string>& row = csv.rows[i];
+    const Result<int> src = ParseNumber<int>(row[static_cast<size_t>(source_col)], "__source");
+    const Result<uint32_t> entity =
+        ParseNumber<uint32_t>(row[static_cast<size_t>(entity_col)], "__entity");
+    if (!src.ok() || !entity.ok()) {
+      // Numbered as ParseCsv numbers rows: the header is row 0.
+      return Status::InvalidArgument("row " + std::to_string(i + 1) + ", column " +
+                                     (src.ok() ? entity.status() : src.status()).message());
+    }
     std::vector<std::string> rec;
     for (size_t c = 0; c < row.size(); ++c) {
       if (static_cast<int>(c) != source_col && static_cast<int>(c) != entity_col) {
@@ -118,11 +128,9 @@ Result<Dataset> ReadDatasetCsv(const std::string& path, const std::string& name)
       }
     }
     dataset.table.records.push_back(std::move(rec));
-    const int src = std::stoi(row[static_cast<size_t>(source_col)]);
-    dataset.table.sources.push_back(src);
-    if (src != 0) multi_source = true;
-    dataset.truth.entity_of.push_back(
-        static_cast<uint32_t>(std::stoul(row[static_cast<size_t>(entity_col)])));
+    dataset.table.sources.push_back(*src);
+    if (*src != 0) multi_source = true;
+    dataset.truth.entity_of.push_back(*entity);
   }
   if (!multi_source) dataset.table.sources.clear();
   CROWDER_RETURN_NOT_OK(dataset.Validate());

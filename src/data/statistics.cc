@@ -5,7 +5,6 @@
 
 #include "common/string_util.h"
 #include "similarity/set_similarity.h"
-#include "text/tokenizer.h"
 #include "text/vocabulary.h"
 
 namespace crowder {
@@ -34,15 +33,14 @@ Result<DatasetStatistics> ComputeStatistics(const Dataset& dataset) {
   stats.num_matching_pairs = dataset.CountMatchingPairs();
   stats.num_admissible_pairs = dataset.CountAdmissiblePairs();
 
-  text::Tokenizer tokenizer;
   text::Vocabulary vocab;
   std::vector<similarity::TokenSet> sets;
   sets.reserve(dataset.table.num_records());
   uint64_t total_tokens = 0;
   for (uint32_t r = 0; r < dataset.table.num_records(); ++r) {
-    const auto tokens = tokenizer.Tokenize(dataset.table.ConcatenatedRecord(r));
-    total_tokens += tokens.size();
-    sets.push_back(similarity::MakeTokenSet(vocab.InternDocument(tokens)));
+    std::vector<text::TokenId> ids = vocab.InternDocument(dataset.table.ConcatenatedRecord(r));
+    total_tokens += ids.size();
+    sets.push_back(similarity::MakeTokenSet(std::move(ids)));
   }
   stats.avg_tokens_per_record =
       stats.num_records == 0 ? 0.0

@@ -2,6 +2,8 @@
 
 #include "common/logging.h"
 #include "similarity/edit_distance.h"
+#include "text/tokenizer.h"
+#include "text/vocabulary.h"
 
 namespace crowder {
 namespace ml {
@@ -25,7 +27,6 @@ Result<PairFeaturizer> PairFeaturizer::Create(
   f.normalized_.resize(f.attributes_.size());
   f.vectors_.resize(f.attributes_.size());
 
-  text::Tokenizer tokenizer;
   for (size_t slot = 0; slot < f.attributes_.size(); ++slot) {
     const size_t attr = f.attributes_[slot];
     // One vocabulary per attribute: IDF weights are attribute-specific
@@ -35,9 +36,8 @@ Result<PairFeaturizer> PairFeaturizer::Create(
     docs.reserve(records.size());
     f.normalized_[slot].reserve(records.size());
     for (const auto& rec : records) {
-      const std::string norm = tokenizer.normalizer().Normalize(rec[attr]);
-      f.normalized_[slot].push_back(norm);
-      docs.push_back(vocab.InternDocument(tokenizer.Tokenize(rec[attr])));
+      f.normalized_[slot].push_back(text::Normalize(rec[attr]));
+      docs.push_back(vocab.InternDocument(rec[attr]));
     }
     text::TfIdfVectorizer vectorizer(&vocab);
     f.vectors_[slot].reserve(records.size());

@@ -12,8 +12,6 @@
 
 #include "common/result.h"
 #include "text/tfidf.h"
-#include "text/tokenizer.h"
-#include "text/vocabulary.h"
 
 namespace crowder {
 namespace ml {

@@ -109,8 +109,7 @@ Result<std::unique_ptr<EntityResolutionService>> EntityResolutionService::Create
 Result<InsertOutcome> EntityResolutionService::Insert(const std::string& text, int source,
                                                       uint32_t truth_entity) {
   if (finished_) return Status::InvalidArgument("Insert after Finish");
-  similarity::TokenSet set =
-      similarity::MakeTokenSet(vocab_.InternDocument(tokenizer_.Tokenize(text)));
+  similarity::TokenSet set = similarity::MakeTokenSet(vocab_.InternDocument(text));
   CROWDER_ASSIGN_OR_RETURN(std::vector<similarity::ScoredPair> candidates,
                            index_.Insert(std::move(set), source));
   entity_of_.push_back(truth_entity);
@@ -340,8 +339,9 @@ Result<ServiceReport> BatchResolve(const data::Dataset& dataset, const ServiceCo
   CROWDER_ASSIGN_OR_RETURN(const crowd::CrowdPlatform platform, BuildCrowdPlatform(config));
 
   // The batch pipeline's tokenization, which the service's ingest path
-  // matches: record order defines token-id assignment, so both paths see
-  // bitwise-identical token sets and scores.
+  // matches call for call (Vocabulary::InternDocument per record): record
+  // order defines token-id assignment, so both paths see bitwise-identical
+  // token sets and scores.
   const similarity::JoinInput input = core::internal::BuildJoinInput(
       dataset, core::CandidateStrategy::kAllPairsJoin, nullptr);
 

@@ -46,7 +46,6 @@
 #include "serve/online_resolver.h"
 #include "serve/pair_crowd.h"
 #include "serve/snapshot.h"
-#include "text/tokenizer.h"
 #include "text/vocabulary.h"
 
 namespace crowder {
@@ -156,9 +155,13 @@ class EntityResolutionService {
   EntityResolutionService& operator=(const EntityResolutionService&) = delete;  ///< not copyable
 
   /// \brief Ingests one record: `text` is the record's concatenated
-  /// attribute text (tokenized exactly like the batch pipeline's join
-  /// input), `source` its source label, `truth_entity` its ground-truth
-  /// entity (consumed only by the simulated crowd).
+  /// attribute text, `source` its source label, `truth_entity` its
+  /// ground-truth entity (consumed only by the simulated crowd). The text
+  /// becomes a token set through the call that builds each record of the
+  /// batch join input (text::Vocabulary::InternDocument, which
+  /// core::internal::BuildJoinInput makes per record), on a vocabulary
+  /// grown in insertion order, so dataset order gives both paths the same
+  /// token ids.
   Result<InsertOutcome> Insert(const std::string& text, int source, uint32_t truth_entity);
 
   /// \brief Convenience: Insert record `r` of `dataset`.
@@ -214,7 +217,6 @@ class EntityResolutionService {
   const crowd::CrowdPlatform platform_;
 
   // ---- Ingest-thread-only state (no lock needed). ----
-  text::Tokenizer tokenizer_;
   text::Vocabulary vocab_;
   IncrementalIndex index_;
   std::vector<uint32_t> entity_of_;  ///< ground truth, grown per insert

@@ -1,7 +1,7 @@
 // Token blocking: a coarse candidate generator (CrowdER footnote 1 cites
 // blocking [7]). Two records become a candidate pair if they share at least
-// one blocking key (a token, or a character q-gram of a token). Candidates
-// still need verification; blocking only bounds which pairs are examined.
+// one blocking key (a token). Candidates still need verification; blocking
+// only bounds which pairs are examined.
 #ifndef CROWDER_SIMILARITY_BLOCKING_H_
 #define CROWDER_SIMILARITY_BLOCKING_H_
 

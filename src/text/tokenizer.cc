@@ -1,21 +1,16 @@
 #include "text/tokenizer.h"
 
-#include <algorithm>
-
-#include "common/string_util.h"
-
 namespace crowder {
 namespace text {
 
-std::vector<std::string> Tokenizer::Tokenize(std::string_view input) const {
-  return SplitWhitespace(normalizer_.Normalize(input));
-}
-
-std::vector<std::string> Tokenizer::TokenSet(std::string_view input) const {
-  std::vector<std::string> tokens = Tokenize(input);
-  std::sort(tokens.begin(), tokens.end());
-  tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
-  return tokens;
+std::string Normalize(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  ForEachToken(text, [&out](const std::string& token) {
+    if (!out.empty()) out.push_back(' ');
+    out += token;
+  });
+  return out;
 }
 
 }  // namespace text

@@ -1,44 +1,26 @@
 #include "text/vocabulary.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
+#include "text/tokenizer.h"
 
 namespace crowder {
 namespace text {
 
-TokenId Vocabulary::Intern(std::string_view token) {
-  auto it = token_to_id_.find(std::string(token));
-  if (it != token_to_id_.end()) return it->second;
-  TokenId id = static_cast<TokenId>(id_to_token_.size());
-  id_to_token_.emplace_back(token);
-  doc_freq_.push_back(0);
-  token_to_id_.emplace(std::string(token), id);
-  return id;
-}
-
-TokenId Vocabulary::Lookup(std::string_view token) const {
-  auto it = token_to_id_.find(std::string(token));
-  return it == token_to_id_.end() ? kInvalidToken : it->second;
-}
-
-const std::string& Vocabulary::TokenString(TokenId id) const {
-  CROWDER_CHECK_LT(static_cast<size_t>(id), id_to_token_.size());
-  return id_to_token_[id];
-}
-
-std::vector<TokenId> Vocabulary::InternDocument(const std::vector<std::string>& tokens) {
-  std::vector<TokenId> ids;
-  ids.reserve(tokens.size());
-  for (const auto& t : tokens) ids.push_back(Intern(t));
-
-  // Document frequency counts each distinct token once per document.
-  std::vector<TokenId> distinct = ids;
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
-  for (TokenId id : distinct) ++doc_freq_[id];
-  ++num_documents_;
-  return ids;
+std::vector<TokenId> Vocabulary::InternDocument(std::string_view text) {
+  const uint32_t document = ++num_documents_;
+  ids_.clear();
+  ForEachToken(text, [&](const std::string& token) {
+    const auto [it, inserted] =
+        entries_.try_emplace(token, Entry{static_cast<TokenId>(doc_freq_.size()), 0});
+    if (inserted) doc_freq_.push_back(0);
+    Entry& entry = it->second;
+    if (entry.last_document != document) {
+      entry.last_document = document;
+      ++doc_freq_[entry.id];
+    }
+    ids_.push_back(entry.id);
+  });
+  return ids_;  // a copy sized to the document
 }
 
 uint32_t Vocabulary::DocumentFrequency(TokenId id) const {

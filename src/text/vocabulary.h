@@ -1,6 +1,12 @@
-// Token interning: maps strings to dense uint32 ids so that similarity joins
-// and graph code work on integers. Also tracks document frequencies, which
-// both the prefix-filtering join (rare-token-first ordering) and TF-IDF need.
+// Token interning: maps the tokens of each record (text/tokenizer.h) to dense
+// uint32 ids so that similarity joins and graph code work on integers. Also
+// tracks document frequencies, which both the prefix-filtering join
+// (rare-token-first ordering) and TF-IDF need.
+//
+// Ids are assigned in first-appearance order over the documents in the order
+// they are interned, and a token's document frequency counts each document
+// it appears in once, however often it repeats there (a per-token stamp of
+// the last document that counted it).
 #ifndef CROWDER_TEXT_VOCABULARY_H_
 #define CROWDER_TEXT_VOCABULARY_H_
 
@@ -13,38 +19,38 @@
 namespace crowder {
 namespace text {
 
+/// \brief A dense token id, assigned by Vocabulary in first-appearance order.
 using TokenId = uint32_t;
 
-inline constexpr TokenId kInvalidToken = UINT32_MAX;
-
-/// \brief Bidirectional string<->id token dictionary with document counts.
+/// \brief Token dictionary with document counts; each token string is held
+/// once, as its key.
 class Vocabulary {
  public:
-  /// Interns `token`, returning its id (existing or newly assigned).
-  TokenId Intern(std::string_view token);
+  /// \brief Tokenizes `text` (text::ForEachToken), interns every token, and
+  /// returns their ids in text order, repeats included. Counts one more
+  /// document, and one more document for each distinct token in it (call
+  /// once per record).
+  std::vector<TokenId> InternDocument(std::string_view text);
 
-  /// Id of `token` or kInvalidToken if never interned.
-  TokenId Lookup(std::string_view token) const;
-
-  /// The token string for `id`; id must be valid.
-  const std::string& TokenString(TokenId id) const;
-
-  /// Interns every token of the sequence; bumps document frequency once per
-  /// distinct token in the sequence (call once per record).
-  std::vector<TokenId> InternDocument(const std::vector<std::string>& tokens);
-
-  /// Number of documents a token appeared in (for IDF and rarity ordering).
+  /// \brief Number of documents a token appeared in (for IDF and rarity
+  /// ordering); `id` must be below size().
   uint32_t DocumentFrequency(TokenId id) const;
 
-  /// Number of documents processed through InternDocument.
+  /// \brief Number of documents processed through InternDocument.
   uint32_t num_documents() const { return num_documents_; }
 
-  size_t size() const { return id_to_token_.size(); }
+  /// \brief Number of distinct tokens interned.
+  size_t size() const { return doc_freq_.size(); }
 
  private:
-  std::unordered_map<std::string, TokenId> token_to_id_;
-  std::vector<std::string> id_to_token_;
+  struct Entry {
+    TokenId id;
+    uint32_t last_document;  ///< 1-based number of the last document counted
+  };
+
+  std::unordered_map<std::string, Entry> entries_;
   std::vector<uint32_t> doc_freq_;
+  std::vector<TokenId> ids_;  ///< InternDocument's reused buffer
   uint32_t num_documents_ = 0;
 };
 

@@ -1,15 +1,20 @@
 // Tests for the dataset model and the synthetic generators (structure,
-// macro-statistics, determinism, CSV round-trip).
+// macro-statistics, determinism, CSV round-trip, malformed and mutated CSVs).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 
 #include "common/csv.h"
+#include "common/rng.h"
+#include "core/stages.h"
 #include "data/dataset.h"
 #include "data/generators.h"
+#include "data/statistics.h"
 
 namespace crowder {
 namespace data {
@@ -274,6 +279,140 @@ TEST(DatasetCsvTest, MissingColumnsRejected) {
   ASSERT_TRUE(WriteCsvFile(path, {"name"}, {{"x"}}).ok());
   EXPECT_FALSE(ReadDatasetCsv(path, "bad").ok());
   std::remove(path.c_str());
+}
+
+// Reads `text` as a dataset CSV file.
+Result<Dataset> ReadDatasetText(const std::string& text) {
+  const std::string path = ::testing::TempDir() + "/crowder_dataset_text_test.csv";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << text;
+  }
+  Result<Dataset> dataset = ReadDatasetCsv(path, "text");
+  std::remove(path.c_str());
+  return dataset;
+}
+
+// Each malformed number is an InvalidArgument naming its row and column:
+// never an uncaught parse exception, and never a silent wrap of __entity -1
+// to 4294967295 or of 4294967296 to 0.
+TEST(DatasetCsvTest, MalformedNumbersNameTheirRowAndColumn) {
+  const std::string header = "name,__source,__entity\n";
+  const struct {
+    const char* rows;
+    const char* message;
+  } kCases[] = {
+      {"a,0,1\nb,0,abc\n", "row 2, column __entity expects a non-negative integer, got 'abc'"},
+      {"a,0,99999999999999999999\n", "row 1, column __entity is out of range"},
+      {"a,x,1\n", "row 1, column __source expects an integer, got 'x'"},
+      {"a,0,-1\n", "row 1, column __entity expects a non-negative integer, got '-1'"},
+      {"a,0,4294967296\nb,0,0\n", "row 1, column __entity is out of range: '4294967296'"},
+      {"a,99999999999,1\n", "row 1, column __source is out of range"},
+      {"a,0,\n", "row 1, column __entity expects a non-negative integer, got ''"},
+      {"a,0,1e9999\n", "row 1, column __entity expects a non-negative integer"},
+      {"a,0, 7\n", "row 1, column __entity expects a non-negative integer, got ' 7'"},
+  };
+  for (const auto& c : kCases) {
+    const Result<Dataset> dataset = ReadDatasetText(header + c.rows);
+    ASSERT_FALSE(dataset.ok()) << c.rows;
+    EXPECT_TRUE(dataset.status().IsInvalidArgument()) << c.rows;
+    EXPECT_NE(dataset.status().message().find(c.message), std::string::npos)
+        << dataset.status().ToString();
+  }
+  const Result<Dataset> good = ReadDatasetText(header + "a,-2,4294967295\nb,3,0\n");
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good->table.sources, (std::vector<int>{-2, 3}));
+  EXPECT_EQ(good->truth.entity_of, (std::vector<uint32_t>{4294967295u, 0u}));
+}
+
+// One deterministic mutation of a dataset CSV: truncate it, flip a bit,
+// splice the head of one line onto the tail of another, inject a quote, CR,
+// NUL or high byte, or replace one number field with a hostile literal.
+std::string MutateCsv(const std::string& csv, uint64_t seed) {
+  static const char* const kHostile[] = {"-1", "4294967296", "99999999999999999999", "1e9999",
+                                         ""};
+  static const char kInjected[] = {'"', '\r', '\0', '\x80', '\xC3', '\xFF'};
+  Rng rng(seed);
+  std::string out = csv;
+  switch (seed % 5) {
+    case 0:
+      out.resize(rng.Uniform(csv.size()));
+      break;
+    case 1:
+      out[rng.Uniform(out.size())] ^= static_cast<char>(1u << rng.Uniform(8));
+      break;
+    case 2: {
+      std::vector<size_t> starts{0};
+      for (size_t i = 0; i + 1 < csv.size(); ++i) {
+        if (csv[i] == '\n') starts.push_back(i + 1);
+      }
+      const size_t x = starts[rng.Uniform(starts.size())];
+      const size_t y = starts[rng.Uniform(starts.size())];
+      const size_t x_end = csv.find('\n', x);
+      const size_t y_end = csv.find('\n', y);
+      const size_t cut = x + rng.Uniform(x_end - x + 1);
+      const size_t resume = y + rng.Uniform(y_end - y + 1);
+      out = csv.substr(0, cut) + csv.substr(resume, y_end - resume) + csv.substr(x_end);
+      break;
+    }
+    case 3:
+      out.insert(out.begin() + static_cast<std::ptrdiff_t>(rng.Uniform(out.size() + 1)),
+                 kInjected[rng.Uniform(std::size(kInjected))]);
+      break;
+    default: {
+      // The last two fields of a data line are __source and __entity.
+      std::vector<size_t> line_ends;
+      for (size_t i = csv.find('\n') + 1; i < csv.size(); ++i) {
+        if (csv[i] == '\n') line_ends.push_back(i);
+      }
+      const size_t end = line_ends[rng.Uniform(line_ends.size())];
+      const size_t last_comma = csv.rfind(',', end);
+      const bool entity = rng.Bernoulli(0.5);
+      const size_t begin = entity ? last_comma + 1 : csv.rfind(',', last_comma - 1) + 1;
+      const size_t stop = entity ? end : last_comma;
+      out.replace(begin, stop - begin, kHostile[rng.Uniform(std::size(kHostile))]);
+    }
+  }
+  return out;
+}
+
+TEST(DatasetCsvMutationSweep, EveryMutantLoadsOrFailsCleanly) {
+  RestaurantConfig config;
+  config.num_records = 40;
+  config.num_duplicate_pairs = 8;
+  config.num_chains = 2;
+  const Dataset base = GenerateRestaurant(config).ValueOrDie();
+  const std::string path = ::testing::TempDir() + "/crowder_dataset_sweep_base.csv";
+  ASSERT_TRUE(WriteDatasetCsv(base, path).ok());
+  std::string csv;
+  {
+    std::ifstream in(path, std::ios::binary);
+    csv.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  std::remove(path.c_str());
+  ASSERT_TRUE(ReadDatasetText(csv).ok());
+
+  constexpr uint64_t kMutations = 1500;
+  uint64_t loaded = 0;
+  for (uint64_t seed = 0; seed < kMutations; ++seed) {
+    const std::string mutated = MutateCsv(csv, seed);
+    const Result<Dataset> dataset = ReadDatasetText(mutated);
+    if (!dataset.ok()) {
+      EXPECT_TRUE(dataset.status().IsInvalidArgument() || dataset.status().IsIOError())
+          << "seed " << seed << ": " << dataset.status().ToString();
+      continue;
+    }
+    ++loaded;
+    const similarity::JoinInput input = core::internal::BuildJoinInput(
+        *dataset, core::CandidateStrategy::kAllPairsJoin, nullptr);
+    EXPECT_EQ(input.sets.size(), dataset->table.num_records()) << "seed " << seed;
+    const Result<DatasetStatistics> stats = ComputeStatistics(*dataset);
+    EXPECT_TRUE(stats.ok() || stats.status().IsInvalidArgument())
+        << "seed " << seed << ": " << stats.status().ToString();
+  }
+  // Both outcomes occur: the sweep is neither vacuous nor all-rejecting.
+  EXPECT_GT(loaded, 0u);
+  EXPECT_LT(loaded, kMutations);
 }
 
 }  // namespace

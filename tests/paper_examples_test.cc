@@ -10,7 +10,6 @@
 #include "hitgen/two_tiered_generator.h"
 #include "similarity/set_similarity.h"
 #include "similarity/similarity_join.h"
-#include "text/tokenizer.h"
 #include "text/vocabulary.h"
 
 namespace crowder {
@@ -33,11 +32,10 @@ const std::vector<std::string>& ProductNames() {
 }
 
 similarity::JoinInput Table1JoinInput() {
-  text::Tokenizer tok;
   text::Vocabulary vocab;
   similarity::JoinInput input;
   for (const auto& name : ProductNames()) {
-    input.sets.push_back(similarity::MakeTokenSet(vocab.InternDocument(tok.Tokenize(name))));
+    input.sets.push_back(similarity::MakeTokenSet(vocab.InternDocument(name)));
   }
   return input;
 }

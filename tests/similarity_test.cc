@@ -14,7 +14,6 @@
 #include "similarity/edit_distance.h"
 #include "similarity/overlap_simd.h"
 #include "similarity/set_similarity.h"
-#include "text/tokenizer.h"
 #include "text/vocabulary.h"
 
 namespace crowder {
@@ -29,22 +28,18 @@ TEST(SetSimilarityTest, PaperJaccardExampleR1R2) {
   // §2.1.1: J(r1, r2) over Product Names
   //   r1 = "iPad Two 16GB WiFi White", r2 = "iPad 2nd generation 16GB WiFi White"
   // shared {ipad, 16gb, wifi, white} of union size 7 -> 4/7 = 0.57.
-  text::Tokenizer tok;
   text::Vocabulary vocab;
-  const TokenSet r1 = MakeTokenSet(vocab.InternDocument(tok.Tokenize("iPad Two 16GB WiFi White")));
-  const TokenSet r2 =
-      MakeTokenSet(vocab.InternDocument(tok.Tokenize("iPad 2nd generation 16GB WiFi White")));
+  const TokenSet r1 = MakeTokenSet(vocab.InternDocument("iPad Two 16GB WiFi White"));
+  const TokenSet r2 = MakeTokenSet(vocab.InternDocument("iPad 2nd generation 16GB WiFi White"));
   EXPECT_NEAR(Jaccard(r1, r2), 4.0 / 7.0, 1e-9);
 }
 
 TEST(SetSimilarityTest, PaperJaccardExampleR1R3) {
   // J(r1, r3) = 0.25: r3 = "iPhone 4th generation White 16GB"; shared
   // {white, 16gb} of union size 8.
-  text::Tokenizer tok;
   text::Vocabulary vocab;
-  const TokenSet r1 = MakeTokenSet(vocab.InternDocument(tok.Tokenize("iPad Two 16GB WiFi White")));
-  const TokenSet r3 =
-      MakeTokenSet(vocab.InternDocument(tok.Tokenize("iPhone 4th generation White 16GB")));
+  const TokenSet r1 = MakeTokenSet(vocab.InternDocument("iPad Two 16GB WiFi White"));
+  const TokenSet r3 = MakeTokenSet(vocab.InternDocument("iPhone 4th generation White 16GB"));
   EXPECT_NEAR(Jaccard(r1, r3), 0.25, 1e-9);
 }
 
@@ -148,13 +143,11 @@ TEST(SetSimilarityTest, KernelEquivalenceOnDatasets) {
   for (const bool restaurant : {true, false}) {
     const data::Dataset dataset = restaurant ? data::GenerateRestaurant({}).ValueOrDie()
                                              : data::GenerateProduct({}).ValueOrDie();
-    text::Tokenizer tokenizer;
     text::Vocabulary vocab;
     std::vector<TokenSet> sets;
     const uint32_t n = std::min<uint32_t>(static_cast<uint32_t>(dataset.table.num_records()), 300);
     for (uint32_t r = 0; r < n; ++r) {
-      sets.push_back(MakeTokenSet(
-          vocab.InternDocument(tokenizer.Tokenize(dataset.table.ConcatenatedRecord(r)))));
+      sets.push_back(MakeTokenSet(vocab.InternDocument(dataset.table.ConcatenatedRecord(r))));
     }
     for (int trial = 0; trial < 400; ++trial) {
       const auto& a = sets[rng.Uniform(sets.size())];

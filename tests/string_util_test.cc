@@ -6,19 +6,6 @@
 namespace crowder {
 namespace {
 
-TEST(SplitTest, BasicDelimiter) {
-  EXPECT_EQ(Split("a,b,c", ','), (std::vector<std::string>{"a", "b", "c"}));
-}
-
-TEST(SplitTest, KeepsEmptyFields) {
-  EXPECT_EQ(Split("a,,c", ','), (std::vector<std::string>{"a", "", "c"}));
-  EXPECT_EQ(Split(",", ','), (std::vector<std::string>{"", ""}));
-}
-
-TEST(SplitTest, EmptyInputYieldsOneEmptyField) {
-  EXPECT_EQ(Split("", ','), (std::vector<std::string>{""}));
-}
-
 TEST(SplitWhitespaceTest, DropsEmptyRuns) {
   EXPECT_EQ(SplitWhitespace("  foo   bar\tbaz \n"),
             (std::vector<std::string>{"foo", "bar", "baz"}));
@@ -33,17 +20,6 @@ TEST(JoinTest, JoinsWithSeparator) {
   EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(Join({}, ","), "");
   EXPECT_EQ(Join({"only"}, ","), "only");
-}
-
-TEST(TrimTest, RemovesEdges) {
-  EXPECT_EQ(Trim("  hi  "), "hi");
-  EXPECT_EQ(Trim("hi"), "hi");
-  EXPECT_EQ(Trim("   "), "");
-  EXPECT_EQ(Trim(""), "");
-}
-
-TEST(ToLowerTest, AsciiOnly) {
-  EXPECT_EQ(ToLower("AbC123xYz"), "abc123xyz");
 }
 
 TEST(StartsWithTest, Basic) {
@@ -111,6 +87,54 @@ TEST(ParseByteSizeTest, RejectsOverflow) {
 
   // The largest representable scaled value still parses.
   EXPECT_EQ(ParseByteSize("17179869183G").ValueOrDie(), 17179869183ull << 30);
+}
+
+// The message of a ParseNumber failure, or "" when it parses.
+template <typename T>
+std::string ParseError(std::string_view text, T lo = std::numeric_limits<T>::lowest(),
+                       T hi = std::numeric_limits<T>::max()) {
+  const Result<T> parsed = ParseNumber<T>(text, "--n", lo, hi);
+  if (parsed.ok()) return "";
+  EXPECT_TRUE(parsed.status().IsInvalidArgument());
+  return parsed.status().message();
+}
+
+TEST(ParseNumberTest, ParsesTheWholeFieldOfEachType) {
+  EXPECT_EQ(ParseNumber<double>("0.25", "x").ValueOrDie(), 0.25);
+  EXPECT_EQ(ParseNumber<double>("-3e2", "x").ValueOrDie(), -300.0);
+  EXPECT_EQ(ParseNumber<int>("-7", "x").ValueOrDie(), -7);
+  EXPECT_EQ(ParseNumber<int>("2147483647", "x").ValueOrDie(), 2147483647);
+  EXPECT_EQ(ParseNumber<uint32_t>("4294967295", "x").ValueOrDie(), 4294967295u);
+  EXPECT_EQ(ParseNumber<uint64_t>("18446744073709551615", "x").ValueOrDie(),
+            18446744073709551615ull);
+}
+
+TEST(ParseNumberTest, RejectsPartialAndSignedFieldsNamingThem) {
+  EXPECT_EQ(ParseError<double>("abc"), "--n expects a number, got 'abc'");
+  EXPECT_EQ(ParseError<double>(""), "--n expects a number, got ''");
+  EXPECT_EQ(ParseError<int>("12x"), "--n expects an integer, got '12x'");
+  EXPECT_EQ(ParseError<int>(" 1"), "--n expects an integer, got ' 1'");
+  EXPECT_EQ(ParseError<int>("+1"), "--n expects an integer, got '+1'");
+  EXPECT_EQ(ParseError<uint32_t>("-1"), "--n expects a non-negative integer, got '-1'");
+  EXPECT_EQ(ParseError<uint64_t>("1.5"), "--n expects a non-negative integer, got '1.5'");
+}
+
+TEST(ParseNumberTest, RejectsValuesThatWouldWrap) {
+  EXPECT_EQ(ParseError<uint32_t>("4294967296"), "--n is out of range: '4294967296'");
+  EXPECT_EQ(ParseError<int>("2147483648"), "--n is out of range: '2147483648'");
+  EXPECT_EQ(ParseError<int>("-2147483649"), "--n is out of range: '-2147483649'");
+  EXPECT_EQ(ParseError<uint64_t>("99999999999999999999"),
+            "--n is out of range: '99999999999999999999'");
+  EXPECT_EQ(ParseError<double>("1e9999"), "--n is out of range: '1e9999'");
+}
+
+TEST(ParseNumberTest, RejectsNonFiniteAndOutOfBounds) {
+  EXPECT_EQ(ParseError<double>("inf"), "--n must be finite, got 'inf'");
+  EXPECT_EQ(ParseError<double>("nan"), "--n must be finite, got 'nan'");
+  EXPECT_EQ(ParseError<double>("1.5", 0.0, 1.0), "--n must be in [0, 1], got '1.5'");
+  EXPECT_EQ(ParseError<uint32_t>("0", 1, 1024), "--n must be in [1, 1024], got '0'");
+  EXPECT_EQ(ParseError<int>("-5", -4, 4), "--n must be in [-4, 4], got '-5'");
+  EXPECT_EQ(ParseError<uint32_t>("1024", 1, 1024), "");
 }
 
 }  // namespace

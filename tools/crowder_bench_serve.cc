@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -63,13 +64,15 @@ struct Flags {
     auto it = values.find(key);
     return it == values.end() ? fallback : it->second;
   }
-  double GetDouble(const std::string& key, double fallback) const {
+  /// Flag `key` parsed by ParseNumber (`fallback` when absent); an error
+  /// names the flag.
+  template <typename T>
+  Result<T> GetNumber(const std::string& key, T fallback,
+                      T lo = std::numeric_limits<T>::lowest(),
+                      T hi = std::numeric_limits<T>::max()) const {
     auto it = values.find(key);
-    return it == values.end() ? fallback : std::stod(it->second);
-  }
-  long GetLong(const std::string& key, long fallback) const {
-    auto it = values.find(key);
-    return it == values.end() ? fallback : std::stol(it->second);
+    if (it == values.end()) return fallback;
+    return ParseNumber<T>(it->second, "--" + key, lo, hi);
   }
 };
 
@@ -95,8 +98,8 @@ Result<data::Dataset> LoadDataset(const Flags& flags) {
   const std::string csv = flags.Get("csv", "");
   if (!csv.empty()) return data::ReadDatasetCsv(csv, csv);
   const std::string kind = flags.Get("dataset", "product");
-  const double scale = flags.GetDouble("scale", 1.0);
-  const uint64_t seed = static_cast<uint64_t>(flags.GetLong("seed", 0));
+  CROWDER_ASSIGN_OR_RETURN(const double scale, flags.GetNumber("scale", 1.0));
+  CROWDER_ASSIGN_OR_RETURN(const uint64_t seed, flags.GetNumber<uint64_t>("seed", 0));
   if (kind == "restaurant") {
     data::RestaurantConfig config;
     if (seed) config.seed = seed;
@@ -119,20 +122,22 @@ Result<data::Dataset> LoadDataset(const Flags& flags) {
   return Status::InvalidArgument("unknown dataset kind '" + kind + "'");
 }
 
-serve::ServiceConfig ConfigFromFlags(const Flags& flags) {
+Result<serve::ServiceConfig> ConfigFromFlags(const Flags& flags) {
   serve::ServiceConfig config;
-  config.threshold = flags.GetDouble("threshold", config.threshold);
-  config.auto_match_threshold = flags.GetDouble("auto-match", config.auto_match_threshold);
-  config.match_threshold = flags.GetDouble("match-threshold", config.match_threshold);
-  config.crowd_flush_pairs = static_cast<size_t>(
-      flags.GetLong("flush-pairs", static_cast<long>(config.crowd_flush_pairs)));
-  config.pairs_per_hit =
-      static_cast<uint32_t>(flags.GetLong("pairs-per-hit", config.pairs_per_hit));
-  config.publish_interval = static_cast<uint64_t>(
-      flags.GetLong("publish-interval", static_cast<long>(config.publish_interval)));
-  config.hits_per_poll =
-      static_cast<uint32_t>(flags.GetLong("hits-per-poll", config.hits_per_poll));
-  config.seed = static_cast<uint64_t>(flags.GetLong("seed", static_cast<long>(config.seed)));
+  CROWDER_ASSIGN_OR_RETURN(config.threshold, flags.GetNumber("threshold", config.threshold));
+  CROWDER_ASSIGN_OR_RETURN(config.auto_match_threshold,
+                           flags.GetNumber("auto-match", config.auto_match_threshold));
+  CROWDER_ASSIGN_OR_RETURN(config.match_threshold,
+                           flags.GetNumber("match-threshold", config.match_threshold));
+  CROWDER_ASSIGN_OR_RETURN(config.crowd_flush_pairs,
+                           flags.GetNumber<uint64_t>("flush-pairs", config.crowd_flush_pairs));
+  CROWDER_ASSIGN_OR_RETURN(config.pairs_per_hit,
+                           flags.GetNumber("pairs-per-hit", config.pairs_per_hit));
+  CROWDER_ASSIGN_OR_RETURN(config.publish_interval,
+                           flags.GetNumber("publish-interval", config.publish_interval));
+  CROWDER_ASSIGN_OR_RETURN(config.hits_per_poll,
+                           flags.GetNumber("hits-per-poll", config.hits_per_poll));
+  CROWDER_ASSIGN_OR_RETURN(config.seed, flags.GetNumber("seed", config.seed));
   config.background = !flags.Has("inline");
   config.async_delivery = !flags.Has("sync");
   return config;
@@ -200,22 +205,20 @@ void PrintQuantiles(const char* label, const Histogram& h) {
 Result<int> RunBench(const Flags& flags) {
   CROWDER_ASSIGN_OR_RETURN(const data::Dataset dataset, LoadDataset(flags));
   const uint32_t num_records = static_cast<uint32_t>(dataset.table.num_records());
-  serve::ServiceConfig config = ConfigFromFlags(flags);
+  CROWDER_ASSIGN_OR_RETURN(serve::ServiceConfig config, ConfigFromFlags(flags));
   // Match the batch pipeline's candidate rule: a two-source dataset (Product)
   // only pairs records across sources. BatchResolve reads the labels off the
   // dataset directly, so the service must gate the same way or --compare-batch
   // would report a divergence that is really a config mismatch.
   config.cross_source_only = !dataset.table.sources.empty();
-  const long query_threads = flags.GetLong("query-threads", 2);
-  if (query_threads < 0 || query_threads > 256) {
-    return Status::InvalidArgument("--query-threads must be in [0, 256]");
-  }
+  CROWDER_ASSIGN_OR_RETURN(const uint32_t query_threads,
+                           flags.GetNumber<uint32_t>("query-threads", 2, 0, 256));
   const std::string mode = flags.Get("mode", "closed");
   if (mode != "closed" && mode != "open") {
     return Status::InvalidArgument("--mode must be closed or open");
   }
   const bool open_loop = mode == "open";
-  const double target_qps = flags.GetDouble("target-qps", 2000.0);
+  CROWDER_ASSIGN_OR_RETURN(const double target_qps, flags.GetNumber("target-qps", 2000.0));
   if (open_loop && target_qps <= 0) {
     return Status::InvalidArgument("--target-qps must be positive in open-loop mode");
   }
@@ -232,7 +235,7 @@ Result<int> RunBench(const Flags& flags) {
   CROWDER_ASSIGN_OR_RETURN(auto service, serve::EntityResolutionService::Create(config));
   QueryLoad load;
   std::vector<std::thread> workers;
-  for (long t = 0; t < query_threads; ++t) {
+  for (uint32_t t = 0; t < query_threads; ++t) {
     workers.emplace_back([&service, &load, open_loop, target_qps, query_threads, t] {
       QueryWorker(*service, open_loop, target_qps / query_threads,
                   0x9E3779B9u + static_cast<uint64_t>(t), &load);

@@ -95,16 +95,12 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <string>
-#include <type_traits>
 
 #include "core/crowder.h"
 #include "serve/service.h"
@@ -123,42 +119,15 @@ struct Args {
     return it == flags.end() ? fallback : it->second;
   }
 
-  /// Flag `key` as a T (`fallback` when absent): a double, or an unsigned
-  /// integer, which takes no sign. The whole value must parse and be finite
-  /// and within [lo, hi]; anything else is an InvalidArgument naming the
-  /// flag.
+  /// Flag `key` parsed by ParseNumber (`fallback` when absent); an error
+  /// names the flag.
   template <typename T>
   Result<T> GetNumber(const std::string& key, T fallback,
                       T lo = std::numeric_limits<T>::lowest(),
                       T hi = std::numeric_limits<T>::max()) const {
-    static_assert(std::is_floating_point_v<T> || std::is_unsigned_v<T>);
     auto it = flags.find(key);
     if (it == flags.end()) return fallback;
-    const std::string& text = it->second;
-    const char* end = text.data() + text.size();
-    T value{};
-    const auto [stop, error] = std::from_chars(text.data(), end, value);
-    const char* expected =
-        std::is_floating_point_v<T> ? "a number" : "a non-negative integer";
-    if (error == std::errc::result_out_of_range) {
-      return Status::InvalidArgument("--" + key + " is out of range: '" + text + "'");
-    }
-    if (error != std::errc() || stop != end) {
-      return Status::InvalidArgument("--" + key + " expects " + expected + ", got '" + text +
-                                     "'");
-    }
-    if constexpr (std::is_floating_point_v<T>) {
-      if (!std::isfinite(value)) {
-        return Status::InvalidArgument("--" + key + " must be finite, got '" + text + "'");
-      }
-    }
-    if (value < lo || value > hi) {
-      std::ostringstream range;
-      range << "[" << +lo << ", " << +hi << "]";
-      return Status::InvalidArgument("--" + key + " must be in " + range.str() + ", got '" +
-                                     text + "'");
-    }
-    return value;
+    return ParseNumber<T>(it->second, "--" + key, lo, hi);
   }
 };
 

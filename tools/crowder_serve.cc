@@ -36,6 +36,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "common/string_util.h"
 #include "data/dataset.h"
@@ -63,13 +64,13 @@ struct Flags {
     auto it = values.find(key);
     return it == values.end() ? fallback : it->second;
   }
-  double GetDouble(const std::string& key, double fallback) const {
+  /// Flag `key` parsed by ParseNumber (`fallback` when absent); an error
+  /// names the flag.
+  template <typename T>
+  Result<T> GetNumber(const std::string& key, T fallback) const {
     auto it = values.find(key);
-    return it == values.end() ? fallback : std::stod(it->second);
-  }
-  long GetLong(const std::string& key, long fallback) const {
-    auto it = values.find(key);
-    return it == values.end() ? fallback : std::stol(it->second);
+    if (it == values.end()) return fallback;
+    return ParseNumber<T>(it->second, "--" + key);
   }
 };
 
@@ -91,20 +92,22 @@ Result<Flags> Parse(int argc, char** argv) {
   return flags;
 }
 
-serve::ServiceConfig ConfigFromFlags(const Flags& flags) {
+Result<serve::ServiceConfig> ConfigFromFlags(const Flags& flags) {
   serve::ServiceConfig config;
-  config.threshold = flags.GetDouble("threshold", config.threshold);
-  config.auto_match_threshold = flags.GetDouble("auto-match", config.auto_match_threshold);
-  config.match_threshold = flags.GetDouble("match-threshold", config.match_threshold);
-  config.crowd_flush_pairs =
-      static_cast<size_t>(flags.GetLong("flush-pairs", static_cast<long>(config.crowd_flush_pairs)));
-  config.pairs_per_hit =
-      static_cast<uint32_t>(flags.GetLong("pairs-per-hit", config.pairs_per_hit));
-  config.publish_interval = static_cast<uint64_t>(
-      flags.GetLong("publish-interval", static_cast<long>(config.publish_interval)));
-  config.hits_per_poll =
-      static_cast<uint32_t>(flags.GetLong("hits-per-poll", config.hits_per_poll));
-  config.seed = static_cast<uint64_t>(flags.GetLong("seed", static_cast<long>(config.seed)));
+  CROWDER_ASSIGN_OR_RETURN(config.threshold, flags.GetNumber("threshold", config.threshold));
+  CROWDER_ASSIGN_OR_RETURN(config.auto_match_threshold,
+                           flags.GetNumber("auto-match", config.auto_match_threshold));
+  CROWDER_ASSIGN_OR_RETURN(config.match_threshold,
+                           flags.GetNumber("match-threshold", config.match_threshold));
+  CROWDER_ASSIGN_OR_RETURN(config.crowd_flush_pairs,
+                           flags.GetNumber<uint64_t>("flush-pairs", config.crowd_flush_pairs));
+  CROWDER_ASSIGN_OR_RETURN(config.pairs_per_hit,
+                           flags.GetNumber("pairs-per-hit", config.pairs_per_hit));
+  CROWDER_ASSIGN_OR_RETURN(config.publish_interval,
+                           flags.GetNumber("publish-interval", config.publish_interval));
+  CROWDER_ASSIGN_OR_RETURN(config.hits_per_poll,
+                           flags.GetNumber("hits-per-poll", config.hits_per_poll));
+  CROWDER_ASSIGN_OR_RETURN(config.seed, flags.GetNumber("seed", config.seed));
   config.background = !flags.Has("inline");
   config.async_delivery = !flags.Has("sync");
   config.cross_source_only = flags.Has("cross-source");
@@ -153,16 +156,16 @@ bool HandleLine(serve::EntityResolutionService* service, const std::string& line
       std::cout << "error: INSERT wants source|entity|text\n";
       return true;
     }
-    int source = 0;
-    uint32_t entity = 0;
-    try {
-      source = std::stoi(rest.substr(0, bar1));
-      entity = static_cast<uint32_t>(std::stoul(rest.substr(bar1 + 1, bar2 - bar1 - 1)));
-    } catch (const std::exception&) {
-      std::cout << "error: INSERT source and entity must be integers\n";
+    const std::string_view fields(rest);
+    const Result<int> source = ParseNumber<int>(fields.substr(0, bar1), "INSERT source");
+    const Result<uint32_t> entity =
+        ParseNumber<uint32_t>(fields.substr(bar1 + 1, bar2 - bar1 - 1), "INSERT entity");
+    if (!source.ok() || !entity.ok()) {
+      std::cout << "error: " << (source.ok() ? entity.status() : source.status()).ToString()
+                << "\n";
       return true;
     }
-    auto outcome = service->Insert(rest.substr(bar2 + 1), source, entity);
+    auto outcome = service->Insert(rest.substr(bar2 + 1), *source, *entity);
     if (!outcome.ok()) {
       std::cout << "error: " << outcome.status().ToString() << "\n";
     } else {
@@ -172,13 +175,14 @@ bool HandleLine(serve::EntityResolutionService* service, const std::string& line
   }
 
   if (command == "QUERY") {
-    long id = -1;
-    in >> id;
-    if (id < 0) {
-      std::cout << "error: QUERY wants a record id\n";
+    std::string field;
+    in >> field;
+    const Result<uint32_t> id = ParseNumber<uint32_t>(field, "QUERY id");
+    if (!id.ok()) {
+      std::cout << "error: " << id.status().ToString() << "\n";
       return true;
     }
-    auto view = service->Query(static_cast<uint32_t>(id));
+    auto view = service->Query(*id);
     if (!view.ok()) {
       std::cout << "error: " << view.status().ToString() << "\n";
     } else {
@@ -226,7 +230,7 @@ bool HandleLine(serve::EntityResolutionService* service, const std::string& line
 }
 
 Status Serve(const Flags& flags) {
-  serve::ServiceConfig config = ConfigFromFlags(flags);
+  CROWDER_ASSIGN_OR_RETURN(serve::ServiceConfig config, ConfigFromFlags(flags));
 
   // Load the preload dataset before building the service: a two-source
   // dataset (Product) flips the candidate rule to cross-source-only, exactly
