@@ -5,7 +5,6 @@
 // datasets across thresholds.
 #include "bench/bench_common.h"
 #include "common/timer.h"
-#include "graph/connected_components.h"
 #include "hitgen/two_tiered_generator.h"
 
 namespace crowder {
@@ -21,14 +20,9 @@ void RunDataset(const data::Dataset& dataset) {
     graph::PairGraph graph = BuildGraph(dataset, pairs);
 
     // Top tier only: collect the SCC multiset.
-    auto components = graph::ConnectedComponents(graph);
-    auto split = graph::SplitBySize(std::move(components), 10);
-    std::vector<std::vector<uint32_t>> sccs = std::move(split.small);
-    for (const auto& lcc : split.large) {
-      for (auto& part : hitgen::PartitionLcc(&graph, lcc, 10)) {
-        sccs.push_back(std::move(part));
-      }
-    }
+    hitgen::TopTier tier = hitgen::DecomposeTopTier(&graph, 10);
+    std::vector<std::vector<uint32_t>> sccs = std::move(tier.small);
+    for (auto& part : tier.parts) sccs.push_back(std::move(part));
 
     // Bottom tier under each strategy.
     hitgen::PackingOptions ilp;

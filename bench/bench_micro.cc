@@ -259,8 +259,8 @@ BENCHMARK(BM_BfsGenerator)->Unit(benchmark::kMillisecond);
 // cluster size k (Arg 1). The machine pass at threshold 0.3 runs once per
 // scale, untimed; each iteration times Generate on a reset graph. After the
 // loop, the decomposition runs three more times outside the timer and
-// reports the best time of each tier: partition_s (components +
-// PartitionLcc) and pack_s (SolveCuttingStock on the demand vector).
+// reports the best time of each tier: partition_s (DecomposeTopTier) and
+// pack_s (SolveCuttingStock on the demand vector).
 const std::vector<similarity::ScoredPair>& ScaledProductPairs(int scale, uint32_t* records) {
   static std::map<int, std::pair<uint32_t, std::vector<similarity::ScoredPair>>> cache;
   auto it = cache.find(scale);
@@ -301,12 +301,10 @@ void BM_TwoTieredScaledProduct(benchmark::State& state) {
   for (int rep = 0; rep < 3; ++rep) {  // best of three
     graph.Reset();
     const auto start = Clock::now();
-    graph::SplitComponents split = graph::SplitBySize(graph::ConnectedComponents(graph), k);
+    const hitgen::TopTier tier = hitgen::DecomposeTopTier(&graph, k);
     std::vector<uint32_t> demands(k, 0);
-    for (const auto& scc : split.small) ++demands[scc.size() - 1];
-    for (const auto& lcc : split.large) {
-      for (const auto& part : hitgen::PartitionLcc(&graph, lcc, k)) ++demands[part.size() - 1];
-    }
+    for (const auto& scc : tier.small) ++demands[scc.size() - 1];
+    for (const auto& part : tier.parts) ++demands[part.size() - 1];
     const auto partitioned = Clock::now();
     search_nodes = lp::SolveCuttingStock(k, demands).ValueOrDie().search_nodes;
     const std::chrono::duration<double> partition = partitioned - start;

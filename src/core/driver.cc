@@ -48,7 +48,7 @@ Status WorkflowDriver::Start(const data::Dataset& dataset) {
   if (phase_ != Phase::kIdle) return Status::InvalidArgument("Start called twice");
   CROWDER_RETURN_NOT_OK(ValidateWorkflowConfig(config_));
   if (config_.filter_workers && filter_ == nullptr) {
-    owned_filter_ = std::make_unique<crowd::ApprovalRateWorkerFilter>(config_.filter);
+    owned_filter_ = std::make_unique<crowd::ApprovalRateWorkerFilter>();
     filter_ = owned_filter_.get();
   }
   if (adaptive()) {
@@ -62,95 +62,16 @@ Status WorkflowDriver::Start(const data::Dataset& dataset) {
   }
 
   // The machine pass and HIT generation run eagerly (the crowd rounds and
-  // aggregation continue the same PipelineStats record).
+  // aggregation continue the same PipelineStats record). HIT generation
+  // lays out the contexts the rounds serve (core/stages.h).
   CROWDER_RETURN_NOT_OK(RunTimed("machine-pass", RunMachinePass, state_.get()));
   CROWDER_RETURN_NOT_OK(RunTimed("hit-gen", GenerateHits, state_.get()));
-
-  // Context-source setup: the pair route fixes the partition/shard layout up
-  // front; the cluster route sizes HIT ranges so one range's pair context
-  // stays within the partition capacity (a HIT of k records asks at most
-  // k(k-1)/2 pairs).
-  const uint64_t total = state_->result.num_candidate_pairs;
-  if (total > 0) {
-    if (config_.hit_type == HitType::kPairBased) {
-      aligned_capacity_ =
-          AlignedPartitionCapacity(state_->partition_capacity, config_.pairs_per_hit);
-      state_->votes = std::make_unique<VoteShardStore>(
-          config_.memory_budget_bytes, TileShardCounts(total, aligned_capacity_));
-      CROWDER_ASSIGN_OR_RETURN(auto cursor, state_->stream.OpenSortedCursor());
-      cursor_.emplace(std::move(cursor));
-    } else {
-      const uint64_t capacity = state_->partition_capacity;
-      state_->votes = std::make_unique<VoteShardStore>(config_.memory_budget_bytes,
-                                                       TileShardCounts(total, capacity));
-      const uint64_t k = config_.cluster_size;
-      const uint64_t context_per_hit = std::max<uint64_t>(1, k * (k - 1) / 2);
-      hits_per_range_ = static_cast<size_t>(std::max<uint64_t>(1, capacity / context_per_hit));
-      CROWDER_RETURN_NOT_OK(BuildClusterRangeIndex());
-    }
+  if (config_.hit_type == HitType::kPairBased && state_->result.num_candidate_pairs > 0) {
+    CROWDER_ASSIGN_OR_RETURN(auto cursor, state_->stream.OpenSortedCursor());
+    cursor_.emplace(std::move(cursor));
   }
   crowd_timer_.Reset();
   return Advance();
-}
-
-Status WorkflowDriver::BuildClusterRangeIndex() {
-  WallTimer index_timer;
-  const auto& hits = state_->cluster_hits;
-  const ComponentBucketPlan& plan = *state_->buckets;
-  const size_t num_ranges = (hits.size() + hits_per_range_ - 1) / hits_per_range_;
-
-  // Per-record ascending list of the HITs that ask it: hits are scanned in
-  // order and a HIT lists each record once.
-  std::vector<std::vector<uint32_t>> record_hits(state_->dataset->table.num_records());
-  for (size_t h = 0; h < hits.size(); ++h) {
-    for (uint32_t r : hits[h].records) record_hits[r].push_back(static_cast<uint32_t>(h));
-  }
-
-  // Join each bucketed pair against its records' HIT lists in one pass over
-  // ALL buckets, ascending, so each range shard replays in (bucket asc,
-  // append order). Order matters: FinishRound sums kappa and
-  // PrepareRepairRound re-posts deficient pairs in context order.
-  range_pairs_ = std::make_unique<ShardedSpillStore<IndexedPair>>(config_.memory_budget_bytes);
-  range_pairs_->AddShards(num_ranges);
-  for (uint32_t bucket = 0; bucket < plan.num_buckets(); ++bucket) {
-    CROWDER_RETURN_NOT_OK(
-        state_->bucket_pairs->Scan(bucket, [&](const std::vector<IndexedPair>& block) {
-          for (const auto& ip : block) {
-            // A pair belongs to range r's context iff one of r's HITs asks
-            // it (holds both records): intersect the two ascending HIT
-            // lists. Common HITs come in range order, so a pair is appended
-            // once per range however many of the range's HITs ask it.
-            const auto& ha = record_hits[ip.pair.a];
-            const auto& hb = record_hits[ip.pair.b];
-            size_t last_range = num_ranges;
-            size_t i = 0;
-            size_t j = 0;
-            while (i < ha.size() && j < hb.size()) {
-              if (ha[i] < hb[j]) {
-                ++i;
-              } else if (hb[j] < ha[i]) {
-                ++j;
-              } else {
-                const size_t range = ha[i] / hits_per_range_;
-                if (range != last_range) {
-                  CROWDER_RETURN_NOT_OK(range_pairs_->AppendRecord(range, ip));
-                  last_range = range;
-                }
-                ++i;
-                ++j;
-              }
-            }
-          }
-          return Status::OK();
-        }));
-  }
-  CROWDER_RETURN_NOT_OK(range_pairs_->Finish());
-  state_->result.pipeline_stats.boundary_spilled_bytes += range_pairs_->spilled_bytes();
-  // Every bucketed pair has been folded into the range index; the bucket
-  // stores (and their spill files) are no longer needed.
-  state_->bucket_pairs.reset();
-  state_->result.pipeline_stats.cluster_index_wall_ms = index_timer.ElapsedMillis();
-  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -208,7 +129,8 @@ Status WorkflowDriver::LoadNextBaseContext() {
   if (config_.hit_type == HitType::kPairBased) {
     const uint64_t total = state_->result.num_candidate_pairs;
     if (next_pair_base_ >= total) return Status::OK();
-    const uint64_t want = std::min<uint64_t>(aligned_capacity_, total - next_pair_base_);
+    const uint64_t want =
+        std::min<uint64_t>(state_->partition_capacity, total - next_pair_base_);
     std::vector<similarity::ScoredPair> drawn;
     drawn.reserve(static_cast<size_t>(want));
     CROWDER_ASSIGN_OR_RETURN(const size_t got, cursor_->Next(static_cast<size_t>(want), &drawn));
@@ -222,13 +144,14 @@ Status WorkflowDriver::LoadNextBaseContext() {
     return Status::OK();
   }
 
-  const auto& hits = state_->cluster_hits;
+  const ClusterBoundary& cluster = state_->cluster;
+  const auto& hits = cluster.hits;
   if (next_range_begin_ >= hits.size()) return Status::OK();
   WallTimer context_timer;
   const size_t begin = next_range_begin_;
-  const size_t end = std::min(hits.size(), begin + hits_per_range_);
-  CROWDER_RETURN_NOT_OK(range_pairs_->Scan(
-      begin / hits_per_range_, [&](const std::vector<IndexedPair>& block) {
+  const size_t end = std::min(hits.size(), begin + cluster.hits_per_range);
+  CROWDER_RETURN_NOT_OK(cluster.range_pairs->Scan(
+      begin / cluster.hits_per_range, [&](const std::vector<IndexedPair>& block) {
         for (const auto& ip : block) base_unresolved_.push_back({ip.pair, ip.index});
         return Status::OK();
       }));
@@ -702,7 +625,7 @@ void WorkflowDriver::FinishRound() {
 
 Result<bool> WorkflowDriver::PrepareRepairRound() {
   if (filter_ == nullptr || banned_workers_.empty()) return false;
-  if (repair_rounds_used_ >= config_.repair_rounds) return false;
+  if (repair_rounds_used_ >= kRepairRounds) return false;
   if (pending_.pairs == nullptr) return false;
 
   // A pair is under-replicated when fewer than assignments_per_hit of its

@@ -28,8 +28,10 @@
 /// Rounds come from one loop over *contexts*: a context is one crowd
 /// partition (pair-based HITs) or one range of cluster HITs posted together
 /// (cluster-based) — a single context holding every pair when the run is
-/// unbounded. A range's context holds exactly the candidate pairs some HIT
-/// of the range asks. Under the default kFixedOrder each context is posted
+/// unbounded. GenerateHits lays the contexts out (core/stages.h): the
+/// partition capacity, and for cluster HITs the ranges and each range's
+/// pair store, which holds exactly the candidate pairs some HIT of the
+/// range asks. Under the default kFixedOrder each context is posted
 /// whole as one round; the results are bitwise the same at any partitioning
 /// (golden-pinned). A context retires — and counts as one of
 /// PipelineStats::crowd_partitions — once nothing in it is left to ask.
@@ -80,6 +82,7 @@
 #include "core/stages.h"
 #include "core/workflow.h"
 #include "crowd/backend.h"
+#include "crowd/worker_filter.h"
 #include "graph/answer_closure.h"
 
 namespace crowder {
@@ -173,19 +176,17 @@ class WorkflowDriver {
   /// Prepares the next round into pending_ or, when rounds are exhausted,
   /// finalizes (vote store seal, crowd timing, aggregation).
   Status Advance();
-  /// One sorted pass joining the component-bucket pair stores against the
-  /// per-record HIT lists into range_pairs_ (Start, cluster-based
-  /// only; timed as PipelineStats::cluster_index_wall_ms).
-  /// Releases state_->bucket_pairs — the range index subsumes it.
-  Status BuildClusterRangeIndex();
   /// Closes the books on the answered round (Step, before Advance): records
   /// CrowdRoundStats (votes, Fleiss' kappa), folds the round's votes into
   /// the lifetime worker statistics, and consults the filter.
   void FinishRound();
-  /// The fault-tolerance half of revision (config.repair_rounds): when bans
-  /// leave pairs of the answered context under-replicated, stages a repair
-  /// round re-posting those pairs as fresh pair-based HITs over the same
-  /// context. Returns true when a repair round is now pending.
+  /// The fault-tolerance half of revision: when bans leave pairs of the
+  /// answered context with fewer surviving votes than
+  /// crowd.assignments_per_hit, stages a repair round re-posting those
+  /// pairs as fresh pair-based HITs over the same context, so revision does
+  /// not starve pairs of evidence. Replacement votes come from freshly
+  /// drawn workers, who are reviewed (and banned) like any others. Returns
+  /// true when a repair round is now pending.
   Result<bool> PrepareRepairRound();
   Status Finalize();
 
@@ -257,8 +258,9 @@ class WorkflowDriver {
   /// prefix FinishRound has already folded into the statistics.
   std::vector<std::pair<size_t, aggregate::Vote>> round_votes_;
   size_t round_votes_reviewed_ = 0;
-  /// Repair rounds staged for the current context so far (capped by
-  /// config.repair_rounds).
+  /// Repair rounds a context may stage.
+  static constexpr uint32_t kRepairRounds = 2;
+  /// Repair rounds staged for the current context so far.
   uint32_t repair_rounds_used_ = 0;
 
   // ---- Crowd defenses (crowd/worker_filter.h). ----
@@ -271,20 +273,10 @@ class WorkflowDriver {
   /// Every worker banned so far (cumulative across rounds).
   std::unordered_set<uint32_t> banned_workers_;
 
-  // ---- Pair-partition contexts. ----
+  // ---- Where the next context starts (the layout is GenerateHits'). ----
   std::optional<PairStream::SortedCursor> cursor_;
-  uint64_t aligned_capacity_ = 0;
   uint64_t next_pair_base_ = 0;
-
-  // ---- Cluster-range contexts. ----
   size_t next_range_begin_ = 0;
-  size_t hits_per_range_ = 0;
-  /// The inverted pair→HIT-range index: shard r holds, in (bucket asc,
-  /// append order) order, every candidate pair some HIT of range r asks,
-  /// once. Built once by BuildClusterRangeIndex (Start); each context then
-  /// replays its own shard instead of re-scanning the component buckets it
-  /// touches.
-  std::unique_ptr<ShardedSpillStore<IndexedPair>> range_pairs_;
 
   // ---- Adaptive question selection (kInferenceOrdered only; empty and
   //      untouched under kFixedOrder). ----

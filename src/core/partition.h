@@ -23,9 +23,12 @@
 ///    hold whole connected components, because candidate pairs never cross
 ///    components and the two-tiered decomposition is component-local).
 ///
-/// The stages and the driver that wire these into `HybridWorkflow::Run` live
-/// in core/stages.cc and core/driver.cc; why partitioning is invisible in
-/// the output is spelled out in docs/ARCHITECTURE.md.
+/// `GenerateHits` (core/stages.cc) applies both plans: it lays out the
+/// crowd rounds, and for cluster-based HITs builds the per-range pair
+/// stores from component buckets that live only as long as HIT
+/// generation. The driver (core/driver.cc) serves the contexts. Why
+/// partitioning is invisible in the output is spelled out in
+/// docs/ARCHITECTURE.md.
 #ifndef CROWDER_CORE_PARTITION_H_
 #define CROWDER_CORE_PARTITION_H_
 

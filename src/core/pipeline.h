@@ -4,7 +4,8 @@
 // generation → crowd → aggregate. WorkflowDriver (core/driver.h) runs the
 // phases as plain functions over the shared WorkflowState (core/stages.h),
 // timing each into PipelineStats, with the crowd rounds in between (timed
-// as the "crowd" stage). This header holds what flows between them:
+// as the "crowd" stage) serving the contexts HIT generation laid out. This
+// header holds what flows between them:
 //
 //  * PairStream — the spillable candidate-pair stream between the machine
 //    pass and its consumers. The producer appends blocks (each internally
@@ -147,9 +148,10 @@ struct PipelineStats {
   /// Bytes the component-bucket and HIT-range pair stores spilled to disk
   /// (cluster-based only).
   uint64_t boundary_spilled_bytes = 0;
-  /// Wall time Start spent building the inverted pair→HIT-range index that
-  /// routes each candidate pair to the HIT ranges whose HITs ask it
-  /// (cluster-based only; one pass over the bucket stores).
+  /// Wall time HIT generation spent building the inverted pair→HIT-range
+  /// store that routes each candidate pair to the HIT ranges whose HITs ask
+  /// it (cluster-based only; one pass over the bucket stores, inside the
+  /// "hit-gen" stage).
   double cluster_index_wall_ms = 0.0;
   /// Cumulative wall time the cluster rounds spent assembling their pair
   /// contexts (cluster-based only). Together with

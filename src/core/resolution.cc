@@ -117,6 +117,11 @@ StreamingResolver::StreamingResolver(uint32_t num_records) : uf_(num_records) {}
 
 uint32_t StreamingResolver::num_records() const { return uf_.num_elements(); }
 
+uint32_t StreamingResolver::AddRecord() {
+  CROWDER_CHECK(!finished_) << "AddRecord after Finish";
+  return uf_.Add();
+}
+
 Status StreamingResolver::AddMatch(uint32_t a, uint32_t b) {
   CROWDER_CHECK(!finished_) << "AddMatch after Finish";
   if (a >= uf_.num_elements() || b >= uf_.num_elements()) {
@@ -127,9 +132,7 @@ Status StreamingResolver::AddMatch(uint32_t a, uint32_t b) {
   return Status::OK();
 }
 
-Result<EntityClusters> StreamingResolver::Finish() {
-  CROWDER_CHECK(!finished_) << "Finish called twice";
-  finished_ = true;
+EntityClusters StreamingResolver::CurrentClusters() {
   const uint32_t n = uf_.num_elements();
   EntityClusters out;
   out.cluster_of.assign(n, 0);
@@ -147,6 +150,12 @@ Result<EntityClusters> StreamingResolver::Finish() {
     out.clusters[it->second].push_back(r);  // ascending by construction
   }
   return out;
+}
+
+Result<EntityClusters> StreamingResolver::Finish() {
+  CROWDER_CHECK(!finished_) << "Finish called twice";
+  finished_ = true;
+  return CurrentClusters();
 }
 
 ClusteringQuality EvaluateClusters(const EntityClusters& clusters,

@@ -4,7 +4,10 @@
 // (one false positive glues two big entities together), so the resolver
 // processes pairs best-first and verifies each merge against the evidence,
 // rejecting merges whose cross-cluster support is too thin (a lightweight
-// correlation-clustering heuristic).
+// correlation-clustering heuristic). Where the confirmed edges cannot be
+// held — a bounded run, or the resident service (serve/service.h), whose
+// records and verdicts arrive one at a time — StreamingResolver computes
+// the transitive closure instead.
 #ifndef CROWDER_CORE_RESOLUTION_H_
 #define CROWDER_CORE_RESOLUTION_H_
 
@@ -50,24 +53,31 @@ Result<EntityClusters> ResolveEntities(uint32_t num_records,
                                        const ResolutionOptions& options = {});
 
 /// \brief Bounded-memory entity clustering for the partitioned streaming
-/// workflow: a union-find over the records that consumes *matched pairs* in
-/// batches of any size and order, instead of a materialized, sorted edge
-/// list. Resident state is O(records), independent of how many pairs flow
-/// through.
+/// workflow and the resident service: a union-find over the records that
+/// consumes *matched pairs* in batches of any size and order, instead of a
+/// materialized, sorted edge list. Resident state is O(records),
+/// independent of how many pairs flow through; the record universe can
+/// grow (AddRecord) as a service ingests.
 ///
 /// Semantics are pure transitive closure — batch order cannot matter,
 /// because the cross-support heuristic of ResolveEntities needs the full
 /// confirmed edge list, which is exactly what a bounded run cannot hold.
-/// Finish() canonicalizes exactly like ResolveEntities (dense cluster ids
-/// ordered by smallest member, members ascending, one cluster per isolated
-/// record), so for any input the result equals
-/// `ResolveEntities(n, pairs, {.transitive_closure = true})` over the
-/// pairs at or above the caller's threshold — a property the resolution
-/// tests pin.
+/// That order-insensitivity is also what lets serve's crowd loop apply
+/// verdicts from a background thread and still reach a deterministic
+/// final partition. CurrentClusters() canonicalizes exactly like
+/// ResolveEntities (dense cluster ids ordered by smallest member, members
+/// ascending, one cluster per isolated record), so for any input the result
+/// equals `ResolveEntities(n, pairs, {.transitive_closure = true})` over
+/// the pairs at or above the caller's threshold — a property the resolution
+/// tests pin. Not thread-safe.
 class StreamingResolver {
  public:
   /// \brief Prepares a resolver over records [0, num_records).
-  explicit StreamingResolver(uint32_t num_records);
+  explicit StreamingResolver(uint32_t num_records = 0);
+
+  /// \brief Adds the next record as its own singleton cluster; returns its
+  /// id (num_records() before the call).
+  uint32_t AddRecord();
 
   /// \brief Merges one confirmed match. Fails on out-of-range records or
   /// self-pairs (mirroring ResolveEntities' validation).
@@ -76,7 +86,11 @@ class StreamingResolver {
   /// \brief Records seen so far.
   uint32_t num_records() const;
 
-  /// \brief Canonicalizes the partition. Terminal.
+  /// \brief Canonicalizes the current partition. Repeatable; matches and
+  /// records may be added between reads.
+  EntityClusters CurrentClusters();
+
+  /// \brief CurrentClusters, terminally: the resolver takes no more input.
   Result<EntityClusters> Finish();
 
  private:

@@ -5,7 +5,7 @@
 
 #include "aggregate/partitioned.h"
 #include "common/logging.h"
-#include "graph/connected_components.h"
+#include "common/timer.h"
 #include "graph/pair_graph.h"
 #include "hitgen/packing.h"
 #include "hitgen/two_tiered_generator.h"
@@ -45,45 +45,29 @@ uint64_t CountCandidateMatches(const data::Dataset& dataset,
   return count;
 }
 
-Result<ClusterBoundary> BuildClusterBoundary(const PairStream& stream, uint32_t num_records,
-                                             uint64_t partition_capacity,
-                                             uint32_t cluster_size,
-                                             uint64_t memory_budget_bytes) {
-  ClusterBoundary boundary;
-  CROWDER_ASSIGN_OR_RETURN(boundary.plan,
-                           PlanComponentBuckets(stream, num_records, partition_capacity));
-  const ComponentBucketPlan& plan = boundary.plan;
+namespace {
 
-  // Route every pair into its component's bucket, tagged with its global
-  // sorted index (the vote table's pair-indexing contract).
-  auto store = std::make_unique<ShardedSpillStore<IndexedPair>>(memory_budget_bytes);
-  store->AddShards(plan.num_buckets());
-  uint64_t next_index = 0;
-  CROWDER_RETURN_NOT_OK(stream.ScanSorted([&](const PairBlock& block) {
-    for (const auto& p : block) {
-      IndexedPair ip;
-      ip.index = next_index++;
-      ip.pair = p;
-      CROWDER_RETURN_NOT_OK(store->AppendRecord(plan.bucket_of_record[p.a], ip));
-    }
-    return Status::OK();
-  }));
-  CROWDER_RETURN_NOT_OK(store->Finish());
-
-  // Decompose bucket by bucket; only one bucket's subgraph is ever resident.
-  // Each subgraph is built over dense local ids (ascending-global order), so
-  // its per-vertex arrays cost O(bucket records), not O(num_records); the
-  // renaming is strictly monotone, hence invisible to every ordering and
-  // tie-break the decomposition makes (see the header contract).
-  std::vector<std::vector<std::vector<uint32_t>>> small_per_bucket(plan.num_buckets());
-  std::vector<std::vector<std::vector<uint32_t>>> parts_per_bucket(plan.num_buckets());
+// The per-bucket top tier, then one global pack over every bucket's small
+// components followed by every bucket's LCC parts (the header's order
+// argument). Each bucket's subgraph is built over dense local ids in
+// ascending global order, so its per-vertex arrays cost O(bucket records),
+// not O(num_records); only one bucket's subgraph is ever resident.
+Result<std::vector<hitgen::ClusterBasedHit>> DecomposeBuckets(
+    const ShardedSpillStore<IndexedPair>& buckets, uint32_t cluster_size) {
+  hitgen::TopTier all;
   std::vector<graph::Edge> edges;
   std::vector<uint32_t> local_to_global;
-  for (size_t b = 0; b < plan.num_buckets(); ++b) {
-    // One pass over the bucket collects its edges — the same payload the
-    // bucket's subgraph holds anyway, so this does not change the bound.
+  // Back to global record ids (monotone, so ascending order is kept).
+  const auto append_global = [&](std::vector<std::vector<uint32_t>>* from,
+                                 std::vector<std::vector<uint32_t>>* to) {
+    for (auto& comp : *from) {
+      for (uint32_t& v : comp) v = local_to_global[v];
+      to->push_back(std::move(comp));
+    }
+  };
+  for (size_t b = 0; b < buckets.num_shards(); ++b) {
     edges.clear();
-    CROWDER_RETURN_NOT_OK(store->Scan(b, [&](const std::vector<IndexedPair>& block) {
+    CROWDER_RETURN_NOT_OK(buckets.Scan(b, [&](const std::vector<IndexedPair>& block) {
       for (const auto& ip : block) edges.push_back({ip.pair.a, ip.pair.b});
       return Status::OK();
     }));
@@ -103,46 +87,93 @@ Result<ClusterBoundary> BuildClusterBoundary(const PairStream& stream, uint32_t 
     };
     for (graph::Edge& e : edges) e = {local_of(e.a), local_of(e.b)};
 
-    graph::PairGraphBuilder builder(static_cast<uint32_t>(local_to_global.size()));
-    CROWDER_RETURN_NOT_OK(builder.Add(edges));
-    CROWDER_ASSIGN_OR_RETURN(auto graph, builder.Build());
-    graph::SplitComponents split =
-        graph::SplitBySize(graph::ConnectedComponents(graph), cluster_size);
-    small_per_bucket[b] = std::move(split.small);
-    for (const auto& lcc : split.large) {
-      auto lcc_parts =
-          hitgen::PartitionLcc(&graph, lcc, cluster_size, hitgen::PartitionOptions{});
-      for (auto& part : lcc_parts) parts_per_bucket[b].push_back(std::move(part));
-    }
-    // Coverage invariant: PartitionLcc consumed every LCC edge; small
-    // components are packed whole below, so their edges are covered too.
-    for (const auto& comp : small_per_bucket[b]) graph.RemoveEdgesCoveredBy(comp);
-    if (graph.HasAliveEdges()) {
-      return Status::Internal("bucket decomposition left uncovered edges");
-    }
-    // Back to global record ids (monotone, so ascending order is kept).
-    for (auto& comp : small_per_bucket[b]) {
-      for (uint32_t& v : comp) v = local_to_global[v];
-    }
-    for (auto& part : parts_per_bucket[b]) {
-      for (uint32_t& v : part) v = local_to_global[v];
-    }
+    CROWDER_ASSIGN_OR_RETURN(
+        graph::PairGraph graph,
+        graph::PairGraph::Create(static_cast<uint32_t>(local_to_global.size()), edges));
+    hitgen::TopTier tier = hitgen::DecomposeTopTier(&graph, cluster_size);
+    append_global(&tier.small, &all.small);
+    append_global(&tier.parts, &all.parts);
   }
+  std::vector<std::vector<uint32_t>> sccs = std::move(all.small);
+  for (auto& part : all.parts) sccs.push_back(std::move(part));
+  return hitgen::PackSccs(sccs, cluster_size, hitgen::PackingOptions{});
+}
 
-  // Bottom tier, once and globally, over TwoTieredGenerator::Generate's
-  // exact scc order.
-  std::vector<std::vector<uint32_t>> sccs;
-  for (auto& bucket_smalls : small_per_bucket) {
-    for (auto& comp : bucket_smalls) sccs.push_back(std::move(comp));
+// One pass over the buckets, ascending, joins each pair against the HITs
+// that ask it (hold both its records), so each range's shard replays in
+// (bucket, global index) order. Order matters: the driver's FinishRound sums
+// kappa and PrepareRepairRound re-posts deficient pairs in context order.
+Result<std::unique_ptr<ShardedSpillStore<IndexedPair>>> BuildRangeStore(
+    const ShardedSpillStore<IndexedPair>& buckets,
+    const std::vector<hitgen::ClusterBasedHit>& hits, size_t hits_per_range,
+    uint32_t num_records, uint64_t memory_budget_bytes) {
+  // Per-record ascending list of the HITs that ask it: hits are scanned in
+  // order and a HIT lists each record once.
+  std::vector<std::vector<uint32_t>> record_hits(num_records);
+  for (size_t h = 0; h < hits.size(); ++h) {
+    for (uint32_t r : hits[h].records) record_hits[r].push_back(static_cast<uint32_t>(h));
   }
-  for (auto& bucket_parts : parts_per_bucket) {
-    for (auto& part : bucket_parts) sccs.push_back(std::move(part));
+  const size_t num_ranges = (hits.size() + hits_per_range - 1) / hits_per_range;
+  auto ranges = std::make_unique<ShardedSpillStore<IndexedPair>>(memory_budget_bytes);
+  ranges->AddShards(num_ranges);
+  for (size_t b = 0; b < buckets.num_shards(); ++b) {
+    CROWDER_RETURN_NOT_OK(buckets.Scan(b, [&](const std::vector<IndexedPair>& block) {
+      for (const auto& ip : block) {
+        // The HITs asking the pair are a's HITs that b is in too. They come
+        // in range order, so a pair is appended once per range however many
+        // of the range's HITs ask it.
+        const auto& hb = record_hits[ip.pair.b];
+        size_t last_range = num_ranges;
+        for (const uint32_t h : record_hits[ip.pair.a]) {
+          const size_t range = h / hits_per_range;
+          if (range != last_range && std::binary_search(hb.begin(), hb.end(), h)) {
+            CROWDER_RETURN_NOT_OK(ranges->AppendRecord(range, ip));
+            last_range = range;
+          }
+        }
+      }
+      return Status::OK();
+    }));
   }
-  CROWDER_ASSIGN_OR_RETURN(boundary.hits,
-                           hitgen::PackSccs(sccs, cluster_size, hitgen::PackingOptions{}));
+  CROWDER_RETURN_NOT_OK(ranges->Finish());
+  return ranges;
+}
 
-  boundary.spilled_bytes = store->spilled_bytes();
-  boundary.bucket_pairs = std::move(store);
+}  // namespace
+
+Result<ClusterBoundary> BuildClusterBoundary(const PairStream& stream, uint32_t num_records,
+                                             uint64_t partition_capacity,
+                                             uint32_t cluster_size,
+                                             uint64_t memory_budget_bytes) {
+  // Route every pair into its component's bucket, tagged with its global
+  // sorted index (the vote table's pair-indexing contract).
+  ShardedSpillStore<IndexedPair> buckets(memory_budget_bytes);
+  {
+    CROWDER_ASSIGN_OR_RETURN(const ComponentBucketPlan plan,
+                             PlanComponentBuckets(stream, num_records, partition_capacity));
+    buckets.AddShards(plan.num_buckets());
+    uint64_t next_index = 0;
+    CROWDER_RETURN_NOT_OK(stream.ScanSorted([&](const PairBlock& block) {
+      for (const auto& p : block) {
+        CROWDER_RETURN_NOT_OK(
+            buckets.AppendRecord(plan.bucket_of_record[p.a], IndexedPair{next_index++, p}));
+      }
+      return Status::OK();
+    }));
+  }
+  CROWDER_RETURN_NOT_OK(buckets.Finish());
+
+  ClusterBoundary boundary;
+  CROWDER_ASSIGN_OR_RETURN(boundary.hits, DecomposeBuckets(buckets, cluster_size));
+  const uint64_t k = cluster_size;
+  boundary.hits_per_range = static_cast<size_t>(
+      std::max<uint64_t>(1, partition_capacity / std::max<uint64_t>(1, k * (k - 1) / 2)));
+  WallTimer index_timer;
+  CROWDER_ASSIGN_OR_RETURN(boundary.range_pairs,
+                           BuildRangeStore(buckets, boundary.hits, boundary.hits_per_range,
+                                           num_records, memory_budget_bytes));
+  boundary.index_wall_ms = index_timer.ElapsedMillis();
+  boundary.spilled_bytes = buckets.spilled_bytes() + boundary.range_pairs->spilled_bytes();
   return boundary;
 }
 
@@ -205,28 +236,33 @@ Status RunMachinePass(WorkflowState* state) {
 
 Status GenerateHits(WorkflowState* state) {
   const WorkflowConfig& config = *state->config;
-  if (state->result.num_candidate_pairs == 0) {
+  const uint64_t total = state->result.num_candidate_pairs;
+  if (total == 0) {
     CROWDER_LOG(Warning) << "machine pass pruned every pair; crowd is idle";
     return Status::OK();
   }
 
-  state->partition_capacity =
+  uint64_t capacity =
       ResolvePartitionCapacity(config.crowd_partition_pairs, config.memory_budget_bytes);
   if (config.hit_type == HitType::kPairBased) {
     // Pair-based HITs close every pairs_per_hit pairs of the sorted
-    // sequence, so the driver packs them partition-by-partition in the
-    // same walk that posts them to the crowd — nothing to precompute.
-    return Status::OK();
+    // sequence, so a partition boundary on a HIT boundary is invisible: the
+    // driver packs each partition in the same walk that posts it to the
+    // crowd — nothing to precompute.
+    capacity = AlignedPartitionCapacity(capacity, config.pairs_per_hit);
+  } else {
+    CROWDER_ASSIGN_OR_RETURN(
+        state->cluster,
+        internal::BuildClusterBoundary(
+            state->stream, static_cast<uint32_t>(state->dataset->table.num_records()), capacity,
+            config.cluster_size, config.memory_budget_bytes));
+    PipelineStats& stats = state->result.pipeline_stats;
+    stats.boundary_spilled_bytes = state->cluster.spilled_bytes;
+    stats.cluster_index_wall_ms = state->cluster.index_wall_ms;
   }
-  CROWDER_ASSIGN_OR_RETURN(
-      internal::ClusterBoundary boundary,
-      internal::BuildClusterBoundary(
-          state->stream, static_cast<uint32_t>(state->dataset->table.num_records()),
-          state->partition_capacity, config.cluster_size, config.memory_budget_bytes));
-  state->cluster_hits = std::move(boundary.hits);
-  state->result.pipeline_stats.boundary_spilled_bytes = boundary.spilled_bytes;
-  state->buckets = std::make_unique<ComponentBucketPlan>(std::move(boundary.plan));
-  state->bucket_pairs = std::move(boundary.bucket_pairs);
+  state->partition_capacity = capacity;
+  state->votes = std::make_unique<VoteShardStore>(config.memory_budget_bytes,
+                                                  TileShardCounts(total, capacity));
   return Status::OK();
 }
 

@@ -3,21 +3,22 @@
 //
 //   RunMachinePass  records → candidate pairs, in bounded blocks through
 //                   WorkflowState::stream (spilling past the budget)
-//   GenerateHits    candidate pairs → HITs: pair-based HITs are packed
-//                   partition by partition by the driver's rounds;
-//                   cluster-based HITs come from component buckets +
-//                   per-bucket two-tiered decomposition over local-id
-//                   subgraphs + one global pack (internal::
-//                   BuildClusterBoundary)
+//   GenerateHits    candidate pairs → HITs, and the layout of the crowd
+//                   rounds: the partition capacity, the vote-table tiles,
+//                   and for cluster-based HITs the HIT list, its ranges and
+//                   each range's pairs (internal::BuildClusterBoundary:
+//                   component buckets + per-bucket top tier over local-id
+//                   subgraphs + one global pack). Pair-based HITs are
+//                   packed partition by partition by the driver's rounds.
 //   Aggregate       votes → ranked matches + PR curve, shard by shard
 //
 // core::WorkflowDriver (driver.h) runs the first two in Start and Aggregate
 // after the last crowd round, timing each into PipelineStats under the
 // stage names "machine-pass", "hit-gen" and "aggregate". The crowd phase
-// between them is a sequence of *rounds*: the driver prepares one HIT batch
-// at a time, any crowd::CrowdBackend answers it, and the driver files the
-// votes into the spill-backed VoteShardStore; its wall time is reported as
-// the "crowd" stage.
+// between them is a sequence of *rounds*: the driver serves the contexts
+// GenerateHits laid out one HIT batch at a time, any crowd::CrowdBackend
+// answers it, and the driver files the votes into the spill-backed
+// VoteShardStore; its wall time is reported as the "crowd" stage.
 //
 // The phases communicate through WorkflowState, never through globals.
 // Every run takes this one path; the memory budget and partition capacity
@@ -41,6 +42,26 @@
 namespace crowder {
 namespace core {
 
+/// \brief The crowd-round layout of cluster-based HITs, built by
+/// internal::BuildClusterBoundary.
+struct ClusterBoundary {
+  /// The full cluster-HIT list — identical to hitgen::TwoTieredGenerator's
+  /// output over the whole pair graph. Bounded by the two-tiered
+  /// decomposition, not by |P|, so it is kept whole.
+  std::vector<hitgen::ClusterBasedHit> hits;
+  /// HITs per crowd range: max(1, capacity / (k(k-1)/2)). A HIT of k
+  /// records asks at most k(k-1)/2 pairs, so one range's pair context stays
+  /// within the partition capacity.
+  size_t hits_per_range = 1;
+  /// The pair→HIT-range store: shard r holds every candidate pair some HIT
+  /// of range r asks, once, in (bucket, global index) order.
+  std::unique_ptr<ShardedSpillStore<IndexedPair>> range_pairs;
+  /// Bytes the component-bucket and range stores spilled.
+  uint64_t spilled_bytes = 0;
+  /// Wall time of the range-store build.
+  double index_wall_ms = 0.0;
+};
+
 /// \brief Everything the phases (and the driver's crowd rounds) share.
 /// Owned by WorkflowDriver for the duration of one workflow execution.
 struct WorkflowState {
@@ -55,22 +76,15 @@ struct WorkflowState {
   /// pair list.
   PairStream stream;
 
-  /// Cluster-based HITs, handed from GenerateHits to the crowd rounds; they
-  /// are bounded by the two-tiered decomposition, not by |P|, and are kept
-  /// whole. Pair-based HITs are packed partition by partition by the
-  /// driver's rounds instead.
-  std::vector<hitgen::ClusterBasedHit> cluster_hits;
+  // ---- The crowd-round layout, set by GenerateHits (core/partition.h). ----
 
-  // ---- Partitioned crowd boundary (core/partition.h). ----
-
-  /// Pairs per crowd partition, resolved from the config by GenerateHits.
+  /// Pairs per crowd partition. For pair-based HITs it is a multiple of
+  /// pairs_per_hit, and each partition of the sorted stream is one context.
   uint64_t partition_capacity = 0;
-  /// Component-aligned buckets (cluster-based HITs only).
-  std::unique_ptr<ComponentBucketPlan> buckets;
-  /// Per-bucket pair storage, global-index tagged (cluster-based only).
-  std::unique_ptr<ShardedSpillStore<IndexedPair>> bucket_pairs;
-  /// The disk-backed vote table, filled by the driver's crowd rounds,
-  /// drained by Aggregate.
+  /// Cluster-based only: the HITs and their ranges, one context per range.
+  ClusterBoundary cluster;
+  /// The disk-backed vote table, tiled by partition_capacity; filled by the
+  /// driver's crowd rounds, drained by Aggregate.
   std::unique_ptr<VoteShardStore> votes;
 
   /// Workers banned by the driver's admission filter (crowd/worker_filter.h),
@@ -99,11 +113,12 @@ struct WorkflowState {
 /// spilled) stream in sorted order. Also computes machine recall.
 Status RunMachinePass(WorkflowState* state);
 
-/// \brief HIT generation. Resolves the crowd partition capacity. Pair-based
-/// HITs are left to the driver's rounds (packed per partition as the
-/// partitions are drawn from the stream); cluster-based HITs run
-/// internal::BuildClusterBoundary — the two-tiered generator's HIT list,
-/// without ever holding the whole pair graph.
+/// \brief HIT generation, which lays out the crowd rounds: resolves the
+/// partition capacity and tiles the vote table by it. Pair-based HITs are
+/// left to the driver's rounds (packed per partition as the partitions are
+/// drawn from the stream); cluster-based HITs run
+/// internal::BuildClusterBoundary — the two-tiered generator's HIT list and
+/// its ranges, without ever holding the whole pair graph.
 Status GenerateHits(WorkflowState* state);
 
 /// \brief Vote aggregation into the ranked match list and PR curve: the
@@ -128,22 +143,10 @@ similarity::JoinInput BuildJoinInput(const data::Dataset& dataset, CandidateStra
 uint64_t CountCandidateMatches(const data::Dataset& dataset,
                                const std::vector<similarity::ScoredPair>& pairs);
 
-/// \brief What the cluster-based crowd boundary precomputes.
-struct ClusterBoundary {
-  /// Component-aligned bucket plan (which bucket holds each record).
-  ComponentBucketPlan plan;
-  /// Per-bucket pairs, tagged with their global sorted index.
-  std::unique_ptr<ShardedSpillStore<IndexedPair>> bucket_pairs;
-  /// The full cluster-HIT list — identical to hitgen::TwoTieredGenerator's
-  /// output over the whole pair graph.
-  std::vector<hitgen::ClusterBasedHit> hits;
-  /// Bytes the bucket store spilled while routing pairs.
-  uint64_t spilled_bytes = 0;
-};
-
-/// \brief Cluster-based boundary: component buckets, per-bucket two-tiered
-/// decomposition, one global pack. Produces the HIT list TwoTieredGenerator
-/// produces over the whole pair graph — same HITs, same order — because
+/// \brief Cluster-based boundary: component buckets, the per-bucket top
+/// tier, one global pack, then the pair→HIT-range store. Produces the HIT
+/// list TwoTieredGenerator produces over the whole pair graph — same HITs,
+/// same order — because
 ///  (1) buckets hold whole components, in the ConnectedComponents order
 ///      (ascending smallest member), so concatenating the per-bucket
 ///      decompositions reproduces the global component order;
@@ -155,7 +158,10 @@ struct ClusterBoundary {
 ///  (3) the bottom-tier pack runs once, globally, over the identical scc
 ///      sequence (all small components in component order, then all LCC
 ///      parts in LCC order — exactly TwoTieredGenerator::Generate's order).
-/// Exposed for partition_test, which asserts the identity directly.
+/// The bucket plan and store are locals: one sorted pass over the buckets
+/// joins each pair against the HITs that ask it, so the range store
+/// replays in (bucket, global index) order. Exposed for partition_test,
+/// which asserts the identity and the range store directly.
 Result<ClusterBoundary> BuildClusterBoundary(const PairStream& stream, uint32_t num_records,
                                              uint64_t partition_capacity,
                                              uint32_t cluster_size,

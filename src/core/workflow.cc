@@ -174,9 +174,6 @@ Status ValidateWorkflowConfig(const WorkflowConfig& config) {
   if (crowd.payment_per_assignment < 0.0 || crowd.fee_per_assignment < 0.0) {
     return Status::InvalidArgument("payments must be non-negative");
   }
-  if (config.filter_workers && config.filter.min_approval_rate < 0.0) {
-    return Status::InvalidArgument("filter.min_approval_rate must be non-negative");
-  }
   return Status::OK();
 }
 

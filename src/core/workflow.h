@@ -25,7 +25,6 @@
 #include "common/result.h"
 #include "core/pipeline.h"
 #include "crowd/platform.h"
-#include "crowd/worker_filter.h"
 #include "data/dataset.h"
 #include "eval/metrics.h"
 #include "shard/coordinator.h"
@@ -164,22 +163,14 @@ struct WorkflowConfig {
   AggregationMethod aggregation = AggregationMethod::kDawidSkene;
 
   // ---- Crowd defenses (crowd/worker_filter.h; docs/ARCHITECTURE.md). ----
-  /// Installs the built-in approval-rate admission filter: the driver
+  /// Installs the built-in crowd::ApprovalRateWorkerFilter: the driver
   /// reviews worker statistics between rounds and bans offenders, whose
   /// votes are excluded when decisions are derived at aggregation
-  /// (retroactively — the revision path). Off by default; a custom filter
-  /// can be installed via WorkflowDriver::SetWorkerFilter instead.
+  /// (retroactively — the revision path), and re-posts pairs the bans leave
+  /// under-replicated in up to two repair rounds per round. Off by default;
+  /// a filter with other thresholds can be installed via
+  /// WorkflowDriver::SetWorkerFilter instead.
   bool filter_workers = false;
-  /// Thresholds for the built-in filter.
-  crowd::ApprovalRateFilterOptions filter;
-  /// Fault tolerance for banned work: after a round whose bans (cumulative)
-  /// leave pairs with fewer surviving votes than `crowd.assignments_per_hit`,
-  /// the driver re-posts those pairs as fresh pair-based HITs — at most this
-  /// many repair rounds per original round — so revision does not starve
-  /// pairs of evidence. Replacement votes come from freshly drawn workers
-  /// (who are themselves reviewed, and banned, like any others). Only active
-  /// once a filter has banned someone, so default runs are untouched.
-  uint32_t repair_rounds = 2;
 
   /// Wraps the simulated crowd in an AsyncCrowdBackend
   /// (crowd/async_backend.h): votes arrive out of order, in partial

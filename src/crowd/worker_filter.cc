@@ -6,11 +6,9 @@ namespace crowd {
 std::vector<uint32_t> ApprovalRateWorkerFilter::Review(const std::vector<WorkerStats>& stats) {
   std::vector<uint32_t> banned;
   for (const WorkerStats& w : stats) {
-    const bool disapproved =
-        w.num_votes >= options_.min_votes && w.ApprovalRate() < options_.min_approval_rate;
-    const bool too_fast = options_.min_assignment_seconds > 0.0 && w.num_assignments > 0 &&
-                          w.MeanAssignmentSeconds() < options_.min_assignment_seconds;
-    if (disapproved || too_fast) banned.push_back(w.worker);
+    if (w.num_votes >= kMinVotes && w.ApprovalRate() < kMinApprovalRate) {
+      banned.push_back(w.worker);
+    }
   }
   return banned;
 }

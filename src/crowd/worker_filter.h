@@ -2,7 +2,8 @@
 // the behavioural statistics a platform actually has — approval rate
 // against the crowd's own majority and time spent working — in the shape of
 // real AMT requester scripts (reject workers whose lifetime approval rate
-// or work time falls below a floor).
+// falls below a floor). The built-in filter judges approval rate; custom
+// filters see the work time too.
 //
 // The filter is consulted by core::WorkflowDriver between rounds; a ban is
 // cumulative and retroactive: every vote the banned worker ever cast is
@@ -58,40 +59,25 @@ class WorkerFilter {
   virtual std::vector<uint32_t> Review(const std::vector<WorkerStats>& stats) = 0;
 };
 
-/// \brief Thresholds for ApprovalRateWorkerFilter. Defaults mirror the
-/// requester-script convention (AMT requesters routinely demand >= 95%
-/// platform approval): ban well below honest-worker agreement, never judge
-/// a worker before a minimum body of evidence. Honest workers agree with
-/// the majority ~90%+ of the time even in a heavily adversarial pool (the
-/// majority is mostly honest and the pairs are mostly easy); answer-blind
-/// archetypes land in the 0.4-0.8 band, so 0.8 separates them.
-struct ApprovalRateFilterOptions {
-  /// Ban when ApprovalRate() falls below this.
-  double min_approval_rate = 0.8;
-  /// Votes required before the approval criterion applies (too few votes
-  /// and an honest worker unlucky on hard pairs gets banned).
-  uint32_t min_votes = 6;
-  /// Ban when MeanAssignmentSeconds() falls below this (0 disables — the
-  /// simulator's time model gives adversaries honest durations, but a real
-  /// platform's click-through spammers are caught by exactly this floor).
-  double min_assignment_seconds = 0.0;
-};
-
-/// \brief The built-in filter: bans workers whose lifetime approval rate or
-/// mean work time falls below the configured floors.
+/// \brief The built-in filter: bans workers whose lifetime approval rate
+/// falls below kMinApprovalRate once they have cast kMinVotes votes. The
+/// thresholds follow the requester-script convention (AMT requesters
+/// routinely demand >= 95% platform approval): ban well below honest-worker
+/// agreement, never judge a worker before a minimum body of evidence.
+/// Honest workers agree with the majority ~90%+ of the time even in a
+/// heavily adversarial pool (the majority is mostly honest and the pairs
+/// are mostly easy); answer-blind archetypes land in the 0.4-0.8 band, so
+/// 0.8 separates them. Other thresholds are another WorkerFilter, installed
+/// through core::WorkflowDriver::SetWorkerFilter.
 class ApprovalRateWorkerFilter : public WorkerFilter {
  public:
-  /// \brief Uses `options` as the ban thresholds.
-  explicit ApprovalRateWorkerFilter(ApprovalRateFilterOptions options = {})
-      : options_(options) {}
+  /// Ban when ApprovalRate() falls below this.
+  static constexpr double kMinApprovalRate = 0.8;
+  /// Votes required before the approval criterion applies (too few votes
+  /// and an honest worker unlucky on hard pairs gets banned).
+  static constexpr uint32_t kMinVotes = 6;
 
   std::vector<uint32_t> Review(const std::vector<WorkerStats>& stats) override;
-
-  /// \brief The thresholds in force.
-  const ApprovalRateFilterOptions& options() const { return options_; }
-
- private:
-  ApprovalRateFilterOptions options_;
 };
 
 }  // namespace crowd

@@ -12,7 +12,7 @@
 namespace crowder {
 namespace graph {
 
-/// \brief Classic disjoint-set forest over dense ids [0, n).
+/// \brief Classic disjoint-set forest over dense ids [0, n); n can grow.
 class UnionFind {
  public:
   explicit UnionFind(uint32_t n) : parent_(n), size_(n, 1) {
@@ -30,6 +30,14 @@ class UnionFind {
       x = next;
     }
     return root;
+  }
+
+  /// Adds the element num_elements() as its own singleton set; returns it.
+  uint32_t Add() {
+    const auto id = static_cast<uint32_t>(parent_.size());
+    parent_.push_back(id);
+    size_.push_back(1);
+    return id;
   }
 
   /// Merges the sets of a and b; returns false if already together.

@@ -159,31 +159,30 @@ std::vector<std::vector<uint32_t>> PartitionLcc(graph::PairGraph* graph,
   return parts;
 }
 
+TopTier DecomposeTopTier(graph::PairGraph* graph, uint32_t k, const PartitionOptions& options) {
+  // Initial step (Algorithm 1 lines 2-4): split components by size.
+  graph::SplitComponents split = graph::SplitBySize(graph::ConnectedComponents(*graph), k);
+  TopTier tier;
+  tier.small = std::move(split.small);
+  // Line 5: partition every LCC into small components, consuming its edges.
+  for (const auto& lcc : split.large) {
+    for (auto& part : PartitionLcc(graph, lcc, k, options)) tier.parts.push_back(std::move(part));
+  }
+  // Small components are packed whole, so their edges are covered too.
+  for (const auto& comp : tier.small) graph->RemoveEdgesCoveredBy(comp);
+  CROWDER_DCHECK(!graph->HasAliveEdges());
+  return tier;
+}
+
 Result<std::vector<ClusterBasedHit>> TwoTieredGenerator::Generate(graph::PairGraph* graph,
                                                                   uint32_t k) {
   CROWDER_RETURN_NOT_OK(ValidateGenerateArgs(graph, k));
-
-  // Initial step (Algorithm 1 lines 2-4): split components by size.
-  std::vector<graph::Component> components = graph::ConnectedComponents(*graph);
-  graph::SplitComponents split = graph::SplitBySize(std::move(components), k);
-
-  // Top tier (line 5): partition every LCC into small components.
-  std::vector<std::vector<uint32_t>> sccs = std::move(split.small);
-  for (const auto& lcc : split.large) {
-    auto parts = PartitionLcc(graph, lcc, k, options_.partition);
-    for (auto& part : parts) sccs.push_back(std::move(part));
-  }
+  TopTier tier = DecomposeTopTier(graph, k, options_.partition);
 
   // Bottom tier (line 6): pack all small components into HITs.
-  CROWDER_ASSIGN_OR_RETURN(auto hits, PackSccs(sccs, k, options_.packing));
-
-  // Natural small components were packed whole; mark their edges consumed so
-  // the post-condition (no alive edges) matches the other generators.
-  for (const auto& hit : hits) {
-    graph->RemoveEdgesCoveredBy(hit.records);
-  }
-  CROWDER_DCHECK(!graph->HasAliveEdges());
-  return hits;
+  std::vector<std::vector<uint32_t>> sccs = std::move(tier.small);
+  for (auto& part : tier.parts) sccs.push_back(std::move(part));
+  return PackSccs(sccs, k, options_.packing);
 }
 
 }  // namespace hitgen

@@ -1,8 +1,11 @@
 // CrowdER's main algorithmic contribution (§5): the two-tiered cluster-HIT
 // generator.
 //
-// Top tier (Algorithm 2): each large connected component (more than k
-// vertices) is greedily partitioned into highly-connected small components —
+// Top tier (Algorithm 1 lines 2-5, DecomposeTopTier — the one copy, which
+// TwoTieredGenerator, core's per-bucket boundary and the benches call):
+// components of at most k vertices stay whole, and each large connected
+// component (more than k vertices) is greedily partitioned by PartitionLcc
+// (Algorithm 2) into highly-connected small components —
 // seed with the maximum-degree vertex, then repeatedly absorb the candidate
 // with maximum indegree (edges into the part), breaking ties by minimum
 // outdegree (edges to the outside), until the part reaches k vertices or no
@@ -55,6 +58,21 @@ struct PartitionOptions {
 std::vector<std::vector<uint32_t>> PartitionLcc(graph::PairGraph* graph,
                                                 const std::vector<uint32_t>& lcc, uint32_t k,
                                                 const PartitionOptions& options = {});
+
+/// \brief The top tier's output: the small components of the pair graph
+/// (ascending members, in component order) and the parts PartitionLcc cut
+/// the large ones into (in component order, then part order). Packed in
+/// that order, small components first, they are Algorithm 1's scc list.
+struct TopTier {
+  std::vector<std::vector<uint32_t>> small;
+  std::vector<std::vector<uint32_t>> parts;
+};
+
+/// \brief The top tier (Algorithm 1 lines 2-5): splits the components of
+/// `*graph` at k, partitions each larger one with PartitionLcc, and removes
+/// the small components' edges, so no alive edge is left.
+TopTier DecomposeTopTier(graph::PairGraph* graph, uint32_t k,
+                         const PartitionOptions& options = {});
 
 struct TwoTieredOptions {
   PartitionOptions partition;

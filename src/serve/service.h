@@ -8,7 +8,7 @@
 //   Insert ──► tokenize ──► IncrementalIndex ──► auto-match │ crowd queue
 //                                                     │           │ flush
 //                                                     ▼           ▼
-//                                          OnlineResolver ◄── crowd rounds
+//                                 core::StreamingResolver ◄── crowd rounds
 //                                                     │        (exec pool,
 //                                                     ▼    AsyncCrowdBackend
 //                                          SnapshotStore ──► Query  over
@@ -23,7 +23,7 @@
 // set (incremental_index.h), per-pair verdict seeding makes HIT packing and
 // delivery order invisible (pair_crowd.h), and transitive closure with the
 // shared canonicalization is insensitive to the order matches are applied
-// (online_resolver.h). Mid-run snapshots are NOT deterministic across runs
+// (core::StreamingResolver, core/resolution.h). Mid-run snapshots are NOT deterministic across runs
 // (they depend on thread interleaving) — but each one is internally
 // consistent: its clusters equal the closure over exactly the first
 // `applied_matches` entries of the append-only match log.
@@ -39,11 +39,11 @@
 #include <vector>
 
 #include "common/result.h"
+#include "core/resolution.h"
 #include "crowd/crowd_model.h"
 #include "data/dataset.h"
 #include "exec/thread_pool.h"
 #include "serve/incremental_index.h"
-#include "serve/online_resolver.h"
 #include "serve/pair_crowd.h"
 #include "serve/snapshot.h"
 #include "text/vocabulary.h"
@@ -226,7 +226,7 @@ class EntityResolutionService {
 
   // ---- Shared state, guarded by mu_. ----
   mutable std::mutex mu_;
-  OnlineResolver resolver_;
+  core::StreamingResolver resolver_;
   /// Append-only log of applied matches, in application order.
   std::vector<std::pair<uint32_t, uint32_t>> applied_;
   /// Crowd-bound pairs not yet decided, by PairKey.

@@ -53,14 +53,27 @@ Status ShipSpec(const similarity::JoinInput& input, const similarity::JoinOption
 }
 
 /// Drains shard `s`'s result stream into the sink; fills `*worker_stats`.
-Status GatherShard(FrameTransport* transport, const ShardPairSink& sink,
+/// Every pair must name records of the input (`num_records` of them), with
+/// a < b, strictly ascending across the whole stream: the sink indexes
+/// per-record data with the ids, and the merge relies on the order.
+Status GatherShard(FrameTransport* transport, uint32_t num_records, const ShardPairSink& sink,
                    WorkerStats* worker_stats, uint64_t* total_pairs) {
+  uint64_t last_key = 0;  // (a << 32 | b) of the previous pair; any pair's exceeds 0
   while (true) {
     Frame frame;
     CROWDER_ASSIGN_OR_RETURN(frame, transport->Recv());
     switch (frame.type) {
       case FrameType::kPairBatch: {
         CROWDER_ASSIGN_OR_RETURN(auto pairs, DecodePairBatch(frame));
+        for (const similarity::ScoredPair& p : pairs) {
+          const uint64_t key = (uint64_t{p.a} << 32) | p.b;
+          if (p.b >= num_records || p.a >= p.b || key <= last_key) {
+            return Status::IOError("worker sent pair (" + std::to_string(p.a) + "," +
+                                   std::to_string(p.b) + "): not an ascending pair of the " +
+                                   std::to_string(num_records) + " records");
+          }
+          last_key = key;
+        }
         *total_pairs += pairs.size();
         if (!pairs.empty()) CROWDER_RETURN_NOT_OK(sink(std::move(pairs)));
         break;
@@ -155,7 +168,9 @@ Status RunShardedJoin(const similarity::JoinInput& input,
   const auto gather_begin = Clock::now();
   for (uint32_t s = 0; s < exec.num_shards; ++s) {
     CROWDER_RETURN_NOT_OK(AnnotateShard(
-        GatherShard(transports[s], sink, &out->shards[s], &out->total_pairs), s));
+        GatherShard(transports[s], static_cast<uint32_t>(input.sets.size()), sink,
+                    &out->shards[s], &out->total_pairs),
+        s));
   }
   for (uint32_t s = 0; s < processes.size(); ++s) {
     CROWDER_RETURN_NOT_OK(AnnotateShard(processes[s].Wait(), s));

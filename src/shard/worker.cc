@@ -87,6 +87,21 @@ Result<std::vector<Frame>> ShardWorkerJob::ExecuteOrError(size_t pairs_per_frame
       return Status::IOError("shard spec records not in size order");
     }
   }
+  // BuildJoinPlan sizes its rank tables by the largest token id, which the
+  // wire leaves unbounded (a token id near 2^32 would ask for 48 GiB).
+  // Renaming the ids densely, in ascending order, bounds them by the tokens
+  // received; the renaming is monotone, so sets stay sorted and every
+  // rank order, pair, score and counter is unchanged.
+  std::vector<text::TokenId> ids;
+  for (const similarity::TokenSet& set : input_.sets) ids.insert(ids.end(), set.begin(), set.end());
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  for (similarity::TokenSet& set : input_.sets) {
+    for (text::TokenId& token : set) {
+      token = static_cast<text::TokenId>(std::lower_bound(ids.begin(), ids.end(), token) -
+                                         ids.begin());
+    }
+  }
 
   const auto wall_begin = std::chrono::steady_clock::now();
   rusage ru_begin{};

@@ -1,5 +1,6 @@
 // Tests for the crowd platform simulator: worker error model, qualification
-// test, vote alignment, determinism, latency model, failure injection.
+// test, vote alignment, determinism, latency model, failure injection; and
+// the built-in admission filter's thresholds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include "crowd/crowd_model.h"
 #include "crowd/platform.h"
 #include "crowd/worker.h"
+#include "crowd/worker_filter.h"
 #include "hitgen/pair_hit_generator.h"
 
 namespace crowder {
@@ -688,6 +690,30 @@ TEST(CrowdModelValidationTest, BackendCreationRejectsMalformedModel) {
   ASSERT_FALSE(backend.ok());
   EXPECT_TRUE(backend.status().IsInvalidArgument());
   EXPECT_NE(backend.status().message().find("noisy_fraction"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// The built-in admission filter.
+// ---------------------------------------------------------------------------
+
+WorkerStats StatsOf(uint32_t worker, uint32_t votes, uint32_t agreements) {
+  WorkerStats w;
+  w.worker = worker;
+  w.num_votes = votes;
+  w.num_agreements = agreements;
+  return w;
+}
+
+TEST(ApprovalRateWorkerFilterTest, BansBelowTheRateOnlyWithEnoughVotes) {
+  ApprovalRateWorkerFilter filter;
+  const std::vector<uint32_t> banned = filter.Review({
+      StatsOf(1, 6, 4),    // 0.67 over 6 votes: banned
+      StatsOf(2, 5, 0),    // 0.00 over 5 votes: too little evidence yet
+      StatsOf(3, 10, 8),   // exactly 0.8: kept
+      StatsOf(4, 10, 7),   // 0.7 over 10 votes: banned
+      StatsOf(5, 0, 0),    // no votes
+  });
+  EXPECT_EQ(banned, (std::vector<uint32_t>{1, 4}));
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Tests for the partitioned crowd boundary's building blocks
 // (core/partition.h): the sharded spill store, the disk-backed vote table,
 // the partition plans, the streaming cluster boundary (local-id-remapped
-// per-bucket decomposition), and the streaming union-find resolver
-// (core/resolution.h).
+// per-bucket decomposition and the pair→HIT-range store), and the
+// streaming union-find resolver (core/resolution.h).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -409,35 +409,118 @@ TEST(ClusterBoundaryTest, SparseHighIdsDecomposeIdentically) {
   ExpectStreamingClusterHitsMatchMaterialized(pairs, 50000, /*k=*/4, /*capacity_pairs=*/6);
 }
 
+// Random pairs over sparse, clustered record ids (so components form and
+// ids leave gaps), plus `long_pairs` pairs between any two records (so a
+// component can span another's ids), sorted and deduplicated as the
+// workflow's stream is.
+std::vector<similarity::ScoredPair> RandomSparsePairs(Rng* rng, uint32_t num_records,
+                                                      uint32_t long_pairs = 0) {
+  std::vector<similarity::ScoredPair> pairs;
+  const uint64_t num_pairs = 20 + rng->Uniform(120);
+  for (uint64_t i = 0; i < num_pairs; ++i) {
+    const uint32_t base = static_cast<uint32_t>(rng->Uniform(num_records / 20)) * 20;
+    const uint32_t a = base + static_cast<uint32_t>(rng->Uniform(10));
+    const uint32_t b = base + static_cast<uint32_t>(rng->Uniform(10));
+    if (a == b || std::max(a, b) >= num_records) continue;
+    pairs.push_back({std::min(a, b), std::max(a, b), rng->UniformDouble()});
+  }
+  for (uint32_t i = 0; i < long_pairs; ++i) {
+    const uint32_t a = static_cast<uint32_t>(rng->Uniform(num_records));
+    const uint32_t b = static_cast<uint32_t>(rng->Uniform(num_records));
+    if (a != b) pairs.push_back({std::min(a, b), std::max(a, b), rng->UniformDouble()});
+  }
+  std::sort(pairs.begin(), pairs.end(), [](const auto& x, const auto& y) {
+    return x.a != y.a ? x.a < y.a : x.b < y.b;
+  });
+  pairs.erase(std::unique(pairs.begin(), pairs.end(),
+                          [](const auto& x, const auto& y) { return x.a == y.a && x.b == y.b; }),
+              pairs.end());
+  return pairs;
+}
+
 TEST(ClusterBoundaryTest, RandomGraphsDecomposeIdenticallyAtEveryCapacity) {
   Rng rng(20260731);
   for (int trial = 0; trial < 12; ++trial) {
     const uint32_t num_records = 200 + static_cast<uint32_t>(rng.Uniform(1800));
-    std::vector<similarity::ScoredPair> pairs;
-    const uint64_t num_pairs = 20 + rng.Uniform(120);
-    for (uint64_t i = 0; i < num_pairs; ++i) {
-      // Cluster the ids so components form; leave gaps so ids are sparse.
-      const uint32_t base = static_cast<uint32_t>(rng.Uniform(num_records / 20)) * 20;
-      const uint32_t a = base + static_cast<uint32_t>(rng.Uniform(10));
-      const uint32_t b = base + static_cast<uint32_t>(rng.Uniform(10));
-      if (a == b || std::max(a, b) >= num_records) continue;
-      pairs.push_back({std::min(a, b), std::max(a, b), rng.UniformDouble()});
-    }
-    // Dedup (PairGraph::Create dedups silently; the stream must not carry
-    // duplicates, its pairs are unique by construction in the workflow).
-    std::sort(pairs.begin(), pairs.end(), [](const auto& x, const auto& y) {
-      return x.a != y.a ? x.a < y.a : x.b < y.b;
-    });
-    pairs.erase(std::unique(pairs.begin(), pairs.end(),
-                            [](const auto& x, const auto& y) {
-                              return x.a == y.a && x.b == y.b;
-                            }),
-                pairs.end());
+    const std::vector<similarity::ScoredPair> pairs = RandomSparsePairs(&rng, num_records);
     if (pairs.empty()) continue;
     for (const uint64_t capacity : {uint64_t{3}, uint64_t{16}, uint64_t{1} << 30}) {
       ExpectStreamingClusterHitsMatchMaterialized(pairs, num_records, /*k=*/5, capacity);
     }
   }
+}
+
+// The range store against a brute-force reading of its contract: range r's
+// shard holds exactly the pairs some HIT of range r asks (both records in
+// one HIT), once each, ordered by (component bucket, global index), and
+// ranges are max(1, capacity / (k(k-1)/2)) HITs long. A small budget makes
+// the stores spill on some trials.
+TEST(ClusterBoundaryTest, RangeStoreHoldsExactlyTheRangesPairsInBucketOrder) {
+  Rng rng(20261018);
+  size_t bucket_ordered_ranges = 0;  // ranges whose order is not global order
+  for (int trial = 0; trial < 10; ++trial) {
+    const uint32_t num_records = 200 + static_cast<uint32_t>(rng.Uniform(1800));
+    const std::vector<similarity::ScoredPair> pairs =
+        RandomSparsePairs(&rng, num_records, /*long_pairs=*/8);
+    if (pairs.empty()) continue;
+    const PairStream stream = StreamOf(pairs);
+    const uint64_t budget = trial % 2 == 0 ? 0 : 512;
+    for (const uint64_t capacity : {uint64_t{3}, uint64_t{16}, uint64_t{1} << 30}) {
+      const auto plan = PlanComponentBuckets(stream, num_records, capacity).ValueOrDie();
+      for (const uint32_t k : {2u, 5u, 10u}) {
+        SCOPED_TRACE("trial " + std::to_string(trial) + " capacity " +
+                     std::to_string(capacity) + " k " + std::to_string(k));
+        auto boundary =
+            core::internal::BuildClusterBoundary(stream, num_records, capacity, k, budget);
+        ASSERT_TRUE(boundary.ok()) << boundary.status().ToString();
+        const uint64_t per_hit = uint64_t{k} * (k - 1) / 2;
+        EXPECT_EQ(boundary->hits_per_range,
+                  static_cast<size_t>(std::max<uint64_t>(1, capacity / per_hit)));
+        const size_t per_range = boundary->hits_per_range;
+        const auto& hits = boundary->hits;
+        const size_t num_ranges = (hits.size() + per_range - 1) / per_range;
+        ASSERT_EQ(boundary->range_pairs->num_shards(), num_ranges);
+
+        for (size_t r = 0; r < num_ranges; ++r) {
+          const size_t end = std::min(hits.size(), (r + 1) * per_range);
+          std::vector<IndexedPair> expected;
+          for (size_t i = 0; i < pairs.size(); ++i) {
+            for (size_t h = r * per_range; h < end; ++h) {
+              const auto& records = hits[h].records;
+              if (std::count(records.begin(), records.end(), pairs[i].a) != 0 &&
+                  std::count(records.begin(), records.end(), pairs[i].b) != 0) {
+                expected.push_back({i, pairs[i]});
+                break;
+              }
+            }
+          }
+          std::stable_sort(expected.begin(), expected.end(), [&](const auto& x, const auto& y) {
+            return plan.bucket_of_record[x.pair.a] < plan.bucket_of_record[y.pair.a];
+          });
+          std::vector<IndexedPair> actual;
+          ASSERT_TRUE(boundary->range_pairs
+                          ->Scan(r,
+                                 [&](const std::vector<IndexedPair>& block) {
+                                   actual.insert(actual.end(), block.begin(), block.end());
+                                   return Status::OK();
+                                 })
+                          .ok());
+          ASSERT_EQ(actual.size(), expected.size()) << "range " << r;
+          bucket_ordered_ranges += !std::is_sorted(
+              actual.begin(), actual.end(),
+              [](const auto& x, const auto& y) { return x.index < y.index; });
+          for (size_t i = 0; i < expected.size(); ++i) {
+            EXPECT_EQ(actual[i].index, expected[i].index) << "range " << r << " entry " << i;
+            EXPECT_EQ(actual[i].pair.a, expected[i].pair.a);
+            EXPECT_EQ(actual[i].pair.b, expected[i].pair.b);
+            EXPECT_EQ(actual[i].pair.score, expected[i].pair.score);
+          }
+        }
+      }
+    }
+  }
+  // The order check bites: some ranges interleave components.
+  EXPECT_GT(bucket_ordered_ranges, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -497,6 +580,36 @@ TEST(StreamingResolverTest, RejectsBadInput) {
   EXPECT_TRUE(resolver.AddMatch(0, 0).IsInvalidArgument());
   EXPECT_TRUE(resolver.AddMatch(0, 4).IsOutOfRange());
   EXPECT_TRUE(resolver.AddMatch(0, 1).ok());
+}
+
+// The service's use: records arrive one at a time and the partition is read
+// after every applied match. Each read must equal a terminal Finish over
+// the same records and matches.
+TEST(StreamingResolverTest, GrowsAndReadsLikeAFreshFinish) {
+  Rng rng(20261019);
+  for (int trial = 0; trial < 20; ++trial) {
+    StreamingResolver live;
+    std::vector<std::pair<uint32_t, uint32_t>> matches;
+    for (int step = 0; step < 80; ++step) {
+      if (live.num_records() < 2 || rng.Uniform(3) == 0) {
+        const uint32_t id = live.AddRecord();
+        EXPECT_EQ(id + 1, live.num_records());
+        continue;
+      }
+      const uint32_t a = static_cast<uint32_t>(rng.Uniform(live.num_records()));
+      const uint32_t b = static_cast<uint32_t>(rng.Uniform(live.num_records()));
+      if (a == b) continue;
+      ASSERT_TRUE(live.AddMatch(a, b).ok());
+      matches.emplace_back(a, b);
+      const EntityClusters read = live.CurrentClusters();
+
+      StreamingResolver fresh(live.num_records());
+      for (const auto& [x, y] : matches) ASSERT_TRUE(fresh.AddMatch(x, y).ok());
+      const EntityClusters expected = fresh.Finish().ValueOrDie();
+      ASSERT_EQ(read.cluster_of, expected.cluster_of) << "trial " << trial << " step " << step;
+      ASSERT_EQ(read.clusters, expected.clusters) << "trial " << trial << " step " << step;
+    }
+  }
 }
 
 }  // namespace

@@ -16,7 +16,14 @@
 //     mid-stream, and a subprocess worker that exits without results all
 //     surface as a clean Status naming the shard, with no hang and no
 //     zombie; a frame header declaring a huge payload is not allocated
-//     before its bytes arrive.
+//     before its bytes arrive, nor are tables sized by a huge token id; a
+//     returned pair outside the input or out of order is an error naming
+//     the shard.
+//   * Mutation sweeps — seeded mutants of recorded job and result streams
+//     end, on the worker side, in a terminal frame, and on the coordinator
+//     side in OK or a named error: never a crash, a hang or an unbounded
+//     allocation.
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
@@ -28,6 +35,8 @@
 
 #include "common/rng.h"
 #include "core/pipeline.h"
+#include "core/workflow.h"
+#include "data/dataset.h"
 #include "shard/coordinator.h"
 #include "shard/plan.h"
 #include "shard/proto.h"
@@ -463,27 +472,78 @@ int RecvHugeDeclaredFrameUnderCap() {
   return !frame.ok() && frame.status().IsIOError() ? 0 : 1;
 }
 
-TEST(ShardTransport, HugeDeclaredPayloadFailsWithoutAllocatingIt) {
-  if (kSanitizedBuild) GTEST_SKIP() << "sanitizer shadow memory needs the address space";
-  // The read runs in a forked child, so a transport that sizes its buffer
-  // from the header fails the test (bad_alloc under the cap) instead of
-  // exhausting the machine. The child never returns into the test runner.
+// Runs `fn` in a forked child and returns its exit code: 3 when it threw
+// (an allocation failed under its cap), 128 + the signal when it was
+// killed, -1 when fork failed. The child never returns into the test
+// runner.
+int ExitCodeOfForked(int (*fn)()) {
   const pid_t child = ::fork();
-  ASSERT_GE(child, 0);
+  if (child < 0) return -1;
   if (child == 0) {
     int code = 3;
     try {
-      code = RecvHugeDeclaredFrameUnderCap();
+      code = fn();
     } catch (...) {
     }
     ::_exit(code);
   }
   int status = 0;
-  ASSERT_EQ(::waitpid(child, &status, 0), child);
-  ASSERT_TRUE(WIFEXITED(status)) << "reader killed by signal "
-                                 << (WIFSIGNALED(status) ? WTERMSIG(status) : 0);
-  EXPECT_EQ(WEXITSTATUS(status), 0)
-      << "1: Recv did not fail with IOError; 2: setup failed; 3: Recv threw (allocation)";
+  if (::waitpid(child, &status, 0) != child) return -1;
+  return WIFEXITED(status) ? WEXITSTATUS(status) : 128 + WTERMSIG(status);
+}
+
+TEST(ShardTransport, HugeDeclaredPayloadFailsWithoutAllocatingIt) {
+  if (kSanitizedBuild) GTEST_SKIP() << "sanitizer shadow memory needs the address space";
+  // The read runs in a forked child, so a transport that sizes its buffer
+  // from the header fails the test (bad_alloc under the cap) instead of
+  // exhausting the machine.
+  EXPECT_EQ(ExitCodeOfForked(RecvHugeDeclaredFrameUnderCap), 0)
+      << "1: Recv did not fail with IOError; 2: setup failed; 3: Recv threw (allocation); "
+         "above 128: killed by a signal";
+}
+
+// The job stream of the hostile-token case (135 bytes on the wire): two
+// owned records whose token sets are {1, 2^32 - 1}, at threshold 0.5.
+std::vector<Frame> HugeTokenIdJob() {
+  JobSpec spec;
+  spec.threshold = 0.5;
+  spec.num_records = 2;
+  std::vector<RecordEntry> entries(2);
+  for (uint32_t r = 0; r < 2; ++r) {
+    entries[r].global_id = r;
+    entries[r].position = r;
+    entries[r].owned = true;
+    entries[r].tokens = {1, 0xffffffffu};
+  }
+  return {EncodeJobSpec(spec), EncodeRecordBatch(entries, 0, 2), EncodeJobSealed()};
+}
+
+// The forked worker of the test below: caps its address space at 1 GiB and
+// runs the job. Returns 0 when it emits exactly the pair (0, 1) at score 1.0
+// and then kWorkerDone, 1 on any other outcome, 2 when the cap failed.
+int RunHugeTokenIdJobUnderCap() {
+  rlimit limit{};
+  limit.rlim_cur = limit.rlim_max = rlim_t{1} << 30;
+  if (::setrlimit(RLIMIT_AS, &limit) != 0) return 2;
+  ShardWorkerJob job;
+  for (const Frame& frame : HugeTokenIdJob()) {
+    if (!job.Feed(frame).ok()) return 1;
+  }
+  const std::vector<Frame> frames = job.Execute();
+  if (frames.size() != 2 || frames[1].type != FrameType::kWorkerDone) return 1;
+  const auto pairs = DecodePairBatch(frames[0]);
+  const bool one_pair = pairs.ok() && pairs->size() == 1 && (*pairs)[0].a == 0 &&
+                        (*pairs)[0].b == 1 && (*pairs)[0].score == 1.0;
+  return one_pair ? 0 : 1;
+}
+
+TEST(ShardWorker, HugeTokenIdsAreRenamedNotAllocated) {
+  if (kSanitizedBuild) GTEST_SKIP() << "sanitizer shadow memory needs the address space";
+  // Sized by the largest token id, the join plan's rank tables would take
+  // 48 GiB; the worker renames the ids densely first.
+  EXPECT_EQ(ExitCodeOfForked(RunHugeTokenIdJobUnderCap), 0)
+      << "1: wrong frames; 2: setup failed; 3: the job threw (allocation); "
+         "above 128: killed by a signal";
 }
 
 TEST(ShardWorker, HostileSpecFramesFailCleanly) {
@@ -682,6 +742,307 @@ TEST(ShardCoordinator, MissingWorkerBinaryIsAnError) {
       SmallInput(), options, exec, [](std::vector<ScoredPair>&&) { return Status::OK(); },
       nullptr);
   EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+}
+
+// A 16-record dataset whose eight duplicate pairs (Jaccard 2/3 to 5/6)
+// qualify at threshold 0.5 and fall to both shards of a two-shard run.
+data::Dataset SweepDataset() {
+  data::Dataset dataset;
+  dataset.name = "sweep";
+  dataset.table.attribute_names = {"name"};
+  for (uint32_t e = 0; e < 8; ++e) {
+    std::string name;
+    for (uint32_t t = 0; t < 2 + e % 4; ++t) name += "w" + std::to_string(e) + "x" + std::to_string(t) + " ";
+    dataset.table.records.push_back({name});
+    dataset.table.records.push_back({name + "extra" + std::to_string(e)});
+    dataset.truth.entity_of.push_back(e);
+    dataset.truth.entity_of.push_back(e);
+  }
+  return dataset;
+}
+
+TEST(ShardCoordinator, RejectsWorkerPairsOutsideTheInputNamingTheShard) {
+  // The sink indexes the ground truth with every returned pair, so a pair
+  // naming a record beyond the input used to crash the coordinator; pairs
+  // out of order would break the merge. Each is an IOError naming the shard
+  // and the pair.
+  struct Case {
+    std::vector<ScoredPair> pairs;
+    std::string named;
+  };
+  const std::vector<Case> cases = {
+      {{{5, 4000000000u, 1.0}}, "(5,4000000000)"},       // beyond the records
+      {{{3, 3, 1.0}}, "(3,3)"},                          // a self-pair
+      {{{7, 2, 1.0}}, "(7,2)"},                          // a > b
+      {{{2, 3, 1.0}, {1, 5, 1.0}}, "(1,5)"},             // descending
+      {{{2, 3, 1.0}, {2, 3, 1.0}}, "(2,3)"},             // repeated
+  };
+  const data::Dataset dataset = SweepDataset();
+  for (const Case& c : cases) {
+    ShardExecOptions exec;
+    exec.num_shards = 2;
+    exec.transport_factory = [&](uint32_t shard) -> Result<std::unique_ptr<FrameTransport>> {
+      if (shard == 0) return std::unique_ptr<FrameTransport>(new InProcessTransport("worker"));
+      return std::unique_ptr<FrameTransport>(new ScriptedTransport(
+          {EncodePairBatch(c.pairs, 0, c.pairs.size()), EncodeWorkerDone(WorkerStats{})}));
+    };
+    core::PairStream stream;
+    const auto stats = core::HybridWorkflow::MachinePassSharded(dataset, SetMeasure::kJaccard,
+                                                                0.5, exec, &stream, nullptr);
+    ASSERT_FALSE(stats.ok()) << c.named;
+    EXPECT_TRUE(stats.status().IsIOError()) << stats.status().ToString();
+    EXPECT_NE(stats.status().message().find("shard 1"), std::string::npos)
+        << stats.status().ToString();
+    EXPECT_NE(stats.status().message().find(c.named), std::string::npos)
+        << stats.status().ToString();
+  }
+}
+
+// ---- Seeded mutation sweeps over recorded frame streams --------------------
+
+/// A frame stream as PipeTransport puts it on the wire, with the offsets
+/// and widths of its length, count and id fields — where the sweeps'
+/// inflations land.
+struct RecordedStream {
+  std::vector<uint8_t> bytes;
+  std::vector<std::pair<size_t, int>> fields;
+};
+
+RecordedStream Serialize(const std::vector<Frame>& frames) {
+  RecordedStream out;
+  for (const Frame& frame : frames) {
+    AppendLe(&out.bytes, static_cast<uint32_t>(frame.type), 4);
+    out.fields.push_back({out.bytes.size(), 8});  // payload length
+    AppendLe(&out.bytes, frame.payload.size(), 8);
+    const size_t at = out.bytes.size();
+    out.bytes.insert(out.bytes.end(), frame.payload.begin(), frame.payload.end());
+    switch (frame.type) {
+      case FrameType::kJobSpec:
+        out.fields.push_back({at + 29, 8});  // record count, after 5 u32s, a f64, a u8
+        break;
+      case FrameType::kRecordBatch: {
+        out.fields.push_back({at, 4});  // record count
+        size_t pos = at + 4;
+        const std::vector<RecordEntry> entries = DecodeRecordBatch(frame).ValueOrDie();
+        for (const RecordEntry& e : entries) {
+          out.fields.push_back({pos, 4});       // record id
+          out.fields.push_back({pos + 4, 8});   // position
+          out.fields.push_back({pos + 17, 4});  // token count
+          pos += 21;
+          for (size_t t = 0; t < e.tokens.size(); ++t, pos += 4) out.fields.push_back({pos, 4});
+        }
+        break;
+      }
+      case FrameType::kPairBatch:
+        out.fields.push_back({at, 8});  // pair count
+        for (size_t pos = at + 8; pos < at + frame.payload.size(); pos += 16) {
+          out.fields.push_back({pos, 4});      // a
+          out.fields.push_back({pos + 4, 4});  // b
+        }
+        break;
+      case FrameType::kWorkerDone:
+        out.fields.push_back({at, 8});  // pair count
+        break;
+      default:
+        break;
+    }
+  }
+  return out;
+}
+
+/// One deterministic mutant: truncated, bit-flipped, spliced (a chunk cut
+/// out or copied elsewhere), or with a length, count or id field set to a
+/// hostile value or pushed just past its true one.
+std::vector<uint8_t> Mutate(const RecordedStream& in, Rng* rng) {
+  static const uint64_t kHostile[] = {0,
+                                      1,
+                                      0x7fffffff,
+                                      0x80000000,
+                                      0xfffffffe,
+                                      0xffffffff,
+                                      uint64_t{1} << 32,
+                                      kMaxFramePayload,
+                                      kMaxFramePayload + 1,
+                                      uint64_t{1} << 63,
+                                      UINT64_MAX};
+  std::vector<uint8_t> out = in.bytes;
+  switch (rng->Uniform(5)) {
+    case 0:
+      out.resize(rng->Uniform(out.size()));
+      break;
+    case 1:
+      for (uint64_t i = 0, n = 1 + rng->Uniform(8); i < n; ++i) {
+        out[rng->Uniform(out.size())] ^= static_cast<uint8_t>(1u << rng->Uniform(8));
+      }
+      break;
+    case 2: {
+      const size_t begin = rng->Uniform(out.size());
+      const size_t end = begin + 1 + rng->Uniform(out.size() - begin);
+      if (rng->Uniform(2) == 0) {
+        out.erase(out.begin() + begin, out.begin() + end);
+      } else {
+        const std::vector<uint8_t> chunk(out.begin() + begin, out.begin() + end);
+        out.insert(out.begin() + rng->Uniform(out.size() + 1), chunk.begin(), chunk.end());
+      }
+      break;
+    }
+    default: {
+      const auto [offset, width] = in.fields[rng->Uniform(in.fields.size())];
+      uint64_t value = kHostile[rng->Uniform(sizeof(kHostile) / sizeof(kHostile[0]))];
+      if (rng->Uniform(3) == 0) {
+        value = 1 + rng->Uniform(4);
+        for (int i = 0; i < width; ++i) value += uint64_t{out[offset + i]} << (8 * i);
+      }
+      for (int i = 0; i < width; ++i) out[offset + i] = static_cast<uint8_t>(value >> (8 * i));
+      break;
+    }
+  }
+  return out;
+}
+
+/// The in-process worker, recording both directions of its stream.
+class RecordingTransport : public FrameTransport {
+ public:
+  RecordingTransport(std::vector<Frame>* sent, std::vector<Frame>* received)
+      : sent_(sent), received_(received) {}
+
+  Status Send(const Frame& frame) override {
+    sent_->push_back(frame);
+    return worker_.Send(frame);
+  }
+  Status CloseSend() override { return worker_.CloseSend(); }
+  Result<Frame> Recv() override {
+    auto frame = worker_.Recv();
+    if (frame.ok()) received_->push_back(*frame);
+    return frame;
+  }
+
+ private:
+  InProcessTransport worker_{"recorded worker"};
+  std::vector<Frame>* sent_;
+  std::vector<Frame>* received_;
+};
+
+/// Both directions of both shards of a two-shard run over SweepDataset.
+struct RecordedRun {
+  RecordedStream jobs[2];
+  RecordedStream results[2];
+  std::vector<ScoredPair> pairs;
+};
+
+RecordedRun RecordTwoShardRun() {
+  std::vector<Frame> sent[2];
+  std::vector<Frame> received[2];
+  ShardExecOptions exec;
+  exec.num_shards = 2;
+  exec.transport_factory = [&](uint32_t shard) -> Result<std::unique_ptr<FrameTransport>> {
+    return std::unique_ptr<FrameTransport>(new RecordingTransport(&sent[shard], &received[shard]));
+  };
+  core::PairStream stream;
+  EXPECT_TRUE(core::HybridWorkflow::MachinePassSharded(SweepDataset(), SetMeasure::kJaccard, 0.5,
+                                                       exec, &stream, nullptr)
+                  .ok());
+  RecordedRun run;
+  for (int s = 0; s < 2; ++s) {
+    run.jobs[s] = Serialize(sent[s]);
+    run.results[s] = Serialize(received[s]);
+  }
+  run.pairs = stream.MaterializeSorted().ValueOrDie();
+  return run;
+}
+
+/// A pipe holding `bytes`, read back through PipeTransport's framing; the
+/// write side goes to /dev/null. The bytes must fit the pipe buffer.
+Result<std::unique_ptr<FrameTransport>> ReplayTransport(const std::vector<uint8_t>& bytes) {
+  int fds[2];
+  if (::pipe(fds) != 0) return Status::Internal("pipe failed");
+  const ssize_t written = ::write(fds[1], bytes.data(), bytes.size());
+  ::close(fds[1]);
+  if (written != static_cast<ssize_t>(bytes.size())) {
+    ::close(fds[0]);
+    return Status::Internal("replay stream does not fit the pipe");
+  }
+  return std::unique_ptr<FrameTransport>(
+      new PipeTransport(fds[0], ::open("/dev/null", O_WRONLY), "replayed peer"));
+}
+
+constexpr int kSweepMutants = 1200;
+
+TEST(ShardFrameSweep, WorkerEndsEveryMutatedJobStreamWithATerminalFrame) {
+  const RecordedRun run = RecordTwoShardRun();
+  Rng rng(20261018);
+  size_t done = 0;
+  size_t errors = 0;
+  for (int i = 0; i < kSweepMutants; ++i) {
+    SCOPED_TRACE("mutant " + std::to_string(i));
+    auto coordinator = ReplayTransport(Mutate(run.jobs[i % 2], &rng));
+    ASSERT_TRUE(coordinator.ok()) << coordinator.status().ToString();
+    InProcessTransport worker("worker");
+    for (auto frame = (*coordinator)->Recv(); frame.ok() && worker.Send(*frame).ok();
+         frame = (*coordinator)->Recv()) {
+    }
+    ASSERT_TRUE(worker.CloseSend().ok());
+    std::vector<Frame> reply;
+    for (auto frame = worker.Recv(); frame.ok(); frame = worker.Recv()) reply.push_back(*frame);
+    ASSERT_FALSE(reply.empty());
+    for (size_t f = 0; f + 1 < reply.size(); ++f) {
+      ASSERT_EQ(reply[f].type, FrameType::kPairBatch);
+      ASSERT_TRUE(DecodePairBatch(reply[f]).ok());
+    }
+    if (reply.back().type == FrameType::kWorkerDone) {
+      ASSERT_TRUE(DecodeWorkerDone(reply.back()).ok());
+      ++done;
+    } else {
+      ASSERT_EQ(reply.back().type, FrameType::kWorkerError);
+      ASSERT_TRUE(DecodeWorkerError(reply.back()).ok());
+      ++errors;
+    }
+  }
+  // The sweep reaches both ends: some mutants still run, some are refused.
+  EXPECT_GT(done, 0u);
+  EXPECT_GT(errors, 0u);
+}
+
+TEST(ShardFrameSweep, CoordinatorEndsEveryMutatedResultStreamInOkOrANamedError) {
+  const RecordedRun run = RecordTwoShardRun();
+  ASSERT_FALSE(run.pairs.empty());
+  const data::Dataset dataset = SweepDataset();
+  Rng rng(20261019);
+  size_t ok = 0;
+  size_t errors = 0;
+  for (int i = -1; i < kSweepMutants; ++i) {
+    SCOPED_TRACE("mutant " + std::to_string(i));
+    // Mutant -1 replays both streams untouched.
+    const int mutated_shard = i < 0 ? -1 : i % 2;
+    const std::vector<uint8_t> mutated =
+        i < 0 ? std::vector<uint8_t>() : Mutate(run.results[mutated_shard], &rng);
+    ShardExecOptions exec;
+    exec.num_shards = 2;
+    exec.transport_factory = [&](uint32_t shard) {
+      return ReplayTransport(static_cast<int>(shard) == mutated_shard ? mutated
+                                                                      : run.results[shard].bytes);
+    };
+    core::PairStream stream;
+    const auto stats = core::HybridWorkflow::MachinePassSharded(dataset, SetMeasure::kJaccard,
+                                                                0.5, exec, &stream, nullptr);
+    if (i < 0) {
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      ASSERT_EQ(stream.num_pairs(), run.pairs.size());
+      continue;
+    }
+    if (stats.ok()) {
+      ++ok;
+      continue;
+    }
+    ++errors;
+    const Status& status = stats.status();
+    EXPECT_TRUE(status.IsIOError() || status.IsInvalidArgument() || status.IsDataLoss())
+        << status.ToString();
+    EXPECT_NE(status.message().find("shard " + std::to_string(mutated_shard)), std::string::npos)
+        << status.ToString();
+  }
+  EXPECT_GT(ok, 0u);
+  EXPECT_GT(errors, 0u);
 }
 
 }  // namespace
