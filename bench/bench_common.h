@@ -4,25 +4,33 @@
 #ifndef CROWDER_BENCH_BENCH_COMMON_H_
 #define CROWDER_BENCH_BENCH_COMMON_H_
 
+#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/string_util.h"
 #include "core/crowder.h"
 
 namespace crowder {
 namespace bench {
 
 // Environment-variable knobs shared by the scale-configurable harnesses
-// (bench_stream, bench_e2e_stream): missing/empty means the fallback.
-inline double EnvDouble(const char* name, double fallback) {
+// (bench_stream, bench_e2e_stream, ...): missing/empty means the fallback;
+// any other value must parse whole within [lo, hi] (ParseNumber), or the
+// harness exits 2 naming the variable.
+template <typename T>
+T EnvNumber(const char* name, T fallback, T lo = std::numeric_limits<T>::lowest(),
+            T hi = std::numeric_limits<T>::max()) {
   const char* value = std::getenv(name);
-  return value && *value ? std::atof(value) : fallback;
-}
-
-inline uint64_t EnvU64(const char* name, uint64_t fallback) {
-  const char* value = std::getenv(name);
-  return value && *value ? static_cast<uint64_t>(std::atoll(value)) : fallback;
+  if (value == nullptr || *value == '\0') return fallback;
+  const Result<T> parsed = ParseNumber<T>(value, name, lo, hi);
+  if (!parsed.ok()) {
+    std::cerr << parsed.status().ToString() << "\n";
+    std::exit(2);
+  }
+  return *parsed;
 }
 
 inline std::string EnvString(const char* name, const std::string& fallback) {

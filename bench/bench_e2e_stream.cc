@@ -40,15 +40,15 @@ uint64_t PeakRssBytes() {
 }
 
 int Main() {
-  const double scale = EnvDouble("CROWDER_E2E_SCALE", 2.0);
-  const uint64_t budget = EnvU64("CROWDER_E2E_BUDGET", 4096);
+  const double scale = EnvNumber("CROWDER_E2E_SCALE", 2.0);
+  const uint64_t budget = EnvNumber<uint64_t>("CROWDER_E2E_BUDGET", 4096);
   // The smoke default (128) splits the ~471 smoke-scale pairs across ~4
   // crowd partitions, so the partitioned boundary is genuinely exercised on
   // every smoke run.
-  const uint64_t partition_pairs = EnvU64("CROWDER_E2E_PARTITION", 128);
-  const uint32_t threads = static_cast<uint32_t>(EnvU64("CROWDER_E2E_THREADS", 1));
+  const uint64_t partition_pairs = EnvNumber<uint64_t>("CROWDER_E2E_PARTITION", 128);
+  const uint32_t threads = EnvNumber<uint32_t>("CROWDER_E2E_THREADS", 1, 0, exec::kMaxThreads);
   const std::string hit_type = EnvString("CROWDER_E2E_HIT_TYPE", "pair");
-  const double threshold = EnvDouble("CROWDER_E2E_THRESHOLD", 0.5);
+  const double threshold = EnvNumber("CROWDER_E2E_THRESHOLD", 0.5);
 
   Banner("End-to-end streaming vs materialized workflow (Product, scale " +
          FormatDouble(scale, 1) + ", threshold " + FormatDouble(threshold, 1) + ", budget " +

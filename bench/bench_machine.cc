@@ -306,21 +306,29 @@ void PrintJoinRun(const JoinRun& run) {
             << " ms\n";
 }
 
-// Parses "25,50,100" into scale factors; empty or unset means no curve.
+// Parses "25,50,100" into scale factors; empty or unset means no curve, and
+// a malformed or negative scale exits 2 naming the variable.
 std::vector<double> ParseScales(const char* text) {
   std::vector<double> scales;
   std::istringstream in(text == nullptr ? "" : text);
   for (std::string item; std::getline(in, item, ',');) {
-    if (!item.empty()) scales.push_back(std::stod(item));
+    if (item.empty()) continue;
+    const Result<double> scale = ParseNumber<double>(item, "CROWDER_MACHINE_CURVE", 0.0);
+    if (!scale.ok()) {
+      std::cerr << scale.status().ToString() << "\n";
+      std::exit(2);
+    }
+    scales.push_back(*scale);
   }
   return scales;
 }
 
 int Main() {
-  const double scale = EnvDouble("CROWDER_MACHINE_SCALE", 2.0);
-  const uint64_t budget = EnvU64("CROWDER_MACHINE_BUDGET", 4096);
-  const double threshold = EnvDouble("CROWDER_MACHINE_THRESHOLD", 0.5);
-  const int reps = static_cast<int>(EnvU64("CROWDER_MACHINE_REPS", 3));
+  const double scale = EnvNumber("CROWDER_MACHINE_SCALE", 2.0);
+  const uint64_t budget = EnvNumber<uint64_t>("CROWDER_MACHINE_BUDGET", 4096);
+  const double threshold = EnvNumber("CROWDER_MACHINE_THRESHOLD", 0.5);
+  const int reps = EnvNumber<int>("CROWDER_MACHINE_REPS", 3, 1, 1000);
+  const std::vector<double> curve_scales = ParseScales(std::getenv("CROWDER_MACHINE_CURVE"));
 
   Banner("Machine-loop raw speed (scale " + FormatDouble(scale, 1) + ", budget " +
          WithThousands(budget) + " B, reps " + std::to_string(reps) + ")");
@@ -335,7 +343,7 @@ int Main() {
   std::cout << "\nserial AllPairs join: ";
   PrintJoinRun(join);
   std::vector<JoinRun> curve;
-  for (double curve_scale : ParseScales(std::getenv("CROWDER_MACHINE_CURVE"))) {
+  for (double curve_scale : curve_scales) {
     std::cout << "scale " << FormatDouble(curve_scale, 0) << ": ";
     curve.push_back(RunJoin(curve_scale, threshold));
     PrintJoinRun(curve.back());

@@ -211,10 +211,10 @@ void QueryComplexityCurve(const data::Dataset& dataset, double threshold, uint32
 }
 
 int Main() {
-  const double restaurant_scale = EnvDouble("CROWDER_SELECT_RESTAURANT_SCALE", 1.0);
-  const double product_scale = EnvDouble("CROWDER_SELECT_PRODUCT_SCALE", 2.0);
-  const uint64_t num_seeds = EnvU64("CROWDER_SELECT_SEEDS", 3);
-  const uint32_t threads = static_cast<uint32_t>(EnvU64("CROWDER_SELECT_THREADS", 1));
+  const double restaurant_scale = EnvNumber("CROWDER_SELECT_RESTAURANT_SCALE", 1.0);
+  const double product_scale = EnvNumber("CROWDER_SELECT_PRODUCT_SCALE", 2.0);
+  const uint64_t num_seeds = EnvNumber<uint64_t>("CROWDER_SELECT_SEEDS", 3);
+  const uint32_t threads = EnvNumber<uint32_t>("CROWDER_SELECT_THREADS", 1, 0, exec::kMaxThreads);
 
   Banner("Adaptive question selection vs fixed order (restaurant scale " +
          FormatDouble(restaurant_scale, 1) + ", productdup scale " +

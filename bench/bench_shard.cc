@@ -60,11 +60,11 @@ bool BitwiseEqual(const std::vector<similarity::ScoredPair>& a,
 }
 
 int Main() {
-  const double scale = EnvDouble("CROWDER_SHARD_SCALE", 2.0);
-  const double threshold = EnvDouble("CROWDER_SHARD_THRESHOLD", 0.5);
-  const uint32_t workers = static_cast<uint32_t>(EnvU64("CROWDER_SHARD_WORKERS", 4));
+  const double scale = EnvNumber("CROWDER_SHARD_SCALE", 2.0);
+  const double threshold = EnvNumber("CROWDER_SHARD_THRESHOLD", 0.5);
+  const uint32_t workers = EnvNumber<uint32_t>("CROWDER_SHARD_WORKERS", 4, 1, 1024);
   const std::string shardd = EnvString("CROWDER_SHARD_SHARDD", "");
-  const bool identity = EnvU64("CROWDER_SHARD_IDENTITY", 1) != 0;
+  const bool identity = EnvNumber<uint64_t>("CROWDER_SHARD_IDENTITY", 1) != 0;
   const char* transport = shardd.empty() ? "in-process" : "subprocess";
 
   Banner("Sharded machine pass (Product, scale " + FormatDouble(scale, 1) + ", threshold " +

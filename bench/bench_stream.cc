@@ -19,9 +19,9 @@ namespace bench {
 namespace {
 
 int Main() {
-  const double scale = EnvDouble("CROWDER_STREAM_SCALE", 2.0);
-  const uint64_t budget = EnvU64("CROWDER_STREAM_BUDGET", 4096);
-  const uint32_t threads = static_cast<uint32_t>(EnvU64("CROWDER_STREAM_THREADS", 1));
+  const double scale = EnvNumber("CROWDER_STREAM_SCALE", 2.0);
+  const uint64_t budget = EnvNumber<uint64_t>("CROWDER_STREAM_BUDGET", 4096);
+  const uint32_t threads = EnvNumber<uint32_t>("CROWDER_STREAM_THREADS", 1, 0, exec::kMaxThreads);
   const double threshold = 0.5;
 
   Banner("Streaming vs materialized machine pass (Product, scale " +

@@ -64,12 +64,9 @@ Result<uint64_t> ParseByteSize(const std::string& text) {
     ++digits;
   }
   if (digits == 0) return Status::InvalidArgument("byte size must start with digits: " + text);
-  uint64_t value = 0;
-  try {
-    value = std::stoull(text.substr(0, digits));
-  } catch (const std::exception&) {
-    return Status::InvalidArgument("unparseable byte size: " + text);
-  }
+  CROWDER_ASSIGN_OR_RETURN(const uint64_t value,
+                           ParseNumber<uint64_t>(std::string_view(text).substr(0, digits),
+                                                 "byte size"));
   const std::string suffix = text.substr(digits);
   uint64_t multiplier = 1;
   if (suffix == "K" || suffix == "k") {

@@ -455,10 +455,8 @@ Status WorkflowDriver::Finalize() {
   // Fallback crowd statistics from what flowed through SubmitVotes; a
   // backend's Finish result (SubmitCrowdStats) replaces them with the
   // authoritative numbers.
-  crowd::CrowdRunResult& stats = result.crowd_stats;
-  stats.num_hits = next_hit_;
-  stats.num_assignments = static_cast<uint32_t>(stats.assignment_seconds.size());
-  stats.median_assignment_seconds = crowd::AssignmentMedianSeconds(stats.assignment_seconds);
+  result.crowd_stats.num_hits = next_hit_;
+  result.crowd_stats.Seal();
 
   result.pipeline_stats.stages.push_back({"crowd", crowd_timer_.ElapsedMillis()});
   CROWDER_RETURN_NOT_OK(RunTimed("aggregate", Aggregate, state_.get()));
@@ -557,12 +555,8 @@ Status WorkflowDriver::SubmitVotes(crowd::VoteBatch votes) {
       round_votes_.emplace_back(local, pv.vote);
     }
   }
-  crowd::CrowdRunResult& stats = state_->result.crowd_stats;
   for (const crowd::AssignmentRecord& rec : votes.assignments) {
-    if (rec.by_spammer) ++stats.num_spammer_assignments;
-    stats.total_comparisons += rec.comparisons;
-    stats.assignment_seconds.push_back(rec.duration_seconds);
-    stats.assignments.push_back(rec);
+    state_->result.crowd_stats.Add(rec);
     crowd::WorkerStats& ws = worker_stats_[rec.worker];
     ws.worker = rec.worker;
     ++ws.num_assignments;

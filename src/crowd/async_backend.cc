@@ -95,7 +95,6 @@ Result<Ticket> AsyncCrowdBackend::Post(const HitBatch& batch) {
 
   next_delivery_ = 0;
   ticket_outstanding_ = true;
-  drain_ = false;
   return ticket_;
 }
 
@@ -104,9 +103,8 @@ Result<VoteBatch> AsyncCrowdBackend::Poll(Ticket ticket) {
     return Status::InvalidArgument("Poll for unknown ticket " + std::to_string(ticket));
   }
   VoteBatch out;
-  const size_t take = drain_ ? deliveries_.size() - next_delivery_
-                             : std::min<size_t>(options_.hits_per_poll,
-                                                deliveries_.size() - next_delivery_);
+  const size_t take =
+      std::min<size_t>(options_.hits_per_poll, deliveries_.size() - next_delivery_);
   out.hit_votes.reserve(take);
   for (size_t i = 0; i < take; ++i) {
     Delivery& d = deliveries_[next_delivery_++];
@@ -122,15 +120,10 @@ Result<VoteBatch> AsyncCrowdBackend::Poll(Ticket ticket) {
   return out;
 }
 
-Status AsyncCrowdBackend::Drain() {
-  drain_ = true;
-  return Status::OK();
-}
-
 Result<CrowdRunResult> AsyncCrowdBackend::Finish() {
   if (ticket_outstanding_) {
     return Status::InvalidArgument(
-        "Finish with undelivered votes outstanding (poll until complete, or Drain first)");
+        "Finish with undelivered votes outstanding (poll until complete first)");
   }
   return inner_->Finish();
 }

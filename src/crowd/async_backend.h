@@ -35,9 +35,8 @@ struct AsyncCrowdOptions {
 /// order-insensitive aggregation, and why the driver must file each HIT
 /// exactly once (it rejects re-deliveries by name).
 ///
-/// Drain() makes the next Poll of each outstanding ticket deliver
-/// everything left. Finish() forwards to the inner backend and fails while
-/// undelivered votes remain.
+/// Finish() forwards to the inner backend and fails while undelivered
+/// votes remain.
 class AsyncCrowdBackend : public CrowdBackend {
  public:
   /// \brief Wraps `inner` (not owned; must outlive this adapter). `model`
@@ -47,7 +46,6 @@ class AsyncCrowdBackend : public CrowdBackend {
 
   Result<Ticket> Post(const HitBatch& batch) override;
   Result<VoteBatch> Poll(Ticket ticket) override;
-  Status Drain() override;
   Result<CrowdRunResult> Finish() override;
 
  private:
@@ -67,7 +65,6 @@ class AsyncCrowdBackend : public CrowdBackend {
   size_t next_delivery_ = 0;
   Ticket ticket_ = 0;
   bool ticket_outstanding_ = false;
-  bool drain_ = false;
 };
 
 }  // namespace crowd

@@ -133,7 +133,6 @@ SimulatedCrowdBackend::SimulatedCrowdBackend(const CrowdModel& model, uint64_t s
                                              const std::vector<uint32_t>& entity_of,
                                              Options options)
     : platform_(model, seed), entity_of_(entity_of), tee_(options.tee) {
-  worker_used_.assign(platform_.workers().size(), 0);
   const uint32_t threads = exec::ResolveNumThreads(options.num_threads);
   // The caller participates in draining chunks (exec/parallel.h), so the
   // pool supplies threads - 1 workers.
@@ -293,11 +292,7 @@ Result<Ticket> SimulatedCrowdBackend::Post(const HitBatch& batch) {
     total_visible_ += out.visible_items;
     pending_votes_.hit_votes.push_back({next_hit_, std::move(out.votes)});
     for (const AssignmentRecord& rec : out.assignments) {
-      worker_used_[rec.worker] = 1;
-      if (rec.by_spammer) ++stats_.num_spammer_assignments;
-      stats_.total_comparisons += rec.comparisons;
-      stats_.assignment_seconds.push_back(rec.duration_seconds);
-      stats_.assignments.push_back(rec);
+      stats_.Add(rec);
       pending_votes_.assignments.push_back(rec);
     }
     ++next_hit_;
@@ -331,11 +326,8 @@ Result<CrowdRunResult> SimulatedCrowdBackend::Finish() {
   finished_ = true;
   const CrowdModel& model = platform_.model();
   stats_.num_hits = next_hit_;
-  stats_.num_assignments = static_cast<uint32_t>(stats_.assignment_seconds.size());
+  stats_.Seal();
   stats_.cost_dollars = stats_.num_assignments * model.CostPerAssignment();
-  stats_.median_assignment_seconds = AssignmentMedianSeconds(stats_.assignment_seconds);
-  stats_.num_distinct_workers =
-      static_cast<uint32_t>(std::count(worker_used_.begin(), worker_used_.end(), 1));
   const double avg_visible =
       next_hit_ == 0 ? 0.0 : total_visible_ / static_cast<double>(next_hit_);
   Rng completion_rng = DeriveRng(platform_.seed(), kCompletionSalt);
@@ -370,13 +362,7 @@ Result<VoteBatch> CallbackCrowdBackend::Poll(Ticket ticket) {
   }
   CROWDER_ASSIGN_OR_RETURN(VoteBatch votes, callback_(*pending_batch_));
   stats_.num_hits += static_cast<uint32_t>(pending_batch_->num_hits());
-  for (const AssignmentRecord& rec : votes.assignments) {
-    workers_seen_.insert(rec.worker);
-    if (rec.by_spammer) ++stats_.num_spammer_assignments;
-    stats_.total_comparisons += rec.comparisons;
-    stats_.assignment_seconds.push_back(rec.duration_seconds);
-    stats_.assignments.push_back(rec);
-  }
+  for (const AssignmentRecord& rec : votes.assignments) stats_.Add(rec);
   ticket_outstanding_ = false;
   pending_batch_ = nullptr;
   ++next_ticket_;
@@ -389,9 +375,7 @@ Result<CrowdRunResult> CallbackCrowdBackend::Finish() {
     return Status::InvalidArgument("Finish with an unpolled HIT batch outstanding");
   }
   finished_ = true;
-  stats_.num_assignments = static_cast<uint32_t>(stats_.assignment_seconds.size());
-  stats_.median_assignment_seconds = AssignmentMedianSeconds(stats_.assignment_seconds);
-  stats_.num_distinct_workers = static_cast<uint32_t>(workers_seen_.size());
+  stats_.Seal();
   // cost_dollars / total_seconds stay zero: platform concerns the callback
   // cannot observe (see the class comment).
   return std::move(stats_);

@@ -19,17 +19,16 @@
 ///    for tests, oracle crowds, and live platform adapters.
 ///
 /// The protocol is deliberately small: `Post(HitBatch) -> Ticket`,
-/// `Poll(Ticket) -> VoteBatch` (votes + assignment records), optional
-/// `Drain()`, terminal `Finish() -> CrowdRunResult`. Synchronous backends
-/// complete the work inside Post/Poll; an asynchronous adapter would return
-/// from Post immediately and block (or report not-ready) in Poll.
+/// `Poll(Ticket) -> VoteBatch` (votes + assignment records), terminal
+/// `Finish() -> CrowdRunResult`. Synchronous backends complete the work
+/// inside Post/Poll; an asynchronous one answers a ticket over several
+/// Polls, each marked `complete = false` until the last.
 #ifndef CROWDER_CROWD_BACKEND_H_
 #define CROWDER_CROWD_BACKEND_H_
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -144,9 +143,8 @@ struct VoteBatch {
 /// \brief Handle for one posted HitBatch, echoed back to Poll.
 using Ticket = uint64_t;
 
-/// \brief Median of a set of assignment durations (0 when empty). Shared by
-/// the stat assemblers that cannot see a platform (CallbackCrowdBackend,
-/// the driver's fallback statistics).
+/// \brief Median of a set of assignment durations (0 when empty): the
+/// median of CrowdRunResult::Seal and of the service's crowd accounting.
 double AssignmentMedianSeconds(std::vector<double> durations);
 
 /// \brief The precondition every backend's Post enforces: a pair context is
@@ -169,11 +167,6 @@ class CrowdBackend {
   /// \brief Collects the answers for `ticket`: votes (per HIT, in cast
   /// order) plus the batch's assignment records.
   virtual Result<VoteBatch> Poll(Ticket ticket) = 0;
-
-  /// \brief Blocks until every outstanding ticket is answerable. A no-op
-  /// for synchronous backends (the default); asynchronous adapters
-  /// override it.
-  virtual Status Drain() { return Status::OK(); }
 
   /// \brief Terminal: returns the run's crowd statistics (cost, latency,
   /// assignment audit trail — the `votes` table stays empty; votes were
@@ -264,7 +257,6 @@ class SimulatedCrowdBackend : public CrowdBackend {
   const HitBatch* pending_batch_ = nullptr;  // non-owning; valid until Poll
   /// Accumulated across batches; Finish completes it.
   CrowdRunResult stats_;
-  std::vector<char> worker_used_;
   double total_visible_ = 0.0;
   uint32_t next_hit_ = 0;
   bool cluster_interface_ = false;
@@ -301,7 +293,6 @@ class CallbackCrowdBackend : public CrowdBackend {
   bool ticket_outstanding_ = false;
   bool finished_ = false;
   CrowdRunResult stats_;
-  std::set<uint32_t> workers_seen_;
 };
 
 }  // namespace crowd

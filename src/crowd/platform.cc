@@ -1,5 +1,6 @@
 #include "crowd/platform.h"
 
+#include <algorithm>
 #include <string>
 #include <unordered_map>
 
@@ -7,6 +8,28 @@
 
 namespace crowder {
 namespace crowd {
+
+void CrowdRunResult::Add(const AssignmentRecord& record) {
+  assignments.push_back(record);
+  total_comparisons += record.comparisons;
+  if (record.by_spammer) ++num_spammer_assignments;
+}
+
+void CrowdRunResult::Seal() {
+  num_assignments = static_cast<uint32_t>(assignments.size());
+  std::vector<uint32_t> workers;
+  std::vector<double> durations;
+  workers.reserve(assignments.size());
+  durations.reserve(assignments.size());
+  for (const AssignmentRecord& record : assignments) {
+    workers.push_back(record.worker);
+    durations.push_back(record.duration_seconds);
+  }
+  std::sort(workers.begin(), workers.end());
+  num_distinct_workers =
+      static_cast<uint32_t>(std::unique(workers.begin(), workers.end()) - workers.begin());
+  median_assignment_seconds = AssignmentMedianSeconds(std::move(durations));
+}
 
 CrowdPlatform::CrowdPlatform(const CrowdModel& model, uint64_t seed)
     : model_(model), seed_(seed) {

@@ -40,14 +40,15 @@ struct AssignmentRecord {
 };
 
 /// \brief Everything a crowd run produces.
+///
+/// Producers file each completed assignment once, with Add, and call Seal
+/// when the run ends; the counts and the median derive from `assignments`.
 struct CrowdRunResult {
   /// votes[i] = worker votes on (*context.pairs)[i]. Pairs not covered by
   /// any HIT have no votes.
   aggregate::VoteTable votes;
   /// Audit trail: one record per completed assignment, in publish order.
   std::vector<AssignmentRecord> assignments;
-  /// Duration of each completed assignment, seconds.
-  std::vector<double> assignment_seconds;
   double median_assignment_seconds = 0.0;
   /// Wall-clock seconds until the last assignment completed, under the
   /// worker-arrival model.
@@ -58,6 +59,13 @@ struct CrowdRunResult {
   uint64_t total_comparisons = 0;
   uint32_t num_distinct_workers = 0;
   uint32_t num_spammer_assignments = 0;
+
+  /// Files one completed assignment and counts its comparisons and, when a
+  /// spammer did it, the spammer assignment.
+  void Add(const AssignmentRecord& record);
+  /// Sets num_assignments, num_distinct_workers and
+  /// median_assignment_seconds from the filed assignments.
+  void Seal();
 };
 
 /// \brief The simulated platform. Deterministic given (model, seed).

@@ -3,10 +3,13 @@
 #include <charconv>
 #include <cmath>
 #include <limits>
+#include <string_view>
 #include <system_error>
+#include <type_traits>
 #include <unordered_set>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 
 namespace crowder {
 namespace crowd {
@@ -23,9 +26,9 @@ std::string ExactDouble(double value) {
   return std::string(buf, end);
 }
 
-// Narrows a log number to an unsigned id or count. A negative, fractional
-// or out-of-range value is corruption: converting it would be undefined
-// behaviour, not a wrapped value.
+// Narrows a log number to an unsigned id, count or (T = bool) 0/1 flag. A
+// negative, fractional or out-of-range value is corruption: converting it
+// would be undefined behaviour, not a wrapped value.
 template <typename T>
 bool ToUnsigned(double value, T* out) {
   if (!(value >= 0.0 && value < std::ldexp(1.0, std::numeric_limits<T>::digits)) ||
@@ -36,242 +39,91 @@ bool ToUnsigned(double value, T* out) {
   return true;
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON for the machine-written log lines. Strict enough to reject
-// truncated or hand-corrupted lines with a useful message; numbers are
-// doubles (every id in the log is far below 2^53).
-// ---------------------------------------------------------------------------
+// The header line, written by Create and required verbatim by Open.
+constexpr std::string_view kHeader = "{\"crowder_vote_log\":1}";
 
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* Find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
+// Reads one log line in VoteLogWriter's own grammar: its literals in its
+// order, numbers as std::from_chars reads what the writer printed, and
+// lists whose items are separated by single commas. The first read that
+// does not fit stops the cursor where it began; every later read fails
+// too, and Departure() says where and what the grammar expected. Nothing
+// recurses, so no line can exhaust the stack.
+class Cursor {
  public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
+  explicit Cursor(std::string_view line) : begin_(line.data()), rest_(line) {}
 
-  Result<JsonValue> Parse() {
-    CROWDER_ASSIGN_OR_RETURN(JsonValue value, ParseValue());
-    SkipSpace();
-    if (pos_ != text_.size()) return Fail("trailing characters after JSON value");
-    return value;
+  // True while every read so far fit the grammar.
+  bool ok() const { return ok_; }
+  // True when every read fit and the whole line was consumed.
+  bool AtEnd() const { return ok_ && rest_.empty(); }
+
+  // Why the line is not one the writer emits (when !AtEnd()).
+  std::string Departure() const {
+    return "the line departs from the log's grammar at byte " +
+           std::to_string(rest_.data() - begin_) + ", expecting " +
+           (ok_ ? std::string("the end of the line") : expected_);
+  }
+
+  // True when the unread bytes start with `literal`; reads nothing.
+  bool At(std::string_view literal) const {
+    return ok_ && rest_.substr(0, literal.size()) == literal;
+  }
+
+  bool Take(std::string_view literal) {
+    if (!At(literal)) return Fail("'" + std::string(literal) + "'");
+    rest_.remove_prefix(literal.size());
+    return true;
+  }
+
+  // A finite number.
+  bool Number(double* out) {
+    if (!ok_) return false;
+    const auto [end, ec] = std::from_chars(rest_.data(), rest_.data() + rest_.size(), *out);
+    if (ec != std::errc() || !std::isfinite(*out)) return Fail("a finite number");
+    rest_.remove_prefix(static_cast<size_t>(end - rest_.data()));
+    return true;
+  }
+
+  // A number that is exactly a T: an id, a count, or (T = bool) a 0/1 flag.
+  template <typename T>
+  bool Count(T* out) {
+    const std::string_view at = rest_;
+    double value = 0.0;
+    if (!Number(&value)) return false;
+    if (ToUnsigned(value, out)) return true;
+    rest_ = at;
+    return Fail(std::is_same_v<T, bool> ? "0 or 1" : "a non-negative integer that fits its field");
+  }
+
+  // `[]` or `[item,...,item]`; item() reads one element and returns ok().
+  template <typename Item>
+  bool List(Item item) {
+    if (!Take("[")) return false;
+    if (TakeIf(']')) return true;
+    do {
+      if (!item()) return false;
+    } while (TakeIf(','));
+    return Take("]");
   }
 
  private:
-  Status Fail(const std::string& what) const {
-    return Status::InvalidArgument(what + " at offset " + std::to_string(pos_));
+  bool TakeIf(char c) {
+    const bool taken = ok_ && !rest_.empty() && rest_.front() == c;
+    if (taken) rest_.remove_prefix(1);
+    return taken;
   }
 
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\r' ||
-            text_[pos_] == '\n')) {
-      ++pos_;
-    }
+  bool Fail(std::string expected) {
+    if (ok_) expected_ = std::move(expected);
+    ok_ = false;
+    return false;
   }
 
-  Result<JsonValue> ParseValue() {
-    SkipSpace();
-    if (pos_ >= text_.size()) return Fail("unexpected end of input");
-    const char c = text_[pos_];
-    switch (c) {
-      case '{':
-      case '[': {
-        // Log lines nest three deep; a hostile line must not recurse
-        // until the stack runs out.
-        if (++depth_ > kMaxDepth) return Fail("nesting too deep");
-        Result<JsonValue> nested = c == '{' ? ParseObject() : ParseArray();
-        --depth_;
-        return nested;
-      }
-      case '"':
-        return ParseString();
-      case 't':
-      case 'f':
-        return ParseBool();
-      case 'n':
-        return ParseNull();
-      default:
-        return ParseNumber();
-    }
-  }
-
-  Result<JsonValue> ParseObject() {
-    ++pos_;  // '{'
-    JsonValue value;
-    value.type = JsonValue::Type::kObject;
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return value;
-    }
-    while (true) {
-      SkipSpace();
-      CROWDER_ASSIGN_OR_RETURN(JsonValue key, ParseString());
-      SkipSpace();
-      if (pos_ >= text_.size() || text_[pos_] != ':') return Fail("expected ':'");
-      ++pos_;
-      CROWDER_ASSIGN_OR_RETURN(JsonValue member, ParseValue());
-      value.object.emplace_back(std::move(key.string), std::move(member));
-      SkipSpace();
-      if (pos_ >= text_.size()) return Fail("unterminated object");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return value;
-      }
-      return Fail("expected ',' or '}'");
-    }
-  }
-
-  Result<JsonValue> ParseArray() {
-    ++pos_;  // '['
-    JsonValue value;
-    value.type = JsonValue::Type::kArray;
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return value;
-    }
-    while (true) {
-      CROWDER_ASSIGN_OR_RETURN(JsonValue element, ParseValue());
-      value.array.push_back(std::move(element));
-      SkipSpace();
-      if (pos_ >= text_.size()) return Fail("unterminated array");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return value;
-      }
-      return Fail("expected ',' or ']'");
-    }
-  }
-
-  Result<JsonValue> ParseString() {
-    if (text_[pos_] != '"') return Fail("expected string");
-    ++pos_;
-    JsonValue value;
-    value.type = JsonValue::Type::kString;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return Fail("unterminated escape");
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case 'n':
-            c = '\n';
-            break;
-          case 't':
-            c = '\t';
-            break;
-          default:
-            c = esc;  // \", \\, \/ and anything else: literal
-        }
-      }
-      value.string.push_back(c);
-    }
-    if (pos_ >= text_.size()) return Fail("unterminated string");
-    ++pos_;  // closing quote
-    return value;
-  }
-
-  Result<JsonValue> ParseBool() {
-    JsonValue value;
-    value.type = JsonValue::Type::kBool;
-    if (text_.compare(pos_, 4, "true") == 0) {
-      value.boolean = true;
-      pos_ += 4;
-      return value;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      value.boolean = false;
-      pos_ += 5;
-      return value;
-    }
-    return Fail("expected 'true' or 'false'");
-  }
-
-  Result<JsonValue> ParseNull() {
-    if (text_.compare(pos_, 4, "null") != 0) return Fail("expected 'null'");
-    pos_ += 4;
-    return JsonValue{};
-  }
-
-  Result<JsonValue> ParseNumber() {
-    // std::from_chars: the locale-independent inverse of ExactDouble.
-    const char* begin = text_.data() + pos_;
-    const char* end = text_.data() + text_.size();
-    double number = 0.0;
-    const auto [ptr, ec] = std::from_chars(begin, end, number);
-    if (ec != std::errc() || ptr == begin || !std::isfinite(number)) {
-      return Fail("expected number");
-    }
-    pos_ += static_cast<size_t>(ptr - begin);
-    JsonValue value;
-    value.type = JsonValue::Type::kNumber;
-    value.number = number;
-    return value;
-  }
-
-  static constexpr int kMaxDepth = 16;
-
-  const std::string& text_;
-  size_t pos_ = 0;
-  int depth_ = 0;
+  const char* begin_;
+  std::string_view rest_;
+  bool ok_ = true;
+  std::string expected_;  // what the first failed read expected
 };
-
-// Field accessors that fail with a message instead of asserting — log lines
-// come from disk.
-Result<double> NumberField(const JsonValue& object, const std::string& key) {
-  const JsonValue* value = object.Find(key);
-  if (value == nullptr || value->type != JsonValue::Type::kNumber) {
-    return Status::InvalidArgument("missing or non-numeric field '" + key + "'");
-  }
-  return value->number;
-}
-
-Result<const JsonValue*> ArrayField(const JsonValue& object, const std::string& key) {
-  const JsonValue* value = object.Find(key);
-  if (value == nullptr || value->type != JsonValue::Type::kArray) {
-    return Status::InvalidArgument("missing or non-array field '" + key + "'");
-  }
-  return value;
-}
-
-Result<std::vector<double>> NumberArray(const JsonValue& array, size_t expected_size,
-                                        const std::string& what) {
-  if (array.type != JsonValue::Type::kArray || array.array.size() != expected_size) {
-    return Status::InvalidArgument("malformed " + what + " entry");
-  }
-  std::vector<double> out;
-  out.reserve(expected_size);
-  for (const JsonValue& element : array.array) {
-    if (element.type != JsonValue::Type::kNumber) {
-      return Status::InvalidArgument("malformed " + what + " entry");
-    }
-    out.push_back(element.number);
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -286,7 +138,7 @@ Result<std::unique_ptr<VoteLogWriter>> VoteLogWriter::Create(const std::string& 
   std::ofstream out(path, std::ios::out | std::ios::trunc);
   if (!out.is_open()) return Status::IOError("cannot open vote log for writing: " + path);
   auto writer = std::unique_ptr<VoteLogWriter>(new VoteLogWriter(path, std::move(out)));
-  writer->out_ << "{\"crowder_vote_log\":1}\n";
+  writer->out_ << kHeader << "\n";
   return writer;
 }
 
@@ -412,24 +264,12 @@ Result<std::unique_ptr<RecordedCrowdBackend>> RecordedCrowdBackend::Open(
     const std::string& path) {
   std::ifstream in(path);
   if (!in.is_open()) return Status::IOError("cannot open vote log: " + path);
-  auto backend =
-      std::unique_ptr<RecordedCrowdBackend>(new RecordedCrowdBackend(path, std::move(in)));
   std::string line;
-  if (!backend->NextLine(&line)) {
-    return Status::DataLoss("vote log is empty: " + path);
-  }
-  auto header = JsonParser(line).Parse();
-  if (!header.ok() || header->Find("crowder_vote_log") == nullptr) {
+  if (!std::getline(in, line)) return Status::DataLoss("vote log is empty: " + path);
+  if (line != kHeader) {
     return Status::DataLoss("not a crowder vote log (bad header line): " + path);
   }
-  return backend;
-}
-
-bool RecordedCrowdBackend::NextLine(std::string* line) {
-  while (std::getline(in_, *line)) {
-    if (!line->empty()) return true;  // tolerate blank lines
-  }
-  return false;
+  return std::unique_ptr<RecordedCrowdBackend>(new RecordedCrowdBackend(path, std::move(in)));
 }
 
 Result<Ticket> RecordedCrowdBackend::Post(const HitBatch& batch) {
@@ -461,99 +301,98 @@ Result<VoteBatch> RecordedCrowdBackend::Poll(Ticket ticket) {
 
   for (size_t i = 0; i < batch.num_hits(); ++i) {
     const uint32_t hit = batch.first_hit + static_cast<uint32_t>(i);
-    const std::string at_hit = " at HIT " + std::to_string(hit);
+    const auto fail = [&](const std::string& kind, const std::string& what) {
+      return Status::DataLoss("vote log " + path_ + " " + kind + " at HIT " +
+                              std::to_string(hit) + ": " + what);
+    };
     std::string line;
-    if (!NextLine(&line)) {
-      return Status::DataLoss("vote log " + path_ + " truncated: log ended" + at_hit +
-                              " with the HIT batch still pending");
+    if (!std::getline(in_, line)) {
+      return fail("truncated", "log ended with the HIT batch still pending");
     }
-    auto parsed = JsonParser(line).Parse();
-    if (!parsed.ok()) {
-      return Status::DataLoss("vote log " + path_ + " corrupt" + at_hit + ": " +
-                              parsed.status().message());
+    if (StartsWith(line, "{\"finish\":")) {
+      return fail("truncated", "finish record reached but the run generated more HITs");
     }
-    if (parsed->Find("finish") != nullptr) {
-      return Status::DataLoss("vote log " + path_ + " truncated: finish record reached" +
-                              at_hit + " but the run generated more HITs");
-    }
-    auto recorded_hit = NumberField(*parsed, "hit");
-    if (!recorded_hit.ok() || *recorded_hit != hit) {
-      return Status::DataLoss("vote log " + path_ + " mismatch" + at_hit +
-                              ": recorded line carries HIT index " +
-                              (recorded_hit.ok() ? ExactDouble(*recorded_hit)
-                                                 : std::string("<missing>")));
+    Cursor in(line);
+    uint32_t recorded_hit = 0;
+    if (in.Take("{\"hit\":") && in.Count(&recorded_hit) && recorded_hit != hit) {
+      return fail("mismatch", "recorded line carries HIT index " + std::to_string(recorded_hit));
     }
 
     // The recorded HIT identity must be the generated one — a log recorded
     // from a different configuration (threshold, k, seed...) fails here.
-    if (batch.pair_hits != nullptr) {
+    const bool pair_hit = batch.pair_hits != nullptr;
+    if (in.At(pair_hit ? ",\"records\":" : ",\"pairs\":")) {
+      return fail("mismatch", std::string("recorded a ") + (pair_hit ? "cluster" : "pair") +
+                                  " HIT where the run generated a " +
+                                  (pair_hit ? "pair" : "cluster") + " HIT");
+    }
+    bool same = true;
+    size_t read = 0;
+    if (pair_hit) {
       const auto& edges = (*batch.pair_hits)[i].pairs;
-      CROWDER_ASSIGN_OR_RETURN(const JsonValue* pairs, ArrayField(*parsed, "pairs"));
-      bool match = pairs->array.size() == edges.size();
-      for (size_t e = 0; match && e < edges.size(); ++e) {
-        auto pair = NumberArray(pairs->array[e], 2, "pair");
-        match = pair.ok() && (*pair)[0] == edges[e].a && (*pair)[1] == edges[e].b;
-      }
-      if (!match) {
-        return Status::DataLoss("vote log " + path_ + " mismatch" + at_hit +
-                                ": recorded pairs differ from the generated HIT");
+      in.Take(",\"pairs\":") && in.List([&] {
+        graph::Edge e;
+        if (!(in.Take("[") && in.Count(&e.a) && in.Take(",") && in.Count(&e.b) && in.Take("]"))) {
+          return false;
+        }
+        same = same && read < edges.size() && edges[read].a == e.a && edges[read].b == e.b;
+        ++read;
+        return true;
+      });
+      if (in.ok() && !(same && read == edges.size())) {
+        return fail("mismatch", "recorded pairs differ from the generated HIT");
       }
     } else {
       const auto& records = (*batch.cluster_hits)[i].records;
-      CROWDER_ASSIGN_OR_RETURN(const JsonValue* recs, ArrayField(*parsed, "records"));
-      bool match = recs->array.size() == records.size();
-      for (size_t r = 0; match && r < records.size(); ++r) {
-        match = recs->array[r].type == JsonValue::Type::kNumber &&
-                recs->array[r].number == records[r];
-      }
-      if (!match) {
-        return Status::DataLoss("vote log " + path_ + " mismatch" + at_hit +
-                                ": recorded records differ from the generated HIT");
+      in.Take(",\"records\":") && in.List([&] {
+        uint32_t record = 0;
+        if (!in.Count(&record)) return false;
+        same = same && read < records.size() && records[read] == record;
+        ++read;
+        return true;
+      });
+      if (in.ok() && !(same && read == records.size())) {
+        return fail("mismatch", "recorded records differ from the generated HIT");
       }
     }
 
     HitVotes hv;
     hv.hit = hit;
-    CROWDER_ASSIGN_OR_RETURN(const JsonValue* votes, ArrayField(*parsed, "votes"));
-    hv.votes.reserve(votes->array.size());
-    for (const JsonValue& entry : votes->array) {
-      auto fields = NumberArray(entry, 4, "vote");
+    in.Take(",\"votes\":") && in.List([&] {
       PairVote pv;
-      if (!fields.ok() || !ToUnsigned((*fields)[0], &pv.a) || !ToUnsigned((*fields)[1], &pv.b) ||
-          !ToUnsigned((*fields)[2], &pv.vote.worker_id)) {
-        return Status::DataLoss("vote log " + path_ + " corrupt" + at_hit +
-                                ": malformed vote entry");
-      }
-      pv.vote.says_match = (*fields)[3] != 0.0;
-      if (context_keys.find(PairKey(pv.a, pv.b)) == context_keys.end()) {
-        return Status::DataLoss("vote log " + path_ + " corrupt" + at_hit +
-                                ": recorded vote names pair (" + std::to_string(pv.a) + "," +
-                                std::to_string(pv.b) +
-                                ") outside the batch's candidate context");
+      if (!(in.Take("[") && in.Count(&pv.a) && in.Take(",") && in.Count(&pv.b) && in.Take(",") &&
+            in.Count(&pv.vote.worker_id) && in.Take(",") && in.Count(&pv.vote.says_match) &&
+            in.Take("]"))) {
+        return false;
       }
       hv.votes.push_back(pv);
+      return true;
+    });
+    in.Take(",\"assignments\":") && in.List([&] {
+      AssignmentRecord rec;
+      rec.hit = hit;
+      if (!(in.Take("[") && in.Count(&rec.worker) && in.Take(",") &&
+            in.Number(&rec.duration_seconds) && in.Take(",") && in.Count(&rec.comparisons) &&
+            in.Take(",") && in.Count(&rec.by_spammer) && in.Take("]"))) {
+        return false;
+      }
+      out.assignments.push_back(rec);
+      return true;
+    });
+    in.Take("}");
+    if (!in.AtEnd()) return fail("corrupt", in.Departure());
+    for (const PairVote& pv : hv.votes) {
+      if (context_keys.count(PairKey(pv.a, pv.b)) == 0) {
+        return fail("corrupt", "recorded vote names pair (" + std::to_string(pv.a) + "," +
+                                   std::to_string(pv.b) +
+                                   ") outside the batch's candidate context");
+      }
     }
     out.hit_votes.push_back(std::move(hv));
-
-    CROWDER_ASSIGN_OR_RETURN(const JsonValue* assignments, ArrayField(*parsed, "assignments"));
-    for (const JsonValue& entry : assignments->array) {
-      auto fields = NumberArray(entry, 4, "assignment");
-      AssignmentRecord rec;
-      if (!fields.ok() || !ToUnsigned((*fields)[0], &rec.worker) ||
-          !ToUnsigned((*fields)[2], &rec.comparisons)) {
-        return Status::DataLoss("vote log " + path_ + " corrupt" + at_hit +
-                                ": malformed assignment entry");
-      }
-      rec.hit = hit;
-      rec.duration_seconds = (*fields)[1];
-      rec.by_spammer = (*fields)[3] != 0.0;
-      out.assignments.push_back(rec);
-      assignments_.push_back(rec);
-      assignment_seconds_.push_back(rec.duration_seconds);
-    }
   }
 
-  hits_replayed_ += static_cast<uint32_t>(batch.num_hits());
+  for (const AssignmentRecord& rec : out.assignments) stats_.Add(rec);
+  stats_.num_hits += static_cast<uint32_t>(batch.num_hits());
   ticket_outstanding_ = false;
   pending_batch_ = nullptr;
   ++next_ticket_;
@@ -567,45 +406,48 @@ Result<CrowdRunResult> RecordedCrowdBackend::Finish() {
   }
   finished_ = true;
   std::string line;
-  if (!NextLine(&line)) {
+  if (!std::getline(in_, line)) {
     return Status::DataLoss("vote log " + path_ +
                             " truncated: missing finish record after HIT " +
-                            std::to_string(hits_replayed_ == 0 ? 0 : hits_replayed_ - 1));
+                            std::to_string(stats_.num_hits == 0 ? 0 : stats_.num_hits - 1));
   }
-  auto parsed = JsonParser(line).Parse();
-  if (!parsed.ok()) {
-    return Status::DataLoss("vote log " + path_ + " corrupt finish record: " +
-                            parsed.status().message());
-  }
-  const JsonValue* finish = parsed->Find("finish");
-  if (finish == nullptr) {
-    auto extra_hit = NumberField(*parsed, "hit");
-    return Status::DataLoss(
-        "vote log " + path_ + " mismatch: log continues past the run's last HIT" +
-        (extra_hit.ok() ? " (next recorded HIT " + ExactDouble(*extra_hit) + ")" : ""));
+  if (StartsWith(line, "{\"hit\":")) {
+    return Status::DataLoss("vote log " + path_ +
+                            " mismatch: log continues past the run's last HIT (" +
+                            std::to_string(stats_.num_hits) + " HITs replayed)");
   }
 
-  CrowdRunResult stats;
-  const auto count = [&](const std::string& key, auto* out) -> Status {
-    CROWDER_ASSIGN_OR_RETURN(const double value, NumberField(*finish, key));
-    if (!ToUnsigned(value, out)) {
-      return Status::DataLoss("vote log " + path_ + " corrupt finish record: '" + key +
-                              "' is not a count");
-    }
-    return Status::OK();
-  };
-  CROWDER_RETURN_NOT_OK(count("num_hits", &stats.num_hits));
-  CROWDER_RETURN_NOT_OK(count("num_assignments", &stats.num_assignments));
-  CROWDER_RETURN_NOT_OK(count("total_comparisons", &stats.total_comparisons));
-  CROWDER_RETURN_NOT_OK(count("num_distinct_workers", &stats.num_distinct_workers));
-  CROWDER_RETURN_NOT_OK(count("num_spammer_assignments", &stats.num_spammer_assignments));
-  CROWDER_ASSIGN_OR_RETURN(stats.median_assignment_seconds,
-                           NumberField(*finish, "median_assignment_seconds"));
-  CROWDER_ASSIGN_OR_RETURN(stats.total_seconds, NumberField(*finish, "total_seconds"));
-  CROWDER_ASSIGN_OR_RETURN(stats.cost_dollars, NumberField(*finish, "cost_dollars"));
-  stats.assignments = std::move(assignments_);
-  stats.assignment_seconds = std::move(assignment_seconds_);
-  return stats;
+  // The counts and the median follow from the replayed assignments; the
+  // finish record must agree with them and supplies the platform's
+  // latency and cost.
+  CrowdRunResult recorded;
+  Cursor in(line);
+  in.Take("{\"finish\":{\"num_hits\":") && in.Count(&recorded.num_hits) &&
+      in.Take(",\"num_assignments\":") && in.Count(&recorded.num_assignments) &&
+      in.Take(",\"total_comparisons\":") && in.Count(&recorded.total_comparisons) &&
+      in.Take(",\"num_distinct_workers\":") && in.Count(&recorded.num_distinct_workers) &&
+      in.Take(",\"num_spammer_assignments\":") && in.Count(&recorded.num_spammer_assignments) &&
+      in.Take(",\"median_assignment_seconds\":") &&
+      in.Number(&recorded.median_assignment_seconds) && in.Take(",\"total_seconds\":") &&
+      in.Number(&recorded.total_seconds) && in.Take(",\"cost_dollars\":") &&
+      in.Number(&recorded.cost_dollars) && in.Take("}}");
+  if (!in.AtEnd()) {
+    return Status::DataLoss("vote log " + path_ + " corrupt finish record: " + in.Departure());
+  }
+  stats_.Seal();
+  if (recorded.num_hits != stats_.num_hits ||
+      recorded.num_assignments != stats_.num_assignments ||
+      recorded.total_comparisons != stats_.total_comparisons ||
+      recorded.num_distinct_workers != stats_.num_distinct_workers ||
+      recorded.num_spammer_assignments != stats_.num_spammer_assignments ||
+      recorded.median_assignment_seconds != stats_.median_assignment_seconds) {
+    return Status::DataLoss("vote log " + path_ +
+                            " mismatch: the finish record's counts disagree with the replayed "
+                            "HITs");
+  }
+  stats_.total_seconds = recorded.total_seconds;
+  stats_.cost_dollars = recorded.cost_dollars;
+  return std::move(stats_);
 }
 
 }  // namespace crowd

@@ -9,14 +9,30 @@
 /// `crowd::CrowdBackend`, reproducing the ranked workflow output byte for
 /// byte without simulating anything.
 ///
-/// Format: one JSON object per line.
+/// Format: one JSON object per line, each line exactly as the writer
+/// prints it:
 ///
 ///     {"crowder_vote_log":1}                                   // header
 ///     {"hit":0,"pairs":[[1,5],[2,7]],
 ///      "votes":[[1,5,3,1],[2,7,4,0]],                          // [a,b,worker,match]
 ///      "assignments":[[3,12.25,2,0],[4,13.5,2,0]]}             // [worker,secs,comparisons,spammer]
-///     {"hit":1,"records":[4,8,9], ...}                         // cluster HIT
-///     {"finish":{"total_seconds":...,"cost_dollars":..., ...}} // footer
+///     {"hit":1,"records":[4,8,9],"votes":[...],                // cluster HIT
+///      "assignments":[...]}
+///     {"finish":{"num_hits":2,"num_assignments":...,"total_comparisons":...,
+///       "num_distinct_workers":...,"num_spammer_assignments":...,
+///       "median_assignment_seconds":...,"total_seconds":...,"cost_dollars":...}}
+///
+/// (Each record is one line; the long ones are wrapped here.) The grammar is
+/// the writer's: the header verbatim; per HIT the keys `hit`, then `pairs`
+/// or `records`, then `votes`, then `assignments`; the finish record's keys
+/// in the order above; no whitespace anywhere and nothing after the closing
+/// brace. Ids, counts and flags are numbers whose value is a non-negative
+/// integer that fits the field, the match and spammer flags 0 or 1; durations and the finish
+/// record's seconds and dollars are finite numbers. The replay reads
+/// exactly that and rejects everything else as `kDataLoss`: blank lines,
+/// whitespace, reordered, missing or extra keys, a flag other than 0 or 1,
+/// trailing bytes, and a finish record whose counts or median disagree
+/// with the replayed HITs.
 ///
 /// Doubles are printed with std::to_chars (shortest round-trip form,
 /// locale-independent) and parsed with std::from_chars, so every finite
@@ -28,9 +44,13 @@
 /// mode) replays under any other, as long as the generated HIT sequence is
 /// identical — which the workflow's byte-identity contract guarantees.
 ///
-/// Replay failures are `StatusCode::kDataLoss` and name the offending HIT
-/// index: a truncated log, a HIT whose recorded identity mismatches the
-/// generated one, or a missing finish record.
+/// Replay failures are `StatusCode::kDataLoss`. Inside a HIT line they name
+/// the HIT index and the kind of failure: truncated (the log ends, or
+/// reaches its finish record, before the run's last HIT), mismatch (the
+/// recorded index or identity differs from the generated HIT), corrupt
+/// (the line departs from the grammar, at a named byte, or a vote names a
+/// pair outside the batch's context). A missing finish record is reported
+/// as one.
 #ifndef CROWDER_CROWD_VOTE_LOG_H_
 #define CROWDER_CROWD_VOTE_LOG_H_
 
@@ -91,8 +111,9 @@ class VoteLogWriter {
 /// the next `batch.num_hits()` lines, verifying per HIT that the recorded
 /// global index and identity (pairs / records) match the generated HIT —
 /// any divergence is a `kDataLoss` error naming the HIT index. Finish
-/// requires the finish record and returns the recorded statistics with the
-/// replayed assignment trail.
+/// requires the finish record and returns the replayed assignment trail
+/// with its counts and median, which the record must repeat, and the
+/// recorded latency and cost.
 class RecordedCrowdBackend : public CrowdBackend {
  public:
   /// \brief Opens `path` and validates the header line.
@@ -105,18 +126,14 @@ class RecordedCrowdBackend : public CrowdBackend {
  private:
   RecordedCrowdBackend(std::string path, std::ifstream in);
 
-  /// Reads the next log line into `line` (false at EOF).
-  bool NextLine(std::string* line);
-
   std::string path_;
   std::ifstream in_;
   const HitBatch* pending_batch_ = nullptr;  // non-owning; valid until Poll
   Ticket next_ticket_ = 0;
   bool ticket_outstanding_ = false;
   bool finished_ = false;
-  uint32_t hits_replayed_ = 0;
-  std::vector<AssignmentRecord> assignments_;  // replayed audit trail
-  std::vector<double> assignment_seconds_;
+  /// The replayed HITs and assignment trail; Finish completes it.
+  CrowdRunResult stats_;
 };
 
 }  // namespace crowd

@@ -3,19 +3,22 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/logging.h"
+#include "common/string_util.h"
+
 namespace crowder {
 namespace exec {
 
 uint32_t HardwareConcurrency() {
-  if (const char* env = std::getenv("CROWDER_THREADS")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && parsed >= 1) {
-      return static_cast<uint32_t>(parsed);
-    }
-  }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<uint32_t>(hw);
+  const uint32_t hardware = hw == 0 ? 1 : static_cast<uint32_t>(hw);
+  const char* env = std::getenv("CROWDER_THREADS");
+  if (env == nullptr) return hardware;
+  const Result<uint32_t> threads = ParseNumber<uint32_t>(env, "CROWDER_THREADS", 1, kMaxThreads);
+  if (threads.ok()) return *threads;
+  CROWDER_LOG(Warning) << threads.status().message() << "; using the hardware count, "
+                       << hardware;
+  return hardware;
 }
 
 uint32_t ResolveNumThreads(uint32_t requested) {

@@ -24,9 +24,15 @@
 namespace crowder {
 namespace exec {
 
+/// \brief The most threads a thread count from outside may ask for
+/// (CROWDER_THREADS, crowder_cli --threads), so a typo cannot ask the pool
+/// for billions of workers.
+constexpr uint32_t kMaxThreads = 4096;
+
 /// \brief Number of hardware threads, overridable via the CROWDER_THREADS
-/// environment variable (any value >= 1; invalid or unset falls back to
-/// std::thread::hardware_concurrency()). Never returns 0.
+/// environment variable (a whole number in [1, kMaxThreads]; unset falls
+/// back to std::thread::hardware_concurrency(), and so does an invalid
+/// value, with a warning). Never returns 0.
 uint32_t HardwareConcurrency();
 
 /// \brief Maps the public thread-count convention to an actual count:

@@ -140,31 +140,18 @@ Status InProcessTransport::Send(const Frame& frame) {
 Status InProcessTransport::CloseSend() {
   if (sealed_) return Status::OK();
   sealed_ = true;
-  // Run the worker synchronously over the queued spec. Job-level failures
-  // become kWorkerError frames inside Execute — exactly what a subprocess
-  // worker would have written — so the coordinator's handling is identical
+  // Run the worker synchronously over the queued spec: the same AnswerJob
+  // a subprocess worker runs, so the coordinator's handling is identical
   // across transports.
-  ShardWorkerJob job;
-  Status feed_status;
-  for (const Frame& frame : inbox_) {
-    feed_status = job.Feed(frame);
-    if (!feed_status.ok()) break;
-    if (job.sealed()) break;
-  }
-  if (feed_status.ok() && !job.sealed()) {
-    feed_status = Status::IOError(peer_name_ + ": spec ended without kJobSealed");
-  }
-  std::vector<Frame> frames;
-  if (feed_status.ok()) {
-    frames = job.Execute();
-  } else {
-    WorkerError error;
-    error.code = feed_status.code();
-    error.message = feed_status.message();
-    frames.push_back(EncodeWorkerError(error));
-  }
+  size_t next = 0;
+  std::vector<Frame> answer = AnswerJob([&]() -> Result<Frame> {
+    if (next == inbox_.size()) {
+      return Status::IOError(peer_name_ + ": spec ended without kJobSealed");
+    }
+    return std::move(inbox_[next++]);
+  });
   inbox_.clear();
-  for (Frame& frame : frames) outbox_.push_back(std::move(frame));
+  for (Frame& frame : answer) outbox_.push_back(std::move(frame));
   return Status::OK();
 }
 

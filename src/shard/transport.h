@@ -12,8 +12,10 @@
 //     configured.
 //
 // The coordinator writes a whole job spec, calls CloseSend(), then reads
-// result frames until a terminal kWorkerDone / kWorkerError. Workers
-// mirror it: read until kJobSealed, compute, write results.
+// result frames until a terminal kWorkerDone / kWorkerError. Workers on
+// both transports mirror it through one function, shard::AnswerJob: read
+// until kJobSealed, compute, write results — or one kWorkerError when the
+// job is invalid or its stream ends early.
 #ifndef CROWDER_SHARD_TRANSPORT_H_
 #define CROWDER_SHARD_TRANSPORT_H_
 

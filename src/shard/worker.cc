@@ -22,6 +22,14 @@ double RusageCpuMs(const rusage& ru) {
   return tv_ms(ru.ru_utime) + tv_ms(ru.ru_stime);
 }
 
+// The answer to a job that cannot run: one kWorkerError frame.
+std::vector<Frame> ErrorAnswer(const Status& status) {
+  WorkerError error;
+  error.code = status.code();
+  error.message = status.message();
+  return {EncodeWorkerError(error)};
+}
+
 }  // namespace
 
 Status ShardWorkerJob::Feed(const Frame& frame) {
@@ -157,31 +165,21 @@ Result<std::vector<Frame>> ShardWorkerJob::ExecuteOrError(size_t pairs_per_frame
 std::vector<Frame> ShardWorkerJob::Execute(size_t pairs_per_frame) {
   auto result = ExecuteOrError(pairs_per_frame);
   if (result.ok()) return std::move(result).ValueOrDie();
-  WorkerError error;
-  error.code = result.status().code();
-  error.message = result.status().message();
-  return {EncodeWorkerError(error)};
+  return ErrorAnswer(result.status());
+}
+
+std::vector<Frame> AnswerJob(const std::function<Result<Frame>()>& next) {
+  ShardWorkerJob job;
+  Status status;
+  while (status.ok() && !job.sealed()) {
+    Result<Frame> frame = next();
+    status = frame.ok() ? job.Feed(*frame) : frame.status();
+  }
+  return status.ok() ? job.Execute() : ErrorAnswer(status);
 }
 
 Status RunShardWorker(FrameTransport* transport) {
-  ShardWorkerJob job;
-  Status feed_status;
-  while (!job.sealed()) {
-    auto frame = transport->Recv();
-    if (!frame.ok()) return frame.status();
-    feed_status = job.Feed(frame.ValueOrDie());
-    if (!feed_status.ok()) break;
-  }
-  std::vector<Frame> frames;
-  if (feed_status.ok()) {
-    frames = job.Execute();
-  } else {
-    WorkerError error;
-    error.code = feed_status.code();
-    error.message = feed_status.message();
-    frames.push_back(EncodeWorkerError(error));
-  }
-  for (const Frame& frame : frames) {
+  for (const Frame& frame : AnswerJob([transport] { return transport->Recv(); })) {
     CROWDER_RETURN_NOT_OK(transport->Send(frame));
   }
   return transport->CloseSend();

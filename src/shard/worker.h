@@ -17,6 +17,7 @@
 #define CROWDER_SHARD_WORKER_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/result.h"
@@ -59,10 +60,16 @@ class ShardWorkerJob {
   similarity::JoinInput input_;
 };
 
-/// \brief The crowder_shardd main loop: Recv spec frames until kJobSealed,
-/// execute, Send every result frame, CloseSend. Job-level failures travel
-/// to the coordinator as kWorkerError frames (and return OK here);
-/// transport failures — the coordinator died — are returned.
+/// \brief One job, start to answer: reads spec frames from `next` until
+/// kJobSealed, then executes the job. The answer always ends in a terminal
+/// frame: a read error (a stream that ends early or breaks mid-frame), like
+/// an invalid job, becomes a single kWorkerError frame. Both transports'
+/// workers are this function.
+std::vector<Frame> AnswerJob(const std::function<Result<Frame>()>& next);
+
+/// \brief The crowder_shardd main loop: AnswerJob over the transport's
+/// Recv, Send every answer frame, CloseSend. Only a failure to write the
+/// answer — the coordinator died — is returned.
 Status RunShardWorker(FrameTransport* transport);
 
 }  // namespace shard

@@ -9,7 +9,9 @@
 #include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iterator>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -312,6 +314,151 @@ Status ReplayLog(const std::string& path, const MixedRun& run) {
   return replayer->Finish().status();
 }
 
+// Records `run` under `seed` to `path` through the simulator's tee and
+// returns what the recording run saw: its polled batches and statistics.
+std::pair<std::vector<VoteBatch>, CrowdRunResult> RecordMixedRun(const MixedRun& run,
+                                                                  uint64_t seed,
+                                                                  const std::string& path) {
+  auto writer = VoteLogWriter::Create(path).ValueOrDie();
+  SimulatedCrowdOptions options;
+  options.tee = writer.get();
+  auto recorder =
+      SimulatedCrowdBackend::Create(CrowdModel{}, seed, run.entity_of, options).ValueOrDie();
+  std::vector<VoteBatch> batches;
+  for (const HitBatch& batch : run.Batches()) {
+    batches.push_back(recorder->Poll(recorder->Post(batch).ValueOrDie()).ValueOrDie());
+  }
+  CrowdRunResult stats = recorder->Finish().ValueOrDie();
+  EXPECT_TRUE(writer->Close().ok());
+  return {std::move(batches), std::move(stats)};
+}
+
+// The committed log: MixedRun recorded under seed 5 by the library whose
+// replay still read any JSON. Its bytes pin the format on disk: the writer
+// must reproduce them and the replay must read them.
+const std::string kCommittedLog = std::string(CROWDER_TEST_DATA_DIR) + "/mixed_run_seed5.jsonl";
+
+TEST(VoteLogTest, CommittedLogReplaysLikeAFreshRecording) {
+  const MixedRun run;
+  const std::string fresh = TempPath("votes_fresh_seed5.jsonl");
+  const auto [recorded, recorded_stats] = RecordMixedRun(run, 5, fresh);
+  EXPECT_EQ(ReadFile(fresh), ReadFile(kCommittedLog));  // the writer has not moved
+
+  auto replayer = RecordedCrowdBackend::Open(kCommittedLog).ValueOrDie();
+  const std::vector<HitBatch> batches = run.Batches();
+  ASSERT_EQ(batches.size(), recorded.size());
+  for (size_t b = 0; b < batches.size(); ++b) {
+    const VoteBatch replayed = replayer->Poll(replayer->Post(batches[b]).ValueOrDie()).ValueOrDie();
+    const VoteBatch& want = recorded[b];
+    ASSERT_EQ(replayed.hit_votes.size(), want.hit_votes.size());
+    for (size_t h = 0; h < want.hit_votes.size(); ++h) {
+      EXPECT_EQ(replayed.hit_votes[h].hit, want.hit_votes[h].hit);
+      ASSERT_EQ(replayed.hit_votes[h].votes.size(), want.hit_votes[h].votes.size());
+      for (size_t v = 0; v < want.hit_votes[h].votes.size(); ++v) {
+        const PairVote& got = replayed.hit_votes[h].votes[v];
+        const PairVote& exp = want.hit_votes[h].votes[v];
+        EXPECT_EQ(got.a, exp.a);
+        EXPECT_EQ(got.b, exp.b);
+        EXPECT_EQ(got.vote.worker_id, exp.vote.worker_id);
+        EXPECT_EQ(got.vote.says_match, exp.vote.says_match);
+      }
+    }
+    ASSERT_EQ(replayed.assignments.size(), want.assignments.size());
+    for (size_t i = 0; i < want.assignments.size(); ++i) {
+      EXPECT_EQ(replayed.assignments[i].hit, want.assignments[i].hit);
+      EXPECT_EQ(replayed.assignments[i].worker, want.assignments[i].worker);
+      EXPECT_EQ(replayed.assignments[i].duration_seconds, want.assignments[i].duration_seconds);
+      EXPECT_EQ(replayed.assignments[i].comparisons, want.assignments[i].comparisons);
+      EXPECT_EQ(replayed.assignments[i].by_spammer, want.assignments[i].by_spammer);
+    }
+  }
+  const CrowdRunResult stats = replayer->Finish().ValueOrDie();
+  EXPECT_EQ(stats.assignments.size(), recorded_stats.assignments.size());
+  EXPECT_EQ(stats.num_hits, recorded_stats.num_hits);
+  EXPECT_EQ(stats.num_assignments, recorded_stats.num_assignments);
+  EXPECT_EQ(stats.total_comparisons, recorded_stats.total_comparisons);
+  EXPECT_EQ(stats.num_distinct_workers, recorded_stats.num_distinct_workers);
+  EXPECT_EQ(stats.num_spammer_assignments, recorded_stats.num_spammer_assignments);
+  EXPECT_EQ(stats.median_assignment_seconds, recorded_stats.median_assignment_seconds);
+  EXPECT_EQ(stats.total_seconds, recorded_stats.total_seconds);
+  EXPECT_EQ(stats.cost_dollars, recorded_stats.cost_dollars);
+  // The world exercises both flags and a worker on two HITs.
+  EXPECT_GT(recorded_stats.num_spammer_assignments, 0u);
+  EXPECT_LT(recorded_stats.num_distinct_workers, recorded_stats.num_assignments);
+}
+
+// The committed log with `edit` applied to line `line` (0 = the header),
+// written to a temporary file whose path is returned.
+std::string EditedLog(size_t line, const std::function<std::string(std::string)>& edit) {
+  std::vector<std::string> lines;
+  std::istringstream in(ReadFile(kCommittedLog));
+  for (std::string l; std::getline(in, l);) lines.push_back(l);
+  lines.at(line) = edit(lines.at(line));
+  const std::string path = TempPath("votes_edited.jsonl");
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  for (const std::string& l : lines) out << l << "\n";
+  return path;
+}
+
+TEST(VoteLogTest, LinesTheWriterNeverEmitsAreDataLossNamingTheHit) {
+  const MixedRun run;
+  // HIT 3's line: {"hit":3,"pairs":[...],"votes":[[4,5,147,1],...],"assignments":[...]}
+  const std::vector<std::pair<std::string, std::function<std::string(std::string)>>> edits = {
+      {"a space after a comma",
+       [](std::string l) { return l.replace(l.find("],[") + 2, 0, " "); }},
+      {"reordered keys",
+       [](std::string l) {
+         const size_t pairs = l.find(",\"pairs\":");
+         const size_t votes = l.find(",\"votes\":");
+         const size_t assignments = l.find(",\"assignments\":");
+         return l.substr(0, pairs) + l.substr(votes, assignments - votes) +
+                l.substr(pairs, votes - pairs) + l.substr(assignments);
+       }},
+      {"a vote flag of 2",
+       [](std::string l) {
+         const std::string vote = "[4,5,147,1]";
+         return l.replace(l.find(vote), vote.size(), "[4,5,147,2]");
+       }},
+      {"bytes after the closing brace", [](std::string l) { return l + "{}"; }},
+  };
+  for (const auto& [what, edit] : edits) {
+    SCOPED_TRACE(what);
+    const std::string path = EditedLog(4, edit);
+    ASSERT_NE(ReadFile(path), ReadFile(kCommittedLog));
+    const Status status = ReplayLog(path, run);
+    EXPECT_TRUE(status.IsDataLoss()) << status.ToString();
+    EXPECT_NE(status.message().find("at HIT 3"), std::string::npos) << status.ToString();
+  }
+}
+
+TEST(VoteLogTest, HitOfTheOtherKindIsAMismatchNamingTheHit) {
+  // The committed log opens with a cluster HIT; a run posting pair HITs
+  // there replays a different HIT sequence.
+  const MixedRun run;
+  HitBatch pairs_first;
+  pairs_first.pairs = &run.pairs;
+  pairs_first.pair_hits = &run.pair_hits;
+  auto replayer = RecordedCrowdBackend::Open(kCommittedLog).ValueOrDie();
+  const auto votes = replayer->Poll(replayer->Post(pairs_first).ValueOrDie());
+  ASSERT_FALSE(votes.ok());
+  EXPECT_TRUE(votes.status().IsDataLoss()) << votes.status().ToString();
+  EXPECT_NE(votes.status().message().find("mismatch at HIT 0: recorded a cluster HIT"),
+            std::string::npos)
+      << votes.status().ToString();
+}
+
+TEST(VoteLogTest, FinishRecordMustAgreeWithTheReplayedHits) {
+  const MixedRun run;
+  ASSERT_TRUE(ReplayLog(kCommittedLog, run).ok());
+  const std::string path = EditedLog(6, [](std::string l) {
+    const std::string workers = "\"num_distinct_workers\":13";
+    return l.replace(l.find(workers), workers.size(), "\"num_distinct_workers\":14");
+  });
+  const Status status = ReplayLog(path, run);
+  EXPECT_TRUE(status.IsDataLoss()) << status.ToString();
+  EXPECT_NE(status.message().find("finish record"), std::string::npos) << status.ToString();
+}
+
 // One deterministic mutation of `log`: truncate at a byte, flip a bit,
 // splice the head of one line onto the tail of another, or swap a number
 // for a hostile literal.
@@ -505,7 +652,7 @@ TEST(AsyncCrowdBackendTest, DeliversTheInnerBackendsVoteSetInPieces) {
   EXPECT_TRUE(async.Finish().ok());
 }
 
-TEST(AsyncCrowdBackendTest, FinishBeforeFullDeliveryIsRejectedDrainUnblocks) {
+TEST(AsyncCrowdBackendTest, FinishBeforeFullDeliveryIsRejected) {
   const auto entity_of = EntityOf();
   const auto pairs = SomePairs();
   const auto hits = PairHits();
@@ -528,9 +675,9 @@ TEST(AsyncCrowdBackendTest, FinishBeforeFullDeliveryIsRejectedDrainUnblocks) {
   ASSERT_FALSE(finish.ok());
   EXPECT_NE(finish.status().message().find("undelivered"), std::string::npos);
 
-  // Drain: the next poll flushes the rest and completes the round.
-  ASSERT_TRUE(async.Drain().ok());
-  EXPECT_TRUE(async.Poll(ticket).ValueOrDie().complete);
+  // Polling the round to completion unblocks Finish.
+  while (!async.Poll(ticket).ValueOrDie().complete) {
+  }
   EXPECT_TRUE(async.Finish().ok());
 }
 

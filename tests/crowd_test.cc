@@ -355,8 +355,10 @@ TEST(PlatformTest, TotalTimeExceedsLongestAssignment) {
   CrowdPlatform platform(CrowdModel{}, 17);
   std::vector<hitgen::ClusterBasedHit> hits{{{0, 1, 2, 3}}};
   auto run = platform.RunClusterHits(hits, f.Context()).ValueOrDie();
-  const double longest = *std::max_element(run.assignment_seconds.begin(),
-                                           run.assignment_seconds.end());
+  double longest = 0.0;
+  for (const AssignmentRecord& rec : run.assignments) {
+    longest = std::max(longest, rec.duration_seconds);
+  }
   EXPECT_GE(run.total_seconds, longest);
 }
 

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "exec/parallel.h"
@@ -33,6 +34,29 @@ TEST(HardwareConcurrencyTest, NeverZeroAndHonorsEnvOverride) {
 
   ::unsetenv("CROWDER_THREADS");
   EXPECT_GE(ResolveNumThreads(0), 1u);
+}
+
+TEST(HardwareConcurrencyTest, HostileEnvValuesResolveToTheHardwareCount) {
+  // Only HardwareConcurrency() is called: no pool is created, so an
+  // accepted huge value could not start threads here either.
+  const char* saved = std::getenv("CROWDER_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  ::unsetenv("CROWDER_THREADS");
+  const uint32_t hardware = HardwareConcurrency();
+  for (const char* value : {"0", "-1", "4097", "100000", "99999999999", "18446744073709551616",
+                            "-4294967295", "1e3", "4.0", "+4", " 4", "4 ", "4x", "0x10", ""}) {
+    ::setenv("CROWDER_THREADS", value, /*overwrite=*/1);
+    EXPECT_EQ(HardwareConcurrency(), hardware) << "CROWDER_THREADS='" << value << "'";
+  }
+  ::setenv("CROWDER_THREADS", "1", 1);
+  EXPECT_EQ(HardwareConcurrency(), 1u);
+  ::setenv("CROWDER_THREADS", "4096", 1);
+  EXPECT_EQ(HardwareConcurrency(), kMaxThreads);
+  if (saved != nullptr) {
+    ::setenv("CROWDER_THREADS", restore.c_str(), 1);
+  } else {
+    ::unsetenv("CROWDER_THREADS");
+  }
 }
 
 TEST(ThreadPoolTest, RunsEverySubmittedTask) {

@@ -966,6 +966,61 @@ Result<std::unique_ptr<FrameTransport>> ReplayTransport(const std::vector<uint8_
       new PipeTransport(fds[0], ::open("/dev/null", O_WRONLY), "replayed peer"));
 }
 
+// What crowder_shardd writes for the job stream `bytes`: RunShardWorker over
+// a pipe carrying them, which must end cleanly, and its answer read back
+// from a second pipe. The bytes and the answer must fit the pipe buffers.
+std::vector<Frame> DaemonAnswer(const std::vector<uint8_t>& bytes) {
+  int in[2];
+  int out[2];
+  if (::pipe(in) != 0 || ::pipe(out) != 0) {
+    ADD_FAILURE() << "pipe failed";
+    return {};
+  }
+  EXPECT_EQ(::write(in[1], bytes.data(), bytes.size()), static_cast<ssize_t>(bytes.size()));
+  ::close(in[1]);
+  {
+    PipeTransport daemon(in[0], out[1], "coordinator");
+    const Status status = RunShardWorker(&daemon);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+  PipeTransport coordinator(out[0], -1, "worker");
+  std::vector<Frame> answer;
+  for (auto frame = coordinator.Recv(); frame.ok(); frame = coordinator.Recv()) {
+    answer.push_back(*frame);
+  }
+  return answer;
+}
+
+TEST(ShardWorker, JobStreamEndingEarlyIsAnsweredWithAWorkerErrorByBothTransports) {
+  const std::vector<Frame> job = HugeTokenIdJob();
+  const std::vector<uint8_t> bytes = Serialize(job).bytes;
+  ASSERT_EQ(bytes.size(), 135u);
+  const auto expect_one_worker_error = [](const std::vector<Frame>& answer) {
+    ASSERT_EQ(answer.size(), 1u);
+    ASSERT_EQ(answer[0].type, FrameType::kWorkerError);
+    const auto error = DecodeWorkerError(answer[0]);
+    ASSERT_TRUE(error.ok()) << error.status().ToString();
+    EXPECT_EQ(error->code, StatusCode::kIOError) << error->message;
+  };
+  // Cut mid-frame (the first 100 bytes), and at the frame boundary before
+  // kJobSealed.
+  for (const size_t cut : {size_t{100}, bytes.size() - 12}) {
+    SCOPED_TRACE("first " + std::to_string(cut) + " bytes");
+    expect_one_worker_error(DaemonAnswer({bytes.begin(), bytes.begin() + cut}));
+  }
+  InProcessTransport in_process("worker");
+  ASSERT_TRUE(in_process.Send(job[0]).ok());
+  ASSERT_TRUE(in_process.Send(job[1]).ok());
+  ASSERT_TRUE(in_process.CloseSend().ok());
+  std::vector<Frame> answer;
+  for (auto frame = in_process.Recv(); frame.ok(); frame = in_process.Recv()) {
+    answer.push_back(*frame);
+  }
+  expect_one_worker_error(answer);
+  // The whole stream still runs.
+  EXPECT_EQ(DaemonAnswer(bytes).back().type, FrameType::kWorkerDone);
+}
+
 constexpr int kSweepMutants = 1200;
 
 TEST(ShardFrameSweep, WorkerEndsEveryMutatedJobStreamWithATerminalFrame) {

@@ -3,6 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <iterator>
+#include <limits>
+#include <string>
+#include <type_traits>
+#include <utility>
+
+#include "common/rng.h"
+
 namespace crowder {
 namespace {
 
@@ -135,6 +148,143 @@ TEST(ParseNumberTest, RejectsNonFiniteAndOutOfBounds) {
   EXPECT_EQ(ParseError<uint32_t>("0", 1, 1024), "--n must be in [1, 1024], got '0'");
   EXPECT_EQ(ParseError<int>("-5", -4, 4), "--n must be in [-4, 4], got '-5'");
   EXPECT_EQ(ParseError<uint32_t>("1024", 1, 1024), "");
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation sweep of the number parsers. Every number that arrives from
+// outside (flags, CSV fields, protocol lines, environment knobs, byte sizes)
+// goes through ParseNumber or ParseByteSize, so every mutant of a valid field
+// must end in a value within bounds that the C library reads the same way,
+// or in an InvalidArgument: never a crash, a wrap or an escaped exception.
+// ---------------------------------------------------------------------------
+
+// One deterministic mutant of a valid field: truncated, bit-flipped,
+// spliced with another field, with digits inflated, or with its exponent
+// inflated.
+std::string MutateField(Rng* rng) {
+  static const char* const kFields[] = {
+      "0",          "7",           "42",         "-17",        "4096",        "3.25",
+      "0.5",        "1e-3",        "-2.5e10",    "6.02e23",    "2147483647",  "-2147483648",
+      "4294967295", "18446744073709551615",     "64k",        "256M",        "3G",
+      "17179869183G"};
+  const auto pick = [&] { return std::string(kFields[rng->Uniform(std::size(kFields))]); };
+  std::string out = pick();
+  switch (rng->Uniform(5)) {
+    case 0:
+      out.resize(rng->Uniform(out.size() + 1));
+      break;
+    case 1:
+      for (uint64_t i = 0, n = 1 + rng->Uniform(3); i < n; ++i) {
+        out[rng->Uniform(out.size())] ^= static_cast<char>(1u << rng->Uniform(8));
+      }
+      break;
+    case 2: {
+      const std::string other = pick();
+      out = out.substr(0, rng->Uniform(out.size() + 1)) +
+            other.substr(rng->Uniform(other.size() + 1));
+      break;
+    }
+    case 3:
+      out.insert(rng->Uniform(out.size() + 1), 1 + rng->Uniform(40),
+                 static_cast<char>('0' + rng->Uniform(10)));
+      break;
+    default: {
+      static const char* const kExponents[] = {"e308", "e309", "e-307", "e-400", "e99999999999",
+                                               "E+5", "e", "e-", "e0"};
+      const size_t e = out.find_first_of("eE");
+      out = out.substr(0, e) + kExponents[rng->Uniform(std::size(kExponents))];
+      break;
+    }
+  }
+  return out;
+}
+
+// Parses `text` as a T within [lo, hi]: an InvalidArgument, or a value within
+// bounds that strtod/strtoll/strtoull read from the whole text as well.
+// Counts the outcome in `counts` (rejected, accepted).
+template <typename T>
+void CheckField(const std::string& text, T lo, T hi, std::pair<int, int>* counts) {
+  const Result<T> parsed = ParseNumber<T>(text, "field", lo, hi);
+  if (!parsed.ok()) {
+    EXPECT_TRUE(parsed.status().IsInvalidArgument()) << parsed.status().ToString();
+    ++counts->first;
+    return;
+  }
+  ++counts->second;
+  EXPECT_GE(*parsed, lo);
+  EXPECT_LE(*parsed, hi);
+  char* end = nullptr;
+  errno = 0;
+  if constexpr (std::is_floating_point_v<T>) {
+    EXPECT_TRUE(std::isfinite(*parsed));
+    EXPECT_EQ(*parsed, std::strtod(text.c_str(), &end));
+  } else if constexpr (std::is_signed_v<T>) {
+    EXPECT_EQ(*parsed, std::strtoll(text.c_str(), &end, 10));
+    EXPECT_EQ(errno, 0);
+  } else {
+    EXPECT_EQ(text.find('-'), std::string::npos);  // strtoull would wrap "-1"
+    EXPECT_EQ(*parsed, std::strtoull(text.c_str(), &end, 10));
+    EXPECT_EQ(errno, 0);
+  }
+  EXPECT_EQ(end, text.c_str() + text.size());
+}
+
+TEST(NumberParserSweep, EveryMutantParsesWithinBoundsOrIsInvalidArgument) {
+  Rng rng(20261018);
+  std::pair<int, int> doubles, narrow_doubles, ints, narrow_ints, u32s, narrow_u32s, u64s,
+      sizes;
+  constexpr int kMutants = 1500;
+  for (int i = 0; i < kMutants; ++i) {
+    const std::string text = MutateField(&rng);
+    SCOPED_TRACE("mutant " + std::to_string(i) + ": '" + text + "'");
+    CheckField<double>(text, std::numeric_limits<double>::lowest(),
+                       std::numeric_limits<double>::max(), &doubles);
+    CheckField<double>(text, 0.0, 1.0, &narrow_doubles);
+    CheckField<int>(text, std::numeric_limits<int>::min(), std::numeric_limits<int>::max(),
+                    &ints);
+    CheckField<int>(text, -4, 4096, &narrow_ints);
+    CheckField<uint32_t>(text, 0, std::numeric_limits<uint32_t>::max(), &u32s);
+    CheckField<uint32_t>(text, 1, 4096, &narrow_u32s);
+    CheckField<uint64_t>(text, 0, std::numeric_limits<uint64_t>::max(), &u64s);
+
+    // ParseByteSize against its contract: digits, then at most one of
+    // K/M/G in either case, the scaled value fitting 64 bits.
+    const Result<uint64_t> bytes = ParseByteSize(text);
+    const size_t digits = std::find_if_not(text.begin(), text.end(),
+                                           [](char c) { return c >= '0' && c <= '9'; }) -
+                          text.begin();
+    const std::string suffix = text.substr(digits);
+    const int shift = suffix.empty()                        ? 0
+                      : suffix == "K" || suffix == "k"      ? 10
+                      : suffix == "M" || suffix == "m"      ? 20
+                      : suffix == "G" || suffix == "g"      ? 30
+                                                            : -1;
+    uint64_t want = 0;
+    bool fits = digits > 0 && shift >= 0;
+    for (size_t d = 0; fits && d < digits; ++d) {
+      fits = !__builtin_mul_overflow(want, 10, &want) &&
+             !__builtin_add_overflow(want, static_cast<uint64_t>(text[d] - '0'), &want);
+    }
+    fits = fits && (shift == 0 || want <= (UINT64_MAX >> shift));
+    if (bytes.ok()) {
+      ++sizes.second;
+      EXPECT_TRUE(fits);
+      if (fits) {
+        EXPECT_EQ(*bytes, want << shift);
+      }
+    } else {
+      ++sizes.first;
+      EXPECT_TRUE(bytes.status().IsInvalidArgument()) << bytes.status().ToString();
+      EXPECT_FALSE(fits);
+    }
+  }
+  // Both outcomes occur for every parser: the sweep is neither vacuous nor
+  // all-rejecting.
+  for (const auto& [rejected, accepted] :
+       {doubles, narrow_doubles, ints, narrow_ints, u32s, narrow_u32s, u64s, sizes}) {
+    EXPECT_GT(rejected, 0);
+    EXPECT_GT(accepted, 0);
+  }
 }
 
 }  // namespace

@@ -19,6 +19,9 @@
 //                       [--target-qps F] [--report OUT.csv] [--json OUT.json]
 //                       [--compare-batch]
 //
+// A flag the usage text does not list is a usage error naming it (exit 2);
+// a malformed number is an error naming its flag (exit 1).
+//
 // --compare-batch re-resolves the same dataset through serve::BatchResolve
 // (the classic batch pipeline) and exits with code 3 unless the incremental
 // partition and crowd accounting are bitwise identical — the service's
@@ -28,8 +31,6 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <limits>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -39,6 +40,7 @@
 #include "common/string_util.h"
 #include "common/timer.h"
 #include "data/generators.h"
+#include "flags.h"
 #include "serve/service.h"
 
 namespace crowder {
@@ -57,44 +59,18 @@ int Usage() {
   return 2;
 }
 
-struct Flags {
-  std::map<std::string, std::string> values;
-  bool Has(const std::string& key) const { return values.count(key) > 0; }
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    auto it = values.find(key);
-    return it == values.end() ? fallback : it->second;
-  }
-  /// Flag `key` parsed by ParseNumber (`fallback` when absent); an error
-  /// names the flag.
-  template <typename T>
-  Result<T> GetNumber(const std::string& key, T fallback,
-                      T lo = std::numeric_limits<T>::lowest(),
-                      T hi = std::numeric_limits<T>::max()) const {
-    auto it = values.find(key);
-    if (it == values.end()) return fallback;
-    return ParseNumber<T>(it->second, "--" + key, lo, hi);
-  }
-};
+using tools::Args;
 
-Result<Flags> Parse(int argc, char** argv) {
-  Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string token = argv[i];
-    if (!StartsWith(token, "--")) {
-      return Status::InvalidArgument("expected --flag, got '" + token + "'");
-    }
-    token = token.substr(2);
-    if (token == "inline" || token == "sync" || token == "compare-batch") {
-      flags.values[token] = "true";
-    } else {
-      if (i + 1 >= argc) return Status::InvalidArgument("flag --" + token + " needs a value");
-      flags.values[token] = argv[++i];
-    }
-  }
-  return flags;
+Result<Args> Parse(int argc, char** argv) {
+  static const tools::CommandFlags kFlags = {
+      {"dataset", "scale", "csv", "seed", "threshold", "auto-match", "match-threshold",
+       "flush-pairs", "pairs-per-hit", "publish-interval", "hits-per-poll", "query-threads",
+       "mode", "target-qps", "report", "json"},
+      {"inline", "sync", "compare-batch"}};
+  return tools::ParseFlags("crowder_bench_serve", kFlags, argc, argv, 1);
 }
 
-Result<data::Dataset> LoadDataset(const Flags& flags) {
+Result<data::Dataset> LoadDataset(const Args& flags) {
   const std::string csv = flags.Get("csv", "");
   if (!csv.empty()) return data::ReadDatasetCsv(csv, csv);
   const std::string kind = flags.Get("dataset", "product");
@@ -122,7 +98,7 @@ Result<data::Dataset> LoadDataset(const Flags& flags) {
   return Status::InvalidArgument("unknown dataset kind '" + kind + "'");
 }
 
-Result<serve::ServiceConfig> ConfigFromFlags(const Flags& flags) {
+Result<serve::ServiceConfig> ConfigFromFlags(const Args& flags) {
   serve::ServiceConfig config;
   CROWDER_ASSIGN_OR_RETURN(config.threshold, flags.GetNumber("threshold", config.threshold));
   CROWDER_ASSIGN_OR_RETURN(config.auto_match_threshold,
@@ -202,7 +178,7 @@ void PrintQuantiles(const char* label, const Histogram& h) {
             << "us p999=" << h.ValueAtQuantile(0.999) << "us max=" << h.max() << "us\n";
 }
 
-Result<int> RunBench(const Flags& flags) {
+Result<int> RunBench(const Args& flags) {
   CROWDER_ASSIGN_OR_RETURN(const data::Dataset dataset, LoadDataset(flags));
   const uint32_t num_records = static_cast<uint32_t>(dataset.table.num_records());
   CROWDER_ASSIGN_OR_RETURN(serve::ServiceConfig config, ConfigFromFlags(flags));

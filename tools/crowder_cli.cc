@@ -96,47 +96,20 @@
 
 #include <algorithm>
 #include <iostream>
-#include <limits>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 
 #include "core/crowder.h"
+#include "flags.h"
 #include "serve/service.h"
 
 namespace crowder {
 namespace cli {
 namespace {
 
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> flags;
-
-  bool Has(const std::string& key) const { return flags.count(key) > 0; }
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
-  }
-
-  /// Flag `key` parsed by ParseNumber (`fallback` when absent); an error
-  /// names the flag.
-  template <typename T>
-  Result<T> GetNumber(const std::string& key, T fallback,
-                      T lo = std::numeric_limits<T>::lowest(),
-                      T hi = std::numeric_limits<T>::max()) const {
-    auto it = flags.find(key);
-    if (it == flags.end()) return fallback;
-    return ParseNumber<T>(it->second, "--" + key, lo, hi);
-  }
-};
-
-/// The flags each subcommand accepts: exactly those its usage text lists.
-/// Value flags take the next token; switches take none.
-struct CommandFlags {
-  std::set<std::string> values;
-  std::set<std::string> switches;
-};
+using tools::Args;
+using tools::CommandFlags;
 
 const std::map<std::string, CommandFlags>& KnownFlags() {
   static const std::map<std::string, CommandFlags> flags = {
@@ -155,34 +128,16 @@ const std::map<std::string, CommandFlags>& KnownFlags() {
 
 Result<Args> Parse(int argc, char** argv) {
   if (argc < 2) return Status::InvalidArgument("missing command");
-  Args args;
-  args.command = argv[1];
-  const auto known = KnownFlags().find(args.command);
+  const auto known = KnownFlags().find(argv[1]);
   if (known == KnownFlags().end()) {
-    return Status::InvalidArgument("unknown command '" + args.command + "'");
+    return Status::InvalidArgument("unknown command '" + std::string(argv[1]) + "'");
   }
-  for (int i = 2; i < argc; ++i) {
-    std::string token = argv[i];
-    if (!StartsWith(token, "--")) {
-      return Status::InvalidArgument("expected --flag, got '" + token + "'");
-    }
-    token = token.substr(2);
-    if (known->second.switches.count(token) != 0) {
-      args.flags[token] = "true";
-    } else if (known->second.values.count(token) != 0) {
-      if (i + 1 >= argc) return Status::InvalidArgument("flag --" + token + " needs a value");
-      args.flags[token] = argv[++i];
-    } else {
-      return Status::InvalidArgument("unknown flag --" + token + " for " + args.command);
-    }
-  }
-  return args;
+  return tools::ParseFlags(known->first, known->second, argc, argv, 2);
 }
 
-/// --threads: a bounded count, so a typo cannot ask the pool for billions of
-/// workers.
+/// --threads: a bounded count (0 = CROWDER_THREADS or the hardware count).
 Result<uint32_t> GetThreads(const Args& args) {
-  return args.GetNumber<uint32_t>("threads", 1, 0, 4096);
+  return args.GetNumber<uint32_t>("threads", 1, 0, exec::kMaxThreads);
 }
 
 int Usage() {
@@ -528,8 +483,9 @@ Status Run(const Args& args) {
               << " pairs asked, " << WithThousands(result.pairs_inferred) << " inferred)\n";
   }
   std::cout << "HITs:               " << result.crowd_stats.num_hits << " ("
-            << (config.hit_type == core::HitType::kPairBased ? "pair-based" : "cluster-based")
-            << ", two-tiered)\n";
+            << (config.hit_type == core::HitType::kPairBased ? "pair-based"
+                                                             : "cluster-based, two-tiered")
+            << ")\n";
   std::cout << "assignments:        " << result.crowd_stats.num_assignments << " ($"
             << FormatDouble(result.crowd_stats.cost_dollars, 2) << ")\n";
   std::cout << "crowd wall time:    "

@@ -22,6 +22,9 @@
 //                 [--publish-interval N] [--hits-per-poll N] [--seed N]
 //                 [--inline] [--sync] [--cross-source]
 //
+// A flag the usage text does not list is a usage error naming it (exit 2);
+// a malformed number is an error naming its flag (exit 1).
+//
 // --in preloads a dataset CSV (crowder_cli generate's format) before
 // reading stdin; if the dataset carries source labels (Product), the
 // cross-source-only candidate rule switches on automatically, matching the
@@ -32,7 +35,6 @@
 // the final partition is bitwise identical either way (serve/service.h).
 #include <cstdint>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -40,6 +42,7 @@
 
 #include "common/string_util.h"
 #include "data/dataset.h"
+#include "flags.h"
 #include "serve/service.h"
 
 namespace crowder {
@@ -57,42 +60,17 @@ REPORT path, QUIT
   return 2;
 }
 
-struct Flags {
-  std::map<std::string, std::string> values;
-  bool Has(const std::string& key) const { return values.count(key) > 0; }
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    auto it = values.find(key);
-    return it == values.end() ? fallback : it->second;
-  }
-  /// Flag `key` parsed by ParseNumber (`fallback` when absent); an error
-  /// names the flag.
-  template <typename T>
-  Result<T> GetNumber(const std::string& key, T fallback) const {
-    auto it = values.find(key);
-    if (it == values.end()) return fallback;
-    return ParseNumber<T>(it->second, "--" + key);
-  }
-};
+using tools::Args;
 
-Result<Flags> Parse(int argc, char** argv) {
-  Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string token = argv[i];
-    if (!StartsWith(token, "--")) {
-      return Status::InvalidArgument("expected --flag, got '" + token + "'");
-    }
-    token = token.substr(2);
-    if (token == "inline" || token == "sync" || token == "cross-source") {
-      flags.values[token] = "true";
-    } else {
-      if (i + 1 >= argc) return Status::InvalidArgument("flag --" + token + " needs a value");
-      flags.values[token] = argv[++i];
-    }
-  }
-  return flags;
+Result<Args> Parse(int argc, char** argv) {
+  static const tools::CommandFlags kFlags = {
+      {"in", "threshold", "auto-match", "match-threshold", "flush-pairs", "pairs-per-hit",
+       "publish-interval", "hits-per-poll", "seed"},
+      {"inline", "sync", "cross-source"}};
+  return tools::ParseFlags("crowder_serve", kFlags, argc, argv, 1);
 }
 
-Result<serve::ServiceConfig> ConfigFromFlags(const Flags& flags) {
+Result<serve::ServiceConfig> ConfigFromFlags(const Args& flags) {
   serve::ServiceConfig config;
   CROWDER_ASSIGN_OR_RETURN(config.threshold, flags.GetNumber("threshold", config.threshold));
   CROWDER_ASSIGN_OR_RETURN(config.auto_match_threshold,
@@ -229,7 +207,7 @@ bool HandleLine(serve::EntityResolutionService* service, const std::string& line
   return true;
 }
 
-Status Serve(const Flags& flags) {
+Status Serve(const Args& flags) {
   CROWDER_ASSIGN_OR_RETURN(serve::ServiceConfig config, ConfigFromFlags(flags));
 
   // Load the preload dataset before building the service: a two-source

@@ -4,9 +4,10 @@
 // Spawned by the shard coordinator (shard/process.h) with the job pipes on
 // stdin/stdout: it reads one job spec (length-prefixed binary frames —
 // shard/proto.h), runs the owned-probe AllPairs join over its slice, writes
-// the shard's sorted owned pair stream back, and exits. Job-level failures
-// travel to the coordinator as kWorkerError frames; only a dead coordinator
-// (stdin/stdout gone) makes this process exit non-zero.
+// the shard's sorted owned pair stream back, and exits. An invalid job, and
+// a job stream that ends early or breaks mid-frame, travel to the
+// coordinator as a kWorkerError frame; only a failure to write the answer
+// (the coordinator is gone) makes this process exit non-zero.
 //
 // The argv ("worker <shard index>") is cosmetic — it makes shards tell
 // apart in `ps` — the authoritative parameters arrive in the kJobSpec
