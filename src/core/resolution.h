@@ -52,6 +52,15 @@ Result<EntityClusters> ResolveEntities(uint32_t num_records,
                                        const std::vector<eval::RankedPair>& pairs,
                                        const ResolutionOptions& options = {});
 
+/// \brief The members of `record`'s cluster, ascending, read off cluster
+/// rings: `next[r]` is the record after r on its cluster's ring (a circular
+/// successor list, so a singleton is `next[r] == r`).
+std::vector<uint32_t> RingMembers(const std::vector<uint32_t>& next, uint32_t record);
+
+/// \brief Canonicalizes cluster rings the way ResolveEntities does: dense
+/// cluster ids ordered by smallest member, members ascending.
+EntityClusters ClustersFromRings(const std::vector<uint32_t>& next);
+
 /// \brief Bounded-memory entity clustering for the partitioned streaming
 /// workflow and the resident service: a union-find over the records that
 /// consumes *matched pairs* in batches of any size and order, instead of a
@@ -64,12 +73,17 @@ Result<EntityClusters> ResolveEntities(uint32_t num_records,
 /// confirmed edge list, which is exactly what a bounded run cannot hold.
 /// That order-insensitivity is also what lets serve's crowd loop apply
 /// verdicts from a background thread and still reach a deterministic
-/// final partition. CurrentClusters() canonicalizes exactly like
-/// ResolveEntities (dense cluster ids ordered by smallest member, members
-/// ascending, one cluster per isolated record), so for any input the result
-/// equals `ResolveEntities(n, pairs, {.transitive_closure = true})` over
-/// the pairs at or above the caller's threshold — a property the resolution
-/// tests pin. Not thread-safe.
+/// final partition.
+///
+/// Beside the union-find it keeps every cluster as a ring (`rings()`): a
+/// merge swaps the ring successors of its two records, which splices their
+/// rings into one. A copy of the rings is a complete partition, which is
+/// how the service publishes snapshots (serve/snapshot.h).
+/// CurrentClusters() canonicalizes the rings exactly like ResolveEntities
+/// (ClustersFromRings), so for any input the result equals
+/// `ResolveEntities(n, pairs, {.transitive_closure = true})` over the pairs
+/// at or above the caller's threshold — a property the resolution tests
+/// pin. Not thread-safe.
 class StreamingResolver {
  public:
   /// \brief Prepares a resolver over records [0, num_records).
@@ -86,15 +100,20 @@ class StreamingResolver {
   /// \brief Records seen so far.
   uint32_t num_records() const;
 
+  /// \brief The cluster rings: `rings()[r]` is the record after r on its
+  /// cluster's ring.
+  const std::vector<uint32_t>& rings() const { return next_; }
+
   /// \brief Canonicalizes the current partition. Repeatable; matches and
   /// records may be added between reads.
-  EntityClusters CurrentClusters();
+  EntityClusters CurrentClusters() const;
 
   /// \brief CurrentClusters, terminally: the resolver takes no more input.
   Result<EntityClusters> Finish();
 
  private:
   graph::UnionFind uf_;
+  std::vector<uint32_t> next_;  ///< ring successor of each record
   bool finished_ = false;
 };
 

@@ -12,14 +12,6 @@
 namespace crowder {
 namespace crowd {
 
-double AssignmentMedianSeconds(std::vector<double> durations) {
-  if (durations.empty()) return 0.0;
-  std::sort(durations.begin(), durations.end());
-  const size_t mid = durations.size() / 2;
-  return durations.size() % 2 == 1 ? durations[mid]
-                                   : 0.5 * (durations[mid - 1] + durations[mid]);
-}
-
 Status ValidateBatchShape(const HitBatch& batch) {
   if (batch.pairs == nullptr) {
     return Status::InvalidArgument("HitBatch.pairs must be set (the round's pair context)");

@@ -143,10 +143,6 @@ struct VoteBatch {
 /// \brief Handle for one posted HitBatch, echoed back to Poll.
 using Ticket = uint64_t;
 
-/// \brief Median of a set of assignment durations (0 when empty): the
-/// median of CrowdRunResult::Seal and of the service's crowd accounting.
-double AssignmentMedianSeconds(std::vector<double> durations);
-
 /// \brief The precondition every backend's Post enforces: a pair context is
 /// set and exactly one of the two HIT lists is non-empty. Exposed so custom
 /// backends can validate the same way the built-in ones do.

@@ -9,6 +9,19 @@
 namespace crowder {
 namespace crowd {
 
+namespace {
+
+// Median of a set of assignment durations (0 when empty).
+double AssignmentMedianSeconds(std::vector<double> durations) {
+  if (durations.empty()) return 0.0;
+  std::sort(durations.begin(), durations.end());
+  const size_t mid = durations.size() / 2;
+  return durations.size() % 2 == 1 ? durations[mid]
+                                   : 0.5 * (durations[mid - 1] + durations[mid]);
+}
+
+}  // namespace
+
 void CrowdRunResult::Add(const AssignmentRecord& record) {
   assignments.push_back(record);
   total_comparisons += record.comparisons;

@@ -36,23 +36,22 @@ Result<crowd::CrowdPlatform> BuildCrowdPlatform(const ServiceConfig& config) {
 
 // The service's crowd (the body of its crowd::CrowdCallback): every pair of a
 // round's HITs is judged by JudgePair, and each of its votes is one
-// assignment. The round's pairs and truth copy cover every HIT it posts.
-crowd::VoteBatch JudgeRound(const crowd::CrowdPlatform& platform,
-                            const std::vector<uint32_t>& entity_of,
+// assignment. `truth[i]` says whether (*batch.pairs)[i] is a true match.
+crowd::VoteBatch JudgeRound(const crowd::CrowdPlatform& platform, const std::vector<bool>& truth,
                             const crowd::HitBatch& batch) {
-  std::unordered_map<uint64_t, double> score_of;
-  score_of.reserve(batch.pairs->size());
-  for (const similarity::ScoredPair& p : *batch.pairs) {
-    score_of[crowd::PairKey(p.a, p.b)] = p.score;
+  std::unordered_map<uint64_t, size_t> index_of;
+  index_of.reserve(batch.pairs->size());
+  for (size_t i = 0; i < batch.pairs->size(); ++i) {
+    index_of[crowd::PairKey((*batch.pairs)[i].a, (*batch.pairs)[i].b)] = i;
   }
   crowd::VoteBatch out;
   for (size_t i = 0; i < batch.pair_hits->size(); ++i) {
     crowd::HitVotes hv;
     hv.hit = batch.first_hit + static_cast<uint32_t>(i);
     for (const graph::Edge& e : (*batch.pair_hits)[i].pairs) {
-      const bool truth = entity_of[e.a] == entity_of[e.b];
+      const size_t pair = index_of.at(crowd::PairKey(e.a, e.b));
       const PairJudgement judgement =
-          JudgePair(platform, e.a, e.b, score_of.at(crowd::PairKey(e.a, e.b)), truth);
+          JudgePair(platform, e.a, e.b, (*batch.pairs)[pair].score, truth[pair]);
       for (size_t k = 0; k < judgement.votes.size(); ++k) {
         const uint32_t worker = judgement.votes[k].worker_id;
         hv.votes.push_back({std::min(e.a, e.b), std::max(e.a, e.b), judgement.votes[k]});
@@ -72,10 +71,9 @@ crowd::VoteBatch JudgeRound(const crowd::CrowdPlatform& platform,
 struct EntityResolutionService::Round {
   std::vector<similarity::ScoredPair> pairs;
   std::vector<hitgen::PairBasedHit> hits;
-  /// Ground-truth copy taken at flush time (covers every referenced record);
-  /// owning a copy keeps the backend safe from the ingest thread growing the
-  /// master list underneath it.
-  std::vector<uint32_t> entity_of;
+  /// truth[i]: whether pairs[i] is a true match, read off the ground truth
+  /// at flush time (the simulated crowd's only view of it).
+  std::vector<bool> truth;
   uint32_t first_hit = 0;
 };
 
@@ -164,8 +162,8 @@ Result<QueryResult> EntityResolutionService::Query(uint32_t record_id) const {
   QueryResult out;
   out.epoch = snapshot->epoch;
   out.record_id = record_id;
-  out.cluster_id = snapshot->clusters.cluster_of[record_id];
-  out.members = snapshot->clusters.clusters[out.cluster_id];
+  out.members = core::RingMembers(snapshot->next, record_id);
+  out.cluster_id = out.members.front();
   out.pending = snapshot->PendingOf(record_id);
   return out;
 }
@@ -187,14 +185,10 @@ void EntityResolutionService::PublishLocked() {
   snapshot->num_records = resolver_.num_records();
   snapshot->applied_matches = applied_.size();
   snapshot->candidate_pairs = stats_.candidate_pairs;
-  snapshot->clusters = resolver_.CurrentClusters();
+  snapshot->next = resolver_.rings();
   snapshot->pending.reserve(pending_.size());
   for (const auto& [key, pair] : pending_) snapshot->pending.push_back(pair);
-  std::sort(snapshot->pending.begin(), snapshot->pending.end(),
-            [](const PendingPair& x, const PendingPair& y) {
-              return x.a != y.a ? x.a < y.a : x.b < y.b;
-            });
-  BuildPendingAdjacency(snapshot.get());
+  SortPending(snapshot.get());
   store_.Publish(std::move(snapshot));
   ++stats_.epochs_published;
 }
@@ -212,7 +206,10 @@ void EntityResolutionService::FlushQueue() {
     }
     round->hits.push_back(std::move(hit));
   }
-  round->entity_of = entity_of_;
+  round->truth.reserve(round->pairs.size());
+  for (const similarity::ScoredPair& p : round->pairs) {
+    round->truth.push_back(entity_of_[p.a] == entity_of_[p.b]);
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     round->first_hit = static_cast<uint32_t>(stats_.hits_posted);
@@ -228,7 +225,7 @@ void EntityResolutionService::FlushQueue() {
 
 void EntityResolutionService::RunRound(std::shared_ptr<Round> round) {
   crowd::CallbackCrowdBackend inner([this, &round](const crowd::HitBatch& batch) {
-    return JudgeRound(platform_, round->entity_of, batch);
+    return JudgeRound(platform_, round->truth, batch);
   });
   std::unique_ptr<crowd::AsyncCrowdBackend> async;
   crowd::CrowdBackend* backend = &inner;
@@ -285,12 +282,7 @@ void EntityResolutionService::RunRound(std::shared_ptr<Round> round) {
         }
       }
     }
-    for (const crowd::AssignmentRecord& rec : delivery.assignments) {
-      assignment_seconds_.push_back(rec.duration_seconds);
-      workers_seen_.insert(rec.worker);
-      crowd_stats_.total_comparisons += rec.comparisons;
-      if (rec.by_spammer) ++crowd_stats_.num_spammer_assignments;
-    }
+    for (const crowd::AssignmentRecord& rec : delivery.assignments) crowd_.Add(rec);
     if (!delivery.hit_votes.empty() || complete) PublishLocked();
   }
   // Protocol hygiene: every ticket polled to completion; result discarded —
@@ -315,11 +307,9 @@ Result<ServiceReport> EntityResolutionService::Finish() {
   ServiceReport report;
   report.clusters = resolver_.CurrentClusters();
   report.stats = stats_;
-  report.crowd = crowd_stats_;
-  report.crowd.num_assignments = static_cast<uint32_t>(assignment_seconds_.size());
-  report.crowd.num_distinct_workers = static_cast<uint32_t>(workers_seen_.size());
+  report.crowd = std::move(crowd_);  // the service takes no more input
+  report.crowd.Seal();
   report.crowd.cost_dollars = report.crowd.num_assignments * config_.model.CostPerAssignment();
-  report.crowd.median_assignment_seconds = crowd::AssignmentMedianSeconds(assignment_seconds_);
   return report;
 }
 
@@ -357,8 +347,6 @@ Result<ServiceReport> BatchResolve(const data::Dataset& dataset, const ServiceCo
   ServiceReport report;
   report.stats.num_records = n;
   report.stats.candidate_pairs = pairs.size();
-  std::vector<double> assignment_seconds;
-  std::set<uint32_t> workers_seen;
   for (const similarity::ScoredPair& p : pairs) {
     if (p.score >= config.auto_match_threshold) {
       CROWDER_RETURN_NOT_OK(resolver.AddMatch(p.a, p.b));
@@ -371,13 +359,10 @@ Result<ServiceReport> BatchResolve(const data::Dataset& dataset, const ServiceCo
     const PairJudgement judgement = JudgePair(platform, p.a, p.b, p.score, truth);
     uint32_t yes = 0;
     for (size_t k = 0; k < judgement.votes.size(); ++k) {
+      const uint32_t worker = judgement.votes[k].worker_id;
       yes += judgement.votes[k].says_match ? 1 : 0;
-      assignment_seconds.push_back(judgement.durations[k]);
-      workers_seen.insert(judgement.votes[k].worker_id);
-      ++report.crowd.total_comparisons;
-      if (platform.workers()[judgement.votes[k].worker_id].is_adversarial()) {
-        ++report.crowd.num_spammer_assignments;
-      }
+      report.crowd.Add({/*hit=*/0, worker, judgement.durations[k], /*comparisons=*/1,
+                        platform.workers()[worker].is_adversarial()});
     }
     const double fraction = judgement.votes.empty()
                                 ? 0.0
@@ -391,10 +376,8 @@ Result<ServiceReport> BatchResolve(const data::Dataset& dataset, const ServiceCo
     }
   }
   CROWDER_ASSIGN_OR_RETURN(report.clusters, resolver.Finish());
-  report.crowd.num_assignments = static_cast<uint32_t>(assignment_seconds.size());
-  report.crowd.num_distinct_workers = static_cast<uint32_t>(workers_seen.size());
+  report.crowd.Seal();
   report.crowd.cost_dollars = report.crowd.num_assignments * config.model.CostPerAssignment();
-  report.crowd.median_assignment_seconds = crowd::AssignmentMedianSeconds(assignment_seconds);
   return report;
 }
 

@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -41,6 +40,7 @@
 #include "common/result.h"
 #include "core/resolution.h"
 #include "crowd/crowd_model.h"
+#include "crowd/platform.h"
 #include "data/dataset.h"
 #include "exec/thread_pool.h"
 #include "serve/incremental_index.h"
@@ -100,7 +100,7 @@ struct InsertOutcome {
 struct QueryResult {
   uint64_t epoch = 0;      ///< epoch of the snapshot answered from
   uint32_t record_id = 0;  ///< the queried record
-  uint32_t cluster_id = 0; ///< the record's cluster at that epoch
+  uint32_t cluster_id = 0; ///< the record's cluster at that epoch: its smallest member
   /// Members of the record's cluster at the snapshot's epoch, ascending.
   std::vector<uint32_t> members;
   /// Crowd-bound pairs touching the record, still undecided at the epoch.
@@ -122,22 +122,14 @@ struct ServiceStats {
   uint64_t index_rebuilds = 0;   ///< IncrementalIndex rare-first re-ranks
 };
 
-/// \brief Crowd-side cost/latency accounting, identical between the
-/// incremental and batch paths (both count one assignment per pair-vote).
-struct ServiceCrowdStats {
-  uint32_t num_assignments = 0;          ///< worker-assignments completed
-  uint64_t total_comparisons = 0;        ///< pair judgements across them
-  uint32_t num_distinct_workers = 0;     ///< workers who touched the run
-  uint32_t num_spammer_assignments = 0;  ///< assignments done by spammers
-  double cost_dollars = 0.0;             ///< assignments x reward
-  double median_assignment_seconds = 0.0;  ///< median simulated work time
-};
-
 /// \brief Terminal output of a run (either path).
 struct ServiceReport {
   core::EntityClusters clusters;  ///< the final partition
   ServiceStats stats;             ///< service-side counters
-  ServiceCrowdStats crowd;        ///< crowd-side accounting
+  /// Crowd-side accounting, identical between the incremental and batch
+  /// paths: both file one assignment per pair-vote (its `votes` table is
+  /// unused, as verdicts are applied as they arrive).
+  crowd::CrowdRunResult crowd;
 };
 
 /// \brief The resident service. Insert must be called from one thread at a
@@ -193,7 +185,7 @@ class EntityResolutionService {
   std::vector<std::pair<uint32_t, uint32_t>> AppliedMatchPrefix(uint64_t count) const;
 
  private:
-  struct Round;  // one flushed crowd round (pairs + HITs + truth copy)
+  struct Round;  // one flushed crowd round (pairs + HITs + their truth)
 
   EntityResolutionService(const ServiceConfig& config, IncrementalIndex index,
                           crowd::CrowdPlatform platform);
@@ -232,9 +224,7 @@ class EntityResolutionService {
   /// Crowd-bound pairs not yet decided, by PairKey.
   std::unordered_map<uint64_t, PendingPair> pending_;
   ServiceStats stats_;
-  std::vector<double> assignment_seconds_;
-  std::set<uint32_t> workers_seen_;
-  ServiceCrowdStats crowd_stats_;
+  crowd::CrowdRunResult crowd_;  ///< every delivered assignment, filed once
   uint64_t next_epoch_ = 1;
 
   SnapshotStore store_;

@@ -1,17 +1,41 @@
 #include "serve/snapshot.h"
 
+#include <algorithm>
 #include <atomic>
+#include <numeric>
 
 namespace crowder {
 namespace serve {
 
 std::vector<PendingPair> Snapshot::PendingOf(uint32_t record) const {
   std::vector<PendingPair> out;
-  if (record + 1 >= pending_offset.size()) return out;
-  for (uint32_t i = pending_offset[record]; i < pending_offset[record + 1]; ++i) {
-    out.push_back(pending[pending_index[i]]);
+  // In (a, b) order the pairs whose larger record is `record` come first.
+  auto by_b = std::partition_point(pending_by_b.begin(), pending_by_b.end(),
+                                   [&](uint32_t i) { return pending[i].b < record; });
+  for (; by_b != pending_by_b.end() && pending[*by_b].b == record; ++by_b) {
+    out.push_back(pending[*by_b]);
   }
+  auto by_a = std::partition_point(pending.begin(), pending.end(),
+                                   [&](const PendingPair& p) { return p.a < record; });
+  for (; by_a != pending.end() && by_a->a == record; ++by_a) out.push_back(*by_a);
   return out;
+}
+
+core::EntityClusters Snapshot::Clusters() const { return core::ClustersFromRings(next); }
+
+void SortPending(Snapshot* snapshot) {
+  const std::vector<PendingPair>& pending = snapshot->pending;
+  std::sort(snapshot->pending.begin(), snapshot->pending.end(),
+            [](const PendingPair& x, const PendingPair& y) {
+              return x.a != y.a ? x.a < y.a : x.b < y.b;
+            });
+  snapshot->pending_by_b.resize(pending.size());
+  std::iota(snapshot->pending_by_b.begin(), snapshot->pending_by_b.end(), 0);
+  std::sort(snapshot->pending_by_b.begin(), snapshot->pending_by_b.end(),
+            [&](uint32_t i, uint32_t j) {
+              return pending[i].b != pending[j].b ? pending[i].b < pending[j].b
+                                                  : pending[i].a < pending[j].a;
+            });
 }
 
 SnapshotStore::SnapshotStore() : current_(std::make_shared<const Snapshot>()) {}
@@ -22,27 +46,6 @@ std::shared_ptr<const Snapshot> SnapshotStore::Get() const {
 
 void SnapshotStore::Publish(std::shared_ptr<const Snapshot> snapshot) {
   std::atomic_store_explicit(&current_, std::move(snapshot), std::memory_order_release);
-}
-
-void BuildPendingAdjacency(Snapshot* snapshot) {
-  snapshot->pending_offset.assign(static_cast<size_t>(snapshot->num_records) + 1, 0);
-  snapshot->pending_index.clear();
-  snapshot->pending_index.reserve(snapshot->pending.size() * 2);
-  // Counting sort over record endpoints: each pair contributes to both ends.
-  for (const PendingPair& p : snapshot->pending) {
-    ++snapshot->pending_offset[p.a + 1];
-    ++snapshot->pending_offset[p.b + 1];
-  }
-  for (size_t r = 1; r < snapshot->pending_offset.size(); ++r) {
-    snapshot->pending_offset[r] += snapshot->pending_offset[r - 1];
-  }
-  snapshot->pending_index.resize(snapshot->pending_offset.back());
-  std::vector<uint32_t> cursor(snapshot->pending_offset.begin(),
-                               snapshot->pending_offset.end() - 1);
-  for (size_t i = 0; i < snapshot->pending.size(); ++i) {
-    snapshot->pending_index[cursor[snapshot->pending[i].a]++] = static_cast<uint32_t>(i);
-    snapshot->pending_index[cursor[snapshot->pending[i].b]++] = static_cast<uint32_t>(i);
-  }
 }
 
 }  // namespace serve

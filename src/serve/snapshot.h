@@ -5,6 +5,15 @@
 // reader keeps its snapshot alive for as long as it holds the pointer even
 // if many epochs are published meanwhile.
 //
+// What a snapshot holds: a copy of the resolver's cluster rings (one word
+// per record, core::StreamingResolver::rings()) and the undecided crowd
+// pairs in two sorted orders. A publish therefore copies one n-word array
+// and sorts the pending pairs; it allocates nothing per cluster. A query
+// walks the record's ring and sorts the members, and a snapshot names a
+// cluster by its smallest member, so a later epoch never renumbers it.
+// Clusters() canonicalizes the whole partition to the dense ids of
+// core::ResolveEntities.
+//
 // The consistency contract (pinned by serve_test's interleaving property):
 // a snapshot is built under the service's state lock, so its clusters are
 // exactly ResolveEntities (transitive closure) over the first
@@ -41,20 +50,26 @@ struct Snapshot {
   uint64_t applied_matches = 0;
   /// Candidate pairs discovered so far (auto-matched + crowd-bound).
   uint64_t candidate_pairs = 0;
-  /// The canonical partition at this epoch.
-  core::EntityClusters clusters;
+  /// The partition at this epoch as cluster rings: next[r] is the record
+  /// after r on its cluster's ring (`num_records` entries).
+  std::vector<uint32_t> next;
   /// Undecided crowd-bound pairs, sorted by (a, b).
   std::vector<PendingPair> pending;
-  /// CSR adjacency over `pending`: indices of the pairs touching record r
-  /// are pending_index[pending_offset[r] .. pending_offset[r + 1]).
-  std::vector<uint32_t> pending_offset;
-  /// The CSR value array paired with `pending_offset` (indices into
-  /// `pending`).
-  std::vector<uint32_t> pending_index;
+  /// Indices into `pending`, ordered by (b, a).
+  std::vector<uint32_t> pending_by_b;
 
-  /// \brief The pending pairs touching `record` (by CSR lookup).
+  /// \brief The pending pairs touching `record`, in `pending`'s order (two
+  /// binary searches).
   std::vector<PendingPair> PendingOf(uint32_t record) const;
+
+  /// \brief The partition at this epoch, canonicalized like
+  /// core::ResolveEntities (dense ids ordered by smallest member).
+  core::EntityClusters Clusters() const;
 };
+
+/// \brief Sorts `snapshot->pending` by (a, b) and fills `pending_by_b`: the
+/// two orders PendingOf searches.
+void SortPending(Snapshot* snapshot);
 
 /// \brief Lock-free publish/read cell for the current snapshot.
 ///
@@ -78,10 +93,6 @@ class SnapshotStore {
  private:
   std::shared_ptr<const Snapshot> current_;
 };
-
-/// \brief Builds the CSR pending-pair adjacency of a snapshot from its
-/// sorted `pending` list (fills pending_offset / pending_index).
-void BuildPendingAdjacency(Snapshot* snapshot);
 
 }  // namespace serve
 }  // namespace crowder

@@ -1,6 +1,9 @@
 // Tests for entity clustering (core/resolution.h).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.h"
 #include "core/resolution.h"
 
 namespace crowder {
@@ -88,6 +91,47 @@ TEST(ResolveEntitiesTest, ClusterIdsAreDenseAndOrdered) {
   for (uint32_t r = 0; r < 5; ++r) {
     const auto& c = clusters.clusters[clusters.cluster_of[r]];
     EXPECT_NE(std::find(c.begin(), c.end(), r), c.end());
+  }
+}
+
+// After seeded random AddRecord/AddMatch sequences, every record's ring
+// holds exactly its CurrentClusters() cluster, and the ring
+// canonicalization equals ResolveEntities' transitive closure.
+TEST(StreamingResolverRingsTest, RingsAreTheClustersOfTheClosure) {
+  Rng rng(20261018);
+  for (int trial = 0; trial < 40; ++trial) {
+    StreamingResolver resolver;
+    std::vector<eval::RankedPair> matches;
+    const int steps = 1 + static_cast<int>(rng.Uniform(150));
+    for (int step = 0; step < steps; ++step) {
+      if (resolver.num_records() < 2 || rng.Uniform(3) == 0) {
+        resolver.AddRecord();
+        continue;
+      }
+      const uint32_t a = static_cast<uint32_t>(rng.Uniform(resolver.num_records()));
+      const uint32_t b = static_cast<uint32_t>(rng.Uniform(resolver.num_records()));
+      if (a == b) continue;
+      ASSERT_TRUE(resolver.AddMatch(a, b).ok());
+      matches.push_back(Pair(a, b, 1.0));
+    }
+    const EntityClusters clusters = resolver.CurrentClusters();
+    ASSERT_EQ(resolver.rings().size(), resolver.num_records());
+    for (uint32_t r = 0; r < resolver.num_records(); ++r) {
+      std::vector<uint32_t> ring{r};
+      for (uint32_t m = resolver.rings()[r]; m != r; m = resolver.rings()[m]) {
+        ASSERT_LE(ring.size(), resolver.num_records()) << "ring of " << r << " never closes";
+        ring.push_back(m);
+      }
+      std::sort(ring.begin(), ring.end());
+      EXPECT_EQ(ring, clusters.clusters[clusters.cluster_of[r]]) << "trial " << trial;
+      EXPECT_EQ(RingMembers(resolver.rings(), r), ring) << "trial " << trial;
+    }
+    ResolutionOptions options;
+    options.transitive_closure = true;
+    const EntityClusters closure =
+        ResolveEntities(resolver.num_records(), matches, options).ValueOrDie();
+    EXPECT_EQ(clusters.cluster_of, closure.cluster_of) << "trial " << trial;
+    EXPECT_EQ(clusters.clusters, closure.clusters) << "trial " << trial;
   }
 }
 

@@ -41,22 +41,30 @@ void ExpectClustersEqual(const core::EntityClusters& got, const core::EntityClus
   EXPECT_EQ(got.clusters, want.clusters);
 }
 
-// Replays the match-log prefix a snapshot claims: the closure over exactly
-// its first `applied_matches` entries must reproduce its clusters.
-void ExpectSnapshotConsistent(const EntityResolutionService& service, const Snapshot& snapshot) {
+// The closure over the first `applied_matches` entries of the match log: the
+// partition a snapshot claims, built from scratch.
+core::EntityClusters ReplayedClusters(const EntityResolutionService& service,
+                                      const Snapshot& snapshot) {
   const auto prefix = service.AppliedMatchPrefix(snapshot.applied_matches);
-  ASSERT_EQ(prefix.size(), snapshot.applied_matches);
+  EXPECT_EQ(prefix.size(), snapshot.applied_matches);
   std::vector<eval::RankedPair> edges;
   edges.reserve(prefix.size());
   for (const auto& [a, b] : prefix) edges.push_back({a, b, 1.0, false});
   core::ResolutionOptions options;
   options.transitive_closure = true;
   auto replayed = core::ResolveEntities(snapshot.num_records, edges, options);
-  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
-  ExpectClustersEqual(snapshot.clusters, *replayed);
+  EXPECT_TRUE(replayed.ok()) << replayed.status().ToString();
+  return replayed.ok() ? *std::move(replayed) : core::EntityClusters{};
 }
 
-void ExpectCrowdAccountingEqual(const ServiceCrowdStats& got, const ServiceCrowdStats& want) {
+// Replays the match-log prefix a snapshot claims: the closure over exactly
+// its first `applied_matches` entries must reproduce its clusters.
+void ExpectSnapshotConsistent(const EntityResolutionService& service, const Snapshot& snapshot) {
+  ExpectClustersEqual(snapshot.Clusters(), ReplayedClusters(service, snapshot));
+}
+
+void ExpectCrowdAccountingEqual(const crowd::CrowdRunResult& got,
+                                const crowd::CrowdRunResult& want) {
   EXPECT_EQ(got.num_assignments, want.num_assignments);
   EXPECT_EQ(got.total_comparisons, want.total_comparisons);
   EXPECT_EQ(got.num_distinct_workers, want.num_distinct_workers);
@@ -243,10 +251,75 @@ TEST(ServeTest, QueriesReadPendingPairsAndClusters) {
   ASSERT_TRUE(resolved_view.ok());
   EXPECT_TRUE(resolved_view->pending.empty());
   EXPECT_FALSE(resolved_view->members.empty());
-  // The member list is the record's cluster in the snapshot's partition.
+  // The member list is the record's cluster in the snapshot's partition,
+  // named by its smallest member.
   const std::shared_ptr<const Snapshot> snap = (*service)->CurrentSnapshot();
-  EXPECT_EQ(resolved_view->members, snap->clusters.clusters[resolved_view->cluster_id]);
+  const core::EntityClusters partition = snap->Clusters();
+  EXPECT_EQ(resolved_view->members, partition.clusters[partition.cluster_of[queued_record]]);
+  EXPECT_EQ(resolved_view->cluster_id, resolved_view->members.front());
   EXPECT_FALSE((*service)->Query(snap->num_records).ok());  // past the end
+}
+
+// Every record of every epoch, against a from-scratch build: the inline
+// service with publish_interval 1 publishes at least once per insert, and
+// the snapshot after each insert (and after the final Flush) must answer
+// every query exactly as the closure over its match-log prefix does, with
+// PendingOf equal to a linear filter of the pending list.
+TEST(ServeTest, EveryEpochAnswersLikeAFromScratchBuild) {
+  const data::Dataset dataset = SmallRestaurant();
+  ServiceConfig config;
+  config.background = false;
+  config.async_delivery = true;
+  config.hits_per_poll = 1;
+  config.crowd_flush_pairs = 24;
+  config.publish_interval = 1;
+  config.auto_match_threshold = 0.8;  // merges between rounds too
+  config.seed = 11;
+  auto service = EntityResolutionService::Create(config);
+  ASSERT_TRUE(service.ok());
+
+  uint64_t checked_epochs = 0;
+  uint64_t checked_pending = 0;
+  uint64_t last_epoch = 0;
+  auto check_current = [&]() {
+    const std::shared_ptr<const Snapshot> snap = (*service)->CurrentSnapshot();
+    ASSERT_GT(snap->epoch, last_epoch);
+    last_epoch = snap->epoch;
+    const core::EntityClusters want = ReplayedClusters(**service, *snap);
+    ExpectClustersEqual(snap->Clusters(), want);
+    for (uint32_t r = 0; r < snap->num_records; ++r) {
+      auto view = (*service)->Query(r);
+      ASSERT_TRUE(view.ok()) << view.status().ToString();
+      const std::vector<uint32_t>& members = want.clusters[want.cluster_of[r]];
+      ASSERT_EQ(view->members, members) << "epoch " << snap->epoch << " record " << r;
+      ASSERT_EQ(view->cluster_id, members.front()) << "epoch " << snap->epoch;
+      std::vector<PendingPair> filtered;
+      for (const PendingPair& p : snap->pending) {
+        if (p.a == r || p.b == r) filtered.push_back(p);
+      }
+      ASSERT_EQ(view->pending.size(), filtered.size()) << "epoch " << snap->epoch;
+      for (size_t i = 0; i < filtered.size(); ++i) {
+        EXPECT_EQ(view->pending[i].a, filtered[i].a);
+        EXPECT_EQ(view->pending[i].b, filtered[i].b);
+        EXPECT_EQ(view->pending[i].score, filtered[i].score);
+      }
+      checked_pending += filtered.size();
+    }
+    ++checked_epochs;
+  };
+
+  for (uint32_t r = 0; r < dataset.table.num_records(); ++r) {
+    ASSERT_TRUE((*service)->InsertDatasetRecord(dataset, r).ok());
+    check_current();
+  }
+  ASSERT_TRUE((*service)->Flush().ok());
+  check_current();
+  EXPECT_EQ(checked_epochs, dataset.table.num_records() + 1u);
+  EXPECT_GT(checked_pending, 0u);  // the pending lookups were exercised
+  auto report = (*service)->Finish();
+  ASSERT_TRUE(report.ok());
+  EXPECT_GT(report->stats.auto_matches, 0u);
+  EXPECT_GT(report->stats.crowd_matches, 0u);
 }
 
 TEST(ServeTest, ConcurrentReadersObserveConsistentSnapshots) {
@@ -271,7 +344,7 @@ TEST(ServeTest, ConcurrentReadersObserveConsistentSnapshots) {
     while (!done.load(std::memory_order_acquire)) {
       const std::shared_ptr<const Snapshot> snap = (*service)->CurrentSnapshot();
       EXPECT_GE(snap->epoch, last_epoch);
-      EXPECT_EQ(snap->clusters.cluster_of.size(), snap->num_records);
+      EXPECT_EQ(snap->next.size(), snap->num_records);
       last_epoch = snap->epoch;
       if (sampled.empty() || sampled.back()->epoch != snap->epoch) sampled.push_back(snap);
     }

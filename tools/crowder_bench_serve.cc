@@ -42,6 +42,7 @@
 #include "data/generators.h"
 #include "flags.h"
 #include "serve/service.h"
+#include "service_flags.h"
 
 namespace crowder {
 namespace {
@@ -96,27 +97,6 @@ Result<data::Dataset> LoadDataset(const Args& flags) {
     return data::GenerateProductDup(config);
   }
   return Status::InvalidArgument("unknown dataset kind '" + kind + "'");
-}
-
-Result<serve::ServiceConfig> ConfigFromFlags(const Args& flags) {
-  serve::ServiceConfig config;
-  CROWDER_ASSIGN_OR_RETURN(config.threshold, flags.GetNumber("threshold", config.threshold));
-  CROWDER_ASSIGN_OR_RETURN(config.auto_match_threshold,
-                           flags.GetNumber("auto-match", config.auto_match_threshold));
-  CROWDER_ASSIGN_OR_RETURN(config.match_threshold,
-                           flags.GetNumber("match-threshold", config.match_threshold));
-  CROWDER_ASSIGN_OR_RETURN(config.crowd_flush_pairs,
-                           flags.GetNumber<uint64_t>("flush-pairs", config.crowd_flush_pairs));
-  CROWDER_ASSIGN_OR_RETURN(config.pairs_per_hit,
-                           flags.GetNumber("pairs-per-hit", config.pairs_per_hit));
-  CROWDER_ASSIGN_OR_RETURN(config.publish_interval,
-                           flags.GetNumber("publish-interval", config.publish_interval));
-  CROWDER_ASSIGN_OR_RETURN(config.hits_per_poll,
-                           flags.GetNumber("hits-per-poll", config.hits_per_poll));
-  CROWDER_ASSIGN_OR_RETURN(config.seed, flags.GetNumber("seed", config.seed));
-  config.background = !flags.Has("inline");
-  config.async_delivery = !flags.Has("sync");
-  return config;
 }
 
 uint64_t ElapsedMicros(std::chrono::steady_clock::time_point since) {
@@ -181,7 +161,7 @@ void PrintQuantiles(const char* label, const Histogram& h) {
 Result<int> RunBench(const Args& flags) {
   CROWDER_ASSIGN_OR_RETURN(const data::Dataset dataset, LoadDataset(flags));
   const uint32_t num_records = static_cast<uint32_t>(dataset.table.num_records());
-  CROWDER_ASSIGN_OR_RETURN(serve::ServiceConfig config, ConfigFromFlags(flags));
+  CROWDER_ASSIGN_OR_RETURN(serve::ServiceConfig config, tools::ServiceConfigFromFlags(flags));
   // Match the batch pipeline's candidate rule: a two-source dataset (Product)
   // only pairs records across sources. BatchResolve reads the labels off the
   // dataset directly, so the service must gate the same way or --compare-batch

@@ -103,6 +103,7 @@
 #include "core/crowder.h"
 #include "flags.h"
 #include "serve/service.h"
+#include "service_flags.h"
 
 namespace crowder {
 namespace cli {
@@ -593,14 +594,8 @@ Status ServeBatch(const Args& args) {
   const std::string in = args.Get("in", "");
   if (in.empty()) return Status::InvalidArgument("serve-batch requires --in");
 
-  serve::ServiceConfig config;
-  CROWDER_ASSIGN_OR_RETURN(config.threshold,
-                           args.GetNumber<double>("threshold", config.threshold));
-  CROWDER_ASSIGN_OR_RETURN(config.auto_match_threshold,
-                           args.GetNumber<double>("auto-match", config.auto_match_threshold));
-  CROWDER_ASSIGN_OR_RETURN(config.match_threshold,
-                           args.GetNumber<double>("match-threshold", config.match_threshold));
-  CROWDER_ASSIGN_OR_RETURN(config.seed, args.GetNumber<uint64_t>("seed", config.seed));
+  CROWDER_ASSIGN_OR_RETURN(const serve::ServiceConfig config,
+                           tools::ServiceConfigFromFlags(args));
   CROWDER_ASSIGN_OR_RETURN(data::Dataset dataset, data::ReadDatasetCsv(in, in));
 
   CROWDER_ASSIGN_OR_RETURN(const serve::ServiceReport report,

@@ -4,8 +4,9 @@
 //
 //   INSERT source|entity|text   ingest one record; `entity` is the ground
 //                               truth consumed by the simulated crowd
-//   QUERY id                    the record's cluster + pending pairs, read
-//                               from the current epoch snapshot (lock-free)
+//   QUERY id                    the record's cluster (named by its smallest
+//                               member) + pending pairs, read from the
+//                               current epoch snapshot (lock-free)
 //   FLUSH                       post queued crowd pairs, wait for verdicts,
 //                               publish
 //   STATS                       the service counters, one key=value line
@@ -44,6 +45,7 @@
 #include "data/dataset.h"
 #include "flags.h"
 #include "serve/service.h"
+#include "service_flags.h"
 
 namespace crowder {
 namespace {
@@ -68,28 +70,6 @@ Result<Args> Parse(int argc, char** argv) {
        "publish-interval", "hits-per-poll", "seed"},
       {"inline", "sync", "cross-source"}};
   return tools::ParseFlags("crowder_serve", kFlags, argc, argv, 1);
-}
-
-Result<serve::ServiceConfig> ConfigFromFlags(const Args& flags) {
-  serve::ServiceConfig config;
-  CROWDER_ASSIGN_OR_RETURN(config.threshold, flags.GetNumber("threshold", config.threshold));
-  CROWDER_ASSIGN_OR_RETURN(config.auto_match_threshold,
-                           flags.GetNumber("auto-match", config.auto_match_threshold));
-  CROWDER_ASSIGN_OR_RETURN(config.match_threshold,
-                           flags.GetNumber("match-threshold", config.match_threshold));
-  CROWDER_ASSIGN_OR_RETURN(config.crowd_flush_pairs,
-                           flags.GetNumber<uint64_t>("flush-pairs", config.crowd_flush_pairs));
-  CROWDER_ASSIGN_OR_RETURN(config.pairs_per_hit,
-                           flags.GetNumber("pairs-per-hit", config.pairs_per_hit));
-  CROWDER_ASSIGN_OR_RETURN(config.publish_interval,
-                           flags.GetNumber("publish-interval", config.publish_interval));
-  CROWDER_ASSIGN_OR_RETURN(config.hits_per_poll,
-                           flags.GetNumber("hits-per-poll", config.hits_per_poll));
-  CROWDER_ASSIGN_OR_RETURN(config.seed, flags.GetNumber("seed", config.seed));
-  config.background = !flags.Has("inline");
-  config.async_delivery = !flags.Has("sync");
-  config.cross_source_only = flags.Has("cross-source");
-  return config;
 }
 
 void ReplyInsert(const serve::InsertOutcome& outcome) {
@@ -193,7 +173,7 @@ bool HandleLine(serve::EntityResolutionService* service, const std::string& line
     }
     Status status = service->Flush();
     if (status.ok()) {
-      status = serve::WriteClusterReport(service->CurrentSnapshot()->clusters, path);
+      status = serve::WriteClusterReport(service->CurrentSnapshot()->Clusters(), path);
     }
     if (!status.ok()) {
       std::cout << "error: " << status.ToString() << "\n";
@@ -208,7 +188,8 @@ bool HandleLine(serve::EntityResolutionService* service, const std::string& line
 }
 
 Status Serve(const Args& flags) {
-  CROWDER_ASSIGN_OR_RETURN(serve::ServiceConfig config, ConfigFromFlags(flags));
+  CROWDER_ASSIGN_OR_RETURN(serve::ServiceConfig config, tools::ServiceConfigFromFlags(flags));
+  config.cross_source_only = flags.Has("cross-source");
 
   // Load the preload dataset before building the service: a two-source
   // dataset (Product) flips the candidate rule to cross-source-only, exactly
