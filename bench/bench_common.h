@@ -17,7 +17,7 @@ namespace crowder {
 namespace bench {
 
 // Environment-variable knobs shared by the scale-configurable harnesses
-// (bench_stream, bench_e2e_stream, ...): missing/empty means the fallback;
+// (bench_e2e_stream, bench_shard, ...): missing/empty means the fallback;
 // any other value must parse whole within [lo, hi] (ParseNumber), or the
 // harness exits 2 naming the variable.
 template <typename T>
@@ -70,8 +70,7 @@ inline graph::PairGraph BuildGraph(const data::Dataset& dataset,
       .ValueOrDie();
 }
 
-/// Number of cluster-based HITs one algorithm produces (validates the cover
-/// in debug builds).
+/// Number of cluster-based HITs one algorithm produces.
 inline size_t CountClusterHits(hitgen::ClusterAlgorithm algorithm, const data::Dataset& dataset,
                                const std::vector<similarity::ScoredPair>& pairs, uint32_t k,
                                uint64_t seed = 42) {

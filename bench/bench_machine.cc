@@ -261,8 +261,7 @@ similarity::JoinInput ScaledProductInput(double scale) {
   data::ProductConfig config;
   config.scale_factor = scale;
   const auto dataset = data::GenerateProduct(config).ValueOrDie();
-  return core::internal::BuildJoinInput(dataset, core::CandidateStrategy::kAllPairsJoin,
-                                        nullptr);
+  return core::internal::BuildJoinInput(dataset);
 }
 
 // One serial AllPairs join over scaled Product: its counters and wall time.

@@ -94,8 +94,7 @@ BENCHMARK(BM_BoundedEditDistance)->Arg(64)->Arg(256);
 // ---------------------------------------------------------------------------
 
 const similarity::JoinInput& RestaurantJoinInput() {
-  static const similarity::JoinInput kInput = core::internal::BuildJoinInput(
-      Restaurant(), core::CandidateStrategy::kAllPairsJoin, nullptr);
+  static const similarity::JoinInput kInput = core::internal::BuildJoinInput(Restaurant());
   return kInput;
 }
 
@@ -189,8 +188,7 @@ const similarity::JoinInput& ScaledProductJoinInput() {
     data::ProductConfig config;
     config.scale_factor = 25.0;  // 27,025 + 27,300 = 54,325 records
     const auto dataset = data::GenerateProduct(config).ValueOrDie();
-    return core::internal::BuildJoinInput(dataset, core::CandidateStrategy::kAllPairsJoin,
-                                          nullptr);
+    return core::internal::BuildJoinInput(dataset);
   }();
   return kInput;
 }

@@ -40,7 +40,6 @@
 #include "data/dataset.h"
 #include "data/generators.h"
 #include "data/statistics.h"
-#include "eval/cluster_metrics.h"
 #include "eval/metrics.h"
 #include "eval/report.h"
 #include "exec/parallel.h"
@@ -54,7 +53,6 @@
 #include "hitgen/cluster_generator.h"
 #include "hitgen/comparison_model.h"
 #include "hitgen/hit.h"
-#include "hitgen/hit_renderer.h"
 #include "hitgen/packing.h"
 #include "hitgen/pair_hit_generator.h"
 #include "hitgen/two_tiered_generator.h"
@@ -70,7 +68,6 @@
 #include "similarity/parallel_join.h"
 #include "similarity/set_similarity.h"
 #include "similarity/similarity_join.h"
-#include "similarity/sorted_neighborhood.h"
 #include "text/tfidf.h"
 #include "text/tokenizer.h"
 #include "text/vocabulary.h"

@@ -10,6 +10,14 @@
 namespace crowder {
 namespace core {
 
+namespace {
+
+// The fraction of |A|·|B| cross links a merge of two non-singleton clusters
+// needs (ResolutionOptions::transitive_closure).
+constexpr double kMinCrossSupport = 0.34;
+
+}  // namespace
+
 size_t EntityClusters::num_duplicate_groups() const {
   size_t count = 0;
   for (const auto& cluster : clusters) count += cluster.size() > 1;
@@ -70,7 +78,7 @@ Result<EntityClusters> ResolveEntities(uint32_t num_records,
       } while (u != p.a);
       const double support =
           static_cast<double>(links) / (static_cast<double>(size_a) * size_b);
-      if (support < options.min_cross_support) continue;
+      if (support < kMinCrossSupport) continue;
     }
     uf.Union(p.a, p.b);
     std::swap(next[p.a], next[p.b]);

@@ -25,12 +25,11 @@ namespace core {
 struct ResolutionOptions {
   /// Pairs with score >= this are treated as crowd-confirmed matches.
   double match_threshold = 0.5;
-  /// A merge of clusters A and B is accepted only if the confirmed pairs
-  /// between them are at least this fraction of |A|·|B| once both clusters
-  /// have more than one record (singleton merges always pass). Guards
-  /// against a single false positive chaining large clusters.
-  double min_cross_support = 0.34;
   /// Accept every merge regardless of support (pure transitive closure).
+  /// Otherwise a merge of clusters A and B is accepted only if the confirmed
+  /// pairs between them are at least 0.34·|A|·|B| once both clusters have
+  /// more than one record (singleton merges always pass), which guards
+  /// against a single false positive chaining large clusters.
   bool transitive_closure = false;
 };
 

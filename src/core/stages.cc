@@ -9,7 +9,6 @@
 #include "graph/pair_graph.h"
 #include "hitgen/packing.h"
 #include "hitgen/two_tiered_generator.h"
-#include "text/tokenizer.h"
 #include "text/vocabulary.h"
 
 namespace crowder {
@@ -17,20 +16,14 @@ namespace core {
 
 namespace internal {
 
-similarity::JoinInput BuildJoinInput(const data::Dataset& dataset, CandidateStrategy strategy,
-                                     std::vector<std::string>* keys) {
+similarity::JoinInput BuildJoinInput(const data::Dataset& dataset, CandidateStrategy,
+                                     std::vector<std::string>*) {
   text::Vocabulary vocab;
   similarity::JoinInput input;
   input.sets.reserve(dataset.table.num_records());
-  if (keys != nullptr && strategy == CandidateStrategy::kSortedNeighborhoodVerify) {
-    keys->reserve(dataset.table.num_records());
-  }
   for (uint32_t r = 0; r < dataset.table.num_records(); ++r) {
-    const std::string concatenated = dataset.table.ConcatenatedRecord(r);
-    input.sets.push_back(similarity::MakeTokenSet(vocab.InternDocument(concatenated)));
-    if (keys != nullptr && strategy == CandidateStrategy::kSortedNeighborhoodVerify) {
-      keys->push_back(text::Normalize(concatenated));
-    }
+    input.sets.push_back(
+        similarity::MakeTokenSet(vocab.InternDocument(dataset.table.ConcatenatedRecord(r))));
   }
   input.sources = dataset.table.sources;
   return input;

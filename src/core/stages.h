@@ -130,12 +130,14 @@ Status Aggregate(WorkflowState* state);
 
 namespace internal {
 
-/// \brief Tokenizes every record into the join input (and, for sorted
-/// neighborhood, the normalized sort keys). Shared by every machine pass
-/// (MachinePass, MachinePassStream, MachinePassSharded) so all see
-/// identical token sets.
-similarity::JoinInput BuildJoinInput(const data::Dataset& dataset, CandidateStrategy strategy,
-                                     std::vector<std::string>* keys);
+/// \brief Tokenizes every record into the join input. Shared by every
+/// machine pass (MachinePass, MachinePassStream, MachinePassSharded) so all
+/// see identical token sets. The two trailing parameters are ignored: the
+/// repository benchmark (benchmark/src/workloads.cc) still passes them, and
+/// they go at its next change.
+similarity::JoinInput BuildJoinInput(const data::Dataset& dataset,
+                                     CandidateStrategy = CandidateStrategy::kAllPairsJoin,
+                                     std::vector<std::string>* = nullptr);
 
 /// \brief True matches among `pairs` — the machine-recall numerator. The one
 /// definition shared by the machine-pass sinks and the CLI's machine-only

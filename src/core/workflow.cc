@@ -9,77 +9,25 @@
 #include "crowd/async_backend.h"
 #include "crowd/backend.h"
 #include "crowd/crowd_model.h"
-#include "exec/thread_pool.h"
-#include "similarity/blocking.h"
 #include "similarity/parallel_join.h"
-#include "similarity/sorted_neighborhood.h"
 
 namespace crowder {
 namespace core {
 
-namespace {
-
-const char* StrategyName(CandidateStrategy strategy) {
-  switch (strategy) {
-    case CandidateStrategy::kAllPairsJoin:
-      return "all-pairs-join";
-    case CandidateStrategy::kBlockingVerify:
-      return "blocking-verify";
-    case CandidateStrategy::kSortedNeighborhoodVerify:
-      return "sorted-neighborhood-verify";
-  }
-  return "?";
-}
-
-}  // namespace
-
 Result<std::vector<similarity::ScoredPair>> HybridWorkflow::MachinePass(
     const data::Dataset& dataset, similarity::SetMeasure measure, double threshold,
-    CandidateStrategy strategy, uint32_t num_threads) {
+    CandidateStrategy /*strategy*/, uint32_t num_threads) {
   CROWDER_RETURN_NOT_OK(dataset.Validate());
-
-  // The thread contract (workflow.h): only kAllPairsJoin has a parallel
-  // machine pass. Asking for workers on a serial strategy is not an error —
-  // the crowd stage still parallelizes — but it must not be silent either.
-  if (strategy != CandidateStrategy::kAllPairsJoin &&
-      exec::ResolveNumThreads(num_threads) > 1) {
-    CROWDER_LOG(Warning) << "candidate strategy '" << StrategyName(strategy)
-                         << "' has no parallel machine pass; running it serially ("
-                         << "threads apply to the kAllPairsJoin join and the crowd "
-                         << "simulation only)";
-  }
-
-  std::vector<std::string> keys;  // only filled for sorted neighborhood
-  similarity::JoinInput input = internal::BuildJoinInput(dataset, strategy, &keys);
+  const similarity::JoinInput input = internal::BuildJoinInput(dataset);
 
   similarity::JoinOptions options;
   options.measure = measure;
   options.threshold = threshold;
-
-  switch (strategy) {
-    case CandidateStrategy::kAllPairsJoin: {
-      // On one thread this is the serial AllPairsJoin; at any count its
-      // output is byte-identical (property-tested).
-      similarity::ParallelJoinOptions exec_options;
-      exec_options.num_threads = num_threads;
-      return similarity::ParallelAllPairsJoin(input, options, exec_options);
-    }
-    case CandidateStrategy::kBlockingVerify: {
-      similarity::BlockingOptions blocking;
-      blocking.max_block_size = 0;  // keep all blocks: exact for overlap measures
-      CROWDER_ASSIGN_OR_RETURN(auto candidates, similarity::TokenBlocking(input, blocking));
-      return similarity::VerifyCandidates(input, candidates, options);
-    }
-    case CandidateStrategy::kSortedNeighborhoodVerify: {
-      similarity::SortedNeighborhoodOptions sn;
-      sn.window = 10;
-      sn.passes = 3;
-      CROWDER_ASSIGN_OR_RETURN(auto candidates,
-                               similarity::SortedNeighborhood(keys, input.sources, sn));
-      return similarity::VerifyCandidates(input, candidates, options);
-    }
-  }
-  return Status::InvalidArgument("unknown candidate strategy");
+  // On one thread this is the serial AllPairsJoin; at any count its output
+  // is byte-identical (property-tested).
+  similarity::ParallelJoinOptions exec_options;
+  exec_options.num_threads = num_threads;
+  return similarity::ParallelAllPairsJoin(input, options, exec_options);
 }
 
 Result<HybridWorkflow::MachineStreamStats> HybridWorkflow::MachinePassStream(
@@ -87,8 +35,7 @@ Result<HybridWorkflow::MachineStreamStats> HybridWorkflow::MachinePassStream(
     uint32_t num_threads, PairStream* stream, uint32_t block_records) {
   CROWDER_CHECK(stream != nullptr);
   CROWDER_RETURN_NOT_OK(dataset.Validate());
-  similarity::JoinInput input =
-      internal::BuildJoinInput(dataset, CandidateStrategy::kAllPairsJoin, nullptr);
+  similarity::JoinInput input = internal::BuildJoinInput(dataset);
 
   similarity::JoinOptions options;
   options.measure = measure;
@@ -116,8 +63,7 @@ Result<HybridWorkflow::MachineStreamStats> HybridWorkflow::MachinePassSharded(
     shard::ShardRunStats* shard_run_stats) {
   CROWDER_CHECK(stream != nullptr);
   CROWDER_RETURN_NOT_OK(dataset.Validate());
-  similarity::JoinInput input =
-      internal::BuildJoinInput(dataset, CandidateStrategy::kAllPairsJoin, nullptr);
+  similarity::JoinInput input = internal::BuildJoinInput(dataset);
 
   similarity::JoinOptions options;
   options.measure = measure;

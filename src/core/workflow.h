@@ -60,18 +60,13 @@ enum class QuestionPolicyKind {
 };
 
 /// \brief How HybridWorkflow::MachinePass finds candidate pairs (footnote 1
-/// of the paper: indexing techniques avoid the all-pairs comparison). The
-/// workflow always runs kAllPairsJoin; the other two are the paper's
-/// baselines, measured through MachinePass (bench_table2).
+/// of the paper: indexing techniques avoid the all-pairs comparison). Every
+/// path runs the one prefix-filtering join. The enum and MachinePass'
+/// strategy argument remain only because the repository benchmark
+/// (benchmark/src/workloads.cc) names them; both go at its next change.
 enum class CandidateStrategy {
   /// Prefix-filtering AllPairs join: exact (same output as exhaustive).
   kAllPairsJoin,
-  /// Token blocking + verification: exact for overlap measures with a
-  /// positive threshold (qualifying pairs share >= 1 token).
-  kBlockingVerify,
-  /// Multi-pass sorted neighborhood + verification: approximate — bounded
-  /// work, may miss pairs whose keys never sort nearby.
-  kSortedNeighborhoodVerify,
 };
 
 /// \brief Whether the bounded-memory knobs apply. Both values run the same
@@ -271,13 +266,12 @@ class HybridWorkflow {
   const WorkflowConfig& config() const { return config_; }
 
   /// The machine pass alone, materialized: tokenize every record (all
-  /// attributes), find candidates with `strategy`, and keep pairs at or
-  /// above `threshold`. Exposed for callers that need P itself, such as the
-  /// benches that sweep thresholds or compare strategies without
-  /// crowdsourcing (Table 2, Figures 10-11) and the budget planner.
-  /// `num_threads` follows the WorkflowConfig convention (0 = auto, 1 =
-  /// serial) and only affects kAllPairsJoin; the returned pairs are
-  /// identical at any value.
+  /// attributes), run the prefix-filtering join, and keep pairs at or above
+  /// `threshold`. Exposed for callers that need P itself, such as the
+  /// benches that sweep thresholds without crowdsourcing (Table 2, Figures
+  /// 10-11) and the budget planner. `num_threads` follows the
+  /// WorkflowConfig convention (0 = auto, 1 = serial); the returned pairs
+  /// are identical at any value.
   static Result<std::vector<similarity::ScoredPair>> MachinePass(
       const data::Dataset& dataset, similarity::SetMeasure measure, double threshold,
       CandidateStrategy strategy = CandidateStrategy::kAllPairsJoin,
@@ -292,30 +286,31 @@ class HybridWorkflow {
     size_t num_blocks = 0;
   };
 
-  /// The streaming machine pass alone (kAllPairsJoin only): emits candidate
-  /// blocks of `block_records` probe records (0 = the join's default) into
-  /// `stream` (whose memory budget the caller chose) and never holds more
-  /// than one block of pairs outside it — except at threshold <= 0, where
-  /// every pair qualifies and the O(n^2) output is first materialized by the
+  /// The streaming machine pass alone: emits candidate blocks of
+  /// `block_records` probe records (0 = the join's default) into `stream`
+  /// (whose memory budget the caller chose) and never holds more than one
+  /// block of pairs outside it — except at threshold <= 0, where every pair
+  /// qualifies and the O(n^2) output is first materialized by the
   /// exhaustive join (then still fed to the stream in bounded blocks). The
-  /// stream's sorted scan is byte-identical to MachinePass' return value.
-  /// The workflow's single-process machine pass; also the backbone of
-  /// `crowder_cli run --machine-only --streaming` and bench_stream.
+  /// stream's sorted scan is byte-identical to MachinePass' return value
+  /// (bench_e2e_stream checks it under a spilling budget). The workflow's
+  /// single-process machine pass; also the backbone of
+  /// `crowder_cli run --machine-only --streaming`.
   static Result<MachineStreamStats> MachinePassStream(const data::Dataset& dataset,
                                                       similarity::SetMeasure measure,
                                                       double threshold, uint32_t num_threads,
                                                       PairStream* stream,
                                                       uint32_t block_records = 0);
 
-  /// The sharded machine pass (kAllPairsJoin only, threshold > 0): plans
-  /// the shard bands, runs `exec.num_shards` workers — crowder_shardd
-  /// subprocesses when `exec.worker_path` is set, in-process otherwise —
-  /// and feeds their sorted, disjoint owned pair blocks into `stream`,
-  /// whose k-way-merged sorted scan is byte-identical to MachinePass /
-  /// MachinePassStream over the same dataset (the ownership lemma and
-  /// merge-identity argument live in shard/plan.h, shard/coordinator.h and
-  /// docs/ARCHITECTURE.md). `shard_run_stats` (optional) receives the
-  /// per-shard wall/CPU/RSS and coordinator timings.
+  /// The sharded machine pass (threshold > 0): plans the shard bands, runs
+  /// `exec.num_shards` workers — crowder_shardd subprocesses when
+  /// `exec.worker_path` is set, in-process otherwise — and feeds their
+  /// sorted, disjoint owned pair blocks into `stream`, whose k-way-merged
+  /// sorted scan is byte-identical to MachinePass / MachinePassStream over
+  /// the same dataset (the ownership lemma and merge-identity argument live
+  /// in shard/plan.h, shard/coordinator.h and docs/ARCHITECTURE.md).
+  /// `shard_run_stats` (optional) receives the per-shard wall/CPU/RSS and
+  /// coordinator timings.
   static Result<MachineStreamStats> MachinePassSharded(const data::Dataset& dataset,
                                                        similarity::SetMeasure measure,
                                                        double threshold,

@@ -6,22 +6,6 @@
 namespace crowder {
 namespace crowd {
 
-const char* WorkerTypeName(WorkerType type) {
-  switch (type) {
-    case WorkerType::kReliable:
-      return "reliable";
-    case WorkerType::kNoisy:
-      return "noisy";
-    case WorkerType::kSpammer:
-      return "spammer";
-    case WorkerType::kColluder:
-      return "colluder";
-    case WorkerType::kSleeper:
-      return "sleeper";
-  }
-  return "?";
-}
-
 namespace {
 
 // The verdict of a colluding ring on a pair. hardness_u is already a

@@ -15,8 +15,6 @@ namespace crowd {
 
 enum class WorkerType { kReliable, kNoisy, kSpammer, kColluder, kSleeper };
 
-const char* WorkerTypeName(WorkerType type);
-
 /// \brief One simulated worker. Each worker owns an independent random
 /// stream, so results do not depend on the order in which workers are asked.
 class Worker {

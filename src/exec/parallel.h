@@ -55,31 +55,6 @@ std::vector<T> ParallelMap(ThreadPool* pool, size_t n, size_t chunk_size,
   return out;
 }
 
-/// \brief Parallel emit-and-concatenate: each chunk appends to its own
-/// vector via emit(i, &shard), and the shards are concatenated in chunk
-/// order. The workhorse for merging per-shard pair vectors deterministically.
-template <typename T>
-std::vector<T> ParallelReduce(ThreadPool* pool, size_t n, size_t chunk_size,
-                              const std::function<void(size_t, std::vector<T>*)>& emit) {
-  if (chunk_size == 0) chunk_size = 1;
-  const size_t num_chunks = n == 0 ? 0 : (n - 1) / chunk_size + 1;
-  std::vector<std::vector<T>> shards(num_chunks);
-  ParallelForChunks(pool, 0, n, chunk_size,
-                    [&](size_t chunk, size_t chunk_begin, size_t chunk_end) {
-                      std::vector<T>* shard = &shards[chunk];
-                      for (size_t i = chunk_begin; i < chunk_end; ++i) emit(i, shard);
-                    });
-  size_t total = 0;
-  for (const auto& shard : shards) total += shard.size();
-  std::vector<T> out;
-  out.reserve(total);
-  for (auto& shard : shards) {
-    out.insert(out.end(), std::make_move_iterator(shard.begin()),
-               std::make_move_iterator(shard.end()));
-  }
-  return out;
-}
-
 }  // namespace exec
 }  // namespace crowder
 

@@ -8,34 +8,19 @@ namespace crowder {
 namespace graph {
 
 Result<PairGraph> PairGraph::Create(uint32_t num_vertices, const std::vector<Edge>& edges) {
-  PairGraphBuilder builder(num_vertices);
-  CROWDER_RETURN_NOT_OK(builder.Add(edges));
-  return builder.Build();
-}
-
-PairGraphBuilder::PairGraphBuilder(uint32_t num_vertices) {
-  graph_.num_vertices_ = num_vertices;
-  graph_.adjacency_.resize(num_vertices);
-  graph_.alive_degree_.assign(num_vertices, 0);
-}
-
-Status PairGraphBuilder::Add(const std::vector<Edge>& batch) {
-  CROWDER_CHECK(!built_) << "Add after Build";
-  if (failed_) return Status::InvalidArgument("PairGraphBuilder already failed");
-  PairGraph& g = graph_;
-  for (const Edge& raw : batch) {
-    uint32_t a = std::min(raw.a, raw.b);
-    uint32_t b = std::max(raw.a, raw.b);
-    if (a == b) {
-      failed_ = true;
-      return Status::InvalidArgument("self-loop on vertex " + std::to_string(a));
-    }
-    if (b >= g.num_vertices_) {
-      failed_ = true;
+  PairGraph g;
+  g.num_vertices_ = num_vertices;
+  g.adjacency_.resize(num_vertices);
+  g.alive_degree_.assign(num_vertices, 0);
+  for (const Edge& raw : edges) {
+    const uint32_t a = std::min(raw.a, raw.b);
+    const uint32_t b = std::max(raw.a, raw.b);
+    if (a == b) return Status::InvalidArgument("self-loop on vertex " + std::to_string(a));
+    if (b >= num_vertices) {
       return Status::OutOfRange("edge endpoint " + std::to_string(b) + " >= num_vertices " +
-                                std::to_string(g.num_vertices_));
+                                std::to_string(num_vertices));
     }
-    const uint64_t key = PairGraph::Key(a, b);
+    const uint64_t key = Key(a, b);
     if (g.edge_index_.count(key) > 0) continue;  // deduplicate silently
 
     const uint32_t eid = static_cast<uint32_t>(g.edges_.size());
@@ -47,15 +32,8 @@ Status PairGraphBuilder::Add(const std::vector<Edge>& batch) {
     ++g.alive_degree_[a];
     ++g.alive_degree_[b];
   }
-  return Status::OK();
-}
-
-Result<PairGraph> PairGraphBuilder::Build() {
-  CROWDER_CHECK(!built_) << "Build called twice";
-  if (failed_) return Status::InvalidArgument("PairGraphBuilder already failed");
-  built_ = true;
-  graph_.num_alive_ = graph_.edges_.size();
-  return std::move(graph_);
+  g.num_alive_ = g.edges_.size();
+  return g;
 }
 
 uint32_t PairGraph::AliveDegree(uint32_t v) const {
@@ -149,31 +127,6 @@ std::vector<Edge> PairGraph::AllEdges() const {
   std::vector<Edge> out = edges_;
   std::sort(out.begin(), out.end(),
             [](const Edge& x, const Edge& y) { return x.a != y.a ? x.a < y.a : x.b < y.b; });
-  return out;
-}
-
-int64_t PairGraph::MaxAliveDegreeVertex() const {
-  int64_t best = -1;
-  uint32_t best_degree = 0;
-  for (uint32_t v = 0; v < num_vertices_; ++v) {
-    if (alive_degree_[v] > best_degree) {
-      best_degree = alive_degree_[v];
-      best = v;
-    }
-  }
-  return best;
-}
-
-std::vector<uint32_t> PairGraph::NonIsolatedVertices() const {
-  std::vector<char> seen(num_vertices_, 0);
-  for (const Edge& e : edges_) {
-    seen[e.a] = 1;
-    seen[e.b] = 1;
-  }
-  std::vector<uint32_t> out;
-  for (uint32_t v = 0; v < num_vertices_; ++v) {
-    if (seen[v]) out.push_back(v);
-  }
   return out;
 }
 

@@ -9,8 +9,7 @@
 /// **The pair-indexing contract, seen from the graph side.** Edge ids are
 /// assigned in insertion order, and adjacency lists iterate in that order —
 /// generators observe it through ForEachAliveNeighbor, so two graphs built
-/// from the same pair sequence behave identically even if one was built
-/// incrementally (PairGraphBuilder) from batches. This is one of the two
+/// from the same pair sequence behave identically. This is one of the two
 /// alignment invariants the workflow leans on (the other is the vote
 /// table's, aggregate/votes.h): like the vote table, the graph itself is
 /// index-aligned, pair-proportional state — which is why the partitioned
@@ -49,7 +48,7 @@ class PairGraph {
  public:
   /// \brief Builds a graph over vertices [0, num_vertices). Edges are
   /// normalized to a < b and deduplicated. Fails on self-loops or
-  /// out-of-range endpoints. One-shot convenience over PairGraphBuilder.
+  /// out-of-range endpoints. Edge ids follow the order of `edges`.
   static Result<PairGraph> Create(uint32_t num_vertices, const std::vector<Edge>& edges);
 
   /// \brief Number of vertices the graph was built over.
@@ -102,16 +101,7 @@ class PairGraph {
   /// \brief All edges regardless of liveness, sorted by (a, b).
   std::vector<Edge> AllEdges() const;
 
-  /// \brief The alive vertex of maximum alive degree (smallest id on ties),
-  /// or -1 if no edge is alive.
-  int64_t MaxAliveDegreeVertex() const;
-
-  /// \brief Vertices with at least one original edge, ascending.
-  std::vector<uint32_t> NonIsolatedVertices() const;
-
  private:
-  friend class PairGraphBuilder;
-
   PairGraph() = default;
 
   static uint64_t Key(uint32_t a, uint32_t b) {
@@ -125,36 +115,6 @@ class PairGraph {
   std::vector<uint32_t> alive_degree_;
   std::unordered_map<uint64_t, uint32_t> edge_index_;  // Key(a,b) -> edge id
   size_t num_alive_ = 0;
-};
-
-/// \brief Incremental PairGraph construction from edge batches — the shape
-/// a streaming machine pass produces (core/pipeline.h). Semantics are
-/// identical to PairGraph::Create over the concatenation of the batches:
-/// normalization, silent deduplication, the same validation failures, and —
-/// important for the byte-identity contract of the partitioned cluster
-/// boundary — the same edge-id assignment (insertion order), which
-/// generators observe through adjacency iteration order.
-class PairGraphBuilder {
- public:
-  /// \brief Prepares a builder over vertices [0, num_vertices).
-  explicit PairGraphBuilder(uint32_t num_vertices);
-
-  /// \brief Appends one batch. Fails on self-loops or out-of-range
-  /// endpoints, leaving the builder unusable (as one-shot Create would have
-  /// failed).
-  Status Add(const std::vector<Edge>& batch);
-
-  /// \brief Edges added so far (after normalization and deduplication).
-  size_t num_edges() const { return graph_.num_edges(); }
-
-  /// \brief Finalizes and returns the graph. Terminal: the builder is
-  /// empty after.
-  Result<PairGraph> Build();
-
- private:
-  PairGraph graph_;
-  bool failed_ = false;
-  bool built_ = false;
 };
 
 }  // namespace graph

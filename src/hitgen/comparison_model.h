@@ -13,6 +13,9 @@
 // "increasing", but its own Example 4 identifies the size-3 entity first and
 // obtains the minimum (3 comparisons), confirming decreasing order is best.
 // We implement the math and flag the discrepancy in EXPERIMENTS.md.
+//
+// No run calls the model: paper_examples_test reproduces §6's examples with
+// it.
 #ifndef CROWDER_HITGEN_COMPARISON_MODEL_H_
 #define CROWDER_HITGEN_COMPARISON_MODEL_H_
 

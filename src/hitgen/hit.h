@@ -34,7 +34,8 @@ struct ClusterBasedHit {
 /// \brief Verifies the two requirements of Definition 1 against a pair set:
 /// (1) every HIT has at most k records; (2) every original pair of `universe`
 /// is contained in at least one HIT. Returns OK or an InvalidArgument
-/// describing the first violation. Used by tests and by debug assertions.
+/// describing the first violation. No run calls it: it is the reference the
+/// generator tests check every cover against.
 Status ValidateClusterCover(const std::vector<ClusterBasedHit>& hits,
                             const graph::PairGraph& universe, uint32_t k);
 

@@ -6,18 +6,6 @@
 namespace crowder {
 namespace hitgen {
 
-const char* PackingStrategyName(PackingStrategy strategy) {
-  switch (strategy) {
-    case PackingStrategy::kIlp:
-      return "ilp";
-    case PackingStrategy::kFfd:
-      return "ffd";
-    case PackingStrategy::kNone:
-      return "none";
-  }
-  return "?";
-}
-
 namespace {
 
 Status ValidateSccs(const std::vector<std::vector<uint32_t>>& sccs, uint32_t k) {

@@ -19,8 +19,6 @@ enum class PackingStrategy {
   kNone,  ///< ablation: one HIT per small component (no packing)
 };
 
-const char* PackingStrategyName(PackingStrategy strategy);
-
 struct PackingOptions {
   PackingStrategy strategy = PackingStrategy::kIlp;
   lp::CuttingStockOptions ilp;

@@ -1,41 +1,21 @@
 #include "hitgen/pair_hit_generator.h"
 
-#include "common/logging.h"
+#include <algorithm>
 
 namespace crowder {
 namespace hitgen {
 
-Status PairHitPacker::Add(const std::vector<graph::Edge>& batch) {
-  CROWDER_CHECK(!finished_) << "Add after Finish";
-  if (pairs_per_hit_ == 0) {
-    return Status::InvalidArgument("pairs_per_hit must be positive");
-  }
-  for (const graph::Edge& pair : batch) {
-    current_.pairs.push_back(pair);
-    if (current_.pairs.size() >= pairs_per_hit_) {
-      hits_.push_back(std::move(current_));
-      current_ = PairBasedHit{};
-      current_.pairs.reserve(pairs_per_hit_);
-    }
-  }
-  return Status::OK();
-}
-
-Result<std::vector<PairBasedHit>> PairHitPacker::Finish() {
-  CROWDER_CHECK(!finished_) << "Finish called twice";
-  if (pairs_per_hit_ == 0) {
-    return Status::InvalidArgument("pairs_per_hit must be positive");
-  }
-  finished_ = true;
-  if (!current_.pairs.empty()) hits_.push_back(std::move(current_));
-  return std::move(hits_);
-}
-
 Result<std::vector<PairBasedHit>> GeneratePairHits(const std::vector<graph::Edge>& pairs,
                                                    uint32_t pairs_per_hit) {
-  PairHitPacker packer(pairs_per_hit);
-  CROWDER_RETURN_NOT_OK(packer.Add(pairs));
-  return packer.Finish();
+  if (pairs_per_hit == 0) return Status::InvalidArgument("pairs_per_hit must be positive");
+  std::vector<PairBasedHit> hits;
+  hits.reserve((pairs.size() + pairs_per_hit - 1) / pairs_per_hit);
+  // Each HIT is one slice, copied in one allocation.
+  for (size_t begin = 0; begin < pairs.size(); begin += pairs_per_hit) {
+    const size_t end = std::min(pairs.size(), begin + pairs_per_hit);
+    hits.push_back(PairBasedHit{{pairs.begin() + begin, pairs.begin() + end}});
+  }
+  return hits;
 }
 
 }  // namespace hitgen

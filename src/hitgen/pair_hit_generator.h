@@ -13,36 +13,13 @@ namespace hitgen {
 
 /// \brief Batches `pairs` into pair-based HITs of at most `pairs_per_hit`.
 /// Pairs keep their input order (the workflow feeds them sorted by record
-/// ids, so HITs group related records, which mildly helps workers).
-/// One-shot convenience over PairHitPacker.
+/// ids, so HITs group related records, which mildly helps workers). HIT i
+/// holds pairs [i * pairs_per_hit, (i + 1) * pairs_per_hit), so a split of
+/// the pairs at multiples of `pairs_per_hit`, packed slice by slice, yields
+/// the same HITs as one call — the property the partitioned crowd boundary
+/// relies on (hit_test pins it).
 Result<std::vector<PairBasedHit>> GeneratePairHits(const std::vector<graph::Edge>& pairs,
                                                    uint32_t pairs_per_hit);
-
-/// \brief Incremental pair-HIT packing from pair batches — the shape a
-/// streaming machine pass produces (core/pipeline.h). Packing is batch-
-/// boundary-blind: any partition of the same pair sequence yields the HITs
-/// GeneratePairHits builds from the concatenation, because a HIT closes
-/// exactly when it holds `pairs_per_hit` pairs regardless of where batches
-/// split.
-class PairHitPacker {
- public:
-  explicit PairHitPacker(uint32_t pairs_per_hit) : pairs_per_hit_(pairs_per_hit) {}
-
-  /// Appends one batch, closing HITs as they fill.
-  Status Add(const std::vector<graph::Edge>& batch);
-
-  /// HITs closed so far (a partial HIT in progress is not counted).
-  size_t num_full_hits() const { return hits_.size(); }
-
-  /// Flushes the trailing partial HIT and returns all HITs. Terminal.
-  Result<std::vector<PairBasedHit>> Finish();
-
- private:
-  uint32_t pairs_per_hit_;
-  PairBasedHit current_;
-  std::vector<PairBasedHit> hits_;
-  bool finished_ = false;
-};
 
 }  // namespace hitgen
 }  // namespace crowder

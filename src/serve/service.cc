@@ -9,7 +9,7 @@
 #include "core/stages.h"
 #include "crowd/async_backend.h"
 #include "graph/pair_graph.h"
-#include "hitgen/hit.h"
+#include "hitgen/pair_hit_generator.h"
 #include "similarity/similarity_join.h"
 
 namespace crowder {
@@ -98,7 +98,6 @@ Result<std::unique_ptr<EntityResolutionService>> EntityResolutionService::Create
   index_options.measure = config.measure;
   index_options.threshold = config.threshold;
   index_options.cross_source_only = config.cross_source_only;
-  index_options.rebuild_base = config.rebuild_base;
   CROWDER_ASSIGN_OR_RETURN(IncrementalIndex index, IncrementalIndex::Create(index_options));
   return std::unique_ptr<EntityResolutionService>(
       new EntityResolutionService(config, std::move(index), std::move(platform)));
@@ -198,18 +197,15 @@ void EntityResolutionService::FlushQueue() {
   auto round = std::make_shared<Round>();
   round->pairs = std::move(queue_);
   queue_.clear();
-  for (size_t begin = 0; begin < round->pairs.size(); begin += config_.pairs_per_hit) {
-    hitgen::PairBasedHit hit;
-    const size_t end = std::min(round->pairs.size(), begin + config_.pairs_per_hit);
-    for (size_t i = begin; i < end; ++i) {
-      hit.pairs.push_back({round->pairs[i].a, round->pairs[i].b});
-    }
-    round->hits.push_back(std::move(hit));
-  }
+  std::vector<graph::Edge> edges;
+  edges.reserve(round->pairs.size());
   round->truth.reserve(round->pairs.size());
   for (const similarity::ScoredPair& p : round->pairs) {
+    edges.push_back({p.a, p.b});
     round->truth.push_back(entity_of_[p.a] == entity_of_[p.b]);
   }
+  // The constructor clamps pairs_per_hit to >= 1, so packing cannot fail.
+  round->hits = hitgen::GeneratePairHits(edges, config_.pairs_per_hit).ValueOrDie();
   {
     std::lock_guard<std::mutex> lock(mu_);
     round->first_hit = static_cast<uint32_t>(stats_.hits_posted);

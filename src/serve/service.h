@@ -80,8 +80,6 @@ struct ServiceConfig {
   /// Run crowd rounds on a background exec::ThreadPool thread instead of
   /// inline in Insert. The final partition is identical either way.
   bool background = true;
-  /// Corpus size of the index's first rare-first re-rank (0 = never).
-  size_t rebuild_base = 1024;
   /// Seed for the worker pool and every per-pair verdict stream.
   uint64_t seed = 42;
   /// The simulated crowd's behavioural model.

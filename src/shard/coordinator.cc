@@ -14,6 +14,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Records per kRecordBatch spec frame.
+constexpr uint32_t kRecordsPerFrame = 4096;
+
 double MsSince(Clock::time_point begin) {
   return std::chrono::duration<double, std::milli>(Clock::now() - begin).count();
 }
@@ -25,8 +28,7 @@ Status AnnotateShard(const Status& status, uint32_t shard) {
 
 /// Ships shard `s`'s slice of the plan as one job spec.
 Status ShipSpec(const similarity::JoinInput& input, const similarity::JoinOptions& options,
-                const ShardPlan& plan, uint32_t s, uint32_t records_per_frame,
-                FrameTransport* transport) {
+                const ShardPlan& plan, uint32_t s, FrameTransport* transport) {
   const ShardAssignment& a = plan.shards[s];
   JobSpec spec;
   spec.shard_index = s;
@@ -36,8 +38,8 @@ Status ShipSpec(const similarity::JoinInput& input, const similarity::JoinOption
   spec.has_sources = !input.sources.empty();
   spec.num_records = a.owned_end - a.replica_begin;
   CROWDER_RETURN_NOT_OK(transport->Send(EncodeJobSpec(spec)));
-  for (uint64_t begin = a.replica_begin; begin < a.owned_end; begin += records_per_frame) {
-    const uint64_t end = std::min<uint64_t>(a.owned_end, begin + records_per_frame);
+  for (uint64_t begin = a.replica_begin; begin < a.owned_end; begin += kRecordsPerFrame) {
+    const uint64_t end = std::min<uint64_t>(a.owned_end, begin + kRecordsPerFrame);
     std::vector<uint8_t> payload;
     for (uint64_t p = begin; p < end; ++p) {
       const uint32_t rec = plan.by_size[p];
@@ -103,7 +105,6 @@ Status RunShardedJoin(const similarity::JoinInput& input,
                                    std::to_string(exec.num_shards));
   }
   if (!sink) return Status::InvalidArgument("sharded join requires a pair sink");
-  const uint32_t records_per_frame = exec.records_per_frame == 0 ? 4096 : exec.records_per_frame;
   const bool subprocess = !exec.transport_factory && !exec.worker_path.empty();
 
   ShardRunStats local_stats;
@@ -146,7 +147,7 @@ Status RunShardedJoin(const similarity::JoinInput& input,
   // seals; see the header's deadlock argument).
   const auto ship_begin = Clock::now();
   for (uint32_t s = 0; s < exec.num_shards; ++s) {
-    const Status shipped = ShipSpec(input, options, plan, s, records_per_frame, transports[s]);
+    const Status shipped = ShipSpec(input, options, plan, s, transports[s]);
     if (!shipped.ok()) {
       // A worker that died during shipping may have left a kWorkerError
       // explaining why — prefer that over the bare EPIPE.

@@ -45,8 +45,6 @@ struct ShardExecOptions {
   /// Path to the crowder_shardd binary; empty runs every worker in-process
   /// through InProcessTransport (same bytes, no subprocesses).
   std::string worker_path;
-  /// Records per kRecordBatch spec frame.
-  uint32_t records_per_frame = 4096;
   /// Test hook: overrides transport creation for shard i (fault injection).
   /// When set, worker_path is ignored.
   std::function<Result<std::unique_ptr<FrameTransport>>(uint32_t shard)> transport_factory;

@@ -2,6 +2,11 @@
 // blocking [7]). Two records become a candidate pair if they share at least
 // one blocking key (a token). Candidates still need verification; blocking
 // only bounds which pairs are examined.
+//
+// No workflow path runs it: the machine pass is the prefix-filtering join.
+// TokenBlocking + VerifyCandidates stay as the join-equivalence oracle (they
+// share no filter with the join; join_equivalence_property_test), which
+// bench_micro also times.
 #ifndef CROWDER_SIMILARITY_BLOCKING_H_
 #define CROWDER_SIMILARITY_BLOCKING_H_
 

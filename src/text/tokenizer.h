@@ -67,8 +67,8 @@ void ForEachToken(std::string_view text, Emit&& emit) {
 }
 
 /// \brief The tokens of `text` joined by single spaces: "55 E. 54th St." ->
-/// "55 e 54th st". The sorted-neighbourhood keys and the SVM's
-/// edit-similarity feature compare these strings.
+/// "55 e 54th st". The SVM's edit-similarity feature compares these
+/// strings.
 std::string Normalize(std::string_view text);
 
 }  // namespace text

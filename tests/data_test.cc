@@ -403,8 +403,7 @@ TEST(DatasetCsvMutationSweep, EveryMutantLoadsOrFailsCleanly) {
       continue;
     }
     ++loaded;
-    const similarity::JoinInput input = core::internal::BuildJoinInput(
-        *dataset, core::CandidateStrategy::kAllPairsJoin, nullptr);
+    const similarity::JoinInput input = core::internal::BuildJoinInput(*dataset);
     EXPECT_EQ(input.sets.size(), dataset->table.num_records()) << "seed " << seed;
     const Result<DatasetStatistics> stats = ComputeStatistics(*dataset);
     EXPECT_TRUE(stats.ok() || stats.status().IsInvalidArgument())

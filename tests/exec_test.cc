@@ -157,25 +157,6 @@ TEST(ParallelMapTest, OutputOrderingIsDeterministic) {
   }
 }
 
-TEST(ParallelReduceTest, ConcatenatesShardsInChunkOrder) {
-  ThreadPool pool(4);
-  constexpr size_t kN = 2000;
-  // Each index emits a variable number of elements; concatenation in chunk
-  // order must reproduce the serial emission sequence exactly.
-  const std::function<void(size_t, std::vector<int>*)> emit =
-      [](size_t i, std::vector<int>* out) {
-        for (size_t k = 0; k <= i % 3; ++k) {
-          out->push_back(static_cast<int>(i * 10 + k));
-        }
-      };
-  std::vector<int> serial;
-  for (size_t i = 0; i < kN; ++i) emit(i, &serial);
-  for (size_t chunk_size : {1, 13, 256}) {
-    const std::vector<int> parallel = ParallelReduce<int>(&pool, kN, chunk_size, emit);
-    ASSERT_EQ(parallel, serial) << "chunk_size " << chunk_size;
-  }
-}
-
 TEST(ParallelForTest, NestedParallelRegionsDoNotDeadlock) {
   // An outer parallel loop whose body runs an inner one on the same pool:
   // the chunk-claiming scheme must let busy callers drain their own chunks

@@ -43,41 +43,6 @@ TEST(PairGraphTest, RejectsSelfLoop) {
   EXPECT_FALSE(PairGraph::Create(3, {{1, 1}}).ok());
 }
 
-TEST(PairGraphBuilderTest, BatchPartitionMatchesOneShotCreate) {
-  // The streaming workflow's contract: any partition of the edge sequence
-  // into Add() batches yields the graph Create builds from the
-  // concatenation — including edge-id/adjacency order, which generators
-  // observe through neighbor iteration.
-  const std::vector<Edge> edges = {{0, 1}, {1, 2}, {0, 2}, {3, 4}, {2, 3}, {1, 4}, {0, 1}};
-  auto expected = PairGraph::Create(5, edges).ValueOrDie();
-
-  for (size_t split = 0; split <= edges.size(); ++split) {
-    PairGraphBuilder builder(5);
-    ASSERT_TRUE(builder
-                    .Add(std::vector<Edge>(edges.begin(),
-                                           edges.begin() + static_cast<ptrdiff_t>(split)))
-                    .ok());
-    ASSERT_TRUE(builder
-                    .Add(std::vector<Edge>(edges.begin() + static_cast<ptrdiff_t>(split),
-                                           edges.end()))
-                    .ok());
-    auto built = builder.Build();
-    ASSERT_TRUE(built.ok());
-    EXPECT_EQ(built->num_edges(), expected.num_edges());
-    for (uint32_t v = 0; v < 5; ++v) {
-      EXPECT_EQ(built->AliveNeighbors(v), expected.AliveNeighbors(v)) << "vertex " << v;
-    }
-  }
-}
-
-TEST(PairGraphBuilderTest, FailsLikeCreateAndStaysFailed) {
-  PairGraphBuilder builder(3);
-  ASSERT_TRUE(builder.Add({{0, 1}}).ok());
-  EXPECT_FALSE(builder.Add({{1, 1}}).ok());      // self-loop, as Create rejects
-  EXPECT_FALSE(builder.Add({{0, 2}}).ok());      // poisoned
-  EXPECT_FALSE(builder.Build().ok());
-}
-
 TEST(PairGraphTest, RejectsOutOfRange) {
   auto g = PairGraph::Create(3, {{0, 3}});
   EXPECT_FALSE(g.ok());
@@ -131,26 +96,6 @@ TEST(PairGraphTest, AliveEdgesSorted) {
     EXPECT_TRUE(edges[i - 1].a < edges[i].a ||
                 (edges[i - 1].a == edges[i].a && edges[i - 1].b < edges[i].b));
   }
-}
-
-TEST(PairGraphTest, MaxAliveDegreeVertex) {
-  auto g = PairGraph::Create(9, Figure5Edges()).ValueOrDie();
-  EXPECT_EQ(g.MaxAliveDegreeVertex(), 3);  // r4
-  g.RemoveEdgesCoveredBy({2, 3, 4, 5});
-  g.RemoveEdge(3, 6);
-  // Remaining edges (0,1),(0,6),(1,2),(1,6): vertex 1 has degree 3.
-  EXPECT_EQ(g.MaxAliveDegreeVertex(), 1);
-}
-
-TEST(PairGraphTest, MaxDegreeOnEmptyGraph) {
-  auto g = PairGraph::Create(3, {}).ValueOrDie();
-  EXPECT_EQ(g.MaxAliveDegreeVertex(), -1);
-  EXPECT_FALSE(g.HasAliveEdges());
-}
-
-TEST(PairGraphTest, NonIsolatedVertices) {
-  auto g = PairGraph::Create(6, {{0, 2}, {4, 5}}).ValueOrDie();
-  EXPECT_EQ(g.NonIsolatedVertices(), (std::vector<uint32_t>{0, 2, 4, 5}));
 }
 
 TEST(ConnectedComponentsTest, Figure5HasTwoComponents) {

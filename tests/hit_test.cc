@@ -1,6 +1,10 @@
 // Tests for HIT types, cover validation and pair-based HIT generation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.h"
 #include "hitgen/hit.h"
 #include "hitgen/pair_hit_generator.h"
 
@@ -96,34 +100,36 @@ TEST(PairHitGeneratorTest, ZeroBatchSizeRejected) {
   EXPECT_FALSE(GeneratePairHits(Figure5Edges(), 0).ok());
 }
 
-TEST(PairHitPackerTest, BatchPartitionMatchesOneShotGenerate) {
-  // Packing is batch-boundary-blind: every 2-way split of the pair sequence
-  // packs into exactly the HITs GeneratePairHits builds from the whole.
-  const std::vector<graph::Edge> pairs = Figure5Edges();
-  for (uint32_t per_hit : {1u, 3u, 4u, 20u}) {
-    const auto expected = GeneratePairHits(pairs, per_hit).ValueOrDie();
-    for (size_t split = 0; split <= pairs.size(); ++split) {
-      PairHitPacker packer(per_hit);
-      ASSERT_TRUE(packer
-                      .Add(std::vector<graph::Edge>(
-                          pairs.begin(), pairs.begin() + static_cast<ptrdiff_t>(split)))
-                      .ok());
-      ASSERT_TRUE(packer
-                      .Add(std::vector<graph::Edge>(
-                          pairs.begin() + static_cast<ptrdiff_t>(split), pairs.end()))
-                      .ok());
-      const auto hits = packer.Finish().ValueOrDie();
-      ASSERT_EQ(hits.size(), expected.size()) << "per_hit " << per_hit << " split " << split;
-      for (size_t h = 0; h < hits.size(); ++h) {
-        EXPECT_EQ(hits[h].pairs, expected[h].pairs);
-      }
+TEST(PairHitGeneratorTest, SlicesCutAtHitBoundariesPackLikeTheWhole) {
+  // The partitioned crowd boundary packs each pair partition on its own,
+  // and partitions end on HIT boundaries (docs/ARCHITECTURE.md). Over
+  // random pair sequences, packing each slice of a split at multiples of
+  // pairs_per_hit and concatenating the HITs must equal one pack.
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    Rng rng(seed);
+    const uint32_t per_hit = static_cast<uint32_t>(rng.UniformInt(1, 12));
+    std::vector<graph::Edge> pairs(rng.Uniform(150));
+    for (graph::Edge& e : pairs) {
+      e.a = static_cast<uint32_t>(rng.Uniform(60));
+      e.b = e.a + 1 + static_cast<uint32_t>(rng.Uniform(60));
+    }
+    const auto whole = GeneratePairHits(pairs, per_hit).ValueOrDie();
+    std::vector<PairBasedHit> concatenated;
+    for (size_t begin = 0; begin < pairs.size();) {
+      // One to four HITs' worth of pairs; the last slice may be short.
+      const size_t end =
+          std::min(pairs.size(), begin + per_hit * static_cast<size_t>(rng.UniformInt(1, 4)));
+      const std::vector<graph::Edge> slice(pairs.begin() + static_cast<ptrdiff_t>(begin),
+                                           pairs.begin() + static_cast<ptrdiff_t>(end));
+      const std::vector<PairBasedHit> part = GeneratePairHits(slice, per_hit).ValueOrDie();
+      concatenated.insert(concatenated.end(), part.begin(), part.end());
+      begin = end;
+    }
+    ASSERT_EQ(concatenated.size(), whole.size()) << "seed " << seed;
+    for (size_t h = 0; h < whole.size(); ++h) {
+      EXPECT_EQ(concatenated[h].pairs, whole[h].pairs) << "seed " << seed << " HIT " << h;
     }
   }
-}
-
-TEST(PairHitPackerTest, ZeroPairsPerHitRejected) {
-  PairHitPacker packer(0);
-  EXPECT_FALSE(packer.Add(Figure5Edges()).ok());
 }
 
 }  // namespace

@@ -125,8 +125,7 @@ TEST(IncrementalIndexTest, CrossSourceGatingBridgesBatch) {
 TEST(IncrementalIndexTest, RestaurantDatasetBridgesBatch) {
   auto dataset = data::GenerateRestaurant();
   ASSERT_TRUE(dataset.ok());
-  const similarity::JoinInput input =
-      core::internal::BuildJoinInput(*dataset, core::CandidateStrategy::kAllPairsJoin, nullptr);
+  const similarity::JoinInput input = core::internal::BuildJoinInput(*dataset);
   similarity::JoinOptions options;
   options.threshold = 0.3;
   ExpectBridgesBatch(input, options, /*rebuild_base=*/256);
@@ -137,8 +136,7 @@ TEST(IncrementalIndexTest, ProductDatasetCrossSourceBridgesBatch) {
   config.scale_factor = 0.25;
   auto dataset = data::GenerateProduct(config);
   ASSERT_TRUE(dataset.ok());
-  const similarity::JoinInput input =
-      core::internal::BuildJoinInput(*dataset, core::CandidateStrategy::kAllPairsJoin, nullptr);
+  const similarity::JoinInput input = core::internal::BuildJoinInput(*dataset);
   ASSERT_FALSE(input.sources.empty());
   similarity::JoinOptions options;
   options.threshold = 0.3;

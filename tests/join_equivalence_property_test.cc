@@ -1,8 +1,8 @@
 // Randomized property sweep enforcing the exact-equivalence contract of
 // similarity_join.h and parallel_join.h: NaiveJoin, AllPairsJoin, token
-// blocking + verification (the kBlockingVerify candidate strategy), and the
-// parallel/blocked joins must produce identical pair sets over arbitrary
-// inputs.
+// blocking + verification (an independent oracle: it shares no filter with
+// the prefix join), and the parallel/blocked joins must produce identical
+// pair sets over arbitrary inputs.
 //
 //   * NaiveJoin ≡ AllPairsJoin — always (same pairs, same scores).
 //   * NaiveJoin ≡ TokenBlocking(max_block_size=0) + VerifyCandidates — for
@@ -153,8 +153,8 @@ void ExpectSamePairs(const std::vector<ScoredPair>& expected,
   }
 }
 
-// Blocking + verification with all blocks kept, as kBlockingVerify configures
-// it in core/workflow.cc.
+// Blocking + verification with all blocks kept: exact for overlap measures
+// at a positive threshold.
 Result<std::vector<ScoredPair>> BlockingVerify(const JoinInput& input,
                                                const JoinOptions& options) {
   BlockingOptions blocking;

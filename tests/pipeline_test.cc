@@ -184,8 +184,7 @@ TEST(StreamingFailureTest, SinkStatusErrorAbortsJoinAndStreamStaysSane) {
   int blocks_seen = 0;
   std::string spill_path;
   {
-    similarity::JoinInput input =
-        internal::BuildJoinInput(dataset, CandidateStrategy::kAllPairsJoin, nullptr);
+    similarity::JoinInput input = internal::BuildJoinInput(dataset);
     similarity::JoinOptions options;
     options.threshold = 0.3;
     similarity::ParallelJoinOptions exec_options;
@@ -217,8 +216,7 @@ TEST(StreamingFailureTest, SinkThrowMidBlockUnwindsAndRemovesSpill) {
   bool threw = false;
   try {
     PairStream stream(/*memory_budget_bytes=*/64);
-    similarity::JoinInput input =
-        internal::BuildJoinInput(dataset, CandidateStrategy::kAllPairsJoin, nullptr);
+    similarity::JoinInput input = internal::BuildJoinInput(dataset);
     similarity::JoinOptions options;
     options.threshold = 0.3;
     similarity::ParallelJoinOptions exec_options;

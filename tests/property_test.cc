@@ -179,40 +179,6 @@ TEST_P(GeneratorBounds, CuttingStockBoundSandwich) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GeneratorBounds, ::testing::Range<uint64_t>(1, 9));
 
-TEST(RendererTest, PairHitRendering) {
-  data::Table table;
-  table.attribute_names = {"name", "price"};
-  table.records = {{"ipad 2", "$499"}, {"ipad two", "$490"}};
-  hitgen::PairBasedHit hit;
-  hit.pairs = {{0, 1}};
-  auto text = hitgen::RenderPairHit(table, hit).ValueOrDie();
-  EXPECT_NE(text.find("ipad 2 | $499"), std::string::npos);
-  EXPECT_NE(text.find("same entity"), std::string::npos);
-  EXPECT_NE(text.find("Pair 1"), std::string::npos);
-}
-
-TEST(RendererTest, ClusterHitRendering) {
-  data::Table table;
-  table.attribute_names = {"name"};
-  table.records = {{"a"}, {"b"}, {"c"}};
-  hitgen::ClusterBasedHit hit{{0, 2}};
-  auto text = hitgen::RenderClusterHit(table, hit).ValueOrDie();
-  EXPECT_NE(text.find("r1: a"), std::string::npos);
-  EXPECT_NE(text.find("r3: c"), std::string::npos);
-  EXPECT_EQ(text.find("r2: b"), std::string::npos);  // not in the HIT
-}
-
-TEST(RendererTest, OutOfRangeRecordRejected) {
-  data::Table table;
-  table.attribute_names = {"name"};
-  table.records = {{"a"}};
-  hitgen::ClusterBasedHit hit{{0, 5}};
-  EXPECT_FALSE(hitgen::RenderClusterHit(table, hit).ok());
-  hitgen::PairBasedHit pair_hit;
-  pair_hit.pairs = {{0, 5}};
-  EXPECT_FALSE(hitgen::RenderPairHit(table, pair_hit).ok());
-}
-
 TEST(TraversalLimitTest, BfsAndDfsRespectLimit) {
   std::vector<graph::Edge> edges;
   for (uint32_t i = 0; i + 1 < 20; ++i) edges.push_back({i, i + 1});

@@ -32,40 +32,6 @@ TEST(MachinePassTest, ThresholdMonotonicity) {
   }
 }
 
-TEST(MachinePassTest, BlockingStrategyMatchesAllPairs) {
-  // For Jaccard with t > 0, blocking + verification is exact.
-  const auto ds = SmallRestaurant();
-  auto exact = HybridWorkflow::MachinePass(ds, similarity::SetMeasure::kJaccard, 0.3,
-                                           CandidateStrategy::kAllPairsJoin)
-                   .ValueOrDie();
-  auto blocked = HybridWorkflow::MachinePass(ds, similarity::SetMeasure::kJaccard, 0.3,
-                                             CandidateStrategy::kBlockingVerify)
-                     .ValueOrDie();
-  ASSERT_EQ(exact.size(), blocked.size());
-  for (size_t i = 0; i < exact.size(); ++i) {
-    EXPECT_EQ(exact[i].a, blocked[i].a);
-    EXPECT_EQ(exact[i].b, blocked[i].b);
-  }
-}
-
-TEST(MachinePassTest, SortedNeighborhoodIsSubsetOfExact) {
-  const auto ds = SmallRestaurant();
-  auto exact = HybridWorkflow::MachinePass(ds, similarity::SetMeasure::kJaccard, 0.4,
-                                           CandidateStrategy::kAllPairsJoin)
-                   .ValueOrDie();
-  auto sn = HybridWorkflow::MachinePass(ds, similarity::SetMeasure::kJaccard, 0.4,
-                                        CandidateStrategy::kSortedNeighborhoodVerify)
-                .ValueOrDie();
-  EXPECT_LE(sn.size(), exact.size());
-  std::set<std::pair<uint32_t, uint32_t>> exact_set;
-  for (const auto& p : exact) exact_set.insert({p.a, p.b});
-  size_t found = 0;
-  for (const auto& p : sn) found += exact_set.count({p.a, p.b});
-  EXPECT_EQ(found, sn.size());  // subset
-  // The similar pairs sort nearby: recall of the window scheme is high.
-  EXPECT_GT(static_cast<double>(sn.size()), 0.7 * static_cast<double>(exact.size()));
-}
-
 TEST(MachinePassTest, CrossSourceOnlyForProduct) {
   data::ProductConfig config;
   config.num_abt = 30;
