@@ -31,7 +31,7 @@ double FleissKappa(const std::vector<uint32_t>& yes_counts,
 /// surviving votes is preserved). The in-memory statement of the revision
 /// path — dropping a worker re-derives every affected pair's decision from
 /// the surviving votes, instead of patching decisions incrementally — and
-/// the reference the workflow's FilteredVoteShardSource is tested against.
+/// the reference `VoteShardStore::Finish(banned)` is tested against.
 void RemoveVotesFrom(VoteTable* votes, const std::unordered_set<uint32_t>& banned);
 
 }  // namespace aggregate

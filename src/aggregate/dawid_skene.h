@@ -6,9 +6,10 @@
 /// probability of every pair, which makes it robust to spammers whose votes
 /// carry no information.
 ///
-/// `RunDawidSkene` is the in-memory entry point; it is implemented as a
-/// single-shard run of the partition-aware EM in aggregate/partitioned.h,
-/// the one fitting loop for in-memory tables and spilled shards alike.
+/// `RunDawidSkene` is the in-memory entry point: it loads its table into a
+/// one-shard `VoteShardStore` and runs the partition-aware EM of
+/// aggregate/partitioned.h, the one fitting loop for in-memory tables and
+/// spilled shards alike.
 #ifndef CROWDER_AGGREGATE_DAWID_SKENE_H_
 #define CROWDER_AGGREGATE_DAWID_SKENE_H_
 
@@ -21,26 +22,23 @@
 namespace crowder {
 namespace aggregate {
 
-/// \brief Tuning knobs of the EM fit. The defaults are what the workflow
-/// uses; every field is validated by RunDawidSkene / FitDawidSkeneSharded.
-struct DawidSkeneOptions {
-  /// Hard cap on EM iterations.
-  int max_iterations = 100;
-  /// Convergence: max absolute change of any posterior between iterations.
-  double tolerance = 1e-6;
-  /// Pseudo-count smoothing the class prior (prevents collapse to 0/1 on
-  /// small inputs).
-  double smoothing = 1.0;
-  /// Worker-quality prior as pseudo-votes: each worker starts with
-  /// `prior_correct` correct and `prior_incorrect` incorrect phantom votes
-  /// (a Beta prior with mean prior_correct / (prior_correct +
-  /// prior_incorrect)). An asymmetric prior (> 0.5 mean) anchors the label
-  /// semantics — without it, EM on few pairs/votes can converge to the
-  /// globally flipped solution, which is likelihood-equivalent.
-  double prior_correct = 1.6;
-  /// See `prior_correct`.
-  double prior_incorrect = 0.4;
-};
+/// \brief Hard cap on EM iterations.
+inline constexpr int kDawidSkeneMaxIterations = 100;
+/// \brief Convergence: the largest absolute change of any posterior between
+/// iterations must fall below this.
+inline constexpr double kDawidSkeneTolerance = 1e-6;
+/// \brief Pseudo-count smoothing the class prior (prevents collapse to 0/1
+/// on small inputs).
+inline constexpr double kDawidSkeneSmoothing = 1.0;
+/// \brief Worker-quality prior as pseudo-votes: each worker starts with
+/// `kDawidSkenePriorCorrect` correct and `kDawidSkenePriorIncorrect`
+/// incorrect phantom votes (a Beta prior with mean 0.8). The asymmetric
+/// prior anchors the label semantics — without it, EM on few pairs/votes
+/// can converge to the globally flipped solution, which is
+/// likelihood-equivalent.
+inline constexpr double kDawidSkenePriorCorrect = 1.6;
+/// \brief See `kDawidSkenePriorCorrect`.
+inline constexpr double kDawidSkenePriorIncorrect = 0.4;
 
 /// \brief Per-worker confusion estimates.
 struct WorkerQuality {
@@ -61,10 +59,9 @@ struct DawidSkeneResult {
   bool converged = false;    ///< posterior change fell below the tolerance
 };
 
-/// \brief Runs EM over a materialized vote table. Pairs with empty vote
+/// \brief Runs EM over an in-memory vote table. Pairs with empty vote
 /// lists are skipped (they keep `kUnjudgedMatchProbability`).
-Result<DawidSkeneResult> RunDawidSkene(const VoteTable& votes,
-                                       const DawidSkeneOptions& options = {});
+Result<DawidSkeneResult> RunDawidSkene(const VoteTable& votes);
 
 }  // namespace aggregate
 }  // namespace crowder

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <string>
 
 #include "common/logging.h"
@@ -11,11 +10,6 @@ namespace crowder {
 namespace aggregate {
 
 namespace {
-
-Status ShardOutOfRange(size_t shard, size_t num_shards) {
-  return Status::OutOfRange("shard " + std::to_string(shard) + " of " +
-                            std::to_string(num_shards));
-}
 
 // Fraction of yes votes among packed votes [begin, end) (non-empty): the
 // arithmetic of MajorityMatchProbability.
@@ -43,28 +37,6 @@ double PosteriorOf(const uint32_t* begin, const uint32_t* end,
   return pos / (pos + neg);
 }
 
-// Every comparison is written so that NaN fails it, and the upper bound
-// rejects infinity (an infinite pseudo-count turns every estimate into NaN).
-Status ValidateOptions(const DawidSkeneOptions& options) {
-  constexpr double kMax = std::numeric_limits<double>::max();
-  if (options.max_iterations <= 0) {
-    return Status::InvalidArgument("max_iterations must be positive");
-  }
-  if (!(options.tolerance >= 0.0 && options.tolerance <= kMax)) {
-    return Status::InvalidArgument("tolerance must be finite and non-negative");
-  }
-  if (!(options.smoothing >= 0.0 && options.smoothing <= kMax)) {
-    return Status::InvalidArgument("smoothing must be finite and non-negative");
-  }
-  if (!(options.prior_correct > 0.0 && options.prior_correct <= kMax)) {
-    return Status::InvalidArgument("prior_correct must be finite and positive");
-  }
-  if (!(options.prior_incorrect > 0.0 && options.prior_incorrect <= kMax)) {
-    return Status::InvalidArgument("prior_incorrect must be finite and positive");
-  }
-  return Status::OK();
-}
-
 // One iteration's parameters over the dense worker space, with the E-step
 // terms derived from them.
 struct Params {
@@ -87,90 +59,146 @@ struct WorkerMass {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Sources
+// VoteShardStore
 // ---------------------------------------------------------------------------
 
-Result<uint32_t> DenseWorkerIndex::Intern(uint32_t worker_id) {
+VoteShardStore::VoteShardStore(uint64_t memory_budget_bytes,
+                               std::vector<uint64_t> shard_pair_counts)
+    : staged_(std::make_unique<ShardedSpillStore<StagedVote>>(memory_budget_bytes)),
+      compacted_(memory_budget_bytes),
+      counts_(std::move(shard_pair_counts)) {
+  starts_.reserve(counts_.size());
+  uint64_t start = 0;
+  for (uint64_t count : counts_) {
+    // Votes address pairs within a shard with 32 bits; a larger shard would
+    // silently truncate (core::ResolvePartitionCapacity caps the workflow's
+    // shard layouts below this).
+    CROWDER_CHECK_LE(count, uint64_t{UINT32_MAX}) << "vote shard covers too many pairs";
+    starts_.push_back(start);
+    start += count;
+  }
+  staged_->AddShards(counts_.size());
+  compacted_.AddShards(counts_.size());
+  shard_votes_.assign(counts_.size(), 0);
+}
+
+uint64_t VoteShardStore::total_votes() const {
+  uint64_t total = 0;
+  for (uint32_t votes : shard_votes_) total += votes;
+  return total;
+}
+
+uint64_t VoteShardStore::shard_start(size_t shard) const {
+  CROWDER_CHECK_LT(shard, starts_.size());
+  return starts_[shard];
+}
+
+uint64_t VoteShardStore::shard_pairs(size_t shard) const {
+  CROWDER_CHECK_LT(shard, counts_.size());
+  return counts_[shard];
+}
+
+uint64_t VoteShardStore::spilled_bytes() const {
+  if (staged_ != nullptr) return staged_->spilled_bytes();
+  return staged_spilled_bytes_ + compacted_.spilled_bytes();
+}
+
+Status VoteShardStore::Append(uint64_t global_pair_index, const Vote& vote) {
+  if (staged_ == nullptr) return Status::InvalidArgument("Append on a finished vote store");
+  // Locality hint first: crowd emission walks pairs roughly in index order.
+  size_t shard = last_shard_;
+  if (shard >= counts_.size() || global_pair_index < starts_[shard] ||
+      global_pair_index >= starts_[shard] + counts_[shard]) {
+    const auto it = std::upper_bound(starts_.begin(), starts_.end(), global_pair_index);
+    if (it == starts_.begin()) {
+      return Status::OutOfRange("vote for pair index before the first shard");
+    }
+    shard = static_cast<size_t>((it - starts_.begin()) - 1);
+    if (global_pair_index >= starts_[shard] + counts_[shard]) {
+      return Status::OutOfRange("vote for pair index beyond the sharded range");
+    }
+    last_shard_ = shard;
+  }
+  // A compacted shard's row offsets are 32-bit.
+  if (shard_votes_[shard] == UINT32_MAX) {
+    return Status::OutOfRange("vote shard holds too many votes");
+  }
   const auto [it, inserted] =
-      dense_of_.try_emplace(worker_id, static_cast<uint32_t>(worker_ids_.size()));
+      dense_of_.try_emplace(vote.worker_id, static_cast<uint32_t>(worker_ids_.size()));
   if (inserted) {
     if (worker_ids_.size() >= kMaxDenseWorkers) {
       dense_of_.erase(it);
       return Status::OutOfRange("more than 2^31 distinct workers");
     }
-    worker_ids_.push_back(worker_id);
+    worker_ids_.push_back(vote.worker_id);
   }
-  return it->second;
+  StagedVote staged;
+  staged.local_index = static_cast<uint32_t>(global_pair_index - starts_[shard]);
+  staged.vote = PackVote(it->second, vote.says_match);
+  CROWDER_RETURN_NOT_OK(staged_->AppendRecord(shard, staged));
+  ++shard_votes_[shard];
+  return Status::OK();
 }
 
-InMemoryVoteShards::InMemoryVoteShards(const VoteTable& table,
-                                       const std::vector<size_t>& shard_sizes) {
-  shards_.resize(shard_sizes.size());
-  size_t start = 0;
-  for (size_t s = 0; s < shard_sizes.size(); ++s) {
-    CROWDER_CHECK_LE(start + shard_sizes[s], table.size())
-        << "shard sizes must sum to the table size";
-    FlatVoteShard& flat = shards_[s];
-    flat.num_pairs = shard_sizes[s];
-    size_t rows = shard_sizes[s];
-    while (rows > 0 && table[start + rows - 1].empty()) --rows;
-    if (rows > 0) {
-      flat.offsets.reserve(rows + 1);
-      flat.offsets.push_back(0);
-      for (size_t i = 0; i < rows; ++i) {
-        for (const Vote& v : table[start + i]) {
-          flat.votes.push_back(PackVote(workers_.Intern(v.worker_id).ValueOrDie(), v.says_match));
-        }
-        CROWDER_CHECK_LE(flat.votes.size(), size_t{UINT32_MAX}) << "shard holds too many votes";
-        flat.offsets.push_back(static_cast<uint32_t>(flat.votes.size()));
+Status VoteShardStore::Finish(const std::unordered_set<uint32_t>& banned) {
+  if (staged_ == nullptr) return Status::InvalidArgument("Finish on a finished vote store");
+  CROWDER_RETURN_NOT_OK(staged_->Finish());
+  // The ban set over the dense workers; ids that never voted have no slot.
+  std::vector<bool> dropped(worker_ids_.size(), false);
+  for (size_t d = 0; d < worker_ids_.size(); ++d) {
+    dropped[d] = banned.count(worker_ids_[d]) != 0;
+  }
+  rows_.assign(counts_.size(), 0);
+  std::vector<StagedVote> staged;
+  std::vector<uint32_t> fill;
+  for (size_t shard = 0; shard < counts_.size(); ++shard) {
+    staged.clear();
+    CROWDER_RETURN_NOT_OK(staged_->Scan(shard, [&](const std::vector<StagedVote>& block) {
+      for (const StagedVote& v : block) {
+        if (!dropped[v.vote >> 1]) staged.push_back(v);
       }
-    }
-    start += shard_sizes[s];
+      return Status::OK();
+    }));
+
+    // Counting sort on the local pair index into one block: the row
+    // offsets, then the votes. Rows run to the last surviving voted pair;
+    // placing votes in staged (= append) order keeps each pair's votes in
+    // cast order.
+    size_t rows = 0;
+    for (const StagedVote& v : staged) rows = std::max<size_t>(rows, size_t{v.local_index} + 1);
+    if (rows == 0) continue;
+    rows_[shard] = rows;
+    std::vector<uint32_t> block(rows + 1 + staged.size(), 0);
+    uint32_t* offsets = block.data();
+    for (const StagedVote& v : staged) ++offsets[v.local_index + 1];
+    for (size_t i = 1; i <= rows; ++i) offsets[i] += offsets[i - 1];
+    fill.assign(offsets, offsets + rows);
+    uint32_t* votes = offsets + rows + 1;
+    for (const StagedVote& v : staged) votes[fill[v.local_index]++] = v.vote;
+    CROWDER_RETURN_NOT_OK(compacted_.Append(shard, std::move(block)));
   }
-  CROWDER_CHECK(start == table.size()) << "shard sizes must sum to the table size";
+  CROWDER_RETURN_NOT_OK(compacted_.Finish());
+  staged_spilled_bytes_ = staged_->spilled_bytes();
+  staged_.reset();  // the staged log and its spill file are no longer needed
+  return Status::OK();
 }
 
-Status InMemoryVoteShards::WithShard(size_t shard,
-                                     const std::function<Status(const FlatVoteShard&)>& fn) {
-  if (shard >= shards_.size()) return ShardOutOfRange(shard, shards_.size());
-  return fn(shards_[shard]);
-}
-
-FilteredVoteShardSource::FilteredVoteShardSource(VoteShardSource* inner,
-                                                 const std::unordered_set<uint32_t>& banned)
-    : inner_(inner) {
-  CROWDER_CHECK(inner_ != nullptr);
-  if (banned.empty()) return;
-  const std::vector<uint32_t>& ids = inner_->worker_ids();
-  std::vector<bool> bitmap(ids.size(), false);
-  bool any = false;
-  for (size_t d = 0; d < ids.size(); ++d) {
-    if (banned.count(ids[d]) != 0) {
-      bitmap[d] = true;
-      any = true;
-    }
+Status VoteShardStore::WithShard(size_t shard,
+                                 const std::function<Status(const FlatVoteShard&)>& fn) const {
+  if (staged_ != nullptr) return Status::InvalidArgument("WithShard before Finish");
+  if (shard >= counts_.size()) {
+    return Status::OutOfRange("shard " + std::to_string(shard) + " of " +
+                              std::to_string(counts_.size()));
   }
-  if (any) banned_ = std::move(bitmap);
-}
-
-Status FilteredVoteShardSource::WithShard(
-    size_t shard, const std::function<Status(const FlatVoteShard&)>& fn) {
-  if (banned_.empty()) return inner_->WithShard(shard, fn);  // lend through
-  return inner_->WithShard(shard, [&](const FlatVoteShard& in) {
-    filtered_.num_pairs = in.num_pairs;
-    filtered_.offsets.resize(in.offsets.size());
-    filtered_.votes.clear();
-    for (size_t row = 0; row < in.num_rows(); ++row) {
-      filtered_.offsets[row] = static_cast<uint32_t>(filtered_.votes.size());
-      for (uint32_t i = in.offsets[row]; i < in.offsets[row + 1]; ++i) {
-        const uint32_t v = in.votes[i];
-        if (!banned_[v >> 1]) filtered_.votes.push_back(v);
-      }
-    }
-    if (!filtered_.offsets.empty()) {
-      filtered_.offsets.back() = static_cast<uint32_t>(filtered_.votes.size());
-    }
-    return fn(filtered_);
+  FlatVoteShard flat;
+  flat.num_pairs = counts_[shard];
+  flat.num_rows = rows_[shard];
+  if (flat.num_rows == 0) return fn(flat);
+  // The shard is one block; a spilled one is read back whole.
+  return compacted_.Scan(shard, [&](const std::vector<uint32_t>& block) {
+    flat.offsets = block.data();
+    flat.votes = block.data() + flat.num_rows + 1;
+    return fn(flat);
   });
 }
 
@@ -178,19 +206,18 @@ Status FilteredVoteShardSource::WithShard(
 // Posteriors
 // ---------------------------------------------------------------------------
 
-Status ShardMatchProbabilities(VoteShardSource* shards, size_t shard,
+Status ShardMatchProbabilities(const VoteShardStore& votes, size_t shard,
                                const DawidSkeneModel& model, std::vector<double>* out) {
-  CROWDER_CHECK(shards != nullptr && out != nullptr);
-  if (shard >= shards->num_shards()) return ShardOutOfRange(shard, shards->num_shards());
+  CROWDER_CHECK(out != nullptr);
   if (!model.vote_log_terms.empty() &&
-      model.vote_log_terms.size() != 2 * shards->worker_ids().size()) {
+      model.vote_log_terms.size() != 2 * votes.worker_ids().size()) {
     return Status::InvalidArgument("model was fitted on a different worker set");
   }
-  return shards->WithShard(shard, [&](const FlatVoteShard& flat) {
+  return votes.WithShard(shard, [&](const FlatVoteShard& flat) {
     out->assign(static_cast<size_t>(flat.num_pairs), kUnjudgedMatchProbability);
-    for (size_t row = 0; row < flat.num_rows(); ++row) {
-      const uint32_t* begin = flat.votes.data() + flat.offsets[row];
-      const uint32_t* end = flat.votes.data() + flat.offsets[row + 1];
+    for (size_t row = 0; row < flat.num_rows; ++row) {
+      const uint32_t* begin = flat.votes + flat.offsets[row];
+      const uint32_t* end = flat.votes + flat.offsets[row + 1];
       if (begin == end) continue;
       // No EM iteration ran: the posterior is the initialization, i.e. the
       // majority fraction.
@@ -206,15 +233,11 @@ Status ShardMatchProbabilities(VoteShardSource* shards, size_t shard,
 // EM
 // ---------------------------------------------------------------------------
 
-Result<DawidSkeneModel> FitDawidSkeneSharded(VoteShardSource* shards,
-                                             const DawidSkeneOptions& options) {
-  CROWDER_CHECK(shards != nullptr);
-  CROWDER_RETURN_NOT_OK(ValidateOptions(options));
-
-  const double s = options.smoothing;
-  const double good = options.prior_correct;
-  const double bad = options.prior_incorrect;
-  const std::vector<uint32_t>& worker_ids = shards->worker_ids();
+Result<DawidSkeneModel> FitDawidSkeneSharded(const VoteShardStore& votes) {
+  constexpr double s = kDawidSkeneSmoothing;
+  constexpr double good = kDawidSkenePriorCorrect;
+  constexpr double bad = kDawidSkenePriorIncorrect;
+  const std::vector<uint32_t>& worker_ids = votes.worker_ids();
   const size_t num_workers = worker_ids.size();
 
   // The EM loop, restructured around one shard pass per iteration. The
@@ -250,11 +273,11 @@ Result<DawidSkeneModel> FitDawidSkeneSharded(VoteShardSource* shards,
     size_t judged = 0;
     double max_delta = 0.0;
 
-    for (size_t shard = 0; shard < shards->num_shards(); ++shard) {
-      CROWDER_RETURN_NOT_OK(shards->WithShard(shard, [&](const FlatVoteShard& flat) {
-        for (size_t row = 0; row < flat.num_rows(); ++row) {
-          const uint32_t* begin = flat.votes.data() + flat.offsets[row];
-          const uint32_t* end = flat.votes.data() + flat.offsets[row + 1];
+    for (size_t shard = 0; shard < votes.num_shards(); ++shard) {
+      CROWDER_RETURN_NOT_OK(votes.WithShard(shard, [&](const FlatVoteShard& flat) {
+        for (size_t row = 0; row < flat.num_rows; ++row) {
+          const uint32_t* begin = flat.votes + flat.offsets[row];
+          const uint32_t* end = flat.votes + flat.offsets[row + 1];
           if (begin == end) continue;
           const double p = t == 0 ? MajorityOf(begin, end)
                                   : PosteriorOf(begin, end, prev.vote_log_terms, prev.log_prior);
@@ -288,10 +311,10 @@ Result<DawidSkeneModel> FitDawidSkeneSharded(VoteShardSource* shards,
       model.converged = true;
       return model;
     }
-    if (t >= 1 && max_delta < options.tolerance) {
+    if (t >= 1 && max_delta < kDawidSkeneTolerance) {
       return to_model(&prev, /*converged=*/true);  // prev.iterations == t already
     }
-    if (t == options.max_iterations) {
+    if (t == kDawidSkeneMaxIterations) {
       // params_{max-1}, iterations == max, converged == false
       return to_model(&prev, /*converged=*/false);
     }

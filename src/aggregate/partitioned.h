@@ -1,33 +1,33 @@
 /// \file
-/// \brief Partition-aware answer aggregation: majority vote and Dawid-Skene
-/// EM over a *sharded* vote table, so the full table never has to be
-/// resident.
+/// \brief The vote table and the aggregation over it: majority vote and
+/// Dawid-Skene EM read a *sharded* vote table, so the full table never has
+/// to be resident.
 ///
 /// The vote table's pair-indexing contract (aggregate/votes.h) aligns
-/// `votes[i]` with pair *i* of the surviving pair list. A sharded table
+/// `votes[i]` with pair *i* of the surviving pair list. `VoteShardStore`
 /// slices that index space into contiguous ranges — shard *s* covers global
-/// pair indices `[start_s, start_s + size_s)` — and exposes them through
-/// `VoteShardSource`, which lends one shard at a time in flat form
-/// (`FlatVoteShard`: CSR row offsets plus packed votes naming workers by a
-/// dense index; see `VoteShardStore` in core/partition.h for the spilling
-/// store). Aggregation then runs with only **one resident shard plus
-/// O(#workers) model state**:
+/// pair indices `[start_s, start_s + size_s)` — and lends one shard at a
+/// time in flat form (`FlatVoteShard`: CSR row offsets plus packed votes
+/// naming workers by a dense index). It is the only vote table: the
+/// workflow files its crowd rounds' votes into one, and `RunDawidSkene`
+/// loads an in-memory `VoteTable` into one. Both keep their blocks in a
+/// `ShardedSpillStore` (common/spill.h), so aggregation runs with only
+/// **one resident shard plus O(#workers) model state**:
 ///
-///  * `FitDawidSkeneSharded` runs the EM of `RunDawidSkene` as repeated
-///    passes over the shard sequence. The trick that removes the O(|P|)
-///    posterior vector entirely: the E-step posterior of a pair is a pure
-///    function of (its votes, the previous iteration's worker model), so
-///    each M-step pass *recomputes* the posteriors shard-by-shard from the
-///    previous model instead of storing them. Because shards partition the
-///    index space in order, every floating-point accumulation (worker
-///    confusion masses, the class prior) happens in exactly the order the
-///    materialized loop uses — the fitted model, iteration count, and
-///    convergence flag are bitwise-identical, and `RunDawidSkene` itself is
-///    a thin single-shard wrapper over this implementation.
+///  * `FitDawidSkeneSharded` runs the EM as repeated passes over the shard
+///    sequence. The trick that removes the O(|P|) posterior vector
+///    entirely: the E-step posterior of a pair is a pure function of (its
+///    votes, the previous iteration's worker model), so each M-step pass
+///    *recomputes* the posteriors shard-by-shard from the previous model
+///    instead of storing them. Because shards partition the index space in
+///    order, every floating-point accumulation (worker confusion masses,
+///    the class prior) happens in the global pair order at any
+///    partitioning — the fitted model, iteration count, and convergence
+///    flag are bitwise-identical across shard layouts.
 ///  * `ShardMatchProbabilities` is the one posterior pass: the Dawid-Skene
 ///    posterior of every pair of a shard under a fitted model, or the
 ///    majority fraction under an unfitted one. Pairs are independent under
-///    both, so the sharded result is bitwise the materialized one at any
+///    both, so the sharded result is bitwise the single-shard one at any
 ///    partitioning.
 #ifndef CROWDER_AGGREGATE_PARTITIONED_H_
 #define CROWDER_AGGREGATE_PARTITIONED_H_
@@ -35,6 +35,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -42,12 +43,13 @@
 #include "aggregate/dawid_skene.h"
 #include "aggregate/votes.h"
 #include "common/result.h"
+#include "common/spill.h"
 
 namespace crowder {
 namespace aggregate {
 
 /// \brief One vote packed into 32 bits: `dense_worker << 1 | says_match`,
-/// where `dense_worker` indexes the source's `worker_ids()`.
+/// where `dense_worker` indexes the store's `worker_ids()`.
 inline constexpr uint32_t PackVote(uint32_t dense_worker, bool says_match) {
   return dense_worker << 1 | (says_match ? 1u : 0u);
 }
@@ -55,108 +57,102 @@ inline constexpr uint32_t PackVote(uint32_t dense_worker, bool says_match) {
 /// \brief Dense worker indices must fit the 31 bits `PackVote` leaves them.
 inline constexpr uint32_t kMaxDenseWorkers = uint32_t{1} << 31;
 
-/// \brief Interns worker ids into dense indices in order of first
-/// appearance: the worker space a VoteShardSource publishes as
-/// `worker_ids()`.
-class DenseWorkerIndex {
- public:
-  /// \brief The dense index of `worker_id`, assigning the next one on first
-  /// sight; OutOfRange once `kMaxDenseWorkers` workers are interned.
-  Result<uint32_t> Intern(uint32_t worker_id);
-  /// \brief Worker ids by dense index.
-  const std::vector<uint32_t>& worker_ids() const { return worker_ids_; }
-
- private:
-  std::unordered_map<uint32_t, uint32_t> dense_of_;
-  std::vector<uint32_t> worker_ids_;
-};
-
-/// \brief One vote shard in compressed sparse row form. The votes of local
-/// pair `i` are `votes[offsets[i], offsets[i + 1])`, packed by `PackVote`,
-/// in cast order. `offsets` need not cover every pair: each pair at or past
-/// `num_rows()` is voteless, so a shard no vote reached costs nothing
-/// however many pairs it covers (the stores end the rows at the last voted
-/// pair).
+/// \brief A view of one vote shard in compressed sparse row form, lent by
+/// `VoteShardStore::WithShard` for the call only. The votes of local pair
+/// `i < num_rows` are `votes[offsets[i], offsets[i + 1])`, packed by
+/// `PackVote`, in cast order. Each pair at or past `num_rows` is voteless,
+/// so a shard no vote reached costs nothing however many pairs it covers
+/// (rows end at the last pair with a surviving vote).
 struct FlatVoteShard {
   /// Pairs the shard covers (local indices `[0, num_pairs)`).
   uint64_t num_pairs = 0;
-  /// Row boundaries into `votes`; empty or `num_rows() + 1` entries.
-  std::vector<uint32_t> offsets;
+  /// Local pairs with a row.
+  size_t num_rows = 0;
+  /// `num_rows + 1` row boundaries into `votes`; unset when `num_rows` is 0.
+  const uint32_t* offsets = nullptr;
   /// Packed votes, row after row.
-  std::vector<uint32_t> votes;
-
-  /// \brief Local pairs with a row in `offsets`.
-  size_t num_rows() const { return offsets.empty() ? 0 : offsets.size() - 1; }
+  const uint32_t* votes = nullptr;
 };
 
-/// \brief Read interface over a vote table sharded into contiguous pair
-/// ranges, in global pair order. Reads are repeatable (EM scans the shard
-/// sequence once per iteration) and may perform disk I/O.
-class VoteShardSource {
+/// \brief The vote table: votes keyed by *global pair index*, sharded into
+/// the contiguous index ranges given at construction, and lent back as
+/// `FlatVoteShard` views in global pair order for aggregation.
+///
+/// Two phases. While votes arrive, `Append` interns each worker id into a
+/// dense index, in order of first appearance, and stages
+/// `(local pair, packed vote)` records append-order per shard in a
+/// `ShardedSpillStore`. `Finish` then compacts each shard once into CSR
+/// form by a counting sort on the local pair index, dropping the votes of
+/// banned workers as it goes, and keeps the compacted shards in a second
+/// `ShardedSpillStore`: one block per shard, its offsets followed by its
+/// votes. A resident shard is lent without a copy; a spilled one is read
+/// back whole into one reused buffer.
+///
+/// Per-pair vote order is preserved: appends arrive in global cast order
+/// (HIT order, then cast order within a HIT), each shard's staged log
+/// replays in append order, and the counting sort is stable — so the
+/// per-pair vote sequences are the cast order at any shard layout, which
+/// keeps Dawid-Skene bitwise-identical across partition capacities. A
+/// banned worker keeps its dense index (every voter is interned at
+/// `Append`); only its votes go.
+///
+/// Not thread-safe, reads included: const as they are, `WithShard` calls
+/// share the one read buffer, so they stay on one thread and do not nest.
+class VoteShardStore {
  public:
-  virtual ~VoteShardSource() = default;  ///< virtual for interface use
+  /// \brief `shard_pair_counts[s]` is the number of pairs shard `s` covers;
+  /// the shards tile the global pair index space in order.
+  VoteShardStore(uint64_t memory_budget_bytes, std::vector<uint64_t> shard_pair_counts);
+
+  /// \brief Files one vote under the pair at `global_pair_index`.
+  Status Append(uint64_t global_pair_index, const Vote& vote);
+
+  /// \brief Compacts every shard, dropping every vote a worker in `banned`
+  /// cast (ids that never voted are ignored), and seals the store; required
+  /// before WithShard. Aggregation thus derives every decision from the
+  /// surviving votes.
+  Status Finish(const std::unordered_set<uint32_t>& banned = {});
 
   /// \brief Number of shards; shard ids are `[0, num_shards())` in global
   /// pair order.
-  virtual size_t num_shards() const = 0;
-
+  size_t num_shards() const { return counts_.size(); }
   /// \brief Worker ids by dense index: every packed vote of every shard
   /// names its worker by position in this list.
-  virtual const std::vector<uint32_t>& worker_ids() const = 0;
+  const std::vector<uint32_t>& worker_ids() const { return worker_ids_; }
+  /// \brief First global pair index shard `shard` covers.
+  uint64_t shard_start(size_t shard) const;
+  /// \brief Number of pairs shard `shard` covers.
+  uint64_t shard_pairs(size_t shard) const;
+  /// \brief Votes filed across all shards, banned workers' included.
+  uint64_t total_votes() const;
+  /// \brief Vote bytes written to disk: the staged records that spilled
+  /// before Finish plus the compacted shards that spilled at Finish.
+  uint64_t spilled_bytes() const;
 
-  /// \brief Runs `fn` over shard `shard`. The shard is lent for the call
-  /// only; its per-pair vote order is cast order (the order the
-  /// materialized table would hold).
-  virtual Status WithShard(size_t shard,
-                           const std::function<Status(const FlatVoteShard&)>& fn) = 0;
-};
-
-/// \brief A materialized VoteTable split into the given consecutive range
-/// sizes and flattened once, at construction. Serves the single-shard
-/// wrapper (`RunDawidSkene`) and tests.
-class InMemoryVoteShards : public VoteShardSource {
- public:
-  /// \brief Flattens `table` into consecutive ranges of `shard_sizes` pairs,
-  /// interning worker ids in order of first appearance. The sizes must sum
-  /// to `table.size()` (checked).
-  InMemoryVoteShards(const VoteTable& table, const std::vector<size_t>& shard_sizes);
-
-  size_t num_shards() const override { return shards_.size(); }
-  const std::vector<uint32_t>& worker_ids() const override { return workers_.worker_ids(); }
-  Status WithShard(size_t shard,
-                   const std::function<Status(const FlatVoteShard&)>& fn) override;
+  /// \brief Runs `fn` over shard `shard`, lent for the call only; requires
+  /// Finish. Reads are repeatable (EM scans the shard sequence once per
+  /// iteration) and may perform disk I/O. A spilled shard is read into the
+  /// store's one reused buffer, so `fn` must not call WithShard again and no
+  /// other thread may read the store meanwhile.
+  Status WithShard(size_t shard, const std::function<Status(const FlatVoteShard&)>& fn) const;
 
  private:
-  DenseWorkerIndex workers_;
-  std::vector<FlatVoteShard> shards_;
-};
+  /// One staged vote.
+  struct StagedVote {
+    uint32_t local_index = 0;  ///< pair index within the shard
+    uint32_t vote = 0;         ///< PackVote(dense worker, verdict)
+  };
 
-/// \brief A shard view with the votes of banned workers removed at read
-/// time. The aggregation-side half of the worker-filter defense: the
-/// underlying store keeps every vote (audit truth), while everything the
-/// aggregators see — majority tallies, Dawid-Skene confusion masses — is
-/// re-derived from the surviving votes only. Filtering at the shard
-/// boundary keeps the bounded-memory property: one filtered shard plus a
-/// ban bitmap over the dense workers.
-///
-/// When no worker that voted is banned, WithShard lends the inner shard
-/// through untouched, so the unfiltered path (every golden) pays nothing.
-class FilteredVoteShardSource : public VoteShardSource {
- public:
-  /// \brief Wraps `inner` (not owned; must outlive the view, and its worker
-  /// list must not grow afterwards). Ids in `banned` that never voted are
-  /// ignored.
-  FilteredVoteShardSource(VoteShardSource* inner, const std::unordered_set<uint32_t>& banned);
-
-  size_t num_shards() const override { return inner_->num_shards(); }
-  const std::vector<uint32_t>& worker_ids() const override { return inner_->worker_ids(); }
-  Status WithShard(size_t shard,
-                   const std::function<Status(const FlatVoteShard&)>& fn) override;
-
- private:
-  VoteShardSource* inner_;
-  std::vector<bool> banned_;  ///< by dense worker; empty when no voter is banned
-  FlatVoteShard filtered_;    ///< the current shard minus banned votes
+  std::unique_ptr<ShardedSpillStore<StagedVote>> staged_;  ///< null after Finish
+  ShardedSpillStore<uint32_t> compacted_;
+  std::vector<uint64_t> counts_;
+  std::vector<uint64_t> starts_;  ///< prefix sums of counts_
+  std::vector<size_t> rows_;      ///< per shard, set by Finish
+  size_t last_shard_ = 0;         ///< locality hint: votes arrive mostly in order
+  std::unordered_map<uint32_t, uint32_t> dense_of_;  ///< worker id -> dense index
+  std::vector<uint32_t> worker_ids_;                  ///< dense index -> worker id
+  std::vector<uint32_t> shard_votes_;  ///< votes filed per shard
+  uint64_t staged_spilled_bytes_ = 0;
 };
 
 /// \brief A fitted Dawid-Skene model: everything EM learns except the
@@ -179,11 +175,10 @@ struct DawidSkeneModel {
   std::array<double, 2> log_prior{};
 };
 
-/// \brief Fits Dawid-Skene by EM over the shard sequence, holding one shard
-/// plus the O(#workers) model resident. One pass over all shards per
-/// iteration. Bitwise-identical to the model `RunDawidSkene` fits on the
-/// concatenated table (same iteration count, convergence flag, worker
-/// estimates, and class prior).
+/// \brief Fits Dawid-Skene by EM over the shard sequence of a finished
+/// store, holding one shard plus the O(#workers) model resident. One pass
+/// over all shards per iteration; the same model at any shard layout (same
+/// iteration count, convergence flag, worker estimates, and class prior).
 ///
 /// The M-step accumulates into vectors indexed by dense worker, and each
 /// iteration takes the four logs of every worker's confusion estimates
@@ -191,24 +186,21 @@ struct DawidSkeneModel {
 /// deliberate trade of the recompute formulation: each pass evaluates the
 /// E-step up to twice per voted pair (current and previous model, for the
 /// convergence delta) where a stored-posterior loop would evaluate once —
-/// doubling E-step work to eliminate the O(|P|) posterior vector and keep
-/// one implementation for in-memory tables and spilled shards. The fit is
-/// still most of
-/// the aggregation: on the benchmark's `stream_defended` workload (204,393
-/// votes over 15 passes, Release, one thread of a 4-vCPU Xeon) it takes
-/// about 60 ms of an 80 ms aggregate stage.
-Result<DawidSkeneModel> FitDawidSkeneSharded(VoteShardSource* shards,
-                                             const DawidSkeneOptions& options = {});
+/// doubling E-step work to eliminate the O(|P|) posterior vector. The fit
+/// is still most of the aggregation: on the benchmark's `stream_defended`
+/// workload (204,393 votes over 15 passes, Release, one thread of a 4-vCPU
+/// Xeon) it takes about 60 ms of an 80 ms aggregate stage.
+Result<DawidSkeneModel> FitDawidSkeneSharded(const VoteShardStore& votes);
 
 /// \brief The match probability of every pair of shard `shard`, into `out`
 /// (resized to the shard's pair count): the E-step posterior under `model`
 /// — exactly the arithmetic the EM loop uses — or, when `model` has no
 /// terms (unfitted, or fitted to no votes), the majority fraction, the
 /// E-step's initialization. Voteless pairs get `kUnjudgedMatchProbability`.
-/// `model` must have been fitted on `shards` (same dense worker space); a
-/// fitted model whose terms do not cover the source's workers is an
+/// `model` must have been fitted on `votes` (same dense worker space); a
+/// fitted model whose terms do not cover the store's workers is an
 /// InvalidArgument.
-Status ShardMatchProbabilities(VoteShardSource* shards, size_t shard,
+Status ShardMatchProbabilities(const VoteShardStore& votes, size_t shard,
                                const DawidSkeneModel& model, std::vector<double>* out);
 
 }  // namespace aggregate

@@ -11,8 +11,9 @@
 /// same index space. This implicit alignment is what made the vote table
 /// hard to shard: slicing P into partitions re-bases the indices, so a
 /// partitioned table must remember, per shard, which contiguous index range
-/// it covers (see `VoteShardSource` in aggregate/partitioned.h and the
-/// spill-backed store in core/partition.h).
+/// it covers. `VoteShardStore` (aggregate/partitioned.h), the spill-backed
+/// table every aggregation reads, does; a VoteTable is the in-memory form
+/// tests, benches and `RunDawidSkene` load into it.
 #ifndef CROWDER_AGGREGATE_VOTES_H_
 #define CROWDER_AGGREGATE_VOTES_H_
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 
+#include "core/stages.h"
 #include "graph/pair_graph.h"
 #include "hitgen/two_tiered_generator.h"
+#include "similarity/parallel_join.h"
 
 namespace crowder {
 namespace core {
@@ -23,22 +25,25 @@ Result<BudgetPlan> PlanForBudget(const data::Dataset& dataset, double budget_dol
     return Status::InvalidArgument("dataset has no matching pairs");
   }
 
+  // Tokenize once; only the join depends on the threshold.
+  CROWDER_RETURN_NOT_OK(dataset.Validate());
+  const similarity::JoinInput input = internal::BuildJoinInput(dataset);
+  similarity::JoinOptions join_options;
+  join_options.measure = base_config.measure;
+  similarity::ParallelJoinOptions exec_options;
+  exec_options.num_threads = base_config.num_threads;
+
   BudgetPlan plan;
   for (double threshold : thresholds) {
-    CROWDER_ASSIGN_OR_RETURN(
-        auto pairs,
-        HybridWorkflow::MachinePass(dataset, base_config.measure, threshold,
-                                    CandidateStrategy::kAllPairsJoin, base_config.num_threads));
+    join_options.threshold = threshold;
+    CROWDER_ASSIGN_OR_RETURN(auto pairs,
+                             similarity::ParallelAllPairsJoin(input, join_options, exec_options));
 
     BudgetPoint point;
     point.threshold = threshold;
     point.num_pairs = pairs.size();
-
-    uint64_t matches = 0;
-    for (const auto& p : pairs) {
-      if (dataset.truth.IsMatch(p.a, p.b)) ++matches;
-    }
-    point.machine_recall = static_cast<double>(matches) / static_cast<double>(total_matches);
+    point.machine_recall = static_cast<double>(internal::CountCandidateMatches(dataset, pairs)) /
+                           static_cast<double>(total_matches);
 
     if (!pairs.empty()) {
       std::vector<graph::Edge> edges;

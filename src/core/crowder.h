@@ -21,6 +21,7 @@
 #include "common/logging.h"
 #include "common/result.h"
 #include "common/rng.h"
+#include "common/spill.h"
 #include "common/status.h"
 #include "common/string_util.h"
 #include "common/timer.h"
@@ -29,7 +30,6 @@
 #include "core/partition.h"
 #include "core/pipeline.h"
 #include "core/resolution.h"
-#include "core/spill.h"
 #include "core/stages.h"
 #include "core/workflow.h"
 #include "crowd/backend.h"

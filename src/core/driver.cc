@@ -431,15 +431,13 @@ Status WorkflowDriver::Advance() {
 
 Status WorkflowDriver::Finalize() {
   WorkflowResult& result = state_->result;
-  // Hand the accumulated bans to aggregation (the revision point: every
-  // decision is derived from the surviving votes only) and report them.
-  if (!banned_workers_.empty()) {
-    result.filtered_workers.assign(banned_workers_.begin(), banned_workers_.end());
-    std::sort(result.filtered_workers.begin(), result.filtered_workers.end());
-    state_->banned_workers = banned_workers_;
-  }
+  // The revision point: the vote table drops every vote a banned worker
+  // cast as it compacts, so aggregation derives every decision from the
+  // surviving votes only. The bans are reported too.
+  result.filtered_workers.assign(banned_workers_.begin(), banned_workers_.end());
+  std::sort(result.filtered_workers.begin(), result.filtered_workers.end());
   if (state_->votes != nullptr) {
-    CROWDER_RETURN_NOT_OK(state_->votes->Finish());
+    CROWDER_RETURN_NOT_OK(state_->votes->Finish(banned_workers_));
     result.pipeline_stats.vote_spilled_bytes = state_->votes->spilled_bytes();
   }
   if (adaptive()) {

@@ -1,7 +1,6 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/logging.h"
 
@@ -10,85 +9,39 @@ namespace core {
 
 namespace {
 
-constexpr size_t kPairBytes = sizeof(similarity::ScoredPair);
-
 bool PairLess(const similarity::ScoredPair& x, const similarity::ScoredPair& y) {
   return x.a != y.a ? x.a < y.a : x.b < y.b;
 }
 
-}  // namespace
+using RunReader = ShardedSpillStore<similarity::ScoredPair>::BlockReader;
 
-// ---------------------------------------------------------------------------
-// PairStream
-// ---------------------------------------------------------------------------
-
-Status PairStream::Append(PairBlock&& block) {
-  if (finished_) return Status::InvalidArgument("Append on a finished PairStream");
-  if (block.empty()) return Status::OK();
-  num_pairs_ += block.size();
-  const uint64_t block_bytes = static_cast<uint64_t>(block.size()) * kPairBytes;
-  if (memory_budget_bytes_ > 0 && memory_bytes_ + block_bytes > memory_budget_bytes_) {
-    if (!spill_) {
-      CROWDER_ASSIGN_OR_RETURN(SpillFile file, SpillFile::Create());
-      spill_ = std::make_unique<SpillFile>(std::move(file));
-    }
-    return spill_->AppendBlock(block);
-  }
-  memory_bytes_ += block_bytes;
-  mem_blocks_.push_back(std::move(block));
-  return Status::OK();
-}
-
-Status PairStream::Finish() {
-  if (finished_) return Status::InvalidArgument("Finish on a finished PairStream");
-  finished_ = true;
-  return Status::OK();
-}
-
-namespace {
-
-// One sorted run feeding the merge: either an in-memory block or a buffered
-// cursor over a spilled block.
+// One sorted run feeding the merge, drawn chunk by chunk from its reader.
 class MergeSource {
  public:
-  explicit MergeSource(const PairBlock* block) : mem_(block) {}
-  MergeSource(SpillFile::BlockCursor cursor, size_t buffer_pairs)
-      : cursor_(std::move(cursor)) {
-    buffer_.reserve(buffer_pairs);
-    buffer_capacity_ = buffer_pairs;
-  }
+  explicit MergeSource(RunReader reader) : reader_(std::move(reader)) {}
 
   // Loads the first pair; returns false for an exhausted source.
-  Result<bool> Init() { return Advance(); }
+  Result<bool> Init() { return Refill(); }
 
-  const similarity::ScoredPair& current() const { return current_; }
+  const similarity::ScoredPair& current() const { return *pos_; }
 
   // Moves to the next pair; false at end of run.
   Result<bool> Advance() {
-    if (mem_ != nullptr) {
-      if (pos_ >= mem_->size()) return false;
-      current_ = (*mem_)[pos_++];
-      return true;
-    }
-    if (pos_ >= buffer_.size()) {
-      buffer_.resize(buffer_capacity_);
-      CROWDER_ASSIGN_OR_RETURN(const size_t got,
-                               cursor_->Read(buffer_.data(), buffer_capacity_));
-      buffer_.resize(got);
-      pos_ = 0;
-      if (got == 0) return false;
-    }
-    current_ = buffer_[pos_++];
-    return true;
+    if (++pos_ != end_) return true;
+    return Refill();
   }
 
  private:
-  const PairBlock* mem_ = nullptr;
-  std::optional<SpillFile::BlockCursor> cursor_;
-  PairBlock buffer_;
-  size_t buffer_capacity_ = 0;
-  size_t pos_ = 0;
-  similarity::ScoredPair current_;
+  Result<bool> Refill() {
+    CROWDER_ASSIGN_OR_RETURN(const PairBlock* chunk, reader_.Next());
+    pos_ = chunk->data();
+    end_ = pos_ + chunk->size();
+    return pos_ != end_;
+  }
+
+  RunReader reader_;
+  const similarity::ScoredPair* pos_ = nullptr;
+  const similarity::ScoredPair* end_ = nullptr;
 };
 
 }  // namespace
@@ -139,26 +92,20 @@ Result<size_t> PairStream::SortedCursor::Next(size_t max_pairs,
 }
 
 Result<PairStream::SortedCursor> PairStream::OpenSortedCursor() const {
-  if (!finished_) return Status::InvalidArgument("OpenSortedCursor before Finish");
+  if (!runs_.finished()) return Status::InvalidArgument("OpenSortedCursor before Finish");
 
-  // Sources: every in-memory block plus a buffered cursor per spilled block.
-  // The cursors split one fixed read-buffer pool (down to one pair each), so
-  // the merge's own resident memory is the pool plus O(#runs) bookkeeping
-  // with a tiny constant — the floor any single-pass k-way merge needs (one
-  // loaded pair per run), never a per-block 4 KiB that could dwarf the
-  // stream's budget when thousands of blocks spilled.
+  // One source per run. The spilled runs split one fixed read-buffer pool
+  // (down to one pair each), so the merge's own resident memory is the pool
+  // plus O(#runs) bookkeeping with a tiny constant — the floor any
+  // single-pass k-way merge needs (one loaded pair per run), never a
+  // per-run 4 KiB that could dwarf the stream's budget when thousands of
+  // runs spilled. Resident runs are lent without a copy.
+  const size_t buffer_pairs = 65536 / std::max<size_t>(1, runs_.spilled_blocks());
   auto impl = std::make_unique<SortedCursor::Impl>();
-  impl->sources.reserve(num_blocks());
-  for (const PairBlock& block : mem_blocks_) {
-    impl->sources.push_back(std::make_unique<MergeSource>(&block));
-  }
-  if (spill_) {
-    const size_t spilled = spill_->num_blocks();
-    const size_t buffer_pairs = std::max<size_t>(1, 65536 / std::max<size_t>(1, spilled));
-    for (size_t b = 0; b < spilled; ++b) {
-      CROWDER_ASSIGN_OR_RETURN(auto cursor, spill_->OpenBlock(b));
-      impl->sources.push_back(std::make_unique<MergeSource>(std::move(cursor), buffer_pairs));
-    }
+  impl->sources.reserve(runs_.num_blocks(0));
+  for (size_t b = 0; b < runs_.num_blocks(0); ++b) {
+    CROWDER_ASSIGN_OR_RETURN(RunReader reader, runs_.OpenBlock(0, b, buffer_pairs));
+    impl->sources.push_back(std::make_unique<MergeSource>(std::move(reader)));
   }
   for (size_t i = 0; i < impl->sources.size(); ++i) {
     CROWDER_ASSIGN_OR_RETURN(const bool alive, impl->sources[i]->Init());
@@ -169,11 +116,11 @@ Result<PairStream::SortedCursor> PairStream::OpenSortedCursor() const {
 
 Status PairStream::ScanSorted(const std::function<Status(const PairBlock&)>& fn,
                               size_t batch_pairs) const {
-  if (!finished_) return Status::InvalidArgument("ScanSorted before Finish");
+  if (!runs_.finished()) return Status::InvalidArgument("ScanSorted before Finish");
   if (batch_pairs == 0) batch_pairs = 8192;
   CROWDER_ASSIGN_OR_RETURN(SortedCursor cursor, OpenSortedCursor());
   PairBlock batch;
-  batch.reserve(static_cast<size_t>(std::min<uint64_t>(batch_pairs, num_pairs_)));
+  batch.reserve(static_cast<size_t>(std::min<uint64_t>(batch_pairs, num_pairs())));
   while (true) {
     batch.clear();
     CROWDER_ASSIGN_OR_RETURN(const size_t got, cursor.Next(batch_pairs, &batch));
@@ -185,7 +132,7 @@ Status PairStream::ScanSorted(const std::function<Status(const PairBlock&)>& fn,
 
 Result<std::vector<similarity::ScoredPair>> PairStream::MaterializeSorted() const {
   std::vector<similarity::ScoredPair> out;
-  out.reserve(num_pairs_);
+  out.reserve(num_pairs());
   CROWDER_RETURN_NOT_OK(ScanSorted([&out](const PairBlock& batch) {
     out.insert(out.end(), batch.begin(), batch.end());
     return Status::OK();

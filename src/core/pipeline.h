@@ -9,14 +9,14 @@
 //
 //  * PairStream — the spillable candidate-pair stream between the machine
 //    pass and its consumers. The producer appends blocks (each internally
-//    sorted by (a, b), as BlockedAllPairsJoinStream emits them); under a
-//    `memory_budget_bytes` the stream spills whole blocks to a temp file
-//    (SpillFile) so resident pair memory never exceeds the budget.
-//    Consumers read back with ScanSorted — a k-way merge across blocks that
-//    yields pairs in exactly SortPairs order, which is what makes the
-//    workflow's output independent of block size and budget: the merge of
-//    per-block sorted runs over a disjoint pair set IS the globally sorted
-//    pair list, whether or not any block ever touched disk.
+//    sorted by (a, b), as BlockedAllPairsJoinStream emits them) as sorted
+//    runs of one ShardedSpillStore (common/spill.h), which keeps them
+//    resident or spills them under `memory_budget_bytes`. Consumers read
+//    back with ScanSorted — a k-way merge across the runs that yields pairs
+//    in exactly SortPairs order, which is what makes the workflow's output
+//    independent of block size and budget: the merge of per-block sorted
+//    runs over a disjoint pair set IS the globally sorted pair list,
+//    whether or not any run ever touched disk.
 //
 //  * PipelineStats — what a run reports about itself: per-stage wall times
 //    and the spill, partition and round counters.
@@ -24,7 +24,6 @@
 #define CROWDER_CORE_PIPELINE_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
@@ -32,7 +31,7 @@
 
 #include "common/histogram.h"
 #include "common/result.h"
-#include "core/spill.h"
+#include "common/spill.h"
 #include "similarity/similarity_join.h"
 
 namespace crowder {
@@ -41,41 +40,30 @@ namespace core {
 /// \brief One producer-emitted batch of scored candidate pairs.
 using PairBlock = std::vector<similarity::ScoredPair>;
 
-/// \brief Block-structured temp file holding spilled pair blocks. Created
-/// lazily by PairStream; removed (and closed) on destruction, including when
-/// an exception unwinds through the owning stream. Since the partitioned
-/// crowd boundary (core/partition.h) the underlying machinery is the
-/// record-type-generic SpillLog (core/spill.h); this alias is its
-/// candidate-pair instantiation.
-using SpillFile = SpillLog<similarity::ScoredPair>;
-
-/// \brief Bounded buffer of candidate-pair blocks: in-memory up to
-/// `memory_budget_bytes`, spilling whole blocks to a SpillFile beyond it
-/// (0 = unbounded, never spills). Single producer, then Finish(), then any
-/// number of ScanSorted passes. Not thread-safe; the workflow appends from
-/// the join's sink on the driving thread.
+/// \brief Bounded buffer of candidate-pair blocks: each block is one sorted
+/// run of a ShardedSpillStore, resident up to `memory_budget_bytes` and
+/// spilled beyond it (0 = unbounded, never spills). Single producer, then
+/// Finish(), then any number of ScanSorted passes. Not thread-safe; the
+/// workflow appends from the join's sink on the driving thread.
 class PairStream {
  public:
-  explicit PairStream(uint64_t memory_budget_bytes = 0)
-      : memory_budget_bytes_(memory_budget_bytes) {}
+  explicit PairStream(uint64_t memory_budget_bytes = 0) : runs_(memory_budget_bytes) {
+    runs_.AddShards(1);
+  }
 
   /// Appends one block (need not be sorted relative to other blocks, but
   /// must itself be (a, b)-sorted — the BlockedAllPairsJoinStream contract —
   /// for ScanSorted's merge to be correct). Empty blocks are dropped.
-  Status Append(PairBlock&& block);
+  Status Append(PairBlock&& block) { return runs_.Append(0, std::move(block)); }
 
   /// Seals the stream; Append afterwards is an error.
-  Status Finish();
-  bool finished() const { return finished_; }
+  Status Finish() { return runs_.Finish(); }
 
-  uint64_t num_pairs() const { return num_pairs_; }
-  size_t num_blocks() const { return mem_blocks_.size() + (spill_ ? spill_->num_blocks() : 0); }
+  uint64_t num_pairs() const { return runs_.total_records(); }
   /// Pair bytes currently resident in memory.
-  uint64_t memory_bytes() const { return memory_bytes_; }
-  uint64_t spilled_bytes() const { return spill_ ? spill_->bytes_written() : 0; }
-  bool spilled() const { return spill_ != nullptr; }
-  /// The backing spill file, or nullptr while fully in memory (tests).
-  const SpillFile* spill_file() const { return spill_.get(); }
+  uint64_t memory_bytes() const { return runs_.memory_bytes(); }
+  uint64_t spilled_bytes() const { return runs_.spilled_bytes(); }
+  bool spilled() const { return runs_.spilled_blocks() > 0; }
 
   /// Visits every pair in globally ascending (a, b) order — byte-identical
   /// to SortPairs over the concatenation of all blocks — in batches of at
@@ -117,12 +105,7 @@ class PairStream {
   Result<std::vector<similarity::ScoredPair>> MaterializeSorted() const;
 
  private:
-  uint64_t memory_budget_bytes_;
-  std::vector<PairBlock> mem_blocks_;
-  std::unique_ptr<SpillFile> spill_;
-  uint64_t memory_bytes_ = 0;
-  uint64_t num_pairs_ = 0;
-  bool finished_ = false;
+  ShardedSpillStore<similarity::ScoredPair> runs_;  ///< one shard; a block per run
 };
 
 /// \brief Wall time of one pipeline stage.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "aggregate/partitioned.h"
 #include "common/logging.h"
 #include "common/timer.h"
 #include "graph/pair_graph.h"
@@ -254,8 +253,8 @@ Status GenerateHits(WorkflowState* state) {
     stats.cluster_index_wall_ms = state->cluster.index_wall_ms;
   }
   state->partition_capacity = capacity;
-  state->votes = std::make_unique<VoteShardStore>(config.memory_budget_bytes,
-                                                  TileShardCounts(total, capacity));
+  state->votes = std::make_unique<aggregate::VoteShardStore>(config.memory_budget_bytes,
+                                                             TileShardCounts(total, capacity));
   return Status::OK();
 }
 
@@ -278,17 +277,14 @@ Status Aggregate(WorkflowState* state) {
   const WorkflowConfig& config = *state->config;
   WorkflowResult& result = state->result;
   if (result.num_candidate_pairs == 0 || state->votes == nullptr) return Status::OK();
-  VoteShardStore* votes = state->votes.get();
-  // The revision path: banned workers' votes vanish at the shard boundary,
-  // so every downstream decision is re-derived from the surviving votes —
-  // while the store itself keeps the unfiltered audit truth. With no bans
-  // the view is the identity and the bytes are the pre-filter ones.
-  aggregate::FilteredVoteShardSource filtered(votes, state->banned_workers);
+  // The store was finished without the banned workers' votes, so every
+  // decision below is derived from the surviving votes.
+  const aggregate::VoteShardStore& votes = *state->votes;
 
   // Unfitted, the model yields majority fractions.
   aggregate::DawidSkeneModel model;
   if (config.aggregation == AggregationMethod::kDawidSkene) {
-    CROWDER_ASSIGN_OR_RETURN(model, aggregate::FitDawidSkeneSharded(&filtered, {}));
+    CROWDER_ASSIGN_OR_RETURN(model, aggregate::FitDawidSkeneSharded(votes));
   }
 
   const data::Dataset& dataset = *state->dataset;
@@ -305,10 +301,10 @@ Status Aggregate(WorkflowState* state) {
   CROWDER_RETURN_NOT_OK(state->stream.ScanSorted([&](const PairBlock& block) {
     for (const auto& p : block) {
       while (index >= shard_end) {
-        CROWDER_RETURN_NOT_OK(aggregate::ShardMatchProbabilities(&filtered, next_shard, model,
+        CROWDER_RETURN_NOT_OK(aggregate::ShardMatchProbabilities(votes, next_shard, model,
                                                                  &shard_probabilities));
-        shard_start = votes->shard_start(next_shard);
-        shard_end = shard_start + votes->shard_pairs(next_shard);
+        shard_start = votes.shard_start(next_shard);
+        shard_end = shard_start + votes.shard_pairs(next_shard);
         ++next_shard;
       }
       double probability = shard_probabilities[static_cast<size_t>(index - shard_start)];

@@ -18,7 +18,8 @@
 // between them is a sequence of *rounds*: the driver serves the contexts
 // GenerateHits laid out one HIT batch at a time, any crowd::CrowdBackend
 // answers it, and the driver files the votes into the spill-backed
-// VoteShardStore; its wall time is reported as the "crowd" stage.
+// aggregate::VoteShardStore; its wall time is reported as the "crowd"
+// stage.
 //
 // The phases communicate through WorkflowState, never through globals.
 // Every run takes this one path; the memory budget and partition capacity
@@ -31,9 +32,10 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
+#include "aggregate/partitioned.h"
+#include "common/spill.h"
 #include "core/partition.h"
 #include "core/pipeline.h"
 #include "core/workflow.h"
@@ -84,14 +86,10 @@ struct WorkflowState {
   /// Cluster-based only: the HITs and their ranges, one context per range.
   ClusterBoundary cluster;
   /// The disk-backed vote table, tiled by partition_capacity; filled by the
-  /// driver's crowd rounds, drained by Aggregate.
-  std::unique_ptr<VoteShardStore> votes;
-
-  /// Workers banned by the driver's admission filter (crowd/worker_filter.h),
-  /// copied in at Finalize. Aggregate excludes their votes when it
-  /// derives decisions, while the unfiltered vote store above keeps the
-  /// audit truth.
-  std::unordered_set<uint32_t> banned_workers;
+  /// driver's crowd rounds, finished at Finalize without the votes of the
+  /// workers its admission filter banned (crowd/worker_filter.h), drained
+  /// by Aggregate.
+  std::unique_ptr<aggregate::VoteShardStore> votes;
 
   /// Verdicts the driver's answer closure inferred instead of crowdsourcing
   /// (QuestionPolicyKind::kInferenceOrdered; copied in at Finalize), keyed

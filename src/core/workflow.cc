@@ -53,7 +53,6 @@ Result<HybridWorkflow::MachineStreamStats> HybridWorkflow::MachinePassStream(
       }));
   CROWDER_RETURN_NOT_OK(stream->Finish());
   stats.spilled_bytes = stream->spilled_bytes();
-  stats.num_blocks = stream->num_blocks();
   return stats;
 }
 
@@ -84,7 +83,6 @@ Result<HybridWorkflow::MachineStreamStats> HybridWorkflow::MachinePassSharded(
       shard_run_stats));
   CROWDER_RETURN_NOT_OK(stream->Finish());
   stats.spilled_bytes = stream->spilled_bytes();
-  stats.num_blocks = stream->num_blocks();
   return stats;
 }
 

@@ -283,7 +283,6 @@ class HybridWorkflow {
     /// True matches among the emitted pairs (machine recall numerator).
     uint64_t candidate_matches = 0;
     uint64_t spilled_bytes = 0;
-    size_t num_blocks = 0;
   };
 
   /// The streaming machine pass alone: emits candidate blocks of

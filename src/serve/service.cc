@@ -64,6 +64,14 @@ crowd::VoteBatch JudgeRound(const crowd::CrowdPlatform& platform, const std::vec
   return out;
 }
 
+// The crowd's verdict on one pair from its votes: a match when the yes
+// fraction reaches `match_threshold`. Both service paths decide by it.
+bool CrowdSaysMatch(uint32_t yes, uint32_t total, double match_threshold) {
+  const double fraction =
+      total == 0 ? 0.0 : static_cast<double>(yes) / static_cast<double>(total);
+  return fraction >= match_threshold;
+}
+
 }  // namespace
 
 /// One flushed crowd round. Owns everything its backend points at, so the
@@ -250,31 +258,20 @@ void EntityResolutionService::RunRound(std::shared_ptr<Round> round) {
 
     std::lock_guard<std::mutex> lock(mu_);
     for (const crowd::HitVotes& hv : delivery.hit_votes) {
-      // Group this HIT's votes per pair (they arrive pair-contiguous, but
-      // grouping by key is robust to any producer layout).
-      std::vector<uint64_t> order;
-      std::unordered_map<uint64_t, std::pair<uint32_t, uint32_t>> tally;  // key -> (yes, total)
-      std::unordered_map<uint64_t, std::pair<uint32_t, uint32_t>> ids;
-      for (const crowd::PairVote& v : hv.votes) {
-        const uint64_t key = crowd::PairKey(v.a, v.b);
-        auto [it, inserted] = tally.emplace(key, std::make_pair(0u, 0u));
-        if (inserted) {
-          order.push_back(key);
-          ids.emplace(key, std::make_pair(v.a, v.b));
+      // JudgeRound emits each pair's votes contiguously, in the HIT's pair
+      // order, and a delivery carries each HIT whole: one run per pair.
+      for (size_t i = 0; i < hv.votes.size();) {
+        const crowd::PairVote& first = hv.votes[i];
+        const size_t begin = i;
+        uint32_t yes = 0;
+        for (; i < hv.votes.size() && hv.votes[i].a == first.a && hv.votes[i].b == first.b; ++i) {
+          yes += hv.votes[i].vote.says_match ? 1 : 0;
         }
-        it->second.first += v.vote.says_match ? 1 : 0;
-        ++it->second.second;
-      }
-      for (uint64_t key : order) {
-        const auto [yes, total] = tally[key];
-        const auto [a, b] = ids[key];
-        const double fraction =
-            total == 0 ? 0.0 : static_cast<double>(yes) / static_cast<double>(total);
-        pending_.erase(key);
+        pending_.erase(crowd::PairKey(first.a, first.b));
         ++stats_.crowd_decided;
-        if (fraction >= config_.match_threshold) {
+        if (CrowdSaysMatch(yes, static_cast<uint32_t>(i - begin), config_.match_threshold)) {
           ++stats_.crowd_matches;
-          ApplyMatchLocked(a, b);
+          ApplyMatchLocked(first.a, first.b);
         }
       }
     }
@@ -360,12 +357,9 @@ Result<ServiceReport> BatchResolve(const data::Dataset& dataset, const ServiceCo
       report.crowd.Add({/*hit=*/0, worker, judgement.durations[k], /*comparisons=*/1,
                         platform.workers()[worker].is_adversarial()});
     }
-    const double fraction = judgement.votes.empty()
-                                ? 0.0
-                                : static_cast<double>(yes) /
-                                      static_cast<double>(judgement.votes.size());
     ++report.stats.crowd_decided;
-    if (fraction >= config.match_threshold) {
+    if (CrowdSaysMatch(yes, static_cast<uint32_t>(judgement.votes.size()),
+                       config.match_threshold)) {
       ++report.stats.crowd_matches;
       ++report.stats.applied_matches;
       CROWDER_RETURN_NOT_OK(resolver.AddMatch(p.a, p.b));

@@ -1,15 +1,15 @@
 // Tests for answer aggregation: majority vote and Dawid-Skene EM, including
-// the property that the flat sharded implementation equals a reference EM
-// bitwise at any partitioning and under any ban set; and Fleiss' kappa, the
-// per-round agreement signal.
+// the property that the EM over the sharded vote table equals a reference EM
+// bitwise at any partitioning, at any budget and under any ban set; and
+// Fleiss' kappa, the per-round agreement signal.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "aggregate/agreement.h"
@@ -17,7 +17,6 @@
 #include "aggregate/majority_vote.h"
 #include "aggregate/partitioned.h"
 #include "common/rng.h"
-#include "core/partition.h"
 
 namespace crowder {
 namespace aggregate {
@@ -62,18 +61,6 @@ TEST(DawidSkeneTest, PairsWithoutVotesStayZero) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->match_probability[0], 0.0);
   EXPECT_GT(r->match_probability[1], 0.5);
-}
-
-TEST(DawidSkeneTest, InvalidOptionsRejected) {
-  DawidSkeneOptions bad;
-  bad.max_iterations = 0;
-  EXPECT_FALSE(RunDawidSkene({{{0, true}}}, bad).ok());
-  DawidSkeneOptions bad2;
-  bad2.smoothing = -1.0;
-  EXPECT_FALSE(RunDawidSkene({{{0, true}}}, bad2).ok());
-  DawidSkeneOptions bad3;
-  bad3.prior_correct = 0.0;
-  EXPECT_FALSE(RunDawidSkene({{{0, true}}}, bad3).ok());
 }
 
 // The paper adopts EM over simple averaging because it is robust to
@@ -175,23 +162,6 @@ TEST(DawidSkeneTest, DisagreementYieldsIntermediateProbability) {
   EXPECT_LT(ds->match_probability[0], 0.95);
 }
 
-// ---------------------------------------------------------------------------
-// Option validation: NaN, infinite and out-of-range values are rejected.
-// ---------------------------------------------------------------------------
-
-// Every real-valued option, set to each bad value, must be rejected by both
-// entry points with InvalidArgument.
-void ExpectRejected(void (*set)(DawidSkeneOptions*, double), std::initializer_list<double> bad) {
-  const VoteTable votes{{{0, true}, {1, false}}, {{0, true}}};
-  for (double value : bad) {
-    DawidSkeneOptions options;
-    set(&options, value);
-    EXPECT_TRUE(RunDawidSkene(votes, options).status().IsInvalidArgument()) << value;
-    InMemoryVoteShards shards(votes, {votes.size()});
-    EXPECT_TRUE(FitDawidSkeneSharded(&shards, options).status().IsInvalidArgument()) << value;
-  }
-}
-
 // Fleiss' kappa takes per-subject (yes, total) vote counts.
 TEST(FleissKappaTest, UnanimousSubjectsGiveOne) {
   // Each subject unanimous, the categories mixed across subjects.
@@ -231,29 +201,6 @@ TEST(FleissKappaTest, LessAgreementThanChanceIsNegative) {
   EXPECT_NEAR(kappa, -1.0, 1e-12);
 }
 
-constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-TEST(DawidSkeneOptionsTest, RejectsBadSmoothing) {
-  ExpectRejected([](DawidSkeneOptions* o, double v) { o->smoothing = v; },
-                 {kNaN, kInf, -kInf, -1.0});
-}
-
-TEST(DawidSkeneOptionsTest, RejectsBadPriorCorrect) {
-  ExpectRejected([](DawidSkeneOptions* o, double v) { o->prior_correct = v; },
-                 {kNaN, kInf, 0.0, -1.0});
-}
-
-TEST(DawidSkeneOptionsTest, RejectsBadPriorIncorrect) {
-  ExpectRejected([](DawidSkeneOptions* o, double v) { o->prior_incorrect = v; },
-                 {kNaN, kInf, 0.0, -1.0});
-}
-
-TEST(DawidSkeneOptionsTest, RejectsBadTolerance) {
-  ExpectRejected([](DawidSkeneOptions* o, double v) { o->tolerance = v; },
-                 {kNaN, kInf, -1e-6});
-}
-
 // ---------------------------------------------------------------------------
 // Partitioned aggregation: the flat sharded EM equals a reference EM
 // bitwise, at any partitioning and under any ban set.
@@ -290,10 +237,10 @@ double ReferencePosterior(const std::vector<Vote>& pair_votes, const ReferenceFi
   return pos / (pos + neg);
 }
 
-ReferenceFit ReferenceEm(const VoteTable& table, const DawidSkeneOptions& options = {}) {
-  const double s = options.smoothing;
-  const double good = options.prior_correct;
-  const double bad = options.prior_incorrect;
+ReferenceFit ReferenceEm(const VoteTable& table) {
+  const double s = kDawidSkeneSmoothing;
+  const double good = kDawidSkenePriorCorrect;
+  const double bad = kDawidSkenePriorIncorrect;
   ReferenceFit prev;
   ReferenceFit older;
   for (int t = 0;; ++t) {
@@ -332,11 +279,11 @@ ReferenceFit ReferenceEm(const VoteTable& table, const DawidSkeneOptions& option
       model.converged = true;
       return model;
     }
-    if (t >= 1 && max_delta < options.tolerance) {
+    if (t >= 1 && max_delta < kDawidSkeneTolerance) {
       prev.converged = true;
       return prev;
     }
-    if (t == options.max_iterations) return prev;
+    if (t == kDawidSkeneMaxIterations) return prev;
     ReferenceFit next;
     next.class_prior =
         std::clamp((prior_num + s) / (static_cast<double>(judged) + 2.0 * s), 0.01, 0.99);
@@ -404,21 +351,31 @@ std::unordered_set<uint32_t> RandomBans(Rng* rng, const VoteTable& votes) {
   return banned;
 }
 
-// The flat fit and every flat posterior, pair-aligned, through `shards`.
+// Files `votes` into `store`, pair by pair in cast order, and finishes it
+// without the votes of `banned`.
+void Load(const VoteTable& votes, const std::unordered_set<uint32_t>& banned,
+          VoteShardStore* store) {
+  for (size_t i = 0; i < votes.size(); ++i) {
+    for (const Vote& v : votes[i]) ASSERT_TRUE(store->Append(i, v).ok());
+  }
+  ASSERT_TRUE(store->Finish(banned).ok());
+}
+
+// The flat fit and every flat posterior, pair-aligned, through `store`.
 struct FlatRun {
   DawidSkeneModel model;
   std::vector<double> posteriors;
 };
 
-FlatRun RunFlat(VoteShardSource* shards) {
+FlatRun RunFlat(const VoteShardStore& store) {
   FlatRun run;
-  Result<DawidSkeneModel> fit = FitDawidSkeneSharded(shards);
+  Result<DawidSkeneModel> fit = FitDawidSkeneSharded(store);
   EXPECT_TRUE(fit.ok()) << fit.status().ToString();
   if (!fit.ok()) return run;
   run.model = std::move(fit).ValueOrDie();
   std::vector<double> shard_probabilities;
-  for (size_t shard = 0; shard < shards->num_shards(); ++shard) {
-    EXPECT_TRUE(ShardMatchProbabilities(shards, shard, run.model, &shard_probabilities).ok());
+  for (size_t shard = 0; shard < store.num_shards(); ++shard) {
+    EXPECT_TRUE(ShardMatchProbabilities(store, shard, run.model, &shard_probabilities).ok());
     run.posteriors.insert(run.posteriors.end(), shard_probabilities.begin(),
                           shard_probabilities.end());
   }
@@ -445,12 +402,13 @@ void ExpectBitwiseEqual(const FlatRun& run, const ReferenceFit& ref,
 }
 
 // The property: over random tables, ban sets and shard splits, the flat
-// sharded EM (in memory, and through the spilling VoteShardStore) and
-// RunDawidSkene equal the reference EM bitwise — model, iteration count,
-// convergence flag and every posterior — and majority fractions equal
-// MajorityVote. Shards tile the pair order and the E-step adds the same
-// logs in the same order, so the results match exactly, not merely within
-// EM tolerance.
+// sharded EM through VoteShardStore — every vote filed, the ban set given to
+// Finish, unbounded and under a budget that spills every shard — and
+// RunDawidSkene over the surviving votes equal the reference EM over the
+// surviving votes bitwise — model, iteration count, convergence flag and
+// every posterior — and majority fractions equal MajorityVote. Shards tile
+// the pair order and the E-step adds the same logs in the same order, so
+// the results match exactly, not merely within EM tolerance.
 TEST(PartitionedAggregationTest, FlatEmEqualsReferenceEmBitwise) {
   Rng rng(20260731);
   for (int trial = 0; trial < 60; ++trial) {
@@ -480,35 +438,28 @@ TEST(PartitionedAggregationTest, FlatEmEqualsReferenceEmBitwise) {
     const std::vector<double> mv = MajorityVote(surviving);
     for (int split = 0; split < 3; ++split) {
       const std::vector<size_t> sizes = RandomShardSizes(&rng, num_pairs);
-      const std::string split_label = label + " split " + std::to_string(split);
+      const std::vector<uint64_t> counts(sizes.begin(), sizes.end());
+      // Budget 0 keeps every shard resident; a few bytes spill them all.
+      for (const uint64_t budget : {uint64_t{0}, uint64_t{8}}) {
+        const std::string split_label =
+            label + " split " + std::to_string(split) + " budget " + std::to_string(budget);
+        VoteShardStore store(budget, counts);
+        Load(votes, banned, &store);
+        ExpectBitwiseEqual(RunFlat(store), ref, ref_posteriors, split_label);
 
-      InMemoryVoteShards shards(votes, sizes);
-      FilteredVoteShardSource filtered(&shards, banned);
-      ExpectBitwiseEqual(RunFlat(&filtered), ref, ref_posteriors, split_label + " in-memory");
-
-      // Majority fractions under an unfitted model, shard by shard.
-      std::vector<double> probabilities;
-      size_t start = 0;
-      for (size_t shard = 0; shard < sizes.size(); ++shard) {
-        ASSERT_TRUE(
-            ShardMatchProbabilities(&filtered, shard, DawidSkeneModel{}, &probabilities).ok());
-        ASSERT_EQ(probabilities.size(), sizes[shard]);
-        for (size_t i = 0; i < probabilities.size(); ++i) {
-          EXPECT_EQ(probabilities[i], mv[start + i]) << split_label << " pair " << start + i;
+        // Majority fractions under an unfitted model, shard by shard.
+        std::vector<double> probabilities;
+        size_t start = 0;
+        for (size_t shard = 0; shard < sizes.size(); ++shard) {
+          ASSERT_TRUE(
+              ShardMatchProbabilities(store, shard, DawidSkeneModel{}, &probabilities).ok());
+          ASSERT_EQ(probabilities.size(), sizes[shard]);
+          for (size_t i = 0; i < probabilities.size(); ++i) {
+            EXPECT_EQ(probabilities[i], mv[start + i]) << split_label << " pair " << start + i;
+          }
+          start += sizes[shard];
         }
-        start += sizes[shard];
       }
-
-      // The spilling store: votes filed pair by pair in cast order under a
-      // budget of a few bytes, so every compacted shard spills.
-      std::vector<uint64_t> counts(sizes.begin(), sizes.end());
-      core::VoteShardStore store(/*memory_budget_bytes=*/8, counts);
-      for (size_t i = 0; i < votes.size(); ++i) {
-        for (const Vote& v : votes[i]) ASSERT_TRUE(store.Append(i, v).ok());
-      }
-      ASSERT_TRUE(store.Finish().ok());
-      FilteredVoteShardSource filtered_store(&store, banned);
-      ExpectBitwiseEqual(RunFlat(&filtered_store), ref, ref_posteriors, split_label + " store");
     }
   }
 }
@@ -523,34 +474,172 @@ TEST(PartitionedAggregationTest, VotelessPairsGetTheUnjudgedProbability) {
   EXPECT_EQ(MajorityMatchProbability({}), kUnjudgedMatchProbability);
 }
 
-TEST(PartitionedAggregationTest, ShardedValidatesOptions) {
-  VoteTable votes{{{0, true}}};
-  InMemoryVoteShards shards(votes, {1});
-  DawidSkeneOptions bad;
-  bad.max_iterations = 0;
-  EXPECT_FALSE(FitDawidSkeneSharded(&shards, bad).ok());
+// The rows of one flat shard, as (offsets, votes) vectors.
+std::pair<std::vector<uint32_t>, std::vector<uint32_t>> Rows(const FlatVoteShard& flat) {
+  if (flat.num_rows == 0) return {};
+  return {std::vector<uint32_t>(flat.offsets, flat.offsets + flat.num_rows + 1),
+          std::vector<uint32_t>(flat.votes, flat.votes + flat.offsets[flat.num_rows])};
 }
 
 TEST(PartitionedAggregationTest, FlattensWithDenseWorkersAndTrimmedRows) {
-  // Dense ids follow first appearance; rows stop at the last voted pair.
-  VoteTable votes{{{UINT32_MAX, true}, {0, false}}, {}, {{0, true}}, {}, {}};
-  InMemoryVoteShards shards(votes, {2, 3});
-  EXPECT_EQ(shards.worker_ids(), (std::vector<uint32_t>{UINT32_MAX, 0}));
-  ASSERT_TRUE(shards.WithShard(0, [](const FlatVoteShard& flat) {
-                      EXPECT_EQ(flat.num_pairs, 2u);
-                      EXPECT_EQ(flat.offsets, (std::vector<uint32_t>{0, 2}));
-                      EXPECT_EQ(flat.votes, (std::vector<uint32_t>{PackVote(0, true),
-                                                                   PackVote(1, false)}));
-                      return Status::OK();
-                    }).ok());
-  ASSERT_TRUE(shards.WithShard(1, [](const FlatVoteShard& flat) {
-                      EXPECT_EQ(flat.num_pairs, 3u);
-                      EXPECT_EQ(flat.offsets, (std::vector<uint32_t>{0, 1}));
-                      EXPECT_EQ(flat.votes, std::vector<uint32_t>{PackVote(1, true)});
-                      return Status::OK();
-                    }).ok());
-  EXPECT_TRUE(shards.WithShard(2, [](const FlatVoteShard&) { return Status::OK(); })
+  // Dense ids follow first appearance, banned voters included; rows stop
+  // at the last pair with a surviving vote.
+  VoteTable votes{{{UINT32_MAX, true}, {0, false}}, {}, {{0, true}, {5, false}}, {}, {{5, true}}};
+  VoteShardStore store(/*memory_budget_bytes=*/0, {2, 3});
+  Load(votes, /*banned=*/{5}, &store);
+  EXPECT_EQ(store.worker_ids(), (std::vector<uint32_t>{UINT32_MAX, 0, 5}));
+  EXPECT_EQ(store.total_votes(), 5u);
+  ASSERT_TRUE(store.WithShard(0, [](const FlatVoteShard& flat) {
+                     EXPECT_EQ(flat.num_pairs, 2u);
+                     EXPECT_EQ(Rows(flat).first, (std::vector<uint32_t>{0, 2}));
+                     EXPECT_EQ(Rows(flat).second,
+                               (std::vector<uint32_t>{PackVote(0, true), PackVote(1, false)}));
+                     return Status::OK();
+                   }).ok());
+  ASSERT_TRUE(store.WithShard(1, [](const FlatVoteShard& flat) {
+                     EXPECT_EQ(flat.num_pairs, 3u);
+                     EXPECT_EQ(Rows(flat).first, (std::vector<uint32_t>{0, 1}));
+                     EXPECT_EQ(Rows(flat).second, std::vector<uint32_t>{PackVote(1, true)});
+                     return Status::OK();
+                   }).ok());
+  EXPECT_TRUE(store.WithShard(2, [](const FlatVoteShard&) { return Status::OK(); })
                   .IsOutOfRange());
+}
+
+// ---------------------------------------------------------------------------
+// VoteShardStore
+// ---------------------------------------------------------------------------
+
+// Decodes one flat shard back to per-pair votes with original worker ids
+// (num_pairs rows; pairs past the shard's offsets are voteless).
+VoteTable Unpack(VoteShardStore* store, size_t shard) {
+  VoteTable table;
+  const std::vector<uint32_t>& ids = store->worker_ids();
+  EXPECT_TRUE(store
+                  ->WithShard(shard,
+                              [&](const FlatVoteShard& flat) {
+                                table.resize(static_cast<size_t>(flat.num_pairs));
+                                for (size_t row = 0; row < flat.num_rows; ++row) {
+                                  for (uint32_t i = flat.offsets[row]; i < flat.offsets[row + 1];
+                                       ++i) {
+                                    const uint32_t v = flat.votes[i];
+                                    table[row].push_back({ids[v >> 1], (v & 1u) != 0});
+                                  }
+                                }
+                                return Status::OK();
+                              })
+                  .ok());
+  return table;
+}
+
+TEST(VoteShardStoreTest, GroupsVotesByPairPreservingCastOrder) {
+  // 10 pairs tiled into shards of 4/4/2; votes arrive interleaved across
+  // shards and pairs, as cluster-HIT ranges produce them.
+  VoteShardStore store(/*memory_budget_bytes=*/0, {4, 4, 2});
+  ASSERT_TRUE(store.Append(9, {1, true}).ok());
+  ASSERT_TRUE(store.Append(0, {2, false}).ok());
+  ASSERT_TRUE(store.Append(5, {3, true}).ok());
+  ASSERT_TRUE(store.Append(0, {4, true}).ok());
+  ASSERT_TRUE(store.Append(9, {5, false}).ok());
+  EXPECT_TRUE(store.WithShard(0, [](const FlatVoteShard&) {
+                     return Status::OK();
+                   }).IsInvalidArgument());  // read before Finish
+  ASSERT_TRUE(store.Finish().ok());
+  EXPECT_TRUE(store.Finish().IsInvalidArgument());
+
+  // Dense worker ids follow first appearance.
+  EXPECT_EQ(store.worker_ids(), (std::vector<uint32_t>{1, 2, 3, 4, 5}));
+
+  const auto shard0 = Unpack(&store, 0);
+  ASSERT_EQ(shard0.size(), 4u);
+  ASSERT_EQ(shard0[0].size(), 2u);
+  EXPECT_EQ(shard0[0][0].worker_id, 2u);  // cast order kept
+  EXPECT_FALSE(shard0[0][0].says_match);
+  EXPECT_EQ(shard0[0][1].worker_id, 4u);
+  EXPECT_TRUE(shard0[0][1].says_match);
+  EXPECT_TRUE(shard0[1].empty());
+
+  const auto shard1 = Unpack(&store, 1);
+  ASSERT_EQ(shard1[1].size(), 1u);  // global pair 5 = local 1
+  EXPECT_EQ(shard1[1][0].worker_id, 3u);
+
+  const auto shard2 = Unpack(&store, 2);
+  ASSERT_EQ(shard2[1].size(), 2u);  // global pair 9 = local 1
+  EXPECT_EQ(shard2[1][0].worker_id, 1u);
+  EXPECT_EQ(shard2[1][1].worker_id, 5u);
+
+  EXPECT_EQ(store.total_votes(), 5u);
+  EXPECT_EQ(store.shard_start(2), 8u);
+  EXPECT_EQ(store.shard_pairs(2), 2u);
+  EXPECT_TRUE(store.WithShard(3, [](const FlatVoteShard&) {
+                     return Status::OK();
+                   }).IsOutOfRange());
+  EXPECT_TRUE(store.Append(1, {0, true}).IsInvalidArgument());  // append after Finish
+}
+
+TEST(VoteShardStoreTest, ForcedSpillCompactsToTheUnboundedStoresShards) {
+  // Votes arrive out of pair order and jump between shards, as repair and
+  // re-ask rounds file them. A budget of a few bytes spills every staged
+  // block and every compacted shard; the flat shards must still equal the
+  // unbounded store's, byte for byte, and decode to the per-pair cast
+  // order the votes were filed in.
+  Rng rng(4242);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<uint64_t> counts;
+    uint64_t total = 0;
+    const uint64_t num_shards = 1 + rng.Uniform(6);
+    for (uint64_t s = 0; s < num_shards; ++s) {
+      counts.push_back(1 + rng.Uniform(50));
+      total += counts.back();
+    }
+    VoteShardStore unbounded(0, counts);
+    VoteShardStore spilling(8, counts);
+    VoteTable expected(static_cast<size_t>(total));
+    const uint64_t num_votes = rng.Uniform(3000);
+    for (uint64_t n = 0; n < num_votes; ++n) {
+      const uint64_t pair = rng.Uniform(total);
+      const Vote vote{static_cast<uint32_t>(rng.Uniform(40)) * 104729u,
+                                 rng.Bernoulli(0.5)};
+      ASSERT_TRUE(unbounded.Append(pair, vote).ok());
+      ASSERT_TRUE(spilling.Append(pair, vote).ok());
+      expected[static_cast<size_t>(pair)].push_back(vote);
+    }
+    ASSERT_TRUE(unbounded.Finish().ok());
+    ASSERT_TRUE(spilling.Finish().ok());
+    EXPECT_EQ(unbounded.spilled_bytes(), 0u);
+    if (num_votes > 0) {
+      EXPECT_GT(spilling.spilled_bytes(), 0u);
+    }
+    EXPECT_EQ(spilling.worker_ids(), unbounded.worker_ids());
+    EXPECT_EQ(spilling.total_votes(), num_votes);
+
+    size_t start = 0;
+    for (size_t shard = 0; shard < counts.size(); ++shard) {
+      std::pair<std::vector<uint32_t>, std::vector<uint32_t>> want;
+      ASSERT_TRUE(unbounded.WithShard(shard, [&](const FlatVoteShard& flat) {
+                               EXPECT_EQ(flat.num_pairs, counts[shard]);
+                               want = Rows(flat);
+                               return Status::OK();
+                             }).ok());
+      for (int read = 0; read < 2; ++read) {  // reads are repeatable
+        ASSERT_TRUE(spilling.WithShard(shard, [&](const FlatVoteShard& flat) {
+                               EXPECT_EQ(flat.num_pairs, counts[shard]);
+                               EXPECT_EQ(Rows(flat), want);
+                               return Status::OK();
+                             }).ok());
+      }
+      const auto decoded = Unpack(&spilling, shard);
+      for (size_t i = 0; i < decoded.size(); ++i) {
+        const auto& pair_votes = expected[start + i];
+        ASSERT_EQ(decoded[i].size(), pair_votes.size()) << "pair " << start + i;
+        for (size_t k = 0; k < pair_votes.size(); ++k) {
+          EXPECT_EQ(decoded[i][k].worker_id, pair_votes[k].worker_id);
+          EXPECT_EQ(decoded[i][k].says_match, pair_votes[k].says_match);
+        }
+      }
+      start += static_cast<size_t>(counts[shard]);
+    }
+  }
 }
 
 }  // namespace

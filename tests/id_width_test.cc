@@ -24,10 +24,11 @@
 #include <type_traits>
 #include <utility>
 
+#include "aggregate/partitioned.h"
 #include "common/histogram.h"
+#include "common/spill.h"
 #include "core/partition.h"
 #include "core/pipeline.h"
-#include "core/spill.h"
 #include "crowd/backend.h"
 #include "shard/plan.h"
 #include "shard/proto.h"
@@ -46,9 +47,11 @@ static_assert(kSame<decltype(std::declval<const core::PairStream&>().spilled_byt
               "PairStream spill offsets must be 64-bit");
 static_assert(kSame<decltype(core::IndexedPair{}.index), uint64_t>,
               "global pair indices must be 64-bit");
-static_assert(kSame<decltype(std::declval<const core::SpillLog<uint32_t>&>().bytes_written()),
-                    uint64_t>,
+static_assert(kSame<decltype(std::declval<const SpillLog<uint32_t>&>().bytes_written()), uint64_t>,
               "spill-log byte offsets must be 64-bit");
+static_assert(
+    kSame<decltype(std::declval<const ShardedSpillStore<uint32_t>&>().spilled_bytes()), uint64_t>,
+    "spill-store byte counts must be 64-bit");
 static_assert(kSame<decltype(shard::ShardAssignment{}.owned_begin), uint64_t> &&
                   kSame<decltype(shard::ShardAssignment{}.owned_end), uint64_t> &&
                   kSame<decltype(shard::ShardAssignment{}.replica_begin), uint64_t>,
@@ -115,7 +118,7 @@ TEST(IdWidth, VoteShardStoreRoutesGlobalIndicesPastTwoToTheThirtyTwo) {
   // Three shards whose middle one spans the maximum 2^32-1 pairs, so the
   // third shard starts beyond 2^32. Votes filed at 64-bit global indices
   // must land in the right shard under the right (32-bit) local slot.
-  core::VoteShardStore store(0, {5, uint64_t{UINT32_MAX}, 7});
+  aggregate::VoteShardStore store(0, {5, uint64_t{UINT32_MAX}, 7});
   ASSERT_EQ(store.num_shards(), 3u);
   EXPECT_EQ(store.shard_start(2), 5 + uint64_t{UINT32_MAX});
   ASSERT_GT(store.shard_start(2), uint64_t{1} << 32);
@@ -135,18 +138,22 @@ TEST(IdWidth, VoteShardStoreRoutesGlobalIndicesPastTwoToTheThirtyTwo) {
   ASSERT_EQ(store.worker_ids(), std::vector<uint32_t>{9});
   ASSERT_TRUE(store.WithShard(2, [&](const aggregate::FlatVoteShard& flat) {
                      EXPECT_EQ(flat.num_pairs, 7u);
-                     EXPECT_EQ(flat.offsets, (std::vector<uint32_t>{0, 0, 0, 0, 1}));
-                     EXPECT_EQ(flat.votes, std::vector<uint32_t>{packed});
+                     EXPECT_EQ(std::vector<uint32_t>(flat.offsets, flat.offsets + 5),
+                               (std::vector<uint32_t>{0, 0, 0, 0, 1}));
+                     EXPECT_EQ(flat.num_rows, 4u);
+                     EXPECT_EQ(flat.votes[0], packed);
                      return Status::OK();
                    }).ok());
   ASSERT_TRUE(store.WithShard(1, [&](const aggregate::FlatVoteShard& flat) {
                      EXPECT_EQ(flat.num_pairs, uint64_t{UINT32_MAX});
-                     EXPECT_EQ(flat.num_rows(), 0u);
+                     EXPECT_EQ(flat.num_rows, 0u);
                      return Status::OK();
                    }).ok());
   ASSERT_TRUE(store.WithShard(0, [&](const aggregate::FlatVoteShard& flat) {
-                     EXPECT_EQ(flat.offsets, (std::vector<uint32_t>{0, 0, 0, 1}));
-                     EXPECT_EQ(flat.votes, std::vector<uint32_t>{packed});
+                     EXPECT_EQ(flat.num_rows, 3u);
+                     EXPECT_EQ(std::vector<uint32_t>(flat.offsets, flat.offsets + 4),
+                               (std::vector<uint32_t>{0, 0, 0, 1}));
+                     EXPECT_EQ(flat.votes[0], packed);
                      return Status::OK();
                    }).ok());
 }

@@ -1,6 +1,5 @@
-// Tests for the partitioned crowd boundary's building blocks
-// (core/partition.h): the sharded spill store, the disk-backed vote table,
-// the partition plans, the streaming cluster boundary (local-id-remapped
+// Tests for the partitioned crowd boundary's building blocks: the sharded
+// spill store (common/spill.h), the partition plans (core/partition.h), the streaming cluster boundary (local-id-remapped
 // per-bucket decomposition and the pair→HIT-range store), and the
 // streaming union-find resolver (core/resolution.h).
 #include <gtest/gtest.h>
@@ -9,6 +8,7 @@
 #include <numeric>
 
 #include "common/rng.h"
+#include "common/spill.h"
 #include "core/partition.h"
 #include "core/resolution.h"
 #include "core/stages.h"
@@ -129,142 +129,6 @@ TEST(ShardedSpillStoreTest, LifecycleEnforced) {
                    }).IsInvalidArgument());  // scan before finish
   ASSERT_TRUE(store.Finish().ok());
   EXPECT_TRUE(store.Append(0, {1}).IsInvalidArgument());  // append after finish
-}
-
-// ---------------------------------------------------------------------------
-// VoteShardStore
-// ---------------------------------------------------------------------------
-
-// Decodes one flat shard back to per-pair votes with original worker ids
-// (num_pairs rows; pairs past the shard's offsets are voteless).
-aggregate::VoteTable Unpack(VoteShardStore* store, size_t shard) {
-  aggregate::VoteTable table;
-  const std::vector<uint32_t>& ids = store->worker_ids();
-  EXPECT_TRUE(store
-                  ->WithShard(shard,
-                              [&](const aggregate::FlatVoteShard& flat) {
-                                table.resize(static_cast<size_t>(flat.num_pairs));
-                                for (size_t row = 0; row < flat.num_rows(); ++row) {
-                                  for (uint32_t i = flat.offsets[row]; i < flat.offsets[row + 1];
-                                       ++i) {
-                                    const uint32_t v = flat.votes[i];
-                                    table[row].push_back({ids[v >> 1], (v & 1u) != 0});
-                                  }
-                                }
-                                return Status::OK();
-                              })
-                  .ok());
-  return table;
-}
-
-TEST(VoteShardStoreTest, GroupsVotesByPairPreservingCastOrder) {
-  // 10 pairs tiled into shards of 4/4/2; votes arrive interleaved across
-  // shards and pairs, as cluster-HIT ranges produce them.
-  VoteShardStore store(/*memory_budget_bytes=*/0, {4, 4, 2});
-  ASSERT_TRUE(store.Append(9, {1, true}).ok());
-  ASSERT_TRUE(store.Append(0, {2, false}).ok());
-  ASSERT_TRUE(store.Append(5, {3, true}).ok());
-  ASSERT_TRUE(store.Append(0, {4, true}).ok());
-  ASSERT_TRUE(store.Append(9, {5, false}).ok());
-  EXPECT_TRUE(store.WithShard(0, [](const aggregate::FlatVoteShard&) {
-                     return Status::OK();
-                   }).IsInvalidArgument());  // read before Finish
-  ASSERT_TRUE(store.Finish().ok());
-  EXPECT_TRUE(store.Finish().IsInvalidArgument());
-
-  // Dense worker ids follow first appearance.
-  EXPECT_EQ(store.worker_ids(), (std::vector<uint32_t>{1, 2, 3, 4, 5}));
-
-  const auto shard0 = Unpack(&store, 0);
-  ASSERT_EQ(shard0.size(), 4u);
-  ASSERT_EQ(shard0[0].size(), 2u);
-  EXPECT_EQ(shard0[0][0].worker_id, 2u);  // cast order kept
-  EXPECT_FALSE(shard0[0][0].says_match);
-  EXPECT_EQ(shard0[0][1].worker_id, 4u);
-  EXPECT_TRUE(shard0[0][1].says_match);
-  EXPECT_TRUE(shard0[1].empty());
-
-  const auto shard1 = Unpack(&store, 1);
-  ASSERT_EQ(shard1[1].size(), 1u);  // global pair 5 = local 1
-  EXPECT_EQ(shard1[1][0].worker_id, 3u);
-
-  const auto shard2 = Unpack(&store, 2);
-  ASSERT_EQ(shard2[1].size(), 2u);  // global pair 9 = local 1
-  EXPECT_EQ(shard2[1][0].worker_id, 1u);
-  EXPECT_EQ(shard2[1][1].worker_id, 5u);
-
-  EXPECT_EQ(store.total_votes(), 5u);
-  EXPECT_EQ(store.shard_start(2), 8u);
-  EXPECT_EQ(store.shard_pairs(2), 2u);
-  EXPECT_TRUE(store.WithShard(3, [](const aggregate::FlatVoteShard&) {
-                     return Status::OK();
-                   }).IsOutOfRange());
-  EXPECT_TRUE(store.Append(1, {0, true}).IsInvalidArgument());  // append after Finish
-}
-
-TEST(VoteShardStoreTest, ForcedSpillCompactsToTheUnboundedStoresShards) {
-  // Votes arrive out of pair order and jump between shards, as repair and
-  // re-ask rounds file them. A budget of a few bytes spills every staged
-  // block and every compacted shard; the flat shards must still equal the
-  // unbounded store's, byte for byte, and decode to the per-pair cast
-  // order the votes were filed in.
-  Rng rng(4242);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<uint64_t> counts;
-    uint64_t total = 0;
-    const uint64_t num_shards = 1 + rng.Uniform(6);
-    for (uint64_t s = 0; s < num_shards; ++s) {
-      counts.push_back(1 + rng.Uniform(50));
-      total += counts.back();
-    }
-    VoteShardStore unbounded(0, counts);
-    VoteShardStore spilling(8, counts);
-    aggregate::VoteTable expected(static_cast<size_t>(total));
-    const uint64_t num_votes = rng.Uniform(3000);
-    for (uint64_t n = 0; n < num_votes; ++n) {
-      const uint64_t pair = rng.Uniform(total);
-      const aggregate::Vote vote{static_cast<uint32_t>(rng.Uniform(40)) * 104729u,
-                                 rng.Bernoulli(0.5)};
-      ASSERT_TRUE(unbounded.Append(pair, vote).ok());
-      ASSERT_TRUE(spilling.Append(pair, vote).ok());
-      expected[static_cast<size_t>(pair)].push_back(vote);
-    }
-    ASSERT_TRUE(unbounded.Finish().ok());
-    ASSERT_TRUE(spilling.Finish().ok());
-    EXPECT_EQ(unbounded.spilled_bytes(), 0u);
-    if (num_votes > 0) {
-      EXPECT_GT(spilling.spilled_bytes(), 0u);
-    }
-    EXPECT_EQ(spilling.worker_ids(), unbounded.worker_ids());
-    EXPECT_EQ(spilling.total_votes(), num_votes);
-
-    size_t start = 0;
-    for (size_t shard = 0; shard < counts.size(); ++shard) {
-      aggregate::FlatVoteShard want;
-      ASSERT_TRUE(unbounded.WithShard(shard, [&](const aggregate::FlatVoteShard& flat) {
-                               want = flat;
-                               return Status::OK();
-                             }).ok());
-      for (int read = 0; read < 2; ++read) {  // reads are repeatable
-        ASSERT_TRUE(spilling.WithShard(shard, [&](const aggregate::FlatVoteShard& flat) {
-                               EXPECT_EQ(flat.num_pairs, want.num_pairs);
-                               EXPECT_EQ(flat.offsets, want.offsets);
-                               EXPECT_EQ(flat.votes, want.votes);
-                               return Status::OK();
-                             }).ok());
-      }
-      const auto decoded = Unpack(&spilling, shard);
-      for (size_t i = 0; i < decoded.size(); ++i) {
-        const auto& pair_votes = expected[start + i];
-        ASSERT_EQ(decoded[i].size(), pair_votes.size()) << "pair " << start + i;
-        for (size_t k = 0; k < pair_votes.size(); ++k) {
-          EXPECT_EQ(decoded[i][k].worker_id, pair_votes[k].worker_id);
-          EXPECT_EQ(decoded[i][k].says_match, pair_votes[k].says_match);
-        }
-      }
-      start += static_cast<size_t>(counts[shard]);
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,11 +4,15 @@
 // pass whose sink fails mid-stream.
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+#include <stdlib.h>
 #include <unistd.h>
 
+#include <cstdlib>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/pipeline.h"
@@ -21,7 +25,45 @@ namespace crowder {
 namespace core {
 namespace {
 
-bool FileExists(const std::string& path) { return ::access(path.c_str(), F_OK) == 0; }
+// Points TMPDIR at a fresh directory for the test's lifetime, so the spill
+// files a stream creates there can be listed.
+class ScopedTmpdir {
+ public:
+  ScopedTmpdir() {
+    const char* old = std::getenv("TMPDIR");
+    if (old != nullptr) old_ = old;
+    std::string templ = (old_.empty() ? std::string("/tmp") : old_) + "/pipeline-test-XXXXXX";
+    std::vector<char> buf(templ.begin(), templ.end());
+    buf.push_back('\0');
+    EXPECT_NE(::mkdtemp(buf.data()), nullptr);
+    dir_ = buf.data();
+    ::setenv("TMPDIR", dir_.c_str(), 1);
+  }
+  ~ScopedTmpdir() {
+    if (old_.empty()) {
+      ::unsetenv("TMPDIR");
+    } else {
+      ::setenv("TMPDIR", old_.c_str(), 1);
+    }
+    ::rmdir(dir_.c_str());
+  }
+
+  // The spill files in the directory now.
+  size_t SpillFiles() const {
+    size_t count = 0;
+    DIR* dir = ::opendir(dir_.c_str());
+    if (dir == nullptr) return 0;
+    while (const dirent* entry = ::readdir(dir)) {
+      if (std::string(entry->d_name).rfind("crowder-spill-", 0) == 0) ++count;
+    }
+    ::closedir(dir);
+    return count;
+  }
+
+ private:
+  std::string old_;
+  std::string dir_;
+};
 
 // Random unique pairs, partitioned into sorted blocks — the shape a blocked
 // join emits (each block internally (a, b)-sorted, no global order).
@@ -126,16 +168,17 @@ TEST(PairStreamTest, ScanBatchesRespectBatchSizeAndRepeat) {
 }
 
 TEST(PairStreamTest, SpillFileIsRemovedOnDestruction) {
-  std::string spill_path;
+  ScopedTmpdir tmp;
   {
     PairStream stream(/*memory_budget_bytes=*/16);
-    PairBlock block = {{1, 2, 0.5}, {3, 4, 0.25}};  // 32 bytes > budget
-    ASSERT_TRUE(stream.Append(std::move(block)).ok());
+    for (uint32_t a = 0; a < 4; ++a) {
+      PairBlock block = {{a, 10, 0.5}, {a, 11, 0.25}};  // 32 bytes > budget
+      ASSERT_TRUE(stream.Append(std::move(block)).ok());
+    }
     ASSERT_TRUE(stream.spilled());
-    spill_path = stream.spill_file()->path();
-    EXPECT_TRUE(FileExists(spill_path));
+    EXPECT_EQ(tmp.SpillFiles(), 1u);  // every spilled run shares one file
   }
-  EXPECT_FALSE(FileExists(spill_path));
+  EXPECT_EQ(tmp.SpillFiles(), 0u);
 }
 
 TEST(PairStreamTest, LifecycleErrors) {
@@ -180,9 +223,9 @@ data::Dataset TinyRestaurant() {
 
 TEST(StreamingFailureTest, SinkStatusErrorAbortsJoinAndStreamStaysSane) {
   const data::Dataset dataset = TinyRestaurant();
+  ScopedTmpdir tmp;
   PairStream stream(/*memory_budget_bytes=*/64);  // spill from the first block
   int blocks_seen = 0;
-  std::string spill_path;
   {
     similarity::JoinInput input = internal::BuildJoinInput(dataset);
     similarity::JoinOptions options;
@@ -193,17 +236,14 @@ TEST(StreamingFailureTest, SinkStatusErrorAbortsJoinAndStreamStaysSane) {
         input, options, exec_options, [&](std::vector<similarity::ScoredPair>&& block) {
           auto append = stream.Append(std::move(block));
           if (!append.ok()) return append;
-          if (stream.spilled() && spill_path.empty()) {
-            spill_path = stream.spill_file()->path();
-          }
           return ++blocks_seen >= 2 ? Status::Internal("sink out of space") : Status::OK();
         });
     EXPECT_FALSE(status.ok());
     EXPECT_NE(status.ToString().find("sink out of space"), std::string::npos);
   }
   EXPECT_EQ(blocks_seen, 2);
-  ASSERT_FALSE(spill_path.empty());
-  EXPECT_TRUE(FileExists(spill_path));  // stream still owns its spill
+  ASSERT_TRUE(stream.spilled());
+  EXPECT_EQ(tmp.SpillFiles(), 1u);  // stream still owns its spill
 }
 
 TEST(StreamingFailureTest, SinkThrowMidBlockUnwindsAndRemovesSpill) {
@@ -212,7 +252,8 @@ TEST(StreamingFailureTest, SinkThrowMidBlockUnwindsAndRemovesSpill) {
   // anything, and the partially-filled stream's spill file must disappear
   // with it. This is the no-leak guarantee for abandoning a streaming run.
   const data::Dataset dataset = TinyRestaurant();
-  std::string spill_path;
+  ScopedTmpdir tmp;
+  size_t spill_files_seen = 0;
   bool threw = false;
   try {
     PairStream stream(/*memory_budget_bytes=*/64);
@@ -226,9 +267,7 @@ TEST(StreamingFailureTest, SinkThrowMidBlockUnwindsAndRemovesSpill) {
         input, options, exec_options, [&](std::vector<similarity::ScoredPair>&& block) {
           auto append = stream.Append(std::move(block));
           if (!append.ok()) return append;
-          if (stream.spilled() && spill_path.empty()) {
-            spill_path = stream.spill_file()->path();
-          }
+          spill_files_seen = tmp.SpillFiles();
           if (++blocks_seen == 2) throw std::runtime_error("sink exploded mid-block");
           return Status::OK();
         });
@@ -238,8 +277,8 @@ TEST(StreamingFailureTest, SinkThrowMidBlockUnwindsAndRemovesSpill) {
     EXPECT_STREQ(e.what(), "sink exploded mid-block");
   }
   EXPECT_TRUE(threw);
-  ASSERT_FALSE(spill_path.empty());
-  EXPECT_FALSE(FileExists(spill_path));  // ~PairStream ran during unwind
+  EXPECT_EQ(spill_files_seen, 1u);
+  EXPECT_EQ(tmp.SpillFiles(), 0u);  // ~PairStream ran during unwind
 }
 
 }  // namespace

@@ -1,22 +1,12 @@
 // crowder_serve — the CrowdER entity-resolution service as a resident
-// process, driven by a line protocol on stdin (one command per line,
-// one reply per line on stdout):
-//
-//   INSERT source|entity|text   ingest one record; `entity` is the ground
-//                               truth consumed by the simulated crowd
-//   QUERY id                    the record's cluster (named by its smallest
-//                               member) + pending pairs, read from the
-//                               current epoch snapshot (lock-free)
-//   FLUSH                       post queued crowd pairs, wait for verdicts,
-//                               publish
-//   STATS                       the service counters, one key=value line
-//   REPORT path                 FLUSH, then write the record,cluster CSV
-//   QUIT                        stop reading (EOF does the same)
+// process, driven by the line protocol of serve_repl.h on stdin (one
+// command per line — INSERT, QUERY, FLUSH, STATS, REPORT, QUIT — one reply
+// per line on stdout).
 //
 // On exit the service is finished and a final summary is printed. A
-// malformed command replies `error: ...` and the process keeps serving —
-// the protocol is for harnesses (see the smoke tests), not humans, but it
-// forgives them.
+// malformed command replies `error: ` plus a named status and the process
+// keeps serving — the protocol is for harnesses (see the smoke tests), not
+// humans, but it forgives them.
 //
 //   crowder_serve [--in FILE] [--threshold F] [--auto-match F]
 //                 [--match-threshold F] [--flush-pairs N] [--pairs-per-hit N]
@@ -37,14 +27,13 @@
 #include <cstdint>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <string_view>
 
 #include "common/string_util.h"
 #include "data/dataset.h"
 #include "flags.h"
 #include "serve/service.h"
+#include "serve_repl.h"
 #include "service_flags.h"
 
 namespace crowder {
@@ -70,121 +59,6 @@ Result<Args> Parse(int argc, char** argv) {
        "publish-interval", "hits-per-poll", "seed"},
       {"inline", "sync", "cross-source"}};
   return tools::ParseFlags("crowder_serve", kFlags, argc, argv, 1);
-}
-
-void ReplyInsert(const serve::InsertOutcome& outcome) {
-  std::cout << "record " << outcome.record_id << " candidates=" << outcome.new_candidates
-            << " auto=" << outcome.auto_matched << " queued=" << outcome.queued_for_crowd
-            << "\n";
-}
-
-void ReplyQuery(const serve::QueryResult& view) {
-  std::cout << "record " << view.record_id << " epoch=" << view.epoch
-            << " cluster=" << view.cluster_id << " members=[";
-  for (size_t i = 0; i < view.members.size(); ++i) {
-    std::cout << (i ? "," : "") << view.members[i];
-  }
-  std::cout << "] pending=" << view.pending.size() << "\n";
-}
-
-void ReplyStats(const serve::ServiceStats& stats) {
-  std::cout << "records=" << stats.num_records << " candidates=" << stats.candidate_pairs
-            << " auto_matches=" << stats.auto_matches << " crowd_pairs=" << stats.crowd_pairs
-            << " crowd_decided=" << stats.crowd_decided << " matches=" << stats.applied_matches
-            << " rounds=" << stats.rounds << " hits=" << stats.hits_posted
-            << " epochs=" << stats.epochs_published << " rebuilds=" << stats.index_rebuilds
-            << "\n";
-}
-
-// One command line; only QUIT returns false.
-bool HandleLine(serve::EntityResolutionService* service, const std::string& line) {
-  std::istringstream in(line);
-  std::string command;
-  in >> command;
-  if (command.empty()) return true;
-  if (command == "QUIT") return false;
-
-  if (command == "INSERT") {
-    std::string rest;
-    std::getline(in, rest);
-    if (!rest.empty() && rest[0] == ' ') rest.erase(0, 1);
-    const size_t bar1 = rest.find('|');
-    const size_t bar2 = bar1 == std::string::npos ? std::string::npos : rest.find('|', bar1 + 1);
-    if (bar2 == std::string::npos) {
-      std::cout << "error: INSERT wants source|entity|text\n";
-      return true;
-    }
-    const std::string_view fields(rest);
-    const Result<int> source = ParseNumber<int>(fields.substr(0, bar1), "INSERT source");
-    const Result<uint32_t> entity =
-        ParseNumber<uint32_t>(fields.substr(bar1 + 1, bar2 - bar1 - 1), "INSERT entity");
-    if (!source.ok() || !entity.ok()) {
-      std::cout << "error: " << (source.ok() ? entity.status() : source.status()).ToString()
-                << "\n";
-      return true;
-    }
-    auto outcome = service->Insert(rest.substr(bar2 + 1), *source, *entity);
-    if (!outcome.ok()) {
-      std::cout << "error: " << outcome.status().ToString() << "\n";
-    } else {
-      ReplyInsert(*outcome);
-    }
-    return true;
-  }
-
-  if (command == "QUERY") {
-    std::string field;
-    in >> field;
-    const Result<uint32_t> id = ParseNumber<uint32_t>(field, "QUERY id");
-    if (!id.ok()) {
-      std::cout << "error: " << id.status().ToString() << "\n";
-      return true;
-    }
-    auto view = service->Query(*id);
-    if (!view.ok()) {
-      std::cout << "error: " << view.status().ToString() << "\n";
-    } else {
-      ReplyQuery(*view);
-    }
-    return true;
-  }
-
-  if (command == "FLUSH") {
-    const Status status = service->Flush();
-    if (!status.ok()) {
-      std::cout << "error: " << status.ToString() << "\n";
-    } else {
-      std::cout << "flushed epoch=" << service->CurrentSnapshot()->epoch << "\n";
-    }
-    return true;
-  }
-
-  if (command == "STATS") {
-    ReplyStats(service->Stats());
-    return true;
-  }
-
-  if (command == "REPORT") {
-    std::string path;
-    in >> path;
-    if (path.empty()) {
-      std::cout << "error: REPORT wants a path\n";
-      return true;
-    }
-    Status status = service->Flush();
-    if (status.ok()) {
-      status = serve::WriteClusterReport(service->CurrentSnapshot()->Clusters(), path);
-    }
-    if (!status.ok()) {
-      std::cout << "error: " << status.ToString() << "\n";
-    } else {
-      std::cout << "wrote " << path << "\n";
-    }
-    return true;
-  }
-
-  std::cout << "error: unknown command '" << command << "'\n";
-  return true;
 }
 
 Status Serve(const Args& flags) {
@@ -214,7 +88,7 @@ Status Serve(const Args& flags) {
 
   std::string line;
   while (std::getline(std::cin, line)) {
-    if (!HandleLine(service.get(), line)) break;
+    if (!tools::HandleLine(service.get(), line, std::cout)) break;
   }
 
   CROWDER_ASSIGN_OR_RETURN(const serve::ServiceReport report, service->Finish());
