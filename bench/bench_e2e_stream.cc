@@ -132,7 +132,6 @@ int Main() {
             << WithThousands(dataset.table.num_records()) << " records)\n";
 
   core::WorkflowConfig config;
-  config.measure = similarity::SetMeasure::kJaccard;
   config.likelihood_threshold = threshold;
   config.num_threads = threads;
   config.hit_type =
@@ -176,11 +175,11 @@ int Main() {
   // The machine pass alone under the smallest budget: the spilled stream
   // must scan back exactly as MachinePass returns P.
   core::PairStream stream(kBudgets[0]);
-  const auto stream_stats = core::HybridWorkflow::MachinePassStream(
-                                dataset, config.measure, threshold, threads, &stream)
-                                .ValueOrDie();
+  const auto stream_stats =
+      core::HybridWorkflow::MachinePassStream(dataset, threshold, threads, &stream)
+          .ValueOrDie();
   const auto materialized =
-      core::HybridWorkflow::MachinePass(dataset, config.measure, threshold,
+      core::HybridWorkflow::MachinePass(dataset, similarity::SetMeasure::kJaccard, threshold,
                                         core::CandidateStrategy::kAllPairsJoin, threads)
           .ValueOrDie();
   const bool stream_identical = stream_stats.spilled_bytes > 0 &&

@@ -353,7 +353,6 @@ int Main() {
   product_config.scale_factor = scale;
   const data::Dataset dataset = data::GenerateProduct(product_config).ValueOrDie();
   core::WorkflowConfig config;
-  config.measure = similarity::SetMeasure::kJaccard;
   config.likelihood_threshold = threshold;
   config.hit_type = core::HitType::kClusterBased;
   config.aggregation = core::AggregationMethod::kDawidSkene;

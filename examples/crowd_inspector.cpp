@@ -30,8 +30,8 @@ int main() {
   // vote table and returns only the ranked list, so put the same two-tiered
   // HITs to the same simulated platform (model and seed) directly: every
   // HIT draws from its own seed, so these are the votes the workflow saw.
-  const auto pairs = core::HybridWorkflow::MachinePass(dataset, config.measure,
-                                                       config.likelihood_threshold)
+  const auto pairs = core::HybridWorkflow::MachinePass(
+                         dataset, similarity::SetMeasure::kJaccard, config.likelihood_threshold)
                          .ValueOrDie();
   std::vector<graph::Edge> edges;
   for (const auto& p : pairs) edges.push_back({p.a, p.b});

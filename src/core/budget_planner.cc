@@ -29,7 +29,6 @@ Result<BudgetPlan> PlanForBudget(const data::Dataset& dataset, double budget_dol
   CROWDER_RETURN_NOT_OK(dataset.Validate());
   const similarity::JoinInput input = internal::BuildJoinInput(dataset);
   similarity::JoinOptions join_options;
-  join_options.measure = base_config.measure;
   similarity::ParallelJoinOptions exec_options;
   exec_options.num_threads = base_config.num_threads;
 

@@ -118,8 +118,6 @@ struct StageTiming {
 /// byte-identity contract across budgets and partition capacities).
 struct PipelineStats {
   std::vector<StageTiming> stages;
-  /// Pairs that flowed through the candidate stream.
-  uint64_t streamed_pairs = 0;
   /// Bytes the candidate stream spilled to disk (0 when under budget).
   uint64_t spilled_bytes = 0;
   /// Crowd-boundary partitions the run was split into (pair partitions for

@@ -208,17 +208,16 @@ Status RunMachinePass(WorkflowState* state) {
     exec.worker_path = config.shard_worker_path;
     CROWDER_ASSIGN_OR_RETURN(
         stream_stats,
-        HybridWorkflow::MachinePassSharded(*state->dataset, config.measure,
+        HybridWorkflow::MachinePassSharded(*state->dataset, similarity::SetMeasure::kJaccard,
                                            config.likelihood_threshold, exec, &state->stream,
                                            &result.shard_stats));
   } else {
     CROWDER_ASSIGN_OR_RETURN(
         stream_stats,
-        HybridWorkflow::MachinePassStream(*state->dataset, config.measure,
-                                          config.likelihood_threshold, config.num_threads,
-                                          &state->stream, config.stream_block_records));
+        HybridWorkflow::MachinePassStream(*state->dataset, config.likelihood_threshold,
+                                          config.num_threads, &state->stream,
+                                          config.stream_block_records));
   }
-  result.pipeline_stats.streamed_pairs = stream_stats.num_pairs;
   result.pipeline_stats.spilled_bytes = stream_stats.spilled_bytes;
   result.num_candidate_pairs = stream_stats.num_pairs;
   result.machine_recall = static_cast<double>(stream_stats.candidate_matches) /

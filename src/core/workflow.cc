@@ -15,13 +15,12 @@ namespace crowder {
 namespace core {
 
 Result<std::vector<similarity::ScoredPair>> HybridWorkflow::MachinePass(
-    const data::Dataset& dataset, similarity::SetMeasure measure, double threshold,
-    CandidateStrategy /*strategy*/, uint32_t num_threads) {
+    const data::Dataset& dataset, similarity::SetMeasure, double threshold, CandidateStrategy,
+    uint32_t num_threads) {
   CROWDER_RETURN_NOT_OK(dataset.Validate());
   const similarity::JoinInput input = internal::BuildJoinInput(dataset);
 
   similarity::JoinOptions options;
-  options.measure = measure;
   options.threshold = threshold;
   // On one thread this is the serial AllPairsJoin; at any count its output
   // is byte-identical (property-tested).
@@ -31,14 +30,13 @@ Result<std::vector<similarity::ScoredPair>> HybridWorkflow::MachinePass(
 }
 
 Result<HybridWorkflow::MachineStreamStats> HybridWorkflow::MachinePassStream(
-    const data::Dataset& dataset, similarity::SetMeasure measure, double threshold,
-    uint32_t num_threads, PairStream* stream, uint32_t block_records) {
+    const data::Dataset& dataset, double threshold, uint32_t num_threads, PairStream* stream,
+    uint32_t block_records) {
   CROWDER_CHECK(stream != nullptr);
   CROWDER_RETURN_NOT_OK(dataset.Validate());
   similarity::JoinInput input = internal::BuildJoinInput(dataset);
 
   similarity::JoinOptions options;
-  options.measure = measure;
   options.threshold = threshold;
   similarity::ParallelJoinOptions exec_options;
   exec_options.num_threads = num_threads;
@@ -57,7 +55,7 @@ Result<HybridWorkflow::MachineStreamStats> HybridWorkflow::MachinePassStream(
 }
 
 Result<HybridWorkflow::MachineStreamStats> HybridWorkflow::MachinePassSharded(
-    const data::Dataset& dataset, similarity::SetMeasure measure, double threshold,
+    const data::Dataset& dataset, similarity::SetMeasure, double threshold,
     const shard::ShardExecOptions& exec, PairStream* stream,
     shard::ShardRunStats* shard_run_stats) {
   CROWDER_CHECK(stream != nullptr);
@@ -65,7 +63,6 @@ Result<HybridWorkflow::MachineStreamStats> HybridWorkflow::MachinePassSharded(
   similarity::JoinInput input = internal::BuildJoinInput(dataset);
 
   similarity::JoinOptions options;
-  options.measure = measure;
   options.threshold = threshold;
 
   // The coordinator hands over blocks that are internally (a, b)-sorted

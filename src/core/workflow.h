@@ -88,7 +88,7 @@ enum class ExecutionMode {
 
 struct WorkflowConfig {
   // ---- Machine pass. ----
-  similarity::SetMeasure measure = similarity::SetMeasure::kJaccard;
+  /// Jaccard threshold a candidate pair must reach.
   double likelihood_threshold = 0.3;
   /// Worker threads (0 = exec::HardwareConcurrency(), which honors
   /// CROWDER_THREADS; 1 = serial). Results are identical at any value — a
@@ -266,14 +266,17 @@ class HybridWorkflow {
   const WorkflowConfig& config() const { return config_; }
 
   /// The machine pass alone, materialized: tokenize every record (all
-  /// attributes), run the prefix-filtering join, and keep pairs at or above
-  /// `threshold`. Exposed for callers that need P itself, such as the
-  /// benches that sweep thresholds without crowdsourcing (Table 2, Figures
-  /// 10-11) and the budget planner. `num_threads` follows the
-  /// WorkflowConfig convention (0 = auto, 1 = serial); the returned pairs
-  /// are identical at any value.
+  /// attributes), run the prefix-filtering join, and keep pairs whose
+  /// Jaccard score is at or above `threshold`. Exposed for callers that
+  /// need P itself, such as the benches that sweep thresholds without
+  /// crowdsourcing (Table 2, Figures 10-11) and the budget planner.
+  /// `num_threads` follows the WorkflowConfig convention (0 = auto, 1 =
+  /// serial); the returned pairs are identical at any value. The
+  /// SetMeasure and CandidateStrategy arguments are ignored: each has one
+  /// value, and both remain only because the repository benchmark passes
+  /// them.
   static Result<std::vector<similarity::ScoredPair>> MachinePass(
-      const data::Dataset& dataset, similarity::SetMeasure measure, double threshold,
+      const data::Dataset& dataset, similarity::SetMeasure, double threshold,
       CandidateStrategy strategy = CandidateStrategy::kAllPairsJoin,
       uint32_t num_threads = 1);
 
@@ -296,7 +299,6 @@ class HybridWorkflow {
   /// single-process machine pass; also the backbone of
   /// `crowder_cli run --machine-only --streaming`.
   static Result<MachineStreamStats> MachinePassStream(const data::Dataset& dataset,
-                                                      similarity::SetMeasure measure,
                                                       double threshold, uint32_t num_threads,
                                                       PairStream* stream,
                                                       uint32_t block_records = 0);
@@ -309,9 +311,10 @@ class HybridWorkflow {
   /// the same dataset (the ownership lemma and merge-identity argument live
   /// in shard/plan.h, shard/coordinator.h and docs/ARCHITECTURE.md).
   /// `shard_run_stats` (optional) receives the per-shard wall/CPU/RSS and
-  /// coordinator timings.
+  /// coordinator timings. The SetMeasure argument is ignored, as in
+  /// MachinePass.
   static Result<MachineStreamStats> MachinePassSharded(const data::Dataset& dataset,
-                                                       similarity::SetMeasure measure,
+                                                       similarity::SetMeasure,
                                                        double threshold,
                                                        const shard::ShardExecOptions& exec,
                                                        PairStream* stream,

@@ -1,7 +1,6 @@
 #include "crowd/async_backend.h"
 
 #include <algorithm>
-#include <cmath>
 #include <unordered_map>
 
 namespace crowder {
@@ -65,7 +64,6 @@ Result<Ticket> AsyncCrowdBackend::Post(const HitBatch& batch) {
   // so a slow worker on an early HIT overtakes later HITs, which is exactly
   // the out-of-order shape real platforms produce.
   const bool cluster = batch.cluster_hits != nullptr && !batch.cluster_hits->empty();
-  const double familiarity = cluster ? model_.familiarity_cluster : model_.familiarity_pair;
   double visible = 0.0;
   if (cluster) {
     for (const auto& hit : *batch.cluster_hits) visible += static_cast<double>(hit.records.size());
@@ -73,10 +71,7 @@ Result<Ticket> AsyncCrowdBackend::Post(const HitBatch& batch) {
     for (const auto& hit : *batch.pair_hits) visible += static_cast<double>(hit.pairs.size());
   }
   if (!deliveries_.empty()) visible /= static_cast<double>(deliveries_.size());
-  double rate_per_min =
-      model_.base_arrival_per_minute * familiarity * std::exp(-visible / model_.effort_scale);
-  if (model_.qualification_test) rate_per_min *= model_.qualification_arrival_factor;
-  const double rate_per_sec = std::max(rate_per_min, 1e-3) / 60.0;
+  const double rate_per_sec = ArrivalRatePerSecond(model_, visible, cluster);
 
   Rng rng = DeriveRng(seed_ ^ kAsyncSalt, batch.first_hit);
   double pickup = 0.0;

@@ -1,7 +1,6 @@
 #include "crowd/backend.h"
 
 #include <algorithm>
-#include <cmath>
 #include <queue>
 #include <string>
 #include <utility>
@@ -62,13 +61,7 @@ double SimulateCompletion(const CrowdModel& model, Rng* rng,
                           const std::vector<AssignmentRecord>& assignments,
                           double visible_items, bool cluster_interface) {
   if (assignments.empty()) return 0.0;
-  const double familiarity =
-      cluster_interface ? model.familiarity_cluster : model.familiarity_pair;
-  double rate_per_min = model.base_arrival_per_minute * familiarity *
-                        std::exp(-visible_items / model.effort_scale);
-  if (model.qualification_test) rate_per_min *= model.qualification_arrival_factor;
-  rate_per_min = std::max(rate_per_min, 1e-3);
-  const double rate_per_sec = rate_per_min / 60.0;
+  const double rate_per_sec = ArrivalRatePerSecond(model, visible_items, cluster_interface);
 
   // Event simulation: workers arrive Poisson(rate); a free worker takes the
   // next assignment whose HIT they have not already done. Arrived workers

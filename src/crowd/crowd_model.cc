@@ -1,5 +1,7 @@
 #include "crowd/crowd_model.h"
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 
 namespace crowder {
@@ -38,6 +40,16 @@ Status ValidateCrowdModel(const CrowdModel& model) {
     return Status::InvalidArgument("colluder_rings must be >= 1 when colluder_fraction > 0");
   }
   return Status::OK();
+}
+
+double ArrivalRatePerSecond(const CrowdModel& model, double visible_items,
+                            bool cluster_interface) {
+  const double familiarity =
+      cluster_interface ? model.familiarity_cluster : model.familiarity_pair;
+  double rate_per_min = model.base_arrival_per_minute * familiarity *
+                        std::exp(-visible_items / model.effort_scale);
+  if (model.qualification_test) rate_per_min *= model.qualification_arrival_factor;
+  return std::max(rate_per_min, 1e-3) / 60.0;
 }
 
 }  // namespace crowd

@@ -111,6 +111,15 @@ struct CrowdModel {
 /// construction and from workflow-config validation.
 Status ValidateCrowdModel(const CrowdModel& model);
 
+/// \brief The Poisson worker-arrival rate, per second, of a batch whose HITs
+/// show `visible_items` items on average: the arrival model's rate
+/// (CrowdModel, Fig 14) for the cluster or pair interface, times
+/// qualification_arrival_factor when a test gates participation, floored at
+/// 1e-3 per minute. The completion simulation and the async delivery
+/// schedule both draw arrivals at this rate.
+double ArrivalRatePerSecond(const CrowdModel& model, double visible_items,
+                            bool cluster_interface);
+
 }  // namespace crowd
 }  // namespace crowder
 

@@ -1,6 +1,7 @@
 #include "exec/parallel.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace crowder {
 namespace exec {
@@ -90,8 +91,12 @@ void ParallelForChunks(ThreadPool* pool, size_t begin, size_t end, size_t chunk_
       return state->done_chunks.load(std::memory_order_acquire) == state->num_chunks;
     });
   }
-  // Deterministic selection: the lowest-indexed failing chunk wins.
-  for (std::exception_ptr& error : state->errors) {
+  // Deterministic selection: the lowest-indexed failing chunk wins. The
+  // errors leave the shared state first, so every exception is released on
+  // this thread, not by a helper that drops the last reference to the state
+  // while the caller still reads the rethrown exception.
+  const std::vector<std::exception_ptr> errors = std::move(state->errors);
+  for (const std::exception_ptr& error : errors) {
     if (error) std::rethrow_exception(error);
   }
 }

@@ -53,7 +53,7 @@ Result<std::vector<similarity::ScoredPair>> IncrementalIndex::Insert(similarity:
   }
 
   const similarity::internal::PrefixBounds bounds =
-      ComputePrefixBounds(options_.measure, options_.threshold, set.size());
+      ComputePrefixBounds(options_.threshold, set.size());
 
   // Probe: the new record's prefix under the current order against the
   // postings every earlier record indexed under the same order. By the
@@ -80,11 +80,10 @@ Result<std::vector<similarity::ScoredPair>> IncrementalIndex::Insert(similarity:
     if (other_set.size() < bounds.min_partner) continue;
     if (options_.cross_source_only && sources_[other] == source) continue;
     // Threshold-aware verify over the original token sets — bitwise the same
-    // accept set and scores as SetSimilarity >= threshold, with the early
-    // exit on pairs that cannot reach it (similarity/join_internal.h).
+    // accept set and scores as Jaccard >= threshold, with the early exit on
+    // pairs that cannot reach it (similarity/join_internal.h).
     double sim;
-    if (similarity::internal::VerifyPair(options_.measure, options_.threshold, other_set, set,
-                                         &sim)) {
+    if (similarity::internal::VerifyPair(options_.threshold, other_set, set, &sim)) {
       out.push_back({other, id, sim});
     }
   }
@@ -104,8 +103,7 @@ Result<std::vector<similarity::ScoredPair>> IncrementalIndex::Insert(similarity:
 
 void IncrementalIndex::IndexRecord(uint32_t id) {
   const similarity::TokenSpan set = this->set(id);
-  const size_t prefix_len =
-      ComputePrefixBounds(options_.measure, options_.threshold, set.size()).prefix_len;
+  const size_t prefix_len = ComputePrefixBounds(options_.threshold, set.size()).prefix_len;
   if (prefix_len == 0) return;
   std::vector<uint32_t> ranks;
   ranks.reserve(set.size());

@@ -15,7 +15,7 @@
 // qualifying pair exactly once, at the insert of the pair's later record.
 //
 // The token order is an internal degree of freedom: candidates are verified
-// with SetSimilarity over the ORIGINAL token sets, so the emitted pair set
+// with Jaccard over the ORIGINAL token sets, so the emitted pair set
 // and scores are bitwise independent of the ranking. The index exploits
 // that: it starts with token-id order (token sets are already sorted) and
 // periodically re-ranks rare-first by observed document frequency — the
@@ -40,11 +40,9 @@ namespace serve {
 
 /// \brief Construction knobs for IncrementalIndex.
 struct IncrementalIndexOptions {
-  /// Set-similarity measure of the machine pass.
-  similarity::SetMeasure measure = similarity::SetMeasure::kJaccard;
-  /// Candidate threshold; must be > 0 — the zero-threshold join degenerates
-  /// to all-pairs, which has no prefix structure to index (and no batch
-  /// fast path either).
+  /// Candidate (Jaccard) threshold; must be > 0 — the zero-threshold join
+  /// degenerates to all-pairs, which has no prefix structure to index (and
+  /// no batch fast path either).
   double threshold = 0.3;
   /// When true, only cross-source pairs are emitted (the Product two-source
   /// rule); Insert's `source` labels are compared. When false, sources are

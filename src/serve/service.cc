@@ -103,7 +103,6 @@ Result<std::unique_ptr<EntityResolutionService>> EntityResolutionService::Create
     const ServiceConfig& config) {
   CROWDER_ASSIGN_OR_RETURN(crowd::CrowdPlatform platform, BuildCrowdPlatform(config));
   IncrementalIndexOptions index_options;
-  index_options.measure = config.measure;
   index_options.threshold = config.threshold;
   index_options.cross_source_only = config.cross_source_only;
   CROWDER_ASSIGN_OR_RETURN(IncrementalIndex index, IncrementalIndex::Create(index_options));
@@ -329,7 +328,6 @@ Result<ServiceReport> BatchResolve(const data::Dataset& dataset, const ServiceCo
       dataset, core::CandidateStrategy::kAllPairsJoin, nullptr);
 
   similarity::JoinOptions join_options;
-  join_options.measure = config.measure;
   join_options.threshold = config.threshold;
   CROWDER_ASSIGN_OR_RETURN(std::vector<similarity::ScoredPair> pairs,
                            similarity::AllPairsJoin(input, join_options));

@@ -54,9 +54,7 @@ namespace serve {
 /// \brief Everything that parameterizes one service instance. The same
 /// struct drives BatchResolve so the two paths cannot diverge by config.
 struct ServiceConfig {
-  /// Set-similarity measure of the machine pass.
-  similarity::SetMeasure measure = similarity::SetMeasure::kJaccard;
-  /// Candidate threshold of the machine pass (must be in (0, 1]).
+  /// Candidate (Jaccard) threshold of the machine pass (must be in (0, 1]).
   double threshold = 0.3;
   /// Candidates at or above this likelihood are accepted without asking the
   /// crowd (1.01 = ask the crowd about everything, CrowdER's default deal).

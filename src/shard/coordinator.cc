@@ -33,7 +33,6 @@ Status ShipSpec(const similarity::JoinInput& input, const similarity::JoinOption
   JobSpec spec;
   spec.shard_index = s;
   spec.num_shards = plan.num_shards();
-  spec.measure = options.measure;
   spec.threshold = options.threshold;
   spec.has_sources = !input.sources.empty();
   spec.num_records = a.owned_end - a.replica_begin;

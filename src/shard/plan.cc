@@ -78,8 +78,7 @@ Result<ShardPlan> BuildShardPlan(const similarity::JoinInput& input,
     for (uint64_t p = a.owned_begin; p < a.owned_end; ++p) {
       const size_t size = input.sets[plan.by_size[p]].size();
       if (size == 0) continue;
-      const auto bounds =
-          similarity::internal::ComputePrefixBounds(options.measure, options.threshold, size);
+      const auto bounds = similarity::internal::ComputePrefixBounds(options.threshold, size);
       if (!any || bounds.min_partner < min_partner) min_partner = bounds.min_partner;
       any = true;
     }

@@ -106,7 +106,6 @@ Frame EncodeJobSpec(const JobSpec& spec) {
   PutU32(&frame.payload, kShardProtocolVersion);
   PutU32(&frame.payload, spec.shard_index);
   PutU32(&frame.payload, spec.num_shards);
-  PutU32(&frame.payload, static_cast<uint32_t>(spec.measure));
   PutF64(&frame.payload, spec.threshold);
   PutU8(&frame.payload, spec.has_sources ? 1 : 0);
   PutU64(&frame.payload, spec.num_records);
@@ -116,7 +115,7 @@ Frame EncodeJobSpec(const JobSpec& spec) {
 Result<JobSpec> DecodeJobSpec(const Frame& frame) {
   CROWDER_RETURN_NOT_OK(ExpectType(frame, FrameType::kJobSpec, "kJobSpec"));
   Cursor c(frame.payload);
-  uint32_t magic = 0, version = 0, measure = 0;
+  uint32_t magic = 0, version = 0;
   uint8_t has_sources = 0;
   JobSpec spec;
   CROWDER_RETURN_NOT_OK(c.ReadU32(&magic));
@@ -129,11 +128,6 @@ Result<JobSpec> DecodeJobSpec(const Frame& frame) {
   }
   CROWDER_RETURN_NOT_OK(c.ReadU32(&spec.shard_index));
   CROWDER_RETURN_NOT_OK(c.ReadU32(&spec.num_shards));
-  CROWDER_RETURN_NOT_OK(c.ReadU32(&measure));
-  if (measure > static_cast<uint32_t>(similarity::SetMeasure::kOverlapCoefficient)) {
-    return Status::IOError("shard spec has unknown set measure " + std::to_string(measure));
-  }
-  spec.measure = static_cast<similarity::SetMeasure>(measure);
   CROWDER_RETURN_NOT_OK(c.ReadF64(&spec.threshold));
   CROWDER_RETURN_NOT_OK(c.ReadU8(&has_sources));
   spec.has_sources = has_sources != 0;

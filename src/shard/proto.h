@@ -8,7 +8,7 @@
 //
 // A job flows in one direction per phase. Coordinator -> worker:
 //
-//   kJobSpec      magic, protocol version, shard index / count, measure,
+//   kJobSpec      magic, protocol version, shard index / count, Jaccard
 //                 threshold (IEEE-754 bits — the worker verifies with the
 //                 coordinator's exact double), source-label flag, record
 //                 count.
@@ -44,8 +44,10 @@ namespace shard {
 
 /// \brief Spec magic ("CRSH") — first field of every kJobSpec payload.
 inline constexpr uint32_t kShardMagic = 0x43525348u;
-/// \brief Protocol version; bumped on any wire-format change.
-inline constexpr uint32_t kShardProtocolVersion = 1;
+/// \brief Protocol version; bumped on any wire-format change. Version 2
+/// dropped version 1's set-measure field from kJobSpec (Jaccard is the only
+/// measure), so a version-1 peer fails by name instead of being misread.
+inline constexpr uint32_t kShardProtocolVersion = 2;
 /// \brief Upper bound on a frame payload — anything larger is treated as a
 /// corrupt stream by the transports.
 inline constexpr uint64_t kMaxFramePayload = uint64_t{1} << 34;
@@ -69,7 +71,7 @@ struct Frame {
 struct JobSpec {
   uint32_t shard_index = 0;
   uint32_t num_shards = 1;
-  similarity::SetMeasure measure = similarity::SetMeasure::kJaccard;
+  /// Jaccard threshold.
   double threshold = 0.0;
   /// Whether records carry source labels (cross-source joins).
   bool has_sources = false;
@@ -127,8 +129,8 @@ Frame EncodeWorkerDone(const WorkerStats& stats);
 Frame EncodeWorkerError(const WorkerError& error);
 
 // ---- Decoders (validate lengths; bound every count by the payload bytes
-// left before allocating; reject unknown measures and status codes, and
-// trailing bytes). ----
+// left before allocating; reject another protocol version, unknown status
+// codes, and trailing bytes). ----
 
 Result<JobSpec> DecodeJobSpec(const Frame& frame);
 Result<std::vector<RecordEntry>> DecodeRecordBatch(const Frame& frame);

@@ -82,7 +82,7 @@ Result<std::vector<Frame>> ShardWorkerJob::ExecuteOrError(size_t pairs_per_frame
     return Status::IOError("shard spec promised " + std::to_string(spec_.num_records) +
                            " records, received " + std::to_string(global_ids_.size()));
   }
-  const similarity::JoinOptions options{spec_.measure, spec_.threshold};
+  const similarity::JoinOptions options{spec_.threshold};
   if (options.threshold <= 0.0) {
     return Status::InvalidArgument("shard worker requires a positive threshold");
   }

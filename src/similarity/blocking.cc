@@ -58,11 +58,10 @@ Result<std::vector<ScoredPair>> VerifyCandidates(const JoinInput& input,
       return Status::OutOfRange("candidate pair references record beyond input");
     }
     // Threshold-aware verify over the original sorted sets: bitwise the same
-    // accept set and scores as SetSimilarity >= threshold, but free to abandon
+    // accept set and scores as Jaccard >= threshold, but free to abandon
     // pairs that cannot reach the threshold (internal::VerifyPair).
     double sim;
-    if (internal::VerifyPair(options.measure, options.threshold, input.sets[cand.a],
-                             input.sets[cand.b], &sim)) {
+    if (internal::VerifyPair(options.threshold, input.sets[cand.a], input.sets[cand.b], &sim)) {
       out.push_back({cand.a, cand.b, sim});
     }
   }

@@ -54,8 +54,8 @@ struct JoinPlan {
 /// \brief Builds the plan.
 JoinPlan BuildJoinPlan(const JoinInput& input);
 
-/// \brief The per-record probe bounds, a pure function of (measure,
-/// threshold, size); threshold must be > 0. Shared by the batch kernel, the
+/// \brief The per-record probe bounds, a pure function of (threshold,
+/// size); threshold must be > 0. Shared by the batch kernel, the
 /// shard planner's replica bands and the incremental index.
 ///
 /// The bounds are order-symmetric: the prefix-filtering lemma they encode
@@ -75,7 +75,7 @@ struct PrefixBounds {
 
 /// \brief Computes the bounds for one record of `size` tokens. See
 /// PrefixBounds for the contract.
-PrefixBounds ComputePrefixBounds(SetMeasure measure, double threshold, size_t size);
+PrefixBounds ComputePrefixBounds(double threshold, size_t size);
 
 /// \brief Shared admissibility rule: every pair qualifies in a self-join;
 /// with source labels, only cross-source pairs do. One definition for every
@@ -85,36 +85,32 @@ inline bool Admissible(const JoinInput& input, uint32_t a, uint32_t b) {
 }
 
 /// \brief The verify step for a caller that already holds the exact bound:
-/// `required` must equal RequiredOverlapExact(measure, a.size(), b.size(),
-/// threshold), which makes this call bitwise interchangeable with
-/// VerifyPair (below).
-inline bool VerifyPairRequired(SetMeasure measure, size_t required, TokenSpan a, TokenSpan b,
-                               double* sim) {
+/// `required` must equal RequiredOverlapExact(a.size(), b.size(), threshold),
+/// which makes this call bitwise interchangeable with VerifyPair (below).
+inline bool VerifyPairRequired(size_t required, TokenSpan a, TokenSpan b, double* sim) {
   const size_t overlap = OverlapSizeAtLeast(a, b, required);
   if (overlap < required) return false;
-  *sim = SimilarityFromOverlap(measure, a.size(), b.size(), overlap);
+  *sim = SimilarityFromOverlap(a.size(), b.size(), overlap);
   return true;
 }
 
-/// \brief The shared threshold-aware verify step: decides `sim(a, b) >=
+/// \brief The shared threshold-aware verify step: decides `Jaccard(a, b) >=
 /// threshold` and, when it holds, leaves the score in `*sim` — while
 /// allowing the intersection to exit early on unpromising pairs.
 ///
-/// Bitwise equal to "intersect fully, compute the measure, compare":
+/// Bitwise equal to "intersect fully, compute Jaccard, compare":
 ///  * RequiredOverlapExact makes `overlap >= required ⟺ sim >= threshold`
-///    exact in the measure's own double arithmetic, so the early exit can
-///    only fire on pairs the full computation would reject;
+///    exact in Jaccard's own double arithmetic, so the early exit can only
+///    fire on pairs the full computation would reject;
 ///  * when the pair qualifies, OverlapSizeAtLeast has returned the exact
-///    overlap, and SimilarityFromOverlap replays the measure's exact double
+///    overlap, and SimilarityFromOverlap replays Jaccard's exact double
 ///    operations on it.
 /// Spans may be the *ranked* arena lists rather than the original token
 /// sets: the rank map is a bijection, so the overlap is the same number,
-/// the sizes are the same, and every measure is a function of (sizes,
-/// overlap) only — the score is the original sets' score, bitwise.
-inline bool VerifyPair(SetMeasure measure, double threshold, TokenSpan a, TokenSpan b,
-                       double* sim) {
-  return VerifyPairRequired(measure, RequiredOverlapExact(measure, a.size(), b.size(), threshold),
-                            a, b, sim);
+/// the sizes are the same, and Jaccard is a function of (sizes, overlap)
+/// only — the score is the original sets' score, bitwise.
+inline bool VerifyPair(double threshold, TokenSpan a, TokenSpan b, double* sim) {
+  return VerifyPairRequired(RequiredOverlapExact(a.size(), b.size(), threshold), a, b, sim);
 }
 
 /// \brief The probe/index kernel of every size-ordered join, with the

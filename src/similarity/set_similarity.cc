@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.h"
 #include "similarity/overlap_simd.h"
 
 namespace crowder {
@@ -117,129 +116,39 @@ double Jaccard(TokenSpan a, TokenSpan b) {
   return uni == 0 ? 0.0 : static_cast<double>(inter) / static_cast<double>(uni);
 }
 
-double Dice(TokenSpan a, TokenSpan b) {
-  if (a.empty() && b.empty()) return 1.0;
-  const size_t inter = OverlapSize(a, b);
-  const size_t denom = a.size() + b.size();
-  return denom == 0 ? 0.0 : 2.0 * static_cast<double>(inter) / static_cast<double>(denom);
-}
-
-double CosineSet(TokenSpan a, TokenSpan b) {
-  if (a.empty() && b.empty()) return 1.0;
-  if (a.empty() || b.empty()) return 0.0;
-  const size_t inter = OverlapSize(a, b);
-  return static_cast<double>(inter) /
-         std::sqrt(static_cast<double>(a.size()) * static_cast<double>(b.size()));
-}
-
-double OverlapCoefficient(TokenSpan a, TokenSpan b) {
-  if (a.empty() && b.empty()) return 1.0;
-  if (a.empty() || b.empty()) return 0.0;
-  const size_t inter = OverlapSize(a, b);
-  return static_cast<double>(inter) / static_cast<double>(std::min(a.size(), b.size()));
-}
-
-double SetSimilarity(SetMeasure measure, TokenSpan a, TokenSpan b) {
-  switch (measure) {
-    case SetMeasure::kJaccard:
-      return Jaccard(a, b);
-    case SetMeasure::kDice:
-      return Dice(a, b);
-    case SetMeasure::kCosine:
-      return CosineSet(a, b);
-    case SetMeasure::kOverlapCoefficient:
-      return OverlapCoefficient(a, b);
-  }
-  CROWDER_CHECK(false) << "unknown measure";
-  return 0.0;
-}
-
-double SimilarityFromOverlap(SetMeasure measure, size_t size_a, size_t size_b, size_t overlap) {
-  // Each branch replays the corresponding measure function's double
-  // operations exactly (same guards, same order), so scoring from a known
-  // overlap is bitwise the measure's own result.
+double SimilarityFromOverlap(size_t size_a, size_t size_b, size_t overlap) {
+  // Replays Jaccard's double operations exactly (same guards, same order),
+  // so scoring from a known overlap is bitwise Jaccard's own result.
   if (size_a == 0 && size_b == 0) return 1.0;
-  switch (measure) {
-    case SetMeasure::kJaccard: {
-      const size_t uni = size_a + size_b - overlap;
-      return uni == 0 ? 0.0 : static_cast<double>(overlap) / static_cast<double>(uni);
-    }
-    case SetMeasure::kDice: {
-      const size_t denom = size_a + size_b;
-      return denom == 0 ? 0.0
-                        : 2.0 * static_cast<double>(overlap) / static_cast<double>(denom);
-    }
-    case SetMeasure::kCosine: {
-      if (size_a == 0 || size_b == 0) return 0.0;
-      return static_cast<double>(overlap) /
-             std::sqrt(static_cast<double>(size_a) * static_cast<double>(size_b));
-    }
-    case SetMeasure::kOverlapCoefficient: {
-      if (size_a == 0 || size_b == 0) return 0.0;
-      return static_cast<double>(overlap) / static_cast<double>(std::min(size_a, size_b));
-    }
-  }
-  CROWDER_CHECK(false) << "unknown measure";
-  return 0.0;
+  const size_t uni = size_a + size_b - overlap;
+  return uni == 0 ? 0.0 : static_cast<double>(overlap) / static_cast<double>(uni);
 }
 
-size_t MinCompatibleSize(SetMeasure measure, size_t size, double threshold) {
+size_t MinCompatibleSize(size_t size, double threshold) {
   if (threshold <= 0.0) return 0;
-  const double s = static_cast<double>(size);
-  double lower = 0.0;
-  switch (measure) {
-    case SetMeasure::kJaccard:
-      // |b| >= t * |a|
-      lower = threshold * s;
-      break;
-    case SetMeasure::kDice:
-      // 2|a∩b| >= t(|a|+|b|) and |a∩b| <= |b|  =>  |b| >= t|a| / (2-t)
-      lower = threshold * s / (2.0 - threshold);
-      break;
-    case SetMeasure::kCosine:
-      // |a∩b| <= |b| and |a∩b| >= t sqrt(|a||b|) => |b| >= t^2 |a|
-      lower = threshold * threshold * s;
-      break;
-    case SetMeasure::kOverlapCoefficient:
-      // overlap/min >= t always satisfiable for any |b| >= 1.
-      lower = 1.0;
-      break;
-  }
+  // |b| >= t * |a|
+  const double lower = threshold * static_cast<double>(size);
   return static_cast<size_t>(std::ceil(lower - 1e-9));
 }
 
-size_t MinRequiredOverlap(SetMeasure measure, size_t sa, size_t sb, double threshold) {
+size_t MinRequiredOverlap(size_t sa, size_t sb, double threshold) {
   const double a = static_cast<double>(sa);
   const double b = static_cast<double>(sb);
-  double need = 0.0;
-  switch (measure) {
-    case SetMeasure::kJaccard:
-      // o / (a + b - o) >= t  =>  o >= t(a+b) / (1+t)
-      need = threshold * (a + b) / (1.0 + threshold);
-      break;
-    case SetMeasure::kDice:
-      need = threshold * (a + b) / 2.0;
-      break;
-    case SetMeasure::kCosine:
-      need = threshold * std::sqrt(a * b);
-      break;
-    case SetMeasure::kOverlapCoefficient:
-      need = threshold * std::min(a, b);
-      break;
-  }
+  // o / (a + b - o) >= t  =>  o >= t(a+b) / (1+t)
+  const double need = threshold * (a + b) / (1.0 + threshold);
   return static_cast<size_t>(std::ceil(need - 1e-9));
 }
 
-size_t RequiredOverlapExact(SetMeasure measure, size_t sa, size_t sb, double threshold) {
+size_t RequiredOverlapExact(size_t sa, size_t sb, double threshold) {
   const size_t cap = std::min(sa, sb);
   // Closed-form start, then ±1 fixup against the actual double formula. The
-  // score is monotone non-decreasing in the overlap (each formula divides a
-  // non-decreasing numerator by a non-increasing positive denominator, and
-  // double division is monotone), so each loop runs at most a step or two —
-  // the closed form is off by at most rounding.
-  size_t o = std::min(cap, MinRequiredOverlap(measure, sa, sb, threshold));
-  while (o > 0 && SimilarityFromOverlap(measure, sa, sb, o - 1) >= threshold) --o;
-  while (o <= cap && SimilarityFromOverlap(measure, sa, sb, o) < threshold) ++o;
+  // score is monotone non-decreasing in the overlap (a non-decreasing
+  // numerator over a non-increasing positive denominator, and double
+  // division is monotone), so each loop runs at most a step or two — the
+  // closed form is off by at most rounding.
+  size_t o = std::min(cap, MinRequiredOverlap(sa, sb, threshold));
+  while (o > 0 && SimilarityFromOverlap(sa, sb, o - 1) >= threshold) --o;
+  while (o <= cap && SimilarityFromOverlap(sa, sb, o) < threshold) ++o;
   return o;  // cap + 1 when even a full overlap scores below the threshold
 }
 

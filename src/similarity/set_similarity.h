@@ -1,6 +1,7 @@
-// Set-overlap similarity measures over interned token sets. These are the
-// "machine-based technique" of CrowdER §2.1.1: Jaccard over record token sets
-// is the paper's likelihood function.
+// Jaccard similarity over interned token sets: the "machine-based
+// technique" of CrowdER §2.1.1 and the likelihood function of its machine
+// pass (§7.1). Jaccard is the one measure; the prefix-filter bounds below
+// are its bounds.
 //
 // Intersection kernels (the join's hot path) come in three shapes:
 //   * OverlapSizeLinear   — scalar merge, O(|a|+|b|); the reference every
@@ -99,48 +100,39 @@ size_t OverlapSizeAtLeast(TokenSpan a, TokenSpan b, size_t required);
 /// \brief Jaccard similarity |a∩b| / |a∪b|; 1.0 when both sets are empty.
 double Jaccard(TokenSpan a, TokenSpan b);
 
-/// \brief Dice coefficient 2|a∩b| / (|a|+|b|); 1.0 when both empty.
-double Dice(TokenSpan a, TokenSpan b);
+/// \brief The machine pass's set measure. Jaccard is the only one; the enum
+/// remains because HybridWorkflow::MachinePass and MachinePassSharded still
+/// take it (the repository benchmark names it), and goes at the benchmark's
+/// next change.
+enum class SetMeasure { kJaccard };
 
-/// \brief Set cosine |a∩b| / sqrt(|a||b|); 1.0 when both empty.
-double CosineSet(TokenSpan a, TokenSpan b);
-
-/// \brief Overlap coefficient |a∩b| / min(|a|,|b|); 1.0 when both empty.
-double OverlapCoefficient(TokenSpan a, TokenSpan b);
-
-/// \brief Which set measure a join should use.
-enum class SetMeasure { kJaccard, kDice, kCosine, kOverlapCoefficient };
-
-/// \brief Dispatches on the measure enum.
-double SetSimilarity(SetMeasure measure, TokenSpan a, TokenSpan b);
-
-/// \brief The similarity score as a function of the set sizes and the exact
-/// overlap — bitwise the value the measure functions above compute (same
-/// double operations in the same order), so a caller that already knows
-/// |a ∩ b| (e.g. from OverlapSizeAtLeast) can score without re-intersecting.
-double SimilarityFromOverlap(SetMeasure measure, size_t size_a, size_t size_b, size_t overlap);
+/// \brief The Jaccard score as a function of the set sizes and the exact
+/// overlap — bitwise the value Jaccard computes (same double operations in
+/// the same order), so a caller that already knows |a ∩ b| (e.g. from
+/// OverlapSizeAtLeast) can score without re-intersecting.
+double SimilarityFromOverlap(size_t size_a, size_t size_b, size_t overlap);
 
 /// \brief For prefix filtering: the minimum size |b| may have so that
-/// sim(a, b) >= threshold can still hold, given |a| = size.
-size_t MinCompatibleSize(SetMeasure measure, size_t size, double threshold);
+/// Jaccard(a, b) >= threshold can still hold, given |a| = size.
+size_t MinCompatibleSize(size_t size, double threshold);
 
 /// \brief For prefix filtering: minimum required overlap between sets of
-/// sizes `sa` and `sb` for sim >= threshold. Closed-form; a sound lower
+/// sizes `sa` and `sb` for Jaccard >= threshold. Closed-form; a sound lower
 /// bound, but not guaranteed tight against the double arithmetic of the
 /// score itself — use RequiredOverlapExact when exactness matters.
-size_t MinRequiredOverlap(SetMeasure measure, size_t sa, size_t sb, double threshold);
+size_t MinRequiredOverlap(size_t sa, size_t sb, double threshold);
 
 /// \brief The exact integer threshold on the overlap: the minimal o such
-/// that SimilarityFromOverlap(measure, sa, sb, o) >= threshold, or
-/// min(sa, sb) + 1 when no achievable overlap reaches the threshold. Starts
-/// from the closed-form MinRequiredOverlap and fixes it up (±1 steps)
-/// against the actual double formula — the score is monotone in the
-/// overlap, so the minimal qualifying o is well-defined and
-///   overlap >= RequiredOverlapExact(...)  ⟺  sim(overlap) >= threshold
+/// that SimilarityFromOverlap(sa, sb, o) >= threshold, or min(sa, sb) + 1
+/// when no achievable overlap reaches the threshold. Starts from the
+/// closed-form MinRequiredOverlap and fixes it up (±1 steps) against the
+/// actual double formula — the score is monotone in the overlap, so the
+/// minimal qualifying o is well-defined and
+///   overlap >= RequiredOverlapExact(...)  ⟺  Jaccard(overlap) >= threshold
 /// holds EXACTLY, in the join's own floating-point arithmetic. This is what
 /// lets the verify step cut intersections short (OverlapSizeAtLeast) while
 /// emitting bitwise the same pair set as a full intersect-then-compare.
-size_t RequiredOverlapExact(SetMeasure measure, size_t sa, size_t sb, double threshold);
+size_t RequiredOverlapExact(size_t sa, size_t sb, double threshold);
 
 }  // namespace similarity
 }  // namespace crowder

@@ -48,12 +48,12 @@ Result<std::vector<ScoredPair>> NaiveJoin(const JoinInput& input, const JoinOpti
   for (uint32_t i = 0; i < n; ++i) {
     for (uint32_t j = i + 1; j < n; ++j) {
       if (!Admissible(input, i, j)) continue;
-      // Two empty sets score 1.0 under every measure, but an empty record
+      // Two empty sets score 1.0 under Jaccard, but an empty record
       // carries no matching evidence: at a positive threshold such pairs are
       // not emitted (AllPairsJoin and blocking agree on this contract).
       if (options.threshold > 0.0 && input.sets[i].empty() && input.sets[j].empty()) continue;
       ++verifications;
-      const double sim = SetSimilarity(options.measure, input.sets[i], input.sets[j]);
+      const double sim = Jaccard(input.sets[i], input.sets[j]);
       if (sim >= options.threshold) out.push_back({i, j, sim});
     }
   }
@@ -64,7 +64,7 @@ Result<std::vector<ScoredPair>> NaiveJoin(const JoinInput& input, const JoinOpti
 
 namespace internal {
 
-PrefixBounds ComputePrefixBounds(SetMeasure measure, double threshold, size_t size) {
+PrefixBounds ComputePrefixBounds(double threshold, size_t size) {
   PrefixBounds bounds;
   if (size == 0) return bounds;  // empty records never pair at threshold > 0
   // Overlap lower bound against the *worst-case* admissible partner: any y
@@ -73,9 +73,9 @@ PrefixBounds ComputePrefixBounds(SetMeasure measure, double threshold, size_t si
   // valid bound for all partners. A pair meeting the bound must share a token
   // within the first size - alpha + 1 tokens of each side (prefix-filtering
   // lemma).
-  bounds.min_partner = std::max<size_t>(1, MinCompatibleSize(measure, size, threshold));
+  bounds.min_partner = std::max<size_t>(1, MinCompatibleSize(size, threshold));
   const size_t alpha =
-      std::max<size_t>(1, MinRequiredOverlap(measure, size, bounds.min_partner, threshold));
+      std::max<size_t>(1, MinRequiredOverlap(size, bounds.min_partner, threshold));
   bounds.prefix_len = std::min(size, size >= alpha ? size - alpha + 1 : size);
   return bounds;
 }
@@ -137,9 +137,9 @@ constexpr uint32_t kDropped = std::numeric_limits<uint32_t>::max();
 
 // Tokens a record of `size` tokens indexes: enough for every partner that
 // is no smaller than the record itself (see PrefixIndex).
-size_t IndexPrefixLength(SetMeasure measure, double threshold, size_t size) {
+size_t IndexPrefixLength(double threshold, size_t size) {
   if (size == 0) return 0;
-  return size - std::min(size, RequiredOverlapExact(measure, size, size, threshold)) + 1;
+  return size - std::min(size, RequiredOverlapExact(size, size, threshold)) + 1;
 }
 
 }  // namespace
@@ -156,7 +156,7 @@ PrefixIndex::PrefixIndex(const JoinInput& input, const JoinOptions& options,
     for (size_t p = 0; p < n; ++p) {
       if (plan.size_at(p) != size) {
         size = plan.size_at(p);
-        len = IndexPrefixLength(options.measure, options.threshold, size);
+        len = IndexPrefixLength(options.threshold, size);
       }
       const TokenSpan tokens = plan.ranked_at(p);
       for (size_t k = 0; k < len; ++k) visit(tokens[k], p, k);
@@ -179,7 +179,6 @@ PrefixIndex::PrefixIndex(const JoinInput& input, const JoinOptions& options,
 
 void PrefixIndex::Probe(size_t begin, size_t end, std::vector<ScoredPair>* out,
                         JoinStats* stats) const {
-  const SetMeasure measure = options_.measure;
   const double t = options_.threshold;
   // Per-thread scratch, reused across calls (and joins) instead of being
   // reallocated and zeroed per call — with small chunks on large inputs
@@ -207,10 +206,10 @@ void PrefixIndex::Probe(size_t begin, size_t end, std::vector<ScoredPair>* out,
       // Sizes only grow along the positions, and so do the partner bounds:
       // lo moves forward by binary search over [lo, p).
       size = x.size();
-      bounds = ComputePrefixBounds(measure, t, size);
+      bounds = ComputePrefixBounds(t, size);
       required.resize(size + 1);
       for (size_t s = bounds.min_partner; s <= size; ++s) {
-        required[s] = RequiredOverlapExact(measure, size, s, t);
+        required[s] = RequiredOverlapExact(size, s, t);
       }
       size_t hi = p;
       while (lo < hi) {
@@ -263,7 +262,7 @@ void PrefixIndex::Probe(size_t begin, size_t end, std::vector<ScoredPair>* out,
       // sets — same overlap, same sizes, bitwise the same score (see
       // VerifyPair), but cache-dense and free to exit early.
       const TokenSpan y = plan_.ranked_at(q);
-      if (VerifyPairRequired(measure, required[y.size()], x, y, &sim)) {
+      if (VerifyPairRequired(required[y.size()], x, y, &sim)) {
         const uint32_t other = plan_.by_size[q];
         out->push_back({std::min(rec, other), std::max(rec, other), sim});
       }

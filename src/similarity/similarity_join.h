@@ -41,7 +41,7 @@ struct JoinInput {
 
 /// \brief Join configuration.
 struct JoinOptions {
-  SetMeasure measure = SetMeasure::kJaccard;
+  /// Jaccard threshold a pair must reach.
   double threshold = 0.3;
 };
 
@@ -75,7 +75,7 @@ struct JoinStats {
 /// O(n^2) — used for small inputs, tests, and the ablation baseline.
 /// Contract shared with AllPairsJoin: at a positive threshold a pair of two
 /// empty token sets is never emitted (no matching evidence), even though
-/// every measure scores it 1.0.
+/// Jaccard scores it 1.0.
 Result<std::vector<ScoredPair>> NaiveJoin(const JoinInput& input, const JoinOptions& options,
                                           JoinStats* stats = nullptr);
 

@@ -5,9 +5,9 @@
 // pair sets over arbitrary inputs.
 //
 //   * NaiveJoin ≡ AllPairsJoin — always (same pairs, same scores).
-//   * NaiveJoin ≡ TokenBlocking(max_block_size=0) + VerifyCandidates — for
-//     every overlap measure at a positive threshold, since any qualifying
-//     pair shares at least one token and therefore co-occurs in a block.
+//   * NaiveJoin ≡ TokenBlocking(max_block_size=0) + VerifyCandidates — at a
+//     positive threshold, since any qualifying pair shares at least one
+//     token and therefore co-occurs in a block.
 //   * NaiveJoin ≡ ParallelAllPairsJoin ≡ BlockedAllPairsJoin — at every
 //     thread count, chunk size, and block size (the parallel dimension of
 //     the sweep rotates through {1, 2, 4, 7} threads and tiny-to-large
@@ -16,7 +16,7 @@
 // Unlike the curated cases in similarity_join_test.cc, every dimension here
 // is drawn at random from a master seed: input size, vocabulary size, token
 // distribution, record length (including empty sets), self- vs cross-source
-// joins, all four set measures, and thresholds across [0, 1]. A second
+// joins, and Jaccard thresholds across [0, 1]. A second
 // sweep draws the shapes the prefix filters are most sensitive to: records
 // of up to ~320 tokens (prefix and posting offsets past 255), one record
 // far larger than all the others, and three or more source labels including
@@ -58,22 +58,18 @@ struct RandomCase {
   /// Tokens beyond the vocabulary carried by one outlier record, which also
   /// holds the whole vocabulary (0 = no outlier).
   size_t outlier_extra = 0;
-  SetMeasure measure = SetMeasure::kJaccard;
   double threshold = 0.0;
 
   std::string Describe() const {
     std::ostringstream os;
     os << "seed=" << seed << " n=" << n << " vocab=" << vocab << " max_len=" << max_len
        << " empty=" << allow_empty_sets << " labels=" << num_labels
-       << " outlier_extra=" << outlier_extra << " measure=" << static_cast<int>(measure)
-       << " threshold=" << threshold;
+       << " outlier_extra=" << outlier_extra << " threshold=" << threshold;
     return os.str();
   }
 };
 
 RandomCase DrawCase(Rng* rng) {
-  static const SetMeasure kMeasures[] = {SetMeasure::kJaccard, SetMeasure::kDice,
-                                         SetMeasure::kCosine, SetMeasure::kOverlapCoefficient};
   static const double kThresholds[] = {0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8,
                                        0.9, 0.95, 1.0};
   RandomCase c;
@@ -83,7 +79,6 @@ RandomCase DrawCase(Rng* rng) {
   c.max_len = 1 + rng->Uniform(12);
   c.allow_empty_sets = rng->Uniform(4) == 0;
   c.num_labels = rng->Uniform(2) == 0 ? 2 : 0;
-  c.measure = kMeasures[rng->Uniform(4)];
   c.threshold = kThresholds[rng->Uniform(sizeof(kThresholds) / sizeof(kThresholds[0]))];
   return c;
 }
@@ -153,8 +148,8 @@ void ExpectSamePairs(const std::vector<ScoredPair>& expected,
   }
 }
 
-// Blocking + verification with all blocks kept: exact for overlap measures
-// at a positive threshold.
+// Blocking + verification with all blocks kept: exact at a positive
+// threshold.
 Result<std::vector<ScoredPair>> BlockingVerify(const JoinInput& input,
                                                const JoinOptions& options) {
   BlockingOptions blocking;
@@ -190,7 +185,6 @@ bool CheckCase(const RandomCase& c, int i) {
   const std::string context = "case " + std::to_string(i) + ": " + c.Describe();
   const JoinInput input = GenerateInput(c);
   JoinOptions options;
-  options.measure = c.measure;
   options.threshold = c.threshold;
 
   JoinStats serial_stats;
@@ -263,7 +257,7 @@ TEST(JoinEquivalenceProperty, WideShapesSweep) {
     if (HasFailure()) return;
     if (c.max_len < 256 || c.threshold <= 0.0) continue;
     const JoinInput input = GenerateInput(c);
-    const auto pairs = AllPairsJoin(input, {c.measure, c.threshold});
+    const auto pairs = AllPairsJoin(input, {c.threshold});
     ASSERT_TRUE(pairs.ok());
     for (const ScoredPair& p : *pairs) {
       if (input.sets[p.a].size() > 255 && input.sets[p.b].size() > 255) ++long_pairs;
@@ -285,7 +279,6 @@ TEST(JoinEquivalenceProperty, CountersAgreeAcrossThreadsChunksAndBlocks) {
     c.threshold = 0.3;
     const JoinInput input = GenerateInput(c);
     JoinOptions options;
-    options.measure = c.measure;
     options.threshold = c.threshold;
     JoinStats serial;
     const auto pairs = AllPairsJoin(input, options, &serial);
@@ -324,7 +317,6 @@ TEST(JoinEquivalenceProperty, PositionalFilterPrunesCraftedCandidate) {
   JoinInput input;
   input.sets = {{0, 3, 5, 6}, {1, 2, 3, 4}, {0, 1, 2, 4, 5, 6}};
   JoinOptions options;
-  options.measure = SetMeasure::kJaccard;
   options.threshold = 0.5;
   JoinStats serial;
   const auto pairs = AllPairsJoin(input, options, &serial);
@@ -349,22 +341,20 @@ TEST(JoinEquivalenceProperty, PositionalFilterPrunesCraftedCandidate) {
 
 TEST(JoinEquivalenceProperty, EmptySetsNeverPairAtPositiveThreshold) {
   // Regression for the bug this sweep caught: empty sets score 1.0 under
-  // every measure, but must never be emitted at a positive threshold —
-  // including by the parallel and blocked joins at several thread counts.
+  // Jaccard, but must never be emitted at a positive threshold — including
+  // by the parallel and blocked joins at several thread counts.
   JoinInput input;
   input.sets = {{}, {}, {}, {0, 1}};
-  for (SetMeasure measure : {SetMeasure::kJaccard, SetMeasure::kDice, SetMeasure::kCosine,
-                             SetMeasure::kOverlapCoefficient}) {
+  for (double threshold : {0.25, 0.5, 0.75, 1.0}) {
     JoinOptions options;
-    options.measure = measure;
-    options.threshold = 0.25;
+    options.threshold = threshold;
     auto naive = NaiveJoin(input, options);
     auto all_pairs = AllPairsJoin(input, options);
     auto blocked = BlockingVerify(input, options);
     ASSERT_TRUE(naive.ok() && all_pairs.ok() && blocked.ok());
-    EXPECT_TRUE(naive->empty()) << "measure " << static_cast<int>(measure);
-    EXPECT_TRUE(all_pairs->empty()) << "measure " << static_cast<int>(measure);
-    EXPECT_TRUE(blocked->empty()) << "measure " << static_cast<int>(measure);
+    EXPECT_TRUE(naive->empty()) << "threshold " << threshold;
+    EXPECT_TRUE(all_pairs->empty()) << "threshold " << threshold;
+    EXPECT_TRUE(blocked->empty()) << "threshold " << threshold;
     for (uint32_t threads : {1u, 2u, 4u, 7u}) {
       ParallelJoinOptions exec_options;
       exec_options.num_threads = threads;
@@ -373,10 +363,8 @@ TEST(JoinEquivalenceProperty, EmptySetsNeverPairAtPositiveThreshold) {
       auto parallel = ParallelAllPairsJoin(input, options, exec_options);
       auto blocked_join = BlockedAllPairsJoin(input, options, exec_options);
       ASSERT_TRUE(parallel.ok() && blocked_join.ok());
-      EXPECT_TRUE(parallel->empty())
-          << "measure " << static_cast<int>(measure) << " threads " << threads;
-      EXPECT_TRUE(blocked_join->empty())
-          << "measure " << static_cast<int>(measure) << " threads " << threads;
+      EXPECT_TRUE(parallel->empty()) << "threshold " << threshold << " threads " << threads;
+      EXPECT_TRUE(blocked_join->empty()) << "threshold " << threshold << " threads " << threads;
     }
   }
 }
@@ -393,7 +381,6 @@ TEST(JoinEquivalenceProperty, ParallelJoinsAreByteIdenticalToSerial) {
     c.threshold = 0.3;
     const JoinInput input = GenerateInput(c);
     JoinOptions options;
-    options.measure = c.measure;
     options.threshold = c.threshold;
     const auto serial = AllPairsJoin(input, options);
     ASSERT_TRUE(serial.ok());
@@ -431,7 +418,6 @@ TEST(JoinEquivalenceProperty, BlockedStreamEmitsDisjointBlocksCoveringTheJoin) {
   c.threshold = 0.2;
   const JoinInput input = GenerateInput(c);
   JoinOptions options;
-  options.measure = c.measure;
   options.threshold = c.threshold;
   const auto serial = AllPairsJoin(input, options);
   ASSERT_TRUE(serial.ok());
@@ -496,7 +482,6 @@ TEST(JoinEquivalenceProperty, ZeroThresholdStillEquivalentAcrossJoins) {
     const std::string context = c.Describe();
     const JoinInput input = GenerateInput(c);
     JoinOptions options;
-    options.measure = c.measure;
     options.threshold = 0.0;
     auto naive = NaiveJoin(input, options);
     auto all_pairs = AllPairsJoin(input, options);

@@ -50,8 +50,8 @@ TEST_P(EndToEndProperties, PipelineInvariantsHold) {
   }
   ASSERT_TRUE(driver.SubmitCrowdStats(backend->Finish().ValueOrDie()).ok());
   const core::WorkflowResult result = driver.TakeResult().ValueOrDie();
-  const auto pairs = core::HybridWorkflow::MachinePass(dataset, config.measure,
-                                                       config.likelihood_threshold)
+  const auto pairs = core::HybridWorkflow::MachinePass(
+                         dataset, similarity::SetMeasure::kJaccard, config.likelihood_threshold)
                          .ValueOrDie();
   ASSERT_EQ(pairs.size(), result.num_candidate_pairs);
 

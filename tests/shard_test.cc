@@ -6,12 +6,13 @@
 //     owned by exactly one shard, and that shard holds the pair's earlier
 //     endpoint in its replica or owned band.
 //   * Merge identity — RunShardedJoin through the in-process transport fed
-//     into a core::PairStream produces, at shards {1, 2, 4, 7} across all
-//     four measures and a positive-threshold grid, a sorted pair list
+//     into a core::PairStream produces, at shards {1, 2, 4, 7} across a
+//     positive Jaccard-threshold grid, a sorted pair list
 //     bitwise identical to single-process AllPairsJoin (same pairs, same
 //     IEEE-754 score bits).
 //   * Protocol — encode/decode round trips for every frame type; corrupt
-//     frames (truncated, trailing bytes, bad magic/version) are rejected.
+//     frames (truncated, trailing bytes, bad magic/version, a stale
+//     protocol-1 spec) are rejected.
 //   * Failure paths — a worker that reports an error, a transport that dies
 //     mid-stream, and a subprocess worker that exits without results all
 //     surface as a clean Status naming the shard, with no hang and no
@@ -60,7 +61,6 @@ struct RandomCase {
   size_t max_len = 0;
   bool allow_empty_sets = false;
   bool two_sources = false;
-  SetMeasure measure = SetMeasure::kJaccard;
   double threshold = 0.3;
 
   std::string Describe() const {
@@ -68,14 +68,11 @@ struct RandomCase {
            " vocab=" + std::to_string(vocab) + " max_len=" + std::to_string(max_len) +
            " empty=" + std::to_string(allow_empty_sets) +
            " two_sources=" + std::to_string(two_sources) +
-           " measure=" + std::to_string(static_cast<int>(measure)) +
            " threshold=" + std::to_string(threshold);
   }
 };
 
 RandomCase DrawCase(Rng* rng) {
-  static const SetMeasure kMeasures[] = {SetMeasure::kJaccard, SetMeasure::kDice,
-                                         SetMeasure::kCosine, SetMeasure::kOverlapCoefficient};
   // Positive thresholds only: the sharded runtime refuses threshold <= 0 by
   // contract (prefix filtering degenerates there).
   static const double kThresholds[] = {0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9, 1.0};
@@ -86,7 +83,6 @@ RandomCase DrawCase(Rng* rng) {
   c.max_len = 1 + rng->Uniform(12);
   c.allow_empty_sets = rng->Uniform(4) == 0;
   c.two_sources = rng->Uniform(2) == 0;
-  c.measure = kMeasures[rng->Uniform(4)];
   c.threshold = kThresholds[rng->Uniform(sizeof(kThresholds) / sizeof(kThresholds[0]))];
   return c;
 }
@@ -110,7 +106,6 @@ JoinInput GenerateInput(const RandomCase& c) {
 
 JoinOptions OptionsOf(const RandomCase& c) {
   JoinOptions options;
-  options.measure = c.measure;
   options.threshold = c.threshold;
   return options;
 }
@@ -288,7 +283,6 @@ TEST(ShardProto, RoundTripsEveryFrameType) {
   JobSpec spec;
   spec.shard_index = 3;
   spec.num_shards = 7;
-  spec.measure = SetMeasure::kCosine;
   spec.threshold = 0.37;
   spec.has_sources = true;
   spec.num_records = (uint64_t{1} << 33) + 5;  // 64-bit field, past 2^32
@@ -296,7 +290,6 @@ TEST(ShardProto, RoundTripsEveryFrameType) {
   ASSERT_TRUE(spec2.ok());
   EXPECT_EQ(spec2->shard_index, spec.shard_index);
   EXPECT_EQ(spec2->num_shards, spec.num_shards);
-  EXPECT_EQ(spec2->measure, spec.measure);
   EXPECT_EQ(spec2->threshold, spec.threshold);  // bitwise
   EXPECT_EQ(spec2->has_sources, spec.has_sources);
   EXPECT_EQ(spec2->num_records, spec.num_records);
@@ -351,6 +344,18 @@ TEST(ShardProto, RoundTripsEveryFrameType) {
   EXPECT_EQ(error2->message, error.message);
 }
 
+// Little-endian payload builders for hand-made hostile frames.
+void AppendLe(std::vector<uint8_t>* out, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+}
+
+Frame RawFrame(FrameType type, std::vector<uint8_t> payload) {
+  Frame frame;
+  frame.type = type;
+  frame.payload = std::move(payload);
+  return frame;
+}
+
 TEST(ShardProto, RejectsCorruptFrames) {
   JobSpec spec;
   spec.threshold = 0.5;
@@ -372,6 +377,26 @@ TEST(ShardProto, RejectsCorruptFrames) {
   bad_version.payload[4] ^= 0xFF;
   EXPECT_FALSE(DecodeJobSpec(bad_version).ok());
 
+  // A spec in the protocol-1 layout, which carried a u32 set measure after
+  // the shard count, from a stale peer: refused by version, naming both.
+  const double threshold = 0.5;
+  uint64_t threshold_bits = 0;
+  std::memcpy(&threshold_bits, &threshold, sizeof(threshold));
+  std::vector<uint8_t> v1;
+  AppendLe(&v1, kShardMagic, 4);
+  AppendLe(&v1, 1, 4);  // protocol version
+  AppendLe(&v1, 0, 4);  // shard index
+  AppendLe(&v1, 1, 4);  // shard count
+  AppendLe(&v1, 0, 4);  // set measure
+  AppendLe(&v1, threshold_bits, 8);
+  AppendLe(&v1, 0, 1);  // source-label flag
+  AppendLe(&v1, 2, 8);  // record count
+  const Status stale = DecodeJobSpec(RawFrame(FrameType::kJobSpec, v1)).status();
+  EXPECT_TRUE(stale.IsIOError()) << stale.ToString();
+  EXPECT_NE(stale.message().find("peer speaks 1"), std::string::npos) << stale.ToString();
+  EXPECT_NE(stale.message().find("this binary speaks 2"), std::string::npos)
+      << stale.ToString();
+
   // A record batch whose declared count overruns the payload.
   std::vector<RecordEntry> entries(1);
   entries[0].tokens = similarity::MakeTokenSet({1, 2, 3});
@@ -382,18 +407,6 @@ TEST(ShardProto, RejectsCorruptFrames) {
   Frame empty_pairs;
   empty_pairs.type = FrameType::kPairBatch;
   EXPECT_FALSE(DecodePairBatch(empty_pairs).ok());
-}
-
-// Little-endian payload builders for hand-made hostile frames.
-void AppendLe(std::vector<uint8_t>* out, uint64_t v, int bytes) {
-  for (int i = 0; i < bytes; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-Frame RawFrame(FrameType type, std::vector<uint8_t> payload) {
-  Frame frame;
-  frame.type = type;
-  frame.payload = std::move(payload);
-  return frame;
 }
 
 TEST(ShardProto, HostileCountsFailBeforeAllocating) {
@@ -418,16 +431,7 @@ TEST(ShardProto, HostileCountsFailBeforeAllocating) {
   pairs.resize(pairs.size() + 16, 0);
   EXPECT_TRUE(DecodePairBatch(RawFrame(FrameType::kPairBatch, pairs)).status().IsIOError());
 
-  // Unknown measures in a spec, and unknown status codes in a worker error.
-  JobSpec spec;
-  spec.threshold = 0.5;
-  for (uint32_t measure : {4u, 0xffffffffu}) {
-    Frame bad_measure = EncodeJobSpec(spec);
-    for (int i = 0; i < 4; ++i) {
-      bad_measure.payload[16 + i] = static_cast<uint8_t>(measure >> (8 * i));  // after 4 u32s
-    }
-    EXPECT_TRUE(DecodeJobSpec(bad_measure).status().IsIOError()) << measure;
-  }
+  // Unknown status codes in a worker error.
   for (uint32_t code : {0u, 11u, 0xffffffffu}) {
     std::vector<uint8_t> error;
     AppendLe(&error, code, 4);
@@ -502,7 +506,7 @@ TEST(ShardTransport, HugeDeclaredPayloadFailsWithoutAllocatingIt) {
          "above 128: killed by a signal";
 }
 
-// The job stream of the hostile-token case (135 bytes on the wire): two
+// The job stream of the hostile-token case (131 bytes on the wire): two
 // owned records whose token sets are {1, 2^32 - 1}, at threshold 0.5.
 std::vector<Frame> HugeTokenIdJob() {
   JobSpec spec;
@@ -817,9 +821,16 @@ RecordedStream Serialize(const std::vector<Frame>& frames) {
     const size_t at = out.bytes.size();
     out.bytes.insert(out.bytes.end(), frame.payload.begin(), frame.payload.end());
     switch (frame.type) {
-      case FrameType::kJobSpec:
-        out.fields.push_back({at + 29, 8});  // record count, after 5 u32s, a f64, a u8
+      case FrameType::kJobSpec: {
+        // The record count is the spec's trailing u64; checked against the
+        // decoder so a layout change cannot leave the offset stale.
+        const size_t count_at = frame.payload.size() - 8;
+        uint64_t count = 0;
+        for (int i = 7; i >= 0; --i) count = count << 8 | frame.payload[count_at + i];
+        EXPECT_EQ(count, DecodeJobSpec(frame).ValueOrDie().num_records);
+        out.fields.push_back({at + count_at, 8});
         break;
+      }
       case FrameType::kRecordBatch: {
         out.fields.push_back({at, 4});  // record count
         size_t pos = at + 4;
@@ -994,7 +1005,7 @@ std::vector<Frame> DaemonAnswer(const std::vector<uint8_t>& bytes) {
 TEST(ShardWorker, JobStreamEndingEarlyIsAnsweredWithAWorkerErrorByBothTransports) {
   const std::vector<Frame> job = HugeTokenIdJob();
   const std::vector<uint8_t> bytes = Serialize(job).bytes;
-  ASSERT_EQ(bytes.size(), 135u);
+  ASSERT_EQ(bytes.size(), 131u);
   const auto expect_one_worker_error = [](const std::vector<Frame>& answer) {
     ASSERT_EQ(answer.size(), 1u);
     ASSERT_EQ(answer[0].type, FrameType::kWorkerError);

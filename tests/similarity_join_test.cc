@@ -1,6 +1,6 @@
 // Tests for the similarity joins, centred on the property that the
 // prefix-filtering AllPairs join produces exactly the same result as the
-// exhaustive join, across measures, thresholds and random inputs.
+// exhaustive join, across thresholds and random inputs.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -115,7 +115,6 @@ struct JoinEquivalenceCase {
   uint32_t vocab;
   size_t max_len;
   bool two_sources;
-  SetMeasure measure;
   double threshold;
 };
 
@@ -125,7 +124,6 @@ TEST_P(JoinEquivalence, AllPairsMatchesNaive) {
   const auto& p = GetParam();
   const JoinInput input = RandomInput(p.seed, p.n, p.vocab, p.max_len, p.two_sources);
   JoinOptions options;
-  options.measure = p.measure;
   options.threshold = p.threshold;
 
   auto naive = NaiveJoin(input, options);
@@ -143,23 +141,23 @@ TEST_P(JoinEquivalence, AllPairsMatchesNaive) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, JoinEquivalence,
     ::testing::Values(
-        JoinEquivalenceCase{1, 60, 40, 8, false, SetMeasure::kJaccard, 0.3},
-        JoinEquivalenceCase{2, 60, 40, 8, false, SetMeasure::kJaccard, 0.5},
-        JoinEquivalenceCase{3, 60, 40, 8, false, SetMeasure::kJaccard, 0.8},
-        JoinEquivalenceCase{4, 60, 40, 8, false, SetMeasure::kJaccard, 0.1},
-        JoinEquivalenceCase{5, 80, 25, 6, true, SetMeasure::kJaccard, 0.4},
-        JoinEquivalenceCase{6, 60, 40, 8, false, SetMeasure::kDice, 0.5},
-        JoinEquivalenceCase{7, 60, 40, 8, false, SetMeasure::kCosine, 0.5},
-        JoinEquivalenceCase{8, 60, 40, 8, false, SetMeasure::kDice, 0.3},
-        JoinEquivalenceCase{9, 60, 40, 8, false, SetMeasure::kCosine, 0.3},
-        JoinEquivalenceCase{10, 120, 60, 10, false, SetMeasure::kJaccard, 0.2},
-        JoinEquivalenceCase{11, 120, 60, 10, true, SetMeasure::kJaccard, 0.2},
-        JoinEquivalenceCase{12, 40, 10, 4, false, SetMeasure::kJaccard, 0.6},
-        JoinEquivalenceCase{13, 50, 200, 12, false, SetMeasure::kJaccard, 0.3},
-        JoinEquivalenceCase{14, 70, 30, 7, false, SetMeasure::kJaccard, 0.0},
-        JoinEquivalenceCase{15, 90, 50, 9, true, SetMeasure::kCosine, 0.4},
-        JoinEquivalenceCase{16, 60, 40, 8, false, SetMeasure::kOverlapCoefficient, 0.5},
-        JoinEquivalenceCase{17, 80, 25, 6, true, SetMeasure::kOverlapCoefficient, 0.8}));
+        JoinEquivalenceCase{1, 60, 40, 8, false, 0.3},
+        JoinEquivalenceCase{2, 60, 40, 8, false, 0.5},
+        JoinEquivalenceCase{3, 60, 40, 8, false, 0.8},
+        JoinEquivalenceCase{4, 60, 40, 8, false, 0.1},
+        JoinEquivalenceCase{5, 80, 25, 6, true, 0.4},
+        JoinEquivalenceCase{6, 60, 40, 8, false, 0.5},
+        JoinEquivalenceCase{7, 60, 40, 8, false, 0.5},
+        JoinEquivalenceCase{8, 60, 40, 8, false, 0.3},
+        JoinEquivalenceCase{9, 60, 40, 8, false, 0.3},
+        JoinEquivalenceCase{10, 120, 60, 10, false, 0.2},
+        JoinEquivalenceCase{11, 120, 60, 10, true, 0.2},
+        JoinEquivalenceCase{12, 40, 10, 4, false, 0.6},
+        JoinEquivalenceCase{13, 50, 200, 12, false, 0.3},
+        JoinEquivalenceCase{14, 70, 30, 7, false, 0.0},
+        JoinEquivalenceCase{15, 90, 50, 9, true, 0.4},
+        JoinEquivalenceCase{16, 60, 40, 8, false, 0.5},
+        JoinEquivalenceCase{17, 80, 25, 6, true, 0.8}));
 
 TEST(TokenBlockingTest, CandidatesShareAToken) {
   JoinInput input;

@@ -164,61 +164,38 @@ TEST(SetSimilarityTest, JaccardEdgeCases) {
   EXPECT_EQ(Jaccard(Set({1, 2}), Set({1, 2})), 1.0);
 }
 
-TEST(SetSimilarityTest, DiceAndCosineAndOverlap) {
-  const TokenSet a = Set({1, 2, 3, 4});
-  const TokenSet b = Set({3, 4, 5, 6});
-  EXPECT_NEAR(Dice(a, b), 2.0 * 2 / 8, 1e-9);
-  EXPECT_NEAR(CosineSet(a, b), 2.0 / 4.0, 1e-9);
-  EXPECT_NEAR(OverlapCoefficient(a, b), 2.0 / 4.0, 1e-9);
-}
-
-TEST(SetSimilarityTest, MeasureOrderingConsistency) {
-  // For |a| == |b|, overlap >= dice >= jaccard.
-  const TokenSet a = Set({1, 2, 3, 4, 5});
-  const TokenSet b = Set({4, 5, 6, 7, 8});
-  EXPECT_GE(OverlapCoefficient(a, b), Dice(a, b));
-  EXPECT_GE(Dice(a, b), Jaccard(a, b));
-}
-
-TEST(SetSimilarityTest, DispatchMatchesDirectCalls) {
-  const TokenSet a = Set({1, 2, 3});
-  const TokenSet b = Set({2, 3, 4});
-  EXPECT_EQ(SetSimilarity(SetMeasure::kJaccard, a, b), Jaccard(a, b));
-  EXPECT_EQ(SetSimilarity(SetMeasure::kDice, a, b), Dice(a, b));
-  EXPECT_EQ(SetSimilarity(SetMeasure::kCosine, a, b), CosineSet(a, b));
-  EXPECT_EQ(SetSimilarity(SetMeasure::kOverlapCoefficient, a, b), OverlapCoefficient(a, b));
-}
-
 TEST(SetSimilarityTest, MinCompatibleSizeJaccard) {
   // |b| >= t|a|: with |a|=10, t=0.5 -> 5.
-  EXPECT_EQ(MinCompatibleSize(SetMeasure::kJaccard, 10, 0.5), 5u);
-  EXPECT_EQ(MinCompatibleSize(SetMeasure::kJaccard, 10, 0.0), 0u);
+  EXPECT_EQ(MinCompatibleSize(10, 0.5), 5u);
+  EXPECT_EQ(MinCompatibleSize(10, 0.0), 0u);
 }
 
 TEST(SetSimilarityTest, MinRequiredOverlapJaccard) {
   // o >= t(a+b)/(1+t): a=b=10, t=0.5 -> 20*0.5/1.5 = 6.67 -> 7.
-  EXPECT_EQ(MinRequiredOverlap(SetMeasure::kJaccard, 10, 10, 0.5), 7u);
+  EXPECT_EQ(MinRequiredOverlap(10, 10, 0.5), 7u);
 }
 
 TEST(SetSimilarityTest, FilterBoundsAreSound) {
-  // Property: whenever sim(a,b) >= t, |b| >= MinCompatibleSize(|a|) and
-  // overlap >= MinRequiredOverlap(|a|, |b|).
-  for (const SetMeasure m : {SetMeasure::kJaccard, SetMeasure::kDice, SetMeasure::kCosine}) {
-    for (size_t sa = 1; sa <= 8; ++sa) {
-      for (size_t sb = 1; sb <= 8; ++sb) {
-        for (size_t o = 0; o <= std::min(sa, sb); ++o) {
-          TokenSet a;
-          TokenSet b;
-          for (size_t i = 0; i < sa; ++i) a.push_back(static_cast<text::TokenId>(i));
-          for (size_t i = 0; i < o; ++i) b.push_back(static_cast<text::TokenId>(i));
-          for (size_t i = 0; i < sb - o; ++i) b.push_back(static_cast<text::TokenId>(100 + i));
-          b = MakeTokenSet(b);
-          const double sim = SetSimilarity(m, a, b);
-          for (double t : {0.3, 0.5, 0.8}) {
-            if (sim >= t) {
-              EXPECT_GE(sb, MinCompatibleSize(m, sa, t));
-              EXPECT_GE(o, MinRequiredOverlap(m, sa, sb, t));
-            }
+  // Property: whenever Jaccard(a,b) >= t, |b| >= MinCompatibleSize(|a|) and
+  // overlap >= MinRequiredOverlap(|a|, |b|); the score from the overlap is
+  // Jaccard's bitwise, and RequiredOverlapExact decides the threshold
+  // exactly.
+  for (size_t sa = 1; sa <= 8; ++sa) {
+    for (size_t sb = 1; sb <= 8; ++sb) {
+      for (size_t o = 0; o <= std::min(sa, sb); ++o) {
+        TokenSet a;
+        TokenSet b;
+        for (size_t i = 0; i < sa; ++i) a.push_back(static_cast<text::TokenId>(i));
+        for (size_t i = 0; i < o; ++i) b.push_back(static_cast<text::TokenId>(i));
+        for (size_t i = 0; i < sb - o; ++i) b.push_back(static_cast<text::TokenId>(100 + i));
+        b = MakeTokenSet(b);
+        const double sim = Jaccard(a, b);
+        EXPECT_EQ(SimilarityFromOverlap(sa, sb, o), sim);
+        for (double t : {0.3, 0.5, 0.8}) {
+          EXPECT_EQ(o >= RequiredOverlapExact(sa, sb, t), sim >= t);
+          if (sim >= t) {
+            EXPECT_GE(sb, MinCompatibleSize(sa, t));
+            EXPECT_GE(o, MinRequiredOverlap(sa, sb, t));
           }
         }
       }

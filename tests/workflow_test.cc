@@ -133,18 +133,6 @@ TEST(WorkflowTest, QualificationTestImprovesQualityUnderHeavySpam) {
             static_cast<double>(std::max(1u, r_spam.crowd_stats.num_spammer_assignments)));
 }
 
-TEST(WorkflowTest, DiceMeasureEndToEnd) {
-  const auto ds = SmallRestaurant();
-  WorkflowConfig config;
-  config.measure = similarity::SetMeasure::kDice;
-  // Dice >= 2J/(1+J): threshold 0.5 in Dice ~ 0.33 in Jaccard.
-  config.likelihood_threshold = 0.5;
-  config.seed = 9;
-  auto result = HybridWorkflow(config).Run(ds).ValueOrDie();
-  EXPECT_GT(result.machine_recall, 0.75);
-  EXPECT_GT(eval::BestF1(result.pr_curve), 0.7);
-}
-
 TEST(WorkflowTest, ConfigValidationRejectsBadValues) {
   WorkflowConfig config;
   config.likelihood_threshold = 1.5;

@@ -39,7 +39,7 @@
 #include "common/histogram.h"
 #include "common/string_util.h"
 #include "common/timer.h"
-#include "data/generators.h"
+#include "dataset_flags.h"
 #include "flags.h"
 #include "serve/service.h"
 #include "service_flags.h"
@@ -74,29 +74,7 @@ Result<Args> Parse(int argc, char** argv) {
 Result<data::Dataset> LoadDataset(const Args& flags) {
   const std::string csv = flags.Get("csv", "");
   if (!csv.empty()) return data::ReadDatasetCsv(csv, csv);
-  const std::string kind = flags.Get("dataset", "product");
-  CROWDER_ASSIGN_OR_RETURN(const double scale, flags.GetNumber("scale", 1.0));
-  CROWDER_ASSIGN_OR_RETURN(const uint64_t seed, flags.GetNumber<uint64_t>("seed", 0));
-  if (kind == "restaurant") {
-    data::RestaurantConfig config;
-    if (seed) config.seed = seed;
-    config.scale_factor = scale;
-    return data::GenerateRestaurant(config);
-  }
-  if (kind == "product") {
-    data::ProductConfig config;
-    if (seed) config.seed = seed;
-    config.scale_factor = scale;
-    return data::GenerateProduct(config);
-  }
-  if (kind == "productdup") {
-    data::ProductDupConfig config;
-    if (seed) config.seed = seed;
-    config.scale_factor = scale;
-    config.product.scale_factor = scale;
-    return data::GenerateProductDup(config);
-  }
-  return Status::InvalidArgument("unknown dataset kind '" + kind + "'");
+  return tools::GenerateDatasetFromFlags(flags.Get("dataset", "product"), flags);
 }
 
 uint64_t ElapsedMicros(std::chrono::steady_clock::time_point since) {

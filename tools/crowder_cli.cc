@@ -101,6 +101,7 @@
 #include <string>
 
 #include "core/crowder.h"
+#include "dataset_flags.h"
 #include "flags.h"
 #include "serve/service.h"
 #include "service_flags.h"
@@ -167,29 +168,8 @@ Status Generate(const Args& args) {
   if (kind.empty() || out.empty()) {
     return Status::InvalidArgument("generate requires --dataset and --out");
   }
-  CROWDER_ASSIGN_OR_RETURN(const uint64_t seed, args.GetNumber<uint64_t>("seed", 0));
-  CROWDER_ASSIGN_OR_RETURN(const double scale, args.GetNumber<double>("scale", 1.0));
-  data::Dataset dataset;
-  if (kind == "restaurant") {
-    data::RestaurantConfig config;
-    if (seed) config.seed = seed;
-    config.scale_factor = scale;
-    CROWDER_ASSIGN_OR_RETURN(dataset, data::GenerateRestaurant(config));
-  } else if (kind == "product") {
-    data::ProductConfig config;
-    if (seed) config.seed = seed;
-    config.scale_factor = scale;
-    CROWDER_ASSIGN_OR_RETURN(dataset, data::GenerateProduct(config));
-  } else if (kind == "productdup") {
-    data::ProductDupConfig config;
-    if (seed) config.seed = seed;
-    // Scale both the base-record sample and the Product dataset under it.
-    config.scale_factor = scale;
-    config.product.scale_factor = scale;
-    CROWDER_ASSIGN_OR_RETURN(dataset, data::GenerateProductDup(config));
-  } else {
-    return Status::InvalidArgument("unknown dataset kind '" + kind + "'");
-  }
+  CROWDER_ASSIGN_OR_RETURN(const data::Dataset dataset,
+                           tools::GenerateDatasetFromFlags(kind, args));
   CROWDER_RETURN_NOT_OK(data::WriteDatasetCsv(dataset, out));
   std::cout << "wrote " << dataset.table.num_records() << " records ("
             << dataset.CountMatchingPairs() << " matching pairs) to " << out << "\n";
@@ -268,7 +248,7 @@ Status RunMachineOnly(const data::Dataset& dataset,
     core::PairStream stream(streaming ? config.memory_budget_bytes : 0);
     CROWDER_ASSIGN_OR_RETURN(
         const auto stats,
-        core::HybridWorkflow::MachinePassSharded(dataset, config.measure,
+        core::HybridWorkflow::MachinePassSharded(dataset, similarity::SetMeasure::kJaccard,
                                                  config.likelihood_threshold, exec,
                                                  &stream, &shard_stats));
     num_pairs = stats.num_pairs;
@@ -279,8 +259,7 @@ Status RunMachineOnly(const data::Dataset& dataset,
     core::PairStream stream(config.memory_budget_bytes);
     CROWDER_ASSIGN_OR_RETURN(
         const auto stats,
-        core::HybridWorkflow::MachinePassStream(dataset, config.measure,
-                                                config.likelihood_threshold,
+        core::HybridWorkflow::MachinePassStream(dataset, config.likelihood_threshold,
                                                 config.num_threads, &stream));
     num_pairs = stats.num_pairs;
     candidate_matches = stats.candidate_matches;
@@ -289,7 +268,7 @@ Status RunMachineOnly(const data::Dataset& dataset,
   } else {
     CROWDER_ASSIGN_OR_RETURN(
         const auto pairs,
-        core::HybridWorkflow::MachinePass(dataset, config.measure,
+        core::HybridWorkflow::MachinePass(dataset, similarity::SetMeasure::kJaccard,
                                           config.likelihood_threshold,
                                           core::CandidateStrategy::kAllPairsJoin,
                                           config.num_threads));
