@@ -171,10 +171,16 @@ void BM_JoinBlockedStreaming(benchmark::State& state) {
   exec_options.num_threads = static_cast<uint32_t>(state.range(0));
   exec_options.block_records = 256;
   similarity::JoinStats stats;
+  size_t pairs = 0;
+  const similarity::PairSink count_pairs = [&pairs](std::vector<similarity::ScoredPair>&& block) {
+    pairs += block.size();
+    return Status::OK();
+  };
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        similarity::BlockedAllPairsJoin(RestaurantJoinInput(), options, exec_options, &stats));
+    benchmark::DoNotOptimize(similarity::BlockedAllPairsJoinStream(
+        RestaurantJoinInput(), options, exec_options, count_pairs, &stats));
   }
+  benchmark::DoNotOptimize(pairs);
   ReportVerifications(state, stats.pair_verifications);
 }
 BENCHMARK(BM_JoinBlockedStreaming)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);

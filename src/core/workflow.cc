@@ -14,6 +14,27 @@
 namespace crowder {
 namespace core {
 
+namespace {
+
+// Runs `join` with a sink that counts each block's pairs and true matches
+// and appends the block to `stream`, then seals the stream: the one
+// epilogue of the streaming and the sharded machine pass.
+template <typename Join>
+Result<HybridWorkflow::MachineStreamStats> FeedStream(const data::Dataset& dataset,
+                                                      PairStream* stream, const Join& join) {
+  HybridWorkflow::MachineStreamStats stats;
+  CROWDER_RETURN_NOT_OK(join([&](std::vector<similarity::ScoredPair>&& block) {
+    stats.num_pairs += block.size();
+    stats.candidate_matches += internal::CountCandidateMatches(dataset, block);
+    return stream->Append(std::move(block));
+  }));
+  CROWDER_RETURN_NOT_OK(stream->Finish());
+  stats.spilled_bytes = stream->spilled_bytes();
+  return stats;
+}
+
+}  // namespace
+
 Result<std::vector<similarity::ScoredPair>> HybridWorkflow::MachinePass(
     const data::Dataset& dataset, similarity::SetMeasure, double threshold, CandidateStrategy,
     uint32_t num_threads) {
@@ -42,16 +63,9 @@ Result<HybridWorkflow::MachineStreamStats> HybridWorkflow::MachinePassStream(
   exec_options.num_threads = num_threads;
   exec_options.block_records = block_records;
 
-  MachineStreamStats stats;
-  CROWDER_RETURN_NOT_OK(similarity::BlockedAllPairsJoinStream(
-      input, options, exec_options, [&](std::vector<similarity::ScoredPair>&& block) {
-        stats.num_pairs += block.size();
-        stats.candidate_matches += internal::CountCandidateMatches(dataset, block);
-        return stream->Append(std::move(block));
-      }));
-  CROWDER_RETURN_NOT_OK(stream->Finish());
-  stats.spilled_bytes = stream->spilled_bytes();
-  return stats;
+  return FeedStream(dataset, stream, [&](const similarity::PairSink& sink) {
+    return similarity::BlockedAllPairsJoinStream(input, options, exec_options, sink);
+  });
 }
 
 Result<HybridWorkflow::MachineStreamStats> HybridWorkflow::MachinePassSharded(
@@ -69,18 +83,9 @@ Result<HybridWorkflow::MachineStreamStats> HybridWorkflow::MachinePassSharded(
   // with disjoint pair sets across shards (shard/coordinator.h) — exactly
   // the PairStream::Append contract, so the stream's k-way merge
   // reproduces the single-process SortPairs order byte-for-byte.
-  MachineStreamStats stats;
-  CROWDER_RETURN_NOT_OK(shard::RunShardedJoin(
-      input, options, exec,
-      [&](std::vector<similarity::ScoredPair>&& block) {
-        stats.num_pairs += block.size();
-        stats.candidate_matches += internal::CountCandidateMatches(dataset, block);
-        return stream->Append(std::move(block));
-      },
-      shard_run_stats));
-  CROWDER_RETURN_NOT_OK(stream->Finish());
-  stats.spilled_bytes = stream->spilled_bytes();
-  return stats;
+  return FeedStream(dataset, stream, [&](const similarity::PairSink& sink) {
+    return shard::RunShardedJoin(input, options, exec, sink, shard_run_stats);
+  });
 }
 
 Status ValidateWorkflowConfig(const WorkflowConfig& config) {

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
-
-#include "common/logging.h"
-#include "similarity/join_internal.h"
 
 namespace crowder {
 namespace serve {
@@ -38,62 +34,53 @@ uint32_t IncrementalIndex::RankOf(text::TokenId token) {
 }
 
 Result<std::vector<similarity::ScoredPair>> IncrementalIndex::Insert(similarity::TokenSet set,
-                                                                     int source) {
+                                                                     int source,
+                                                                     similarity::JoinStats* stats) {
   if (!std::is_sorted(set.begin(), set.end()) ||
       std::adjacent_find(set.begin(), set.end()) != set.end()) {
     return Status::InvalidArgument("token sets must be sorted and deduplicated (MakeTokenSet)");
   }
   const uint32_t id = num_records();
 
-  // Register tokens (rank entries + document frequencies) before probing so
-  // RankOf is total over this record's tokens.
+  // Register the tokens (rank entries + document frequencies) and store the
+  // record as its rank-sorted list.
+  const size_t begin = arena_.size();
   for (text::TokenId tok : set) {
-    RankOf(tok);
+    arena_.push_back(RankOf(tok));
     ++doc_freq_[tok];
   }
-
-  const similarity::internal::PrefixBounds bounds =
-      ComputePrefixBounds(options_.threshold, set.size());
+  std::sort(arena_.begin() + static_cast<ptrdiff_t>(begin), arena_.end());
+  offset_.push_back(arena_.size());
+  sources_.push_back(source);
+  max_size_ = std::max(max_size_, set.size());
 
   // Probe: the new record's prefix under the current order against the
   // postings every earlier record indexed under the same order. By the
   // order-symmetric lemma this surfaces every qualifying partner.
-  std::vector<uint32_t> ranks;
-  ranks.reserve(set.size());
-  for (text::TokenId tok : set) ranks.push_back(rank_[tok]);
-  std::sort(ranks.begin(), ranks.end());
-
-  seen_.resize(num_records(), 0);
-  std::vector<uint32_t> candidates;
-  for (size_t p = 0; p < bounds.prefix_len; ++p) {
-    for (uint32_t other : postings_[ranks[p]]) {
-      if (seen_[other]) continue;
-      seen_[other] = 1;
-      candidates.push_back(other);
-    }
+  const double t = options_.threshold;
+  const similarity::TokenSpan x = ranked(id);
+  // required_[s] = RequiredOverlapExact(|x|, s). Past |x|, a full overlap
+  // scores |x| / s, which only falls as s grows: once a size is out of
+  // reach, so is every larger one, and its bound is |x| + 1. So one
+  // outlier record does not make every later insert evaluate the bound at
+  // each size up to its own.
+  required_.assign(max_size_ + 1, x.size() + 1);
+  for (size_t s = 0; s <= max_size_ && (s <= x.size() || required_[s - 1] <= x.size()); ++s) {
+    required_[s] = similarity::RequiredOverlapExact(x.size(), s, t);
   }
-
   std::vector<similarity::ScoredPair> out;
-  for (uint32_t other : candidates) {
-    seen_[other] = 0;
-    const similarity::TokenSpan other_set = this->set(other);
-    if (other_set.size() < bounds.min_partner) continue;
-    if (options_.cross_source_only && sources_[other] == source) continue;
-    // Threshold-aware verify over the original token sets — bitwise the same
-    // accept set and scores as Jaccard >= threshold, with the early exit on
-    // pairs that cannot reach it (similarity/join_internal.h).
-    double sim;
-    if (similarity::internal::VerifyPair(options_.threshold, other_set, set, &sim)) {
-      out.push_back({other, id, sim});
-    }
-  }
+  similarity::internal::ProbeStep(
+      x, ComputePrefixBounds(t, x.size()).prefix_len, 0, id, id, required_,
+      [this](uint32_t rank) {
+        const std::vector<similarity::internal::Posting>& run = postings_[rank];
+        return similarity::internal::PostingRun{run.data(), run.data() + run.size()};
+      },
+      [this](uint32_t q) { return ranked(q); },
+      [&](uint32_t q) { return !options_.cross_source_only || sources_[q] != source; },
+      [&](uint32_t q, double sim) { out.push_back({q, id, sim}); }, stats);
   similarity::SortPairs(&out);
 
-  arena_.insert(arena_.end(), set.begin(), set.end());
-  set_offset_.push_back(arena_.size());
-  sources_.push_back(source);
   IndexRecord(id);
-
   if (num_records() >= next_rebuild_at_) {
     Rebuild();
     next_rebuild_at_ *= 2;
@@ -102,30 +89,26 @@ Result<std::vector<similarity::ScoredPair>> IncrementalIndex::Insert(similarity:
 }
 
 void IncrementalIndex::IndexRecord(uint32_t id) {
-  const similarity::TokenSpan set = this->set(id);
-  const size_t prefix_len = ComputePrefixBounds(options_.threshold, set.size()).prefix_len;
-  if (prefix_len == 0) return;
-  std::vector<uint32_t> ranks;
-  ranks.reserve(set.size());
-  for (text::TokenId tok : set) ranks.push_back(rank_[tok]);
-  // Only the prefix_len smallest ranks are indexed; a partial sort suffices.
-  std::partial_sort(ranks.begin(), ranks.begin() + static_cast<ptrdiff_t>(prefix_len),
-                    ranks.end());
-  for (size_t p = 0; p < prefix_len; ++p) postings_[ranks[p]].push_back(id);
+  const similarity::TokenSpan x = ranked(id);
+  const size_t prefix_len = ComputePrefixBounds(options_.threshold, x.size()).prefix_len;
+  for (uint32_t k = 0; k < prefix_len; ++k) postings_[x[k]].push_back({id, k});
 }
 
 void IncrementalIndex::Rebuild() {
-  // Rare-first order over every token seen so far (ties by id), mirroring
-  // the batch plan's ordering so rebuilt prefixes are just as selective.
-  std::vector<text::TokenId> order(rank_.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](text::TokenId x, text::TokenId y) {
-    return doc_freq_[x] != doc_freq_[y] ? doc_freq_[x] < doc_freq_[y] : x < y;
-  });
-  for (uint32_t pos = 0; pos < order.size(); ++pos) rank_[order[pos]] = pos;
-
+  // The batch plan's rare-first ranking over every token seen so far, so
+  // rebuilt prefixes are just as selective. Mapping each list to the new
+  // ranks and re-sorting it re-derives every posting offset.
+  const std::vector<uint32_t> rank = similarity::internal::RankRareFirst(doc_freq_);
+  std::vector<uint32_t> remap(rank.size());
+  for (size_t tok = 0; tok < rank.size(); ++tok) remap[rank_[tok]] = rank[tok];
+  rank_ = rank;
+  for (uint32_t& r : arena_) r = remap[r];
   postings_.assign(rank_.size(), {});
-  for (uint32_t id = 0; id < num_records(); ++id) IndexRecord(id);
+  for (uint32_t id = 0; id < num_records(); ++id) {
+    std::sort(arena_.begin() + static_cast<ptrdiff_t>(offset_[id]),
+              arena_.begin() + static_cast<ptrdiff_t>(offset_[id + 1]));
+    IndexRecord(id);
+  }
   ++num_rebuilds_;
 }
 

@@ -14,15 +14,23 @@
 // and (b) then indexes the new record's own prefix discovers every
 // qualifying pair exactly once, at the insert of the pair's later record.
 //
-// The token order is an internal degree of freedom: candidates are verified
-// with Jaccard over the ORIGINAL token sets, so the emitted pair set
-// and scores are bitwise independent of the ranking. The index exploits
-// that: it starts with token-id order (token sets are already sorted) and
+// The probe is the batch kernel's own step (internal::ProbeStep): postings
+// carry each token's offset in its record's rank-sorted list, so PPJoin's
+// positional bound, which is symmetric in the two records, prunes in
+// arrival order too, against a `required` table that covers every size
+// indexed so far. What needs size order stays with the batch kernel: the
+// binary-searched size filter and the shorter indexing prefix (a later
+// prober may be smaller than the record it meets here).
+//
+// The token order is an internal degree of freedom: the rank map is a
+// bijection, so overlaps, sizes and scores are those of the original token
+// sets, bitwise. The index exploits that: it starts with token-id order and
 // periodically re-ranks rare-first by observed document frequency — the
-// ordering that makes prefixes selective — rebuilding its postings under the
-// new order. The determinism bridge test (incremental_index_test) pins the
-// resulting guarantee: inserting a dataset record-by-record yields exactly
-// the batch AllPairsJoin candidate set, post-SortPairs, bitwise.
+// ordering that makes prefixes selective — re-sorting every record's list
+// and rebuilding its postings under the new order. The determinism bridge
+// test (incremental_index_test) pins the resulting guarantee: inserting a
+// dataset record-by-record yields exactly the batch AllPairsJoin candidate
+// set, post-SortPairs, bitwise.
 #ifndef CROWDER_SERVE_INCREMENTAL_INDEX_H_
 #define CROWDER_SERVE_INCREMENTAL_INDEX_H_
 
@@ -31,6 +39,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "similarity/join_internal.h"
 #include "similarity/similarity_join.h"
 
 namespace crowder {
@@ -58,7 +67,7 @@ struct IncrementalIndexOptions {
 /// \brief Grow-only prefix-filter index over token sets.
 ///
 /// Not thread-safe: the service serializes Insert with its state lock.
-/// Memory is O(total tokens): original sets plus the current prefix
+/// Memory is O(total tokens): the rank-sorted sets plus the current prefix
 /// postings.
 class IncrementalIndex {
  public:
@@ -71,56 +80,58 @@ class IncrementalIndex {
   /// the threshold — sorted by (a, b) with a < b = the new record's id.
   /// `set` must be canonical (sorted + deduplicated; use MakeTokenSet);
   /// `source` is the record's source label (ignored unless
-  /// cross_source_only).
-  Result<std::vector<similarity::ScoredPair>> Insert(similarity::TokenSet set, int source = 0);
+  /// cross_source_only). The probe's counters are added to `*stats` (may be
+  /// null); they obey the JoinStats laws.
+  Result<std::vector<similarity::ScoredPair>> Insert(similarity::TokenSet set, int source = 0,
+                                                     similarity::JoinStats* stats = nullptr);
 
   /// \brief Records inserted so far.
-  uint32_t num_records() const { return static_cast<uint32_t>(set_offset_.size() - 1); }
+  uint32_t num_records() const { return static_cast<uint32_t>(offset_.size() - 1); }
 
   /// \brief Rare-first re-ranks + postings rebuilds performed (observability;
   /// exercised directly by tests via small rebuild_base).
   size_t num_rebuilds() const { return num_rebuilds_; }
 
-  /// \brief Original token set of record `id` (for score re-verification and
-  /// the batch reference path). A view into the index's token arena; valid
-  /// until the next Insert.
-  similarity::TokenSpan set(uint32_t id) const {
-    const size_t begin = set_offset_[id];
-    return similarity::TokenSpan(arena_.data() + begin, set_offset_[id + 1] - begin);
-  }
-
  private:
   explicit IncrementalIndex(const IncrementalIndexOptions& options) : options_(options) {}
 
   /// Rank of `token` under the current order, assigning fresh trailing ranks
-  /// to tokens never seen before (new tokens are the rarest, but appending
-  /// keeps existing postings valid — the next rebuild moves them forward).
+  /// to tokens never seen before. A fresh token ranks above every existing
+  /// one, so no indexed record's list, or posting offset, changes until the
+  /// next rebuild moves genuinely rare tokens forward.
   uint32_t RankOf(text::TokenId token);
 
-  /// Re-ranks all tokens rare-first by document frequency (ties by token id)
-  /// and rebuilds every record's indexed prefix under the new order.
+  /// Re-ranks all tokens rare-first by document frequency (ties by token id),
+  /// re-sorts every record's list and rebuilds its postings.
   void Rebuild();
 
-  /// Indexes record `id`'s prefix under the current order.
+  /// Indexes record `id`'s probe prefix under the current order.
   void IndexRecord(uint32_t id);
 
+  /// Record `id`'s rank-sorted token list.
+  similarity::TokenSpan ranked(uint32_t id) const {
+    return similarity::TokenSpan(arena_.data() + offset_[id], offset_[id + 1] - offset_[id]);
+  }
+
   IncrementalIndexOptions options_;
-  /// Original token sets, back-to-back in one flat arena (the similarity
-  /// ground truth). Record id occupies arena_[set_offset_[id],
-  /// set_offset_[id + 1]); one contiguous buffer keeps verification
-  /// cache-dense and feeds the SIMD intersection kernels directly.
-  std::vector<text::TokenId> arena_;
+  /// Every record's tokens as current ranks, sorted, back-to-back in one
+  /// flat arena: record id occupies arena_[offset_[id], offset_[id + 1]).
+  /// One span serves both the probe and the verify, as in JoinPlan.
+  std::vector<uint32_t> arena_;
   /// num_records() + 1 prefix offsets into arena_.
-  std::vector<size_t> set_offset_{0};
+  std::vector<size_t> offset_{0};
   std::vector<int> sources_;
   /// rank_[token] = position in the current total token order.
   std::vector<uint32_t> rank_;
   /// doc_freq_[token] = records containing the token (drives rebuilds).
   std::vector<uint32_t> doc_freq_;
-  /// postings_[rank] = records whose indexed prefix contains the rank.
-  std::vector<std::vector<uint32_t>> postings_;
-  /// Candidate de-duplication scratch, one flag per record.
-  std::vector<char> seen_;
+  /// postings_[rank] = (record id, offset in its list) for every record
+  /// whose probe prefix holds the rank, in ascending id order.
+  std::vector<std::vector<similarity::internal::Posting>> postings_;
+  /// required_[s] = RequiredOverlapExact(|x|, s) for the record x being
+  /// inserted and every size s up to max_size_.
+  std::vector<size_t> required_;
+  size_t max_size_ = 0;
   size_t next_rebuild_at_ = 0;
   size_t num_rebuilds_ = 0;
 };

@@ -1,7 +1,6 @@
 #include "shard/plan.h"
 
 #include <algorithm>
-#include <numeric>
 #include <string>
 
 #include "similarity/join_internal.h"
@@ -31,15 +30,9 @@ Result<ShardPlan> BuildShardPlan(const similarity::JoinInput& input,
   const uint64_t n = input.sets.size();
   ShardPlan plan;
 
-  // The canonical processing order, byte-identical to JoinPlan::by_size:
-  // ranked_size(r) == |sets[r]| (re-ranking permutes tokens, never sizes),
-  // and std::stable_sort over iota breaks ties by record id exactly as
-  // BuildJoinPlan does.
-  plan.by_size.resize(n);
-  std::iota(plan.by_size.begin(), plan.by_size.end(), 0);
-  std::stable_sort(plan.by_size.begin(), plan.by_size.end(), [&](uint32_t x, uint32_t y) {
-    return input.sets[x].size() < input.sets[y].size();
-  });
+  // The canonical processing order: the function that builds
+  // JoinPlan::by_size (re-ranking permutes tokens, never sizes).
+  plan.by_size = similarity::internal::SizeOrder(input.sets);
 
   // Cumulative weights along the order; weight = size + 1 so bands of empty
   // records still advance the balance point.

@@ -117,21 +117,5 @@ Status BlockedAllPairsJoinStream(const JoinInput& input, const JoinOptions& opti
   return Status::OK();
 }
 
-Result<std::vector<ScoredPair>> BlockedAllPairsJoin(const JoinInput& input,
-                                                    const JoinOptions& options,
-                                                    const ParallelJoinOptions& exec_options,
-                                                    JoinStats* stats) {
-  std::vector<ScoredPair> out;
-  CROWDER_RETURN_NOT_OK(BlockedAllPairsJoinStream(
-      input, options, exec_options,
-      [&out](std::vector<ScoredPair>&& block) {
-        out.insert(out.end(), block.begin(), block.end());
-        return Status::OK();
-      },
-      stats));
-  SortPairs(&out);
-  return out;
-}
-
 }  // namespace similarity
 }  // namespace crowder

@@ -10,7 +10,7 @@
 // against it read-only, each probe accepting partners only at *earlier*
 // positions. Which pairs a position finds, and its counters, therefore do
 // not depend on how positions are split into chunks, blocks or threads.
-// Scores come from the same internal::VerifyPair call, per-chunk outputs are
+// Scores come from the same internal::ProbeStep, per-chunk outputs are
 // concatenated in chunk order, and the final SortPairs canonicalizes:
 // determinism by construction, not by locking. The serial AllPairsJoin is
 // ParallelAllPairsJoin on one thread.
@@ -36,8 +36,8 @@ struct ParallelJoinOptions {
   /// Probe records per scheduling chunk. Small chunks balance skewed record
   /// sizes at slightly higher scheduling cost. 0 = default.
   uint32_t chunk_size = 256;
-  /// BlockedAllPairsJoin only: probe records per block — the granularity at
-  /// which pairs are materialized/emitted. 0 = default.
+  /// BlockedAllPairsJoinStream only: probe records per block — the
+  /// granularity at which pairs are materialized/emitted. 0 = default.
   uint32_t block_records = 4096;
 };
 
@@ -62,12 +62,6 @@ using PairSink = std::function<Status(std::vector<ScoredPair>&&)>;
 Status BlockedAllPairsJoinStream(const JoinInput& input, const JoinOptions& options,
                                  const ParallelJoinOptions& exec_options,
                                  const PairSink& sink, JoinStats* stats = nullptr);
-
-/// \brief Convenience wrapper: accumulates every block and returns the
-/// SortPairs-canonicalized result — byte-identical to AllPairsJoin.
-Result<std::vector<ScoredPair>> BlockedAllPairsJoin(
-    const JoinInput& input, const JoinOptions& options,
-    const ParallelJoinOptions& exec_options = {}, JoinStats* stats = nullptr);
 
 }  // namespace similarity
 }  // namespace crowder

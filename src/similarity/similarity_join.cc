@@ -1,7 +1,6 @@
 #include "similarity/similarity_join.h"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
 #include "similarity/join_internal.h"
@@ -80,13 +79,30 @@ PrefixBounds ComputePrefixBounds(double threshold, size_t size) {
   return bounds;
 }
 
+std::vector<uint32_t> RankRareFirst(const std::vector<uint32_t>& freq) {
+  std::vector<uint32_t> order(freq.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
+    return freq[x] != freq[y] ? freq[x] < freq[y] : x < y;
+  });
+  std::vector<uint32_t> rank(freq.size());
+  for (uint32_t pos = 0; pos < order.size(); ++pos) rank[order[pos]] = pos;
+  return rank;
+}
+
+std::vector<uint32_t> SizeOrder(const std::vector<TokenSet>& sets) {
+  std::vector<uint32_t> order(sets.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](uint32_t x, uint32_t y) { return sets[x].size() < sets[y].size(); });
+  return order;
+}
+
 JoinPlan BuildJoinPlan(const JoinInput& input) {
   const uint32_t n = static_cast<uint32_t>(input.sets.size());
   JoinPlan plan;
 
-  // 1. Compute per-token frequency within this input; rank tokens
-  //    rarest-first (ties by id). Rare-first prefixes produce the fewest
-  //    candidates.
+  // 1. Rank tokens rarest-first by their frequency within this input.
   text::TokenId max_token = 0;
   for (const auto& set : input.sets) {
     for (text::TokenId tok : set) max_token = std::max(max_token, tok);
@@ -95,23 +111,12 @@ JoinPlan BuildJoinPlan(const JoinInput& input) {
   for (const auto& set : input.sets) {
     for (text::TokenId tok : set) ++freq[tok];
   }
-  // rank[token] = position in global rare-first order.
-  std::vector<text::TokenId> order(freq.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](text::TokenId x, text::TokenId y) {
-    return freq[x] != freq[y] ? freq[x] < freq[y] : x < y;
-  });
-  std::vector<uint32_t> rank(freq.size());
-  for (uint32_t pos = 0; pos < order.size(); ++pos) rank[order[pos]] = pos;
-  plan.num_ranks = order.size();
+  const std::vector<uint32_t> rank = RankRareFirst(freq);
+  plan.num_ranks = rank.size();
 
   // 2. Process records in non-decreasing size order so that indexed partners
   //    are never larger than the probing record.
-  plan.by_size.resize(n);
-  std::iota(plan.by_size.begin(), plan.by_size.end(), 0);
-  std::stable_sort(plan.by_size.begin(), plan.by_size.end(), [&](uint32_t x, uint32_t y) {
-    return input.sets[x].size() < input.sets[y].size();
-  });
+  plan.by_size = SizeOrder(input.sets);
 
   // 3. One flat arena in position order: sizes are known up front, so
   //    prefix-sum the offsets, fill each span, and sort it in place.
@@ -130,10 +135,6 @@ JoinPlan BuildJoinPlan(const JoinInput& input) {
 }
 
 namespace {
-
-// Marks a candidate of the current probe that can no longer qualify (pruned
-// or same-source); real counts never reach it (they are at most |x|).
-constexpr uint32_t kDropped = std::numeric_limits<uint32_t>::max();
 
 // Tokens a record of `size` tokens indexes: enough for every partner that
 // is no smaller than the record itself (see PrefixIndex).
@@ -180,24 +181,18 @@ PrefixIndex::PrefixIndex(const JoinInput& input, const JoinOptions& options,
 void PrefixIndex::Probe(size_t begin, size_t end, std::vector<ScoredPair>* out,
                         JoinStats* stats) const {
   const double t = options_.threshold;
-  // Per-thread scratch, reused across calls (and joins) instead of being
-  // reallocated and zeroed per call — with small chunks on large inputs
-  // the memset would dominate. count[q] is the overlap found so far with
-  // the candidate at position q (0 = not a candidate yet, kDropped = out).
-  // Invariant: every entry is 0 between probes, because each probe resets
-  // exactly the entries it set; resize only ever appends zeros.
-  thread_local std::vector<uint32_t> count;
-  thread_local std::vector<uint32_t> candidates;
   // required[s]: RequiredOverlapExact(|x|, s) for the partner sizes s the
   // current probe size admits.
   thread_local std::vector<size_t> required;
-  if (count.size() < plan_.by_size.size()) count.resize(plan_.by_size.size(), 0);
-
-  uint64_t scanned = 0;
-  uint64_t pruned = 0;
-  uint64_t verifications = 0;
-  size_t size = 0;      // probe size the bounds below were computed for
-  size_t lo = 0;        // first position whose size reaches min_partner
+  const auto run_of = [this](uint32_t rank) {
+    return PostingRun{postings_.data() + start_[rank], postings_.data() + start_[rank + 1]};
+  };
+  // Verification runs over the arena's ranked spans, not the original sets —
+  // same overlap, same sizes, bitwise the same score (see VerifyPair), but
+  // cache-dense and free to exit early.
+  const auto span_of = [this](uint32_t q) { return plan_.ranked_at(q); };
+  size_t size = 0;  // probe size the bounds below were computed for
+  size_t lo = 0;    // first position whose size reaches min_partner
   PrefixBounds bounds;
   for (size_t p = begin; p < end; ++p) {
     const TokenSpan x = plan_.ranked_at(p);
@@ -222,56 +217,15 @@ void PrefixIndex::Probe(size_t begin, size_t end, std::vector<ScoredPair>* out,
       }
     }
     const uint32_t rec = plan_.by_size[p];
-
-    candidates.clear();
-    for (size_t i = 0; i < bounds.prefix_len; ++i) {
-      const Posting* it = postings_.data() + start_[x[i]];
-      const Posting* stop = postings_.data() + start_[x[i] + 1];
-      if (it != stop && it->position < lo) {
-        it = std::partition_point(it, stop, [lo](const Posting& q) { return q.position < lo; });
-      }
-      const size_t x_rest = size - i - 1;
-      for (; it != stop && it->position < p; ++it) {
-        ++scanned;
-        uint32_t& c = count[it->position];
-        if (c == kDropped) continue;
-        if (c == 0) {
-          candidates.push_back(it->position);
-          if (!Admissible(input_, rec, plan_.by_size[it->position])) {
-            c = kDropped;
-            continue;
-          }
-        }
-        const size_t y_size = plan_.size_at(it->position);
-        const size_t y_rest = y_size - it->offset - 1;
-        if (c + 1 + std::min(x_rest, y_rest) < required[y_size]) {
-          c = kDropped;
-          ++pruned;
-          continue;
-        }
-        ++c;
-      }
-    }
-    for (uint32_t q : candidates) {
-      const bool live = count[q] != kDropped;
-      count[q] = 0;
-      if (!live) continue;
-      ++verifications;
-      double sim;
-      // Verification runs over the arena's ranked spans, not the original
-      // sets — same overlap, same sizes, bitwise the same score (see
-      // VerifyPair), but cache-dense and free to exit early.
-      const TokenSpan y = plan_.ranked_at(q);
-      if (VerifyPairRequired(required[y.size()], x, y, &sim)) {
-        const uint32_t other = plan_.by_size[q];
-        out->push_back({std::min(rec, other), std::max(rec, other), sim});
-      }
-    }
-  }
-  if (stats != nullptr) {
-    stats->postings_scanned += scanned;
-    stats->candidates_pruned += pruned;
-    stats->pair_verifications += verifications;
+    ProbeStep(
+        x, bounds.prefix_len, static_cast<uint32_t>(lo), static_cast<uint32_t>(p),
+        plan_.by_size.size(), required, run_of, span_of,
+        [&](uint32_t q) { return Admissible(input_, rec, plan_.by_size[q]); },
+        [&](uint32_t q, double sim) {
+          const uint32_t other = plan_.by_size[q];
+          out->push_back({std::min(rec, other), std::max(rec, other), sim});
+        },
+        stats);
   }
 }
 

@@ -52,7 +52,7 @@ struct JoinOptions {
 ///
 /// At a positive threshold the prefix-filtering joins (serial, parallel and
 /// blocked) count the same values at any thread count, chunk size and block
-/// size, and every run satisfies
+/// size, and every run of them, and of serve::IncrementalIndex, satisfies
 ///   emitted pairs <= pair_verifications, and
 ///   pair_verifications + candidates_pruned <= postings_scanned
 /// (each candidate is reached through at least one scanned posting, and is
@@ -65,9 +65,9 @@ struct JoinStats {
   uint64_t postings_scanned = 0;
   /// Distinct candidates dropped before verification because their size or
   /// positional overlap bound cannot reach the required overlap
-  /// (prefix-filtering joins only). Partners below the minimum size are
-  /// skipped as whole runs of postings and never scanned, so they are not
-  /// counted here.
+  /// (prefix-filtering joins only). The batch joins skip partners below the
+  /// minimum size as whole runs of postings, never scanned, so they are not
+  /// counted here; the incremental index counts them.
   uint64_t candidates_pruned = 0;
 };
 

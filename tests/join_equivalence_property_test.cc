@@ -1,17 +1,20 @@
 // Randomized property sweep enforcing the exact-equivalence contract of
 // similarity_join.h and parallel_join.h: NaiveJoin, AllPairsJoin, token
 // blocking + verification (an independent oracle: it shares no filter with
-// the prefix join), and the parallel/blocked joins must produce identical
-// pair sets over arbitrary inputs.
+// the prefix join), the parallel/blocked joins and the service's
+// incremental index must produce identical pair sets over arbitrary inputs.
 //
 //   * NaiveJoin ≡ AllPairsJoin — always (same pairs, same scores).
 //   * NaiveJoin ≡ TokenBlocking(max_block_size=0) + VerifyCandidates — at a
 //     positive threshold, since any qualifying pair shares at least one
 //     token and therefore co-occurs in a block.
-//   * NaiveJoin ≡ ParallelAllPairsJoin ≡ BlockedAllPairsJoin — at every
-//     thread count, chunk size, and block size (the parallel dimension of
-//     the sweep rotates through {1, 2, 4, 7} threads and tiny-to-large
-//     chunks/blocks so scheduling churn can never leak into the output).
+//   * NaiveJoin ≡ ParallelAllPairsJoin ≡ the collected blocks of
+//     BlockedAllPairsJoinStream — at every thread count, chunk size, and
+//     block size (the parallel dimension of the sweep rotates through
+//     {1, 2, 4, 7} threads and tiny-to-large chunks/blocks so scheduling
+//     churn can never leak into the output).
+//   * NaiveJoin ≡ serve::IncrementalIndex, fed record by record with
+//     re-ranks mid-stream — at a positive threshold.
 //
 // Unlike the curated cases in similarity_join_test.cc, every dimension here
 // is drawn at random from a master seed: input size, vocabulary size, token
@@ -25,8 +28,8 @@
 //
 // The prefix-filtering joins also report the same JoinStats counters at
 // every thread count, chunk size and block size, and obey the counter laws
-// of similarity_join.h; a crafted input pins the exact count the positional
-// filter must prune.
+// of similarity_join.h, as does the incremental index; a crafted input pins
+// the exact count the positional filter must prune, in both indexes.
 #include <gtest/gtest.h>
 
 #include <climits>
@@ -35,6 +38,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "serve/incremental_index.h"
 #include "similarity/blocking.h"
 #include "similarity/parallel_join.h"
 #include "similarity/similarity_join.h"
@@ -158,6 +162,42 @@ Result<std::vector<ScoredPair>> BlockingVerify(const JoinInput& input,
   return VerifyCandidates(input, candidates, options);
 }
 
+// Every block BlockedAllPairsJoinStream emits, collected and canonicalized.
+Result<std::vector<ScoredPair>> CollectBlocks(const JoinInput& input, const JoinOptions& options,
+                                              const ParallelJoinOptions& exec_options,
+                                              JoinStats* stats = nullptr) {
+  std::vector<ScoredPair> out;
+  CROWDER_RETURN_NOT_OK(BlockedAllPairsJoinStream(
+      input, options, exec_options,
+      [&out](std::vector<ScoredPair>&& block) {
+        out.insert(out.end(), block.begin(), block.end());
+        return Status::OK();
+      },
+      stats));
+  SortPairs(&out);
+  return out;
+}
+
+// Inserts every record, in id order and with its source label, into one
+// incremental index that re-ranks at 4, 8, 16, ... records, and returns
+// the emitted pairs in SortPairs order.
+Result<std::vector<ScoredPair>> IncrementalJoin(const JoinInput& input, double threshold,
+                                                JoinStats* stats) {
+  serve::IncrementalIndexOptions options;
+  options.threshold = threshold;
+  options.cross_source_only = !input.sources.empty();
+  options.rebuild_base = 4;
+  CROWDER_ASSIGN_OR_RETURN(serve::IncrementalIndex index, serve::IncrementalIndex::Create(options));
+  std::vector<ScoredPair> out;
+  for (size_t i = 0; i < input.sets.size(); ++i) {
+    const int source = input.sources.empty() ? 0 : input.sources[i];
+    CROWDER_ASSIGN_OR_RETURN(auto emitted, index.Insert(input.sets[i], source, stats));
+    out.insert(out.end(), emitted.begin(), emitted.end());
+  }
+  SortPairs(&out);
+  return out;
+}
+
 // The counter laws of JoinStats (similarity_join.h).
 void ExpectCounterLaws(const JoinStats& stats, size_t emitted, const std::string& context) {
   EXPECT_LE(emitted, stats.pair_verifications) << context;
@@ -206,23 +246,30 @@ bool CheckCase(const RandomCase& c, int i) {
   JoinStats parallel_stats;
   JoinStats blocked_stats;
   auto parallel = ParallelAllPairsJoin(input, options, exec_options, &parallel_stats);
-  auto blocked_join = BlockedAllPairsJoin(input, options, exec_options, &blocked_stats);
+  auto blocked_join = CollectBlocks(input, options, exec_options, &blocked_stats);
   EXPECT_TRUE(parallel.ok()) << par_context;
   EXPECT_TRUE(blocked_join.ok()) << par_context;
   if (!parallel.ok() || !blocked_join.ok()) return false;
   ExpectSamePairs(*naive, *parallel, /*compare_scores=*/true, "ParallelAllPairsJoin",
                   par_context);
-  ExpectSamePairs(*naive, *blocked_join, /*compare_scores=*/true, "BlockedAllPairsJoin",
+  ExpectSamePairs(*naive, *blocked_join, /*compare_scores=*/true, "BlockedAllPairsJoinStream",
                   par_context);
 
   // Blocking is exact only at positive thresholds (a qualifying pair must
   // share a token); at threshold 0 disjoint pairs qualify without sharing
   // any block, so the equivalence deliberately excludes it — as do the
-  // counter laws, which hold for prefix filtering only.
+  // counter laws, which hold for prefix filtering only, and the incremental
+  // index, which rejects threshold 0.
   if (c.threshold <= 0.0) return false;
   ExpectCounterLaws(serial_stats, all_pairs->size(), context);
   ExpectSameCounters(serial_stats, parallel_stats, "ParallelAllPairsJoin", par_context);
-  ExpectSameCounters(serial_stats, blocked_stats, "BlockedAllPairsJoin", par_context);
+  ExpectSameCounters(serial_stats, blocked_stats, "BlockedAllPairsJoinStream", par_context);
+  JoinStats incremental_stats;
+  auto incremental = IncrementalJoin(input, c.threshold, &incremental_stats);
+  EXPECT_TRUE(incremental.ok()) << context;
+  if (!incremental.ok()) return false;
+  ExpectSamePairs(*naive, *incremental, /*compare_scores=*/true, "IncrementalIndex", context);
+  ExpectCounterLaws(incremental_stats, incremental->size(), context + " (IncrementalIndex)");
   auto blocked = BlockingVerify(input, options);
   EXPECT_TRUE(blocked.ok()) << context;
   if (!blocked.ok()) return false;
@@ -296,9 +343,9 @@ TEST(JoinEquivalenceProperty, CountersAgreeAcrossThreadsChunksAndBlocks) {
         JoinStats parallel;
         JoinStats blocked;
         ASSERT_TRUE(ParallelAllPairsJoin(input, options, exec_options, &parallel).ok());
-        ASSERT_TRUE(BlockedAllPairsJoin(input, options, exec_options, &blocked).ok());
+        ASSERT_TRUE(CollectBlocks(input, options, exec_options, &blocked).ok());
         ExpectSameCounters(serial, parallel, "ParallelAllPairsJoin", context);
-        ExpectSameCounters(serial, blocked, "BlockedAllPairsJoin", context);
+        ExpectSameCounters(serial, blocked, "BlockedAllPairsJoinStream", context);
       }
     }
   }
@@ -314,6 +361,9 @@ TEST(JoinEquivalenceProperty, PositionalFilterPrunesCraftedCandidate) {
   // the candidate is pruned unverified. r2 = {0, 1, 2, 4, 5, 6} then meets
   // both and verifies both (overlap 3 each, below the 4 a 6-by-4 pair needs).
   // Postings read: r1 scans one (token 3), r2 three (tokens 0, 1, 2).
+  // Inserted in this order, the incremental index meets the same postings:
+  // it indexes a 4-token record's whole 3-token probe prefix, but r2 never
+  // probes tokens 3 or 5.
   JoinInput input;
   input.sets = {{0, 3, 5, 6}, {1, 2, 3, 4}, {0, 1, 2, 4, 5, 6}};
   JoinOptions options;
@@ -333,10 +383,15 @@ TEST(JoinEquivalenceProperty, PositionalFilterPrunesCraftedCandidate) {
     JoinStats parallel;
     JoinStats blocked;
     ASSERT_TRUE(ParallelAllPairsJoin(input, options, exec_options, &parallel).ok());
-    ASSERT_TRUE(BlockedAllPairsJoin(input, options, exec_options, &blocked).ok());
+    ASSERT_TRUE(CollectBlocks(input, options, exec_options, &blocked).ok());
     ExpectSameCounters(serial, parallel, "ParallelAllPairsJoin", std::to_string(threads));
-    ExpectSameCounters(serial, blocked, "BlockedAllPairsJoin", std::to_string(threads));
+    ExpectSameCounters(serial, blocked, "BlockedAllPairsJoinStream", std::to_string(threads));
   }
+  JoinStats incremental_stats;
+  const auto incremental = IncrementalJoin(input, options.threshold, &incremental_stats);
+  ASSERT_TRUE(incremental.ok());
+  EXPECT_TRUE(incremental->empty());
+  ExpectSameCounters(serial, incremental_stats, "IncrementalIndex", "crafted");
 }
 
 TEST(JoinEquivalenceProperty, EmptySetsNeverPairAtPositiveThreshold) {
@@ -361,7 +416,7 @@ TEST(JoinEquivalenceProperty, EmptySetsNeverPairAtPositiveThreshold) {
       exec_options.chunk_size = 1;
       exec_options.block_records = 2;
       auto parallel = ParallelAllPairsJoin(input, options, exec_options);
-      auto blocked_join = BlockedAllPairsJoin(input, options, exec_options);
+      auto blocked_join = CollectBlocks(input, options, exec_options);
       ASSERT_TRUE(parallel.ok() && blocked_join.ok());
       EXPECT_TRUE(parallel->empty()) << "threshold " << threshold << " threads " << threads;
       EXPECT_TRUE(blocked_join->empty()) << "threshold " << threshold << " threads " << threads;
@@ -394,7 +449,7 @@ TEST(JoinEquivalenceProperty, ParallelJoinsAreByteIdenticalToSerial) {
                                     (two_sources ? "1" : "0") + " threads=" +
                                     std::to_string(threads) + " chunk=" + std::to_string(chunk);
         auto parallel = ParallelAllPairsJoin(input, options, exec_options);
-        auto blocked = BlockedAllPairsJoin(input, options, exec_options);
+        auto blocked = CollectBlocks(input, options, exec_options);
         ASSERT_TRUE(parallel.ok() && blocked.ok()) << context;
         for (const auto* variant : {&*parallel, &*blocked}) {
           ASSERT_EQ(serial->size(), variant->size()) << context;
